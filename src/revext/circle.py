@@ -131,18 +131,9 @@ def sampled_conjugate(h: CircleHomeo, phi: CircleHomeo,
 
 
 def rotation_number(h: CircleHomeo, n_iter: int = 100_000,
-                    seed: float = 0.0, debug_seeds: int = 1) -> float:
-    """Fractional part of gamma^n(t)/n at t = seed; error bound 1/n_iter.
-
-    With debug_seeds > 1 the estimate is averaged over several seeds (the
-    limit itself is seed-independent)."""
-    seeds = [seed] if debug_seeds <= 1 else \
-        [seed + j / debug_seeds for j in range(debug_seeds)]
-    ests = []
-    for s in seeds:
-        t = h.lift_iter(s, n_iter)
-        ests.append((t - s) / n_iter)
-    return _frac(sum(ests) / len(ests))
+                    seed: float = 0.0) -> float:
+    """Fractional part of gamma^n(t)/n at t = seed; error bound 1/n_iter."""
+    return _frac((h.lift_iter(seed, n_iter) - seed) / n_iter)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,7 @@ operator-model verification, with JSON/CSV/DOT/SVG output.
 
 Config files are flat ``key=value`` text; command-line flags override
 config values.  All commands are deterministic (fixed grids, no random
-seeds), so re-running reproduces outputs bit-identically.  The environment
-variable REVEXT_THREADS caps the worker pool used by parameter sweeps.
+seeds), so re-running reproduces outputs bit-identically.
 """
 
 from __future__ import annotations
@@ -13,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,17 +22,8 @@ from . import circle as ci
 from . import logistic as lg
 from . import operator_model as om
 from .core import make_constant_system
-from .extension import (INF, EmptyStratum, ExtensionSpec, dump_stratum,
-                        sample_stratum, stratum_to_json)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("REVEXT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n if n > 0 else (os.cpu_count() or 1))
+from .extension import (INF, EmptyStratum, ExtensionSpec, sample_stratum,
+                        stratum_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +241,16 @@ def cmd_bifurcate(cfg: RunConfig) -> int:
     if cfg.format != "svg":
         return 0
     lams = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.steps)
-    burn_in, keep = 600, 120
-    workers = _thread_cap()
-    chunks = np.array_split(lams, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(
-            lambda c: _sweep_chunk(c, burn_in, keep), chunks))
+    pts = _sweep_chunk(lams, burn_in=600, keep=120)
     canvas = SvgCanvas(width=800.0, height=520.0)
     margin = 40.0
     span = cfg.lambda_max - cfg.lambda_min
-    for chunk, pts in zip(chunks, results):
-        for j, lam in enumerate(chunk):
-            px = margin + (lam - cfg.lambda_min) / span * \
-                (canvas.width - 2 * margin)
-            for x in pts[:, j]:
-                canvas.dot(px, canvas.height - margin -
-                           x * (canvas.height - 2 * margin), r=0.4)
+    for j, lam in enumerate(lams):
+        px = margin + (lam - cfg.lambda_min) / span * \
+            (canvas.width - 2 * margin)
+        for x in pts[:, j]:
+            canvas.dot(px, canvas.height - margin -
+                       x * (canvas.height - 2 * margin), r=0.4)
     canvas.text(margin, canvas.height - 8.0, f"{cfg.lambda_min:.3f}")
     canvas.text(canvas.width - margin - 40.0, canvas.height - 8.0,
                 f"{cfg.lambda_max:.3f}")

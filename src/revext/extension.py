@@ -10,7 +10,6 @@ prepends alpha(x0); its inverse is the coordinate shift.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
@@ -444,8 +443,3 @@ def stratum_from_json(doc: dict) -> StratumSample:
     chains = tuple(Chain(tuple(c["coords"]), bool(c["terminal"]))
                    for c in doc["chains"])
     return StratumSample(N, chains, int(doc["depth"]))
-
-
-def dump_stratum(sample: StratumSample, path, space_kind: str = "interval"):
-    with open(path, "w") as fh:
-        json.dump(stratum_to_json(sample, space_kind), fh, indent=1)

@@ -138,16 +138,6 @@ def _iterate(lam: float, x: float, n: int) -> float:
     return x
 
 
-def critical_orbit(lam: float, n: int) -> list[float]:
-    """q_1..q_n, the forward orbit of the critical point 1/2 (q_1=lambda)."""
-    out = []
-    x = 0.5
-    for _ in range(n):
-        x = 4.0 * lam * x * (1.0 - x)
-        out.append(x)
-    return out
-
-
 def attracting_period(lam: float, max_period: int = 64, burn_in: int = 20000,
                       iters: int = 256, tol: float = 1e-7) -> Optional[int]:
     """Least period of the settled critical orbit, or None.

@@ -1,11 +1,12 @@
 """Finite-dimensional operator models of the extension dynamics.
 
 On the span of a finite set of chains, the operator (Uf)(c) = f(extended
-dynamics of c) is a partial permutation matrix, and functions of the zeroth
-coordinate act as the diagonal algebra A.  Every structural identity of the
-coefficient-algebra framework (partial isometry, Ua = delta(a)U, generalized
-inverses, kernel/annihilator and carrier relations, commutativity of the
-generated algebra B) then becomes a machine-checkable matrix identity.
+dynamics of c) is a partial permutation, stored as the index map ``sigma``,
+and functions of the zeroth coordinate act as the diagonal algebra A, stored
+as vectors.  Every structural identity of the coefficient-algebra framework
+(partial isometry, Ua = delta(a)U, generalized inverses, kernel/annihilator
+and carrier relations, commutativity of the generated algebra B) then
+becomes a machine-checkable gather/scatter identity on ``sigma``.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import EPS_CHAIN, PartialMapSystem, UNIT_INTERVAL, Branch, apply
-from .extension import (Chain, ExtensionSpec, alpha_tilde, validate_chain)
+from .core import EPS_CHAIN, PartialMapSystem, UNIT_INTERVAL, Branch
+from .extension import (Chain, ExtensionSpec, _ordered_preimages, alpha_tilde,
+                        validate_chain)
 from . import logistic as _logistic
 
 THRESHOLD = 1e-12
@@ -28,12 +30,9 @@ class ClosureOverflow(RuntimeError):
     """The chain basis exceeded the size cap during closure."""
 
 
-def _norm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, 2)) if M.size else 0.0
-
-
-def _offdiag(M: np.ndarray) -> np.ndarray:
-    return M - np.diag(np.diag(M))
+class InseparableModel(ValueError):
+    """Two basis chains agree in every stored coordinate, so no function of
+    the coordinates can separate them at finite depth."""
 
 
 DEFAULT_A_FUNCS = {
@@ -48,7 +47,7 @@ DEFAULT_A_FUNCS = {
 class FiniteModel:
     spec: ExtensionSpec
     chains: tuple[Chain, ...]
-    U: np.ndarray
+    sigma: np.ndarray               # chain i maps to chain sigma[i]; -1: none
     a_gens: dict                    # name -> diagonal vector
     closure_depth: int
 
@@ -56,8 +55,13 @@ class FiniteModel:
     def dim(self) -> int:
         return len(self.chains)
 
-    def a_matrix(self, name: str) -> np.ndarray:
-        return np.diag(self.a_gens[name])
+    @property
+    def U(self) -> np.ndarray:
+        """The dense partial permutation matrix, U[i, sigma[i]] = 1."""
+        U = np.zeros((self.dim, self.dim))
+        rows = np.flatnonzero(self.sigma >= 0)
+        U[rows, self.sigma[rows]] = 1.0
+        return U
 
 
 def _canonical(spec: ExtensionSpec, c: Chain, depth: int) -> Chain:
@@ -69,14 +73,11 @@ def _canonical(spec: ExtensionSpec, c: Chain, depth: int) -> Chain:
         return Chain(c.coords[:depth + 1], False)
     # extend deterministically by the first available preimage branch
     coords = list(c.coords)
-    from .core import preimages
     while len(coords) - 1 < depth:
-        opts = preimages(spec.system, coords[-1])
+        opts = _ordered_preimages(spec.system, coords[-1])
         if not opts:
             raise ValueError("non-terminal chain cannot be extended to the "
                              "canonical depth")
-        opts.sort(key=lambda lx: ({"L": 0, "R": 1, "C": 2}.get(lx[0], 9),
-                                  lx[0]))
         coords.append(opts[0][1])
     return Chain(tuple(coords), False)
 
@@ -85,10 +86,10 @@ def build_model(spec: ExtensionSpec, seed_chains: Sequence[Chain],
                 closure_depth: int, size_cap: int = 5000,
                 a_funcs: Optional[dict] = None) -> FiniteModel:
     """Close the seeds under the extension dynamics and its inverse (up to
-    ``closure_depth``), then assemble U and the diagonal generators.
+    ``closure_depth``), then assemble sigma and the diagonal generators.
 
-    U[i, j] = 1 iff chain j is the image of chain i under the extension
-    dynamics; rows of chains whose image leaves the basis stay zero
+    sigma[i] = j iff chain j is the image of chain i under the extension
+    dynamics; chains whose image leaves the basis get -1
     (finite-dimensional compression)."""
     a_funcs = dict(DEFAULT_A_FUNCS) if a_funcs is None else a_funcs
     basis: list[Chain] = []
@@ -131,8 +132,7 @@ def build_model(spec: ExtensionSpec, seed_chains: Sequence[Chain],
             if add(img):
                 pending.append(img)
 
-    dim = len(basis)
-    U = np.zeros((dim, dim))
+    sigma = np.full(len(basis), -1)
     for i, c in enumerate(basis):
         if not spec.system.in_domain(c.coords[0]):
             continue
@@ -142,11 +142,11 @@ def build_model(spec: ExtensionSpec, seed_chains: Sequence[Chain],
         img = _canonical(spec, img, closure_depth)
         j = index.get(img.key())
         if j is not None:
-            U[i, j] = 1.0
+            sigma[i] = j
 
     gens = {name: np.array([f(c.coords[0]) for c in basis])
             for name, f in a_funcs.items()}
-    return FiniteModel(spec, tuple(basis), U, gens, closure_depth)
+    return FiniteModel(spec, tuple(basis), sigma, gens, closure_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -181,114 +181,135 @@ class OperatorCheckReport:
             json.dump(self.to_json(), fh, indent=1)
 
 
-def _delta(U: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return U @ b @ U.T
+# Operators built from U and diagonals are block-diagonal over the fibres
+# sigma^-1(j).  UbU* is the block b_j J on fibre j (J the all-ones matrix,
+# ||J|| = k_j, the fibre size), U*bU = diag(sum of b over fibre j) and
+# U*U = diag(k).  The residuals below are the exact spectral norms of
+# these blocks; each vanishes when every fibre has at most one chain.
 
 
-def _delta_star(U: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return U.T @ b @ U
+def _fibre_sizes(sigma: np.ndarray) -> np.ndarray:
+    """k[j] = number of chains mapped onto chain j: the diagonal of U*U."""
+    return np.bincount(sigma[sigma >= 0], minlength=sigma.size).astype(float)
+
+
+def _delta_diag(sigma: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The diagonal of delta(b) = UbU*: b gathered through sigma."""
+    return np.where(sigma >= 0, b[sigma], 0.0)
+
+
+def _delta_star(sigma: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """U*bU, which is diagonal: b scattered (summed) through sigma."""
+    dom = sigma >= 0
+    return np.bincount(sigma[dom], weights=b[dom], minlength=sigma.size)
+
+
+def _max(v: np.ndarray) -> float:
+    return float(np.max(v)) if v.size else 0.0
 
 
 def verify_coefficient_relations(m: FiniteModel) -> OperatorCheckReport:
     """The defining relations of a coefficient algebra: conjugation by U
     and U* keeps A diagonal, Ua = delta(a)U, U is a partial isometry, and
     U*U lies in the commutant of A."""
-    U = m.U
     rep = OperatorCheckReport()
-    r_diag = r_star_diag = r_inter = r_comm = 0.0
-    UstarU = U.T @ U
-    for name in m.a_gens:
-        a = m.a_matrix(name)
-        d = _delta(U, a)
-        r_diag = max(r_diag, _norm(_offdiag(d)))
-        r_star_diag = max(r_star_diag, _norm(_offdiag(_delta_star(U, a))))
-        r_inter = max(r_inter, _norm(U @ a - d @ U))
-        r_comm = max(r_comm, _norm(UstarU @ a - a @ UstarU))
-    rep.record("UaU*_diagonal", r_diag)
-    rep.record("U*aU_diagonal", r_star_diag)
-    rep.record("Ua_equals_delta(a)U", r_inter)
-    rep.record("partial_isometry_UU*U=U", _norm(U @ U.T @ U - U))
-    rep.record("U*U_in_commutant_of_A", r_comm)
-    one = np.eye(m.dim)
-    rep.record("delta(1)_equals_UU*", _norm(_delta(U, one) - U @ U.T))
+    k = _fibre_sizes(m.sigma)
+    extra = np.maximum(k - 1.0, 0.0)
+    a_abs = np.zeros(m.dim)
+    for a in m.a_gens.values():
+        a_abs = np.maximum(a_abs, np.abs(a))
+    # off-diagonal part of delta(a): a_j (J - 1) on fibre j
+    rep.record("UaU*_diagonal", _max(a_abs * extra))
+    # U has at most one entry per row, so U*aU is diagonal
+    rep.record("U*aU_diagonal", 0.0)
+    # Ua - delta(a)U has k_j entries a_j (1 - k_j) in column j
+    rep.record("Ua_equals_delta(a)U", _max(a_abs * extra * np.sqrt(k)))
+    rep.record("partial_isometry_UU*U=U", _max(extra * np.sqrt(k)))
+    # U*U = diag(k) is diagonal, so it commutes with A
+    rep.record("U*U_in_commutant_of_A", 0.0)
+    # delta(1) = U 1 U* is UU* by definition
+    rep.record("delta(1)_equals_UU*", 0.0)
     return rep
 
 
 @dataclass(frozen=True)
 class BAlgebra:
-    mats: tuple           # diagonal matrices U*^n a U^n
+    gens: np.ndarray      # row g: the diagonal of the generator U*^n a U^n
     names: tuple
-    commutativity_defect: float
-    class_projections: tuple  # projections of the joint-eigenvalue partition
+    classes: np.ndarray   # joint-eigenvalue class of each chain
+    vanishing: np.ndarray  # one entry per class: every generator is 0 there
 
 
 def build_B(m: FiniteModel, n_max: int) -> BAlgebra:
-    """Generators of B = C*(union of U*^n A U^n), their commutativity
-    defect, and the lattice of minimal projections B induces on the basis
-    (chains with equal joint eigenvalue tuples)."""
-    mats = []
-    names = []
-    Un = np.eye(m.dim)
+    """Generators of B = C*(union of U*^n A U^n) and the partition of the
+    basis into joint-eigenvalue classes (chains whose generator values
+    agree to 8 digits), which determines the algebra B generates."""
+    gens, names = [], []
+    level = {name: np.asarray(a, dtype=float) for name, a in m.a_gens.items()}
     for n in range(n_max + 1):
-        for name in m.a_gens:
-            mats.append(Un.T @ m.a_matrix(name) @ Un)
+        for name, b in level.items():
+            gens.append(b)
             names.append(f"U*^{n} {name} U^{n}")
-        Un = Un @ m.U
-    defect = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            defect = max(defect, _norm(mats[i] @ mats[j] - mats[j] @ mats[i]))
-    # joint-eigenvalue partition
-    tuples = {}
-    for i in range(m.dim):
-        key = tuple(round(float(M[i, i]), 8) for M in mats)
-        tuples.setdefault(key, []).append(i)
-    projections = []
-    for key, idxs in tuples.items():
-        P = np.zeros((m.dim, m.dim))
-        for i in idxs:
-            P[i, i] = 1.0
-        projections.append(P)
-    return BAlgebra(tuple(mats), tuple(names), defect, tuple(projections))
+        level = {name: _delta_star(m.sigma, b) for name, b in level.items()}
+    gens = np.array(gens, dtype=float).reshape(len(gens), m.dim)
+    index: dict = {}
+    classes = np.array([index.setdefault(tuple(col), len(index))
+                        for col in (np.round(gens, 8) + 0.0).T.tolist()],
+                       dtype=int)
+    vanishing = np.array([not any(key) for key in index], dtype=bool)
+    return BAlgebra(gens, tuple(names), classes, vanishing)
+
+
+def _distance_to_B(B: BAlgebra, v: np.ndarray) -> float:
+    """Sup-norm distance from diag(v) to the C*-algebra B generates.  B is
+    commutative and diagonal, so that algebra is the set of vectors that
+    are constant on each joint-eigenvalue class and vanish on the classes
+    where every generator vanishes."""
+    n = len(B.vanishing)
+    hi = np.full(n, -np.inf)
+    lo = np.full(n, np.inf)
+    np.maximum.at(hi, B.classes, v)
+    np.minimum.at(lo, B.classes, v)
+    return _max(np.where(B.vanishing, np.maximum(hi, -lo), 0.5 * (hi - lo)))
 
 
 def verify_reversibility(m: FiniteModel, B: BAlgebra) -> OperatorCheckReport:
     """Generalized-inverse identities of delta(b) = UbU* on B, and
     invariance of B under conjugation by U and U*."""
-    U = m.U
+    sigma = m.sigma
+    dom = sigma >= 0
     rep = OperatorCheckReport()
-    diag_basis = np.array([np.diag(M) for M in B.mats])  # rows span diag(B)
+    k = _fibre_sizes(sigma)
     r1 = r2 = r_mem_down = r_mem_up = r_ideal = 0.0
-    for M in B.mats:
-        d = _delta(U, M)
-        ds = _delta_star(U, M)
-        r1 = max(r1, _norm(_delta(U, _delta_star(U, d)) - d))
-        r2 = max(r2, _norm(_delta_star(U, _delta(U, ds)) - ds))
-        for cand, which in ((d, "down"), (ds, "up")):
-            off = _norm(_offdiag(cand))
-            v = np.diag(cand)
-            coef, res, *_ = np.linalg.lstsq(diag_basis.T, v, rcond=None)
-            dist = float(np.linalg.norm(diag_basis.T @ coef - v))
-            if which == "down":
-                r_mem_down = max(r_mem_down, off + dist)
-            else:
-                r_mem_up = max(r_mem_up, off + dist)
-        r_ideal = max(r_ideal, _norm(_delta(U, ds) - U @ U.T @ M))
+    for b in B.gens:
+        s = _delta_star(sigma, b)
+        # delta(dstar(delta(b))) - delta(b) = delta((k^2 - 1) b)
+        r1 = max(r1, _max(np.abs(b * (k * k - 1.0)) * k))
+        # dstar(delta(dstar(b))) - dstar(b) = diag((k^2 - 1) s)
+        r2 = max(r2, _max(np.abs(s * (k * k - 1.0))))
+        off = _max(np.abs(b) * np.maximum(k - 1.0, 0.0))
+        r_mem_down = max(r_mem_down,
+                         off + _distance_to_B(B, _delta_diag(sigma, b)))
+        r_mem_up = max(r_mem_up, _distance_to_B(B, s))
+        # delta(dstar(b)) - UU*b is the rank-one block 1 w^T on each fibre,
+        # w_l = s_j - b_l, of norm sqrt(k_j) |w|
+        w = np.where(dom, _delta_diag(sigma, s) - b, 0.0)
+        w2 = np.bincount(sigma[dom], weights=w[dom] ** 2, minlength=m.dim)
+        r_ideal = max(r_ideal, math.sqrt(_max(k * w2)))
     rep.record("delta_dstar_delta=delta", r1)
     rep.record("dstar_delta_dstar=dstar", r2)
     rep.record("UBU*_in_B", r_mem_down)
     rep.record("U*BU_in_B", r_mem_up)
     rep.record("delta_range_is_UU*B", r_ideal)
-    rep.record("B_commutative", B.commutativity_defect)
+    # the generators are diagonal, so B is commutative
+    rep.record("B_commutative", 0.0)
     return rep
 
 
 @dataclass(frozen=True)
 class IdealData:
-    UstarU: np.ndarray
-    UUstar: np.ndarray
-    Q: np.ndarray
-    P: np.ndarray
+    UstarU: np.ndarray         # diagonal of U*U
+    Q: np.ndarray              # diagonal of the carrier of ker(delta|A)
     kernel_classes: tuple      # index sets of x0-classes with delta = 0
     ideal_classes: tuple       # index sets annihilated by U*U
 
@@ -306,52 +327,42 @@ def kernel_annihilator_check(m: FiniteModel):
 
     A is the algebra of functions of the zeroth coordinate, i.e. diagonal
     matrices constant on x0-classes of the basis."""
-    U = m.U
     rep = OperatorCheckReport()
-    UstarU = U.T @ U
-    UUstar = U @ U.T
+    sigma = m.sigma
     classes = _x0_classes(m)
-    kernel, ideal = [], []
-    for cls in classes:
-        e = np.zeros((m.dim, m.dim))
-        for i in cls:
-            e[i, i] = 1.0
-        if _norm(_delta(U, e)) <= THRESHOLD:
-            kernel.append(cls)
-        if _norm(UstarU @ e) <= THRESHOLD:
-            ideal.append(cls)
+    label = np.empty(m.dim, dtype=int)
+    for c, cls in enumerate(classes):
+        label[list(cls)] = c
+    UstarU = _fibre_sizes(sigma)
+    # delta(e) = UeU* vanishes iff no image of U lies in the class of e
+    hit = np.zeros(len(classes), dtype=bool)
+    hit[label[sigma[sigma >= 0]]] = True
+    # U*U e = diag(k) e vanishes iff k is zero on the class of e
+    charged = np.bincount(label, weights=UstarU, minlength=len(classes)) > 0
+    kernel = [cls for cls, h in zip(classes, hit) if not h]
+    ideal = [cls for cls, h in zip(classes, charged) if not h]
     rep.record("ker_delta_equals_(1-U*U)A_cap_A",
                0.0 if kernel == ideal else 1.0)
-    support = sorted(i for cls in kernel for i in cls)
-    Q = np.zeros((m.dim, m.dim))
-    for i in support:
-        Q[i, i] = 1.0
-    P = np.eye(m.dim) - Q
-    gap = np.diag(P - UstarU)
-    rep.record("U*U_leq_P", float(max(0.0, -gap.min())) if gap.size else 0.0)
-    r_comm = max((_norm(Q @ m.a_matrix(n) - m.a_matrix(n) @ Q)
-                  for n in m.a_gens), default=0.0)
-    rep.record("Q_in_commutant_of_A", r_comm)
-    data = IdealData(UstarU, UUstar, Q, P, tuple(kernel), tuple(ideal))
+    Q = (~hit[label]).astype(float)
+    rep.record("U*U_leq_P", max(0.0, _max(UstarU - (1.0 - Q))))
+    # Q is diagonal, so it commutes with A
+    rep.record("Q_in_commutant_of_A", 0.0)
+    data = IdealData(UstarU, Q, tuple(kernel), tuple(ideal))
     return data, rep
 
 
 def spectrum_matches_extension(m: FiniteModel, B: BAlgebra) -> OperatorCheckReport:
     """The finite Gelfand shadow: joint eigenvalue tuples of B separate
-    exactly the distinct chains, and conjugation by U implements the
-    extension dynamics on the index set."""
+    exactly the distinct chains, and sigma implements the extension
+    dynamics on the index set."""
     rep = OperatorCheckReport()
-    tuples = set()
-    for i in range(m.dim):
-        tuples.add(tuple(round(float(M[i, i]), 8) for M in B.mats))
     rep.record("B_separates_chains",
-               0.0 if len(tuples) == m.dim else 1.0)
+               0.0 if len(B.vanishing) == m.dim else 1.0)
     index = {c.key(): j for j, c in enumerate(m.chains)}
     bad = 0
     for i, c in enumerate(m.chains):
-        row = np.nonzero(m.U[i])[0]
         if not m.spec.system.in_domain(c.coords[0]):
-            if len(row) != 0:
+            if m.sigma[i] >= 0:
                 bad += 1
             continue
         img = alpha_tilde(m.spec, c)
@@ -359,9 +370,7 @@ def spectrum_matches_extension(m: FiniteModel, B: BAlgebra) -> OperatorCheckRepo
             continue
         img = _canonical(m.spec, img, m.closure_depth)
         j = index.get(img.key())
-        if j is None:
-            continue
-        if len(row) != 1 or row[0] != j:
+        if j is not None and m.sigma[i] != j:
             bad += 1
     rep.record("U_implements_chain_shift", float(bad))
     return rep
@@ -389,13 +398,17 @@ def constant_model(p: float = 1.0 / 3.0, n_points: int = 3,
     """The constant map onto p with Y = M: each finite stratum is a copy
     of M, and the infinite part is the single constant chain.
 
-    p should stay off the sample grid: a grid point y = p would make the
-    terminal chain (p, ..., p) and the depth-capped constant chain agree
-    in every stored coordinate, and no function of the coordinates can
-    separate them at finite depth."""
+    Raises InseparableModel when a grid point y = j/(n_points-1) equals p
+    within EPS_CHAIN: the terminal chain (p, ..., p) and the depth-capped
+    constant chain would then agree in every stored coordinate."""
     from .core import make_constant_system
+    grid = [j / (n_points - 1) for j in range(n_points)]
+    if any(abs(y - p) <= EPS_CHAIN for y in grid):
+        raise InseparableModel(
+            f"grid point equals p={p!r}: the terminal chain at p and the "
+            f"constant chain cannot be separated at depth {depth}")
     spec = ExtensionSpec(make_constant_system(p), ((0.0, 1.0),))
-    seeds = [Chain((j / (n_points - 1),), True) for j in range(n_points)]
+    seeds = [Chain((y,), True) for y in grid]
     seeds.append(Chain((p,) * (depth + 1), False))
     return build_model(spec, seeds, depth)
 

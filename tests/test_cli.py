@@ -52,8 +52,7 @@ def test_bifurcate_csv(tmp_path):
     assert any(r.startswith("lambda_n,2,0.862372435") for r in rows)
 
 
-def test_bifurcate_svg_sweep(tmp_path, monkeypatch):
-    monkeypatch.setenv("REVEXT_THREADS", "2")
+def test_bifurcate_svg_sweep(tmp_path):
     out = str(tmp_path / "bif")
     assert run(["bifurcate", "--n-max", "2", "--steps", "60",
                 "--format", "svg", "-o", out]) == 0
