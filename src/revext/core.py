@@ -121,10 +121,9 @@ def preimages(system: PartialMapSystem, y: float) -> list[tuple[str, float]]:
             continue
         if not system.in_domain(x):
             continue
-        try:
-            back = apply(system, x)
-        except OutsideDomain:
-            continue
+        # x is normalized and in Delta, so this is apply(system, x); the
+        # check drops clamped inverses of values above the critical value
+        back = system.space.normalize(system.forward_map(x))
         if system.space.metric(back, y) > EPS_CHAIN:
             continue
         found.append((br.label, x))

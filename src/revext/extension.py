@@ -187,8 +187,18 @@ def _ordered_preimages(system: PartialMapSystem, y: float):
     return sorted(opts, key=lambda lx: (_BRANCH_ORDER.get(lx[0], 9), lx[0]))
 
 
-def _extend_first(spec: ExtensionSpec, path: list[float], depth: int,
-                  reverse: bool, terminal: bool) -> Optional[tuple[float, ...]]:
+def _memo_preimages(system: PartialMapSystem, memo: dict, y: float):
+    """``_ordered_preimages`` looked up in ``memo`` (y -> ordered list)
+    first; callers must not mutate the returned list."""
+    opts = memo.get(y)
+    if opts is None:
+        opts = memo[y] = _ordered_preimages(system, y)
+    return opts
+
+
+def _extend_first(spec: ExtensionSpec, memo: dict, path: list[float],
+                  depth: int, reverse: bool,
+                  terminal: bool) -> Optional[tuple[float, ...]]:
     """Depth-first backward continuation of ``path`` out to ``depth``,
     taking the first completion in deterministic branch order (reversed
     order when ``reverse``).  For terminal chains the final coordinate must
@@ -197,19 +207,19 @@ def _extend_first(spec: ExtensionSpec, path: list[float], depth: int,
         if terminal and not spec.in_Y(path[-1], 1e-9):
             return None
         return tuple(path)
-    opts = _ordered_preimages(spec.system, path[-1])
+    opts = _memo_preimages(spec.system, memo, path[-1])
     if reverse:
         opts = opts[::-1]
     for _, x in opts:
         path.append(x)
-        got = _extend_first(spec, path, depth, reverse, terminal)
+        got = _extend_first(spec, memo, path, depth, reverse, terminal)
         path.pop()
         if got is not None:
             return got
     return None
 
 
-def _backward_chains(spec: ExtensionSpec, x0: float, depth: int,
+def _backward_chains(spec: ExtensionSpec, memo: dict, x0: float, depth: int,
                      prefix_depth: int, terminal: bool) -> list[tuple[float, ...]]:
     """All backward chains from x0 to ``depth`` whose first ``prefix_depth``
     branch choices are enumerated exhaustively; beyond the prefix each
@@ -221,11 +231,12 @@ def _backward_chains(spec: ExtensionSpec, x0: float, depth: int,
     def enumerate_prefix(path: list[float]) -> None:
         if len(path) - 1 == prefix_depth:
             for reverse in (False, True):
-                got = _extend_first(spec, list(path), depth, reverse, terminal)
+                got = _extend_first(spec, memo, list(path), depth, reverse,
+                                    terminal)
                 if got is not None and got not in results:
                     results.append(got)
             return
-        for _, x in _ordered_preimages(spec.system, path[-1]):
+        for _, x in _memo_preimages(spec.system, memo, path[-1]):
             path.append(x)
             enumerate_prefix(path)
             path.pop()
@@ -249,6 +260,9 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
     sys_ = spec.system
     chains: list[Chain] = []
     seen: set = set()
+    # the backward searches of one stratum revisit the same points many
+    # times, so each call computes the preimages of a point once
+    memo: dict = {}
 
     def add(coords: tuple[float, ...], terminal: bool) -> None:
         c = Chain(tuple(sys_.space.normalize(x) for x in coords), terminal)
@@ -273,8 +287,8 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
         if depth < 1:
             raise ValueError("depth must be >= 1 for the infinite stratum")
         for x0 in seeds:
-            for coords in _backward_chains(spec, x0, depth, prefix_depth,
-                                           terminal=False):
+            for coords in _backward_chains(spec, memo, x0, depth,
+                                           prefix_depth, terminal=False):
                 add(coords, False)
         if not chains:
             raise EmptyStratum("no infinite backward orbits found")
@@ -295,7 +309,8 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
     # backward seeding: covers zeroth coordinates the forward push misses
     if N >= 1 and spec.Y:
         for x0 in seeds:
-            for coords in _backward_chains(spec, x0, N, min(prefix_depth, N - 1),
+            for coords in _backward_chains(spec, memo, x0, N,
+                                           min(prefix_depth, N - 1),
                                            terminal=True):
                 add(coords, True)
     if not chains:
@@ -343,50 +358,88 @@ def chain_distance(a: Chain, b: Chain,
     return total
 
 
-def _sample_arrays(sample: StratumSample):
-    m = len(sample.chains)
-    L = max(len(c.coords) for c in sample.chains)
-    coords = np.zeros((m, L))
-    length = np.zeros(m, dtype=int)
-    terminal = np.zeros(m, dtype=bool)
+# Rows of one class pair's prefix-distance matrix held in memory at once.
+_ROW_BLOCK = 256
+
+
+def _classes(sample: StratumSample) -> list:
+    """Chains grouped by (length, terminal): one (length, terminal, indices
+    in the sample, (count, length) coordinate array) tuple per class."""
+    groups: dict = {}
     for i, c in enumerate(sample.chains):
-        coords[i, :len(c.coords)] = c.coords
-        length[i] = len(c.coords)
-        terminal[i] = c.terminal
-    return coords, length, terminal
+        groups.setdefault((len(c.coords), c.terminal), []).append(i)
+    return [(length, terminal, np.array(idx),
+             np.array([sample.chains[i].coords for i in idx]).reshape(
+                 len(idx), length))
+            for (length, terminal), idx in groups.items()]
+
+
+def _prefix_minima(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
+                   circle: bool):
+    """Row and column minima of D[i, j] = sum_n w[n] |xa[i, n] - xb[j, n]|
+    over the k shared coordinates, summed in coordinate order as
+    chain_distance does, one block of _ROW_BLOCK rows at a time."""
+    k = xa.shape[1]
+    xbT = np.ascontiguousarray(xb.T)
+    rmin = np.empty(len(xa))
+    cmin = np.full(len(xb), np.inf)
+    for s in range(0, len(xa), _ROW_BLOCK):
+        blk = xa[s:s + _ROW_BLOCK].T
+        acc = np.zeros((blk.shape[1], len(xb)))
+        diff = np.empty_like(acc)
+        for n in range(k):
+            np.subtract(blk[n][:, None], xbT[n][None, :], out=diff)
+            np.abs(diff, out=diff)
+            if circle:
+                np.minimum(diff, 1.0 - diff, out=diff)
+            diff *= w[n]
+            acc += diff
+        rmin[s:s + len(acc)] = acc.min(axis=1)
+        np.minimum(cmin, acc.min(axis=0), out=cmin)
+    return rmin, cmin
 
 
 def hausdorff(A: StratumSample, B: StratumSample,
               p: ChainMetricParams = DEFAULT_METRIC,
               space=None) -> float:
-    """Hausdorff distance between two stratum samples under chain_distance."""
+    """Hausdorff distance between two stratum samples under chain_distance.
+
+    Exact, and equal to the max-min over the full pairwise matrix summed
+    over a horizon of max(lengths, 60) terms.  Within one pair of
+    (length, terminal) classes every distance is the weighted l1 prefix
+    distance over the k = min(la, lb) shared coordinates followed by the
+    same tail terms (terminal gaps).  Each step x -> fl(x + t) of the tail
+    is monotone, so adding it to the prefix row and column minima gives the
+    same floats as adding it to every entry before taking minima.
+    """
     if not A.chains or not B.chains:
         raise EmptyStratum("hausdorff requires nonempty samples")
     circle = space is not None and getattr(space, "kind", "") == "circle"
 
-    ca, la, ta = _sample_arrays(A)
-    cb, lb, tb = _sample_arrays(B)
-    La, Lb = ca.shape[1], cb.shape[1]
-    horizon = max(La, Lb, 60)
+    ga, gb = _classes(A), _classes(B)
+    horizon = max(max(g[0] for g in ga), max(g[0] for g in gb), 60)
     w = p.weight_base ** np.arange(horizon)
+    gap = p.terminal_gap
 
-    dist = np.zeros((len(A.chains), len(B.chains)))
-    for n in range(horizon):
-        has_a = (la > n)[:, None]
-        has_b = (lb > n)[None, :]
-        xa = ca[:, n] if n < La else np.zeros(len(A.chains))
-        xb = cb[:, n] if n < Lb else np.zeros(len(B.chains))
-        diff = np.abs(xa[:, None] - xb[None, :])
-        if circle:
-            diff = np.minimum(diff, 1.0 - diff)
-        gap_a = np.where(ta[:, None], p.terminal_gap, 0.0)
-        gap_b = np.where(tb[None, :], p.terminal_gap, 0.0)
-        both_gap = np.where(ta[:, None] != tb[None, :], p.terminal_gap, 0.0)
-        d = np.where(has_a & has_b, diff,
-                     np.where(has_a & ~has_b, gap_b,
-                              np.where(~has_a & has_b, gap_a, both_gap)))
-        dist += w[n] * d
-    return max(dist.min(axis=1).max(), dist.min(axis=0).max())
+    row_min = np.full(len(A.chains), np.inf)
+    col_min = np.full(len(B.chains), np.inf)
+    for la, ta, ia, xa in ga:
+        for lb, tb, ib, xb in gb:
+            k = min(la, lb)
+            rmin, cmin = _prefix_minima(xa[:, :k], xb[:, :k], w, circle)
+            for n in range(k, horizon):
+                if n < la:  # b has run out
+                    d = gap if tb else 0.0
+                elif n < lb:  # a has run out
+                    d = gap if ta else 0.0
+                else:
+                    d = gap if ta != tb else 0.0
+                if d:
+                    rmin += w[n] * d
+                    cmin += w[n] * d
+            row_min[ia] = np.minimum(row_min[ia], rmin)
+            col_min[ib] = np.minimum(col_min[ib], cmin)
+    return max(row_min.max(), col_min.max())
 
 
 # ---------------------------------------------------------------------------

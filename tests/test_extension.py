@@ -5,10 +5,13 @@ brute-force Hausdorff oracle, and the semiconjugacy lift."""
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from revext.core import (FactorMapSample, check_semiconjugacy,
+import revext.extension as ext
+from revext.core import (CIRCLE, FactorMapSample, check_semiconjugacy,
                          make_constant_system, make_rotation_system)
 from revext.extension import (INF, Chain, ChainExtensionSystem, EmptyStratum,
                               ExtensionSpec, InvalidLift,
@@ -120,6 +123,23 @@ def test_lambda_one_strata_empty_but_inverse_limit_nonempty():
         assert validate_chain(spec1, c) and not c.terminal
 
 
+@pytest.mark.parametrize("N", [8, INF])
+def test_sample_stratum_computes_each_preimage_once(monkeypatch, N):
+    calls = Counter()
+    real = ext.preimages
+
+    def counting(system, y):
+        calls[y] += 1
+        return real(system, y)
+
+    monkeypatch.setattr(ext, "preimages", counting)
+    spec = extension_spec(0.95)
+    s = sample_stratum(spec, N, 40, depth=20)
+    assert calls and max(calls.values()) == 1
+    for c in s.chains:
+        assert validate_chain(spec, c)
+
+
 def test_constant_map_full_strata_singleton_infinity():
     p = 1.0 / 3.0
     spec = ExtensionSpec(make_constant_system(p), ((0.0, 1.0),))
@@ -171,19 +191,38 @@ def test_terminal_flag_separates_equal_coordinates():
     assert chain_distance(a, b) > 0.1
 
 
+def _brute_hausdorff(A, B, space=None):
+    def directed(X, Y):
+        return max(min(chain_distance(x, y, space=space) for y in Y)
+                   for x in X)
+
+    return max(directed(A, B), directed(B, A))
+
+
 def test_hausdorff_matches_bruteforce_oracle():
     sA = sample_stratum(SPEC06, 3, 8)
     sB = sample_stratum(SPEC06, 5, 8)
     got = hausdorff(sA, sB)
-
-    def brute(A, B):
-        worst = 0.0
-        for a in A:
-            worst = max(worst, min(chain_distance(a, b) for b in B))
-        return worst
-
-    expected = max(brute(sA.chains, sB.chains), brute(sB.chains, sA.chains))
+    expected = _brute_hausdorff(sA.chains, sB.chains)
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+_chains = st.lists(
+    st.builds(Chain,
+              st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                       min_size=1, max_size=8).map(tuple),
+              st.booleans()),
+    min_size=1, max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=_chains, B=_chains, space=st.sampled_from([None, CIRCLE]))
+def test_hausdorff_matches_bruteforce_on_mixed_classes(A, B, space):
+    # chain lengths and terminal flags mix, so every class-pair tail case
+    # (terminal gaps, unequal lengths) and the circle metric are exercised
+    got = hausdorff(StratumSample(0, tuple(A), 0),
+                    StratumSample(0, tuple(B), 0), space=space)
+    assert got == pytest.approx(_brute_hausdorff(A, B, space), abs=1e-15)
 
 
 def test_hausdorff_converges_for_logistic():
