@@ -17,6 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .core import BracketFailure, find_root
+
 GRID_KNOTS = 2 ** 12
 
 
@@ -62,17 +64,12 @@ class CircleHomeo:
         return _frac(self.lift(x))
 
     def inverse_lift(self, y: float, tol: float = 1e-14) -> float:
-        """Solve gamma(t) = y by bisection (gamma is strictly increasing)."""
-        lo, hi = y - 2.0, y + 2.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if hi - lo < tol:
-                break
-            if self.lift(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        """Solve gamma(t) = y (gamma is strictly increasing).  gamma(t) - t
+        is 1-periodic with values in [gamma(0) - 1, gamma(0) + 1], so the
+        root lies within one unit of y - gamma(0)."""
+        t0 = y - self.gamma0()
+        return find_root(lambda t: self.lift(t) - y, (t0 - 1.0, t0 + 1.0),
+                         tol)
 
 
 def rigid_rotation(tau: float, offset: int = 0) -> CircleHomeo:
@@ -227,34 +224,19 @@ def _convergents(x: float, max_den: int):
 
 def _find_periodic_point(h: CircleHomeo, n: int, m: int,
                          tol: float = 1e-9) -> Optional[float]:
-    """A root of gamma^n(t) - t - m in [0,1), or None."""
+    """A root of gamma^n(t) - t - m in [0,1), or None.  Residuals below
+    ``tol`` count as zero: for a rational rigid rotation the residual is
+    rounding noise that can keep one sign on the whole circle."""
 
     def F(t: float) -> float:
-        return h.lift_iter(t, n) - t - m
+        r = h.lift_iter(t, n) - t - m
+        return 0.0 if abs(r) < tol else r
 
     grid = 512
-    prev, fprev = 0.0, F(0.0)
-    if abs(fprev) < tol:
-        return 0.0
-    for j in range(1, grid + 1):
-        t = j / grid
-        ft = F(t)
-        if abs(ft) < tol:
-            return _frac(t)
-        if fprev * ft < 0.0:
-            a, b, fa = prev, t, fprev
-            for _ in range(80):
-                mid = 0.5 * (a + b)
-                fm = F(mid)
-                if abs(fm) < tol:
-                    return _frac(mid)
-                if fa * fm <= 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            return None
-        prev, fprev = t, ft
-    return None
+    try:
+        return _frac(find_root(F, (j / grid for j in range(grid + 1)), tol))
+    except BracketFailure:
+        return None
 
 
 @dataclass(frozen=True)

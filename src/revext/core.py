@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 # Residual tolerance for chain/branch arithmetic (backward iteration with
 # exact branch inverses stays near machine precision).
@@ -26,6 +26,44 @@ class OutsideDomain(ValueError):
 
 class OrbitEscaped(RuntimeError):
     """Raised when an orbit leaves the domain before the requested length."""
+
+
+class BracketFailure(RuntimeError):
+    """A root bracket could not be located."""
+
+
+def find_root(f: Callable[[float], float], points: Iterable[float],
+              xtol: float) -> float:
+    """A root of f, bracketed by the first sign change along ``points``.
+
+    ``points`` is walked in order (it may be a lazy iterable, consumed only
+    up to the bracket); a point where f is exactly zero is returned as it
+    is.  The bracket is then bisected until it is at most ``xtol`` wide, or
+    until its midpoint is one of its ends, and the midpoint is returned.
+    Raises BracketFailure when f never changes sign along ``points``.
+    """
+    a = fa = None
+    for b in points:
+        fb = f(b)
+        if fb == 0.0:
+            return b
+        if fa is not None and (fa < 0.0) != (fb < 0.0):
+            break
+        a, fa = b, fb
+    else:
+        raise BracketFailure("f does not change sign along the points")
+    while abs(b - a) > xtol:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)
 
 
 @dataclass(frozen=True)
@@ -47,6 +85,19 @@ class StateSpace:
             d = abs((x % 1.0) - (y % 1.0))
             return min(d, 1.0 - d)
         return abs(x - y)
+
+    def in_intervals(self, intervals: Sequence[tuple[float, float]],
+                     x: float, eps: float) -> bool:
+        """Whether x lies in the union of closed intervals; on the circle
+        an interval (lo, hi) with hi < lo wraps through 0."""
+        x = self.normalize(x)
+        for lo, hi in intervals:
+            if lo - eps <= x <= hi + eps:
+                return True
+            if self.kind == "circle" and hi < lo and (x >= lo - eps
+                                                      or x <= hi + eps):
+                return True
+        return False
 
 
 UNIT_INTERVAL = StateSpace("interval")
@@ -81,15 +132,7 @@ class PartialMapSystem:
     name: str = "system"
 
     def in_domain(self, x: float, eps: float = EPS_DOM) -> bool:
-        x = self.space.normalize(x)
-        for lo, hi in self.domain:
-            if lo - eps <= x <= hi + eps:
-                return True
-            # circle intervals may wrap: interpret (lo, hi) with hi < lo
-            if self.space.kind == "circle" and hi < lo:
-                if x >= lo - eps or x <= hi + eps:
-                    return True
-        return False
+        return self.space.in_intervals(self.domain, x, eps)
 
     def forward(self, x: float) -> float:
         return apply(self, x)

@@ -66,14 +66,7 @@ class ExtensionSpec:
     Y: tuple[tuple[float, float], ...]
 
     def in_Y(self, x: float, eps: float = EPS_DOM) -> bool:
-        x = self.system.space.normalize(x)
-        for lo, hi in self.Y:
-            if lo - eps <= x <= hi + eps:
-                return True
-            if self.system.space.kind == "circle" and hi < lo:
-                if x >= lo - eps or x <= hi + eps:
-                    return True
-        return False
+        return self.system.space.in_intervals(self.Y, x, eps)
 
     def y_grid(self, density: int) -> list[float]:
         """Evenly spaced points across the intervals of Y."""

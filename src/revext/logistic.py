@@ -18,15 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (EPS_CHAIN, EPS_DOM, Branch, OutsideDomain,
-                   PartialMapSystem, UNIT_INTERVAL)
+from .core import (EPS_CHAIN, EPS_DOM, Branch, BracketFailure, OutsideDomain,
+                   PartialMapSystem, UNIT_INTERVAL, find_root)
 from .extension import ExtensionSpec
 
 FEIGENBAUM_DELTA = 4.669201609  # used only to predict bracket sizes
-
-
-class BracketFailure(RuntimeError):
-    """A root bracket could not be located."""
 
 
 class WindowNotFound(RuntimeError):
@@ -172,30 +168,10 @@ def find_periodic_point(lam: float, p: int, settle: int = 3000) -> float:
     def g(t: float) -> float:
         return _iterate(lam, t, p) - t
 
-    a, b = xt, _iterate(lam, xt, p)
-    ga, gb = g(a), g(b)
-    if ga == 0.0:
-        return a
-    if ga * gb > 0.0:
-        a, b = _scan_for_root(g, xt)
-        ga = g(a)
-    lo, hi = (a, b) if a <= b else (b, a)
-    glo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0 or hi - lo < 1e-15:
-            lo = hi = mid
-            break
-        if glo * gm <= 0.0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    root = 0.5 * (lo + hi)
-    if abs(g(root)) > 1e-8:
-        raise BracketFailure(f"no period-{p} point near the attractor at "
-                             f"lambda={lam}")
-    return root
+    try:
+        return find_root(g, (xt, _iterate(lam, xt, p)), 1e-15)
+    except BracketFailure:
+        return find_root(g, _scan_for_root(g, xt), 1e-15)
 
 
 def _scan_for_root(g, center: float):
@@ -261,41 +237,32 @@ def period_doubling_parameter(n: int) -> float:
         raise ValueError("n must be >= 0")
     p = 2 ** (n - 1)
     if n == 1:
-        lo, hi = 0.70, 0.80
-    else:
-        prev = period_doubling_parameter(n - 1)
-        prev2 = period_doubling_parameter(n - 2)
-        pred = (prev - prev2) / FEIGENBAUM_DELTA
-        lo = prev + 0.25 * pred
-        step = 0.8 * pred
-        h = _multiplier_plus_one(lo, p)
-        tries = 0
-        while h <= 0.0 and tries < 6:
-            lo = prev + 0.5 * (lo - prev)
-            h = _multiplier_plus_one(lo, p)
-            tries += 1
-        if h <= 0.0:
-            raise BracketFailure(f"cannot start below lambda_{n}")
-        hi = lo
-        for _ in range(12):
-            hi = min(hi + step, 1.0 - 1e-9)
-            if _multiplier_plus_one(hi, p) <= 0.0:
-                break
-            lo = hi
+        return find_root(lambda lam: _multiplier_plus_one(lam, p),
+                         (0.70, 0.80), 1e-12)
+    return _doubling_parameter(p, period_doubling_parameter(n - 1),
+                               period_doubling_parameter(n - 2), 1e-12)
+
+
+def _doubling_parameter(p: int, prev: float, prev2: float,
+                        xtol: float) -> float:
+    """The parameter above ``prev`` where the period-p orbit has multiplier
+    -1.  The bracket search starts a quarter of the Feigenbaum-predicted gap
+    above ``prev``; it halves toward ``prev`` while that start is already
+    past the root, and otherwise steps out by 0.8 predicted gaps."""
+    # cached: points() and find_root both evaluate h at the start
+    h = lru_cache(maxsize=None)(lambda lam: _multiplier_plus_one(lam, p))
+    pred = (prev - prev2) / FEIGENBAUM_DELTA
+
+    def points():
+        start = prev + 0.25 * pred
+        yield start
+        if h(start) <= 0.0:
+            yield from (prev + 0.25 * pred / 2 ** k for k in range(1, 7))
         else:
-            raise BracketFailure(f"no sign change located for lambda_{n}")
-    hlo = _multiplier_plus_one(lo, p)
-    if hlo <= 0.0:
-        raise BracketFailure(f"bad bracket for lambda_{n}")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-12:
-            break
-        if _multiplier_plus_one(mid, p) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            yield from (min(start + 0.8 * pred * k, 1.0 - 1e-9)
+                        for k in range(1, 13))
+
+    return find_root(h, points(), xtol)
 
 
 @lru_cache(maxsize=None)
@@ -313,29 +280,8 @@ def superstable_parameter(n: int) -> float:
         return _iterate(lam, 0.5, q) - 0.5
 
     steps = 256
-    prev, gprev = lo, g(lo)
-    bracket = None
-    for j in range(1, steps + 1):
-        t = lo + (hi - lo) * j / steps
-        gt = g(t)
-        if gprev * gt <= 0.0:
-            bracket = (prev, t)
-            break
-        prev, gprev = t, gt
-    if bracket is None:
-        raise BracketFailure(f"no superstable bracket for n={n}")
-    a, b = bracket
-    ga = g(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        if abs(gm) < 1e-13 or b - a < 1e-15:
-            return mid
-        if ga * gm <= 0.0:
-            b = mid
-        else:
-            a, ga = mid, gm
-    return 0.5 * (a + b)
+    return find_root(g, (lo + (hi - lo) * j / steps for j in range(steps + 1)),
+                     1e-15)
 
 
 @lru_cache(maxsize=None)
@@ -365,22 +311,8 @@ def _largest_fixed_point(lam: float, q: int) -> float:
     if len(flips) == 0:
         raise BracketFailure(f"no fixed point of the {q}-fold map found")
     i = flips[-1]
-    a, b = float(xs[i]), float(xs[i + 1])
-
-    def g(x: float) -> float:
-        return _iterate(lam, x, q) - x
-
-    ga = g(a)
-    for _ in range(100):
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        if gm == 0.0 or b - a < 1e-15:
-            return mid
-        if ga * gm <= 0.0:
-            b = mid
-        else:
-            a, ga = mid, gm
-    return 0.5 * (a + b)
+    return find_root(lambda x: _iterate(lam, x, q) - x,
+                     (float(xs[i]), float(xs[i + 1])), 1e-15)
 
 
 @lru_cache(maxsize=None)
@@ -398,32 +330,17 @@ def mu_parameter(n: int) -> float:
     def F(lam: float) -> float:
         return _iterate(lam, lam, q_top) - _largest_fixed_point(lam, q_fix)
 
-    start = mu_parameter(n - 1) - 1e-6
     floor = feigenbaum_limit_estimate(6) + 1e-4
     step = 5e-4
-    lam, flam = start, F(start)
-    bracket = None
-    while lam - step > floor:
-        nxt = lam - step
-        fn = F(nxt)
-        if flam * fn <= 0.0:
-            bracket = (nxt, lam)
-            break
-        lam, flam = nxt, fn
-    if bracket is None:
-        raise BracketFailure(f"no bracket for mu_{n}")
-    a, b = bracket
-    fa = F(a)
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        fm = F(mid)
-        if fm == 0.0 or b - a < 1e-12:
-            return mid
-        if fa * fm <= 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+
+    def points():
+        lam = mu_parameter(n - 1) - 1e-6
+        yield lam
+        while lam - step > floor:
+            lam -= step
+            yield lam
+
+    return find_root(F, points(), 1e-12)
 
 
 def _scan_period(lam: float, target: int) -> bool:
@@ -441,9 +358,14 @@ def window_boundaries(n: int, scan_step: float = 1e-4) -> tuple[float, float]:
     """(eta_n, nu_n): the stability window of the first (largest-lambda)
     attracting orbit of odd period 2n+1 below the previous window.
 
-    eta_n is the onset (tangent bifurcation), nu_n the top of the pure
-    period-(2n+1) range before its own doubling.  Located by scanning
-    lambda downward from nu_{n-1} (nu_0 = 1), then bisecting both edges.
+    The window is found by scanning lambda downward from nu_{n-1}
+    (nu_0 = 1) in steps of ``scan_step`` until the attracting period is
+    2n+1.  nu_n, the doubling of the (2n+1)-orbit, is the multiplier -1
+    root of that orbit between the first window point and one step above
+    it.  eta_n, the onset (tangent bifurcation), is the lower edge of the
+    attracting-period predicate: a walk down to the first step where it
+    fails, then bisection to 1e-9.  It is not a saddle-node solve; for
+    n=1 it lies about 7e-8 below the exact (1+2*sqrt(2))/4.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -461,31 +383,13 @@ def window_boundaries(n: int, scan_step: float = 1e-4) -> tuple[float, float]:
         raise WindowNotFound(
             f"no period-{target} window found at scan step {scan_step}; "
             f"retry with a smaller step")
-    # upper edge: predicate flips to False at nu_n
-    lo, hi = lam_in, min(lam_in + scan_step, start)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-9:
-            break
-        if _edge_period(mid, target):
-            lo = mid
-        else:
-            hi = mid
-    nu = lo
-    # lower edge: walk down until the predicate fails, then bisect
+    nu = find_root(lambda t: _multiplier_plus_one(t, target),
+                   (lam_in, lam_in + scan_step), 1e-12)
     lam = lam_in
     while lam - scan_step > floor and _scan_period(lam - scan_step, target):
         lam -= scan_step
-    lo, hi = lam - scan_step, lam
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-9:
-            break
-        if _edge_period(mid, target):
-            hi = mid
-        else:
-            lo = mid
-    eta = hi
+    eta = find_root(lambda t: 1.0 if _edge_period(t, target) else -1.0,
+                    (lam - scan_step, lam), 1e-9)
     return eta, nu
 
 
@@ -498,37 +402,9 @@ def window_cascade_parameter(n: int, m: int) -> float:
         return window_boundaries(n)[0]
     if m == 1:
         return window_boundaries(n)[1]
-    p = 2 ** (m - 1) * (2 * n + 1)
-    prev = window_cascade_parameter(n, m - 1)
-    prev2 = window_cascade_parameter(n, m - 2)
-    pred = (prev - prev2) / FEIGENBAUM_DELTA
-    lo = prev + 0.25 * pred
-    h = _multiplier_plus_one(lo, p)
-    tries = 0
-    while h <= 0.0 and tries < 6:
-        lo = prev + 0.5 * (lo - prev)
-        h = _multiplier_plus_one(lo, p)
-        tries += 1
-    if h <= 0.0:
-        raise BracketFailure(f"cannot start window-cascade ({n},{m})")
-    hi = lo
-    step = 0.8 * pred
-    for _ in range(12):
-        hi = min(hi + step, 1.0 - 1e-9)
-        if _multiplier_plus_one(hi, p) <= 0.0:
-            break
-        lo = hi
-    else:
-        raise BracketFailure(f"no sign change for window-cascade ({n},{m})")
-    for _ in range(55):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-11:
-            break
-        if _multiplier_plus_one(mid, p) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _doubling_parameter(2 ** (m - 1) * (2 * n + 1),
+                               window_cascade_parameter(n, m - 1),
+                               window_cascade_parameter(n, m - 2), 1e-11)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import EPS_CHAIN, PartialMapSystem, UNIT_INTERVAL, Branch
+from .core import (EPS_CHAIN, PartialMapSystem, UNIT_INTERVAL, Branch,
+                   find_root)
 from .extension import (Chain, ExtensionSpec, _ordered_preimages, alpha_tilde,
                         validate_chain)
 from . import logistic as _logistic
@@ -426,22 +427,8 @@ def logistic_period3_model(depth: int = 6) -> FiniteModel:
     finite invariant set; the extension dynamics is a cyclic permutation
     of its infinite chains (the base map is bijective on the orbit)."""
     eta, nu = _logistic.window_boundaries(1)
-
-    def g(lam: float) -> float:
-        return _logistic._iterate(lam, 0.5, 3) - 0.5
-
-    a, b = eta + 1e-9, nu
-    ga = g(a)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        gm = g(mid)
-        if gm == 0.0 or b - a < 1e-15:
-            break
-        if ga * gm <= 0.0:
-            b = mid
-        else:
-            a, ga = mid, gm
-    lam = 0.5 * (a + b)
+    lam = find_root(lambda lam: _logistic._iterate(lam, 0.5, 3) - 0.5,
+                    (eta + 1e-9, nu), 1e-15)
     orbit = [0.5]
     for _ in range(2):
         orbit.append(4.0 * lam * orbit[-1] * (1.0 - orbit[-1]))

@@ -16,10 +16,12 @@ def test_lift_periodicity():
         assert h.lift(t + 1.0) == pytest.approx(h.lift(t) + 1.0)
 
 
-def test_inverse_lift():
-    h = ci.perturbed_rotation(0.3, 0.4)
+@pytest.mark.parametrize("offset", [-3, -1, 0, 2])
+def test_inverse_lift(offset):
+    h = ci.perturbed_rotation(0.3, 0.4, offset=offset)
     for j in range(20):
         t = j / 20
+        assert h.inverse_lift(h.lift(t)) == pytest.approx(t, abs=1e-12)
         assert h.lift(h.inverse_lift(h.lift(t))) == pytest.approx(
             h.lift(t), abs=1e-10)
 
@@ -45,6 +47,10 @@ def test_compression_trichotomy():
     assert case.case == "Isometry"
     assert case.cosurjectivity_arc[1] == pytest.approx(
         down.inverse_lift(0.0), abs=1e-9)
+    far = ci.compression_case(ci.rigid_rotation(-0.3, offset=-2))
+    assert far.case == "Isometry" and far.gamma0 == pytest.approx(-2.3)
+    assert far.cosurjectivity_arc[0] == 0.0
+    assert far.cosurjectivity_arc[1] == pytest.approx(2.3, abs=1e-12)
 
 
 def test_extension_shape_full_cylinder():
@@ -82,12 +88,14 @@ def test_extension_shape_json():
 
 
 def test_classify_rational_finds_periodic_orbit():
-    cls = ci.classify(ci.rigid_rotation(2.0 / 5.0))
-    assert cls.kind == "RationalPeriodic"
-    assert (cls.m, cls.n) == (2, 5)
-    pt = cls.evidence["periodic_point"]
-    h = ci.rigid_rotation(2.0 / 5.0)
-    assert h.lift_iter(pt, 5) == pytest.approx(pt + 2.0, abs=1e-8)
+    # at 1/7 the residual gamma^7(t) - t - 1 is -2.2e-16 on the whole circle
+    for m, n in ((2, 5), (1, 7)):
+        h = ci.rigid_rotation(m / n)
+        cls = ci.classify(h)
+        assert cls.kind == "RationalPeriodic"
+        assert (cls.m, cls.n) == (m, n)
+        pt = cls.evidence["periodic_point"]
+        assert h.lift_iter(pt, n) == pytest.approx(pt + m, abs=1e-8)
 
 
 def test_classify_irrational():

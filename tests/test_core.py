@@ -1,14 +1,16 @@
 """Core system tests: preimages against an independent bisection oracle,
-orbits and omega-limit sets against brute iteration, and semiconjugacy
-checking on the classical tent-to-quadratic conjugacy."""
+orbits and omega-limit sets against brute iteration, semiconjugacy
+checking on the classical tent-to-quadratic conjugacy, and the bracketing
+root finder."""
 
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
-from revext.core import (Branch, FactorMapSample, OutsideDomain,
-                         PartialMapSystem, UNIT_INTERVAL, apply,
-                         check_semiconjugacy, make_constant_system,
+from revext.core import (CIRCLE, BracketFailure, Branch, FactorMapSample,
+                         OutsideDomain, PartialMapSystem, UNIT_INTERVAL, apply,
+                         check_semiconjugacy, find_root, make_constant_system,
                          make_rotation_system, omega_limit, orbit, preimages)
 from revext.logistic import make_system
 
@@ -129,3 +131,69 @@ def test_circle_metric_wraps():
     rot = make_rotation_system(0.25)
     assert rot.space.metric(0.95, 0.05) == pytest.approx(0.1)
     assert apply(rot, 0.9) == pytest.approx(0.15)
+
+
+def test_wrapped_interval_membership():
+    arc = ((0.9, 0.1),)
+    assert CIRCLE.in_intervals(arc, 0.95, 0.0)
+    assert CIRCLE.in_intervals(arc, 1.05, 0.0)
+    assert CIRCLE.in_intervals(arc, 0.1 + 1e-13, 1e-12)
+    assert not CIRCLE.in_intervals(arc, 0.5, 0.0)
+    assert not UNIT_INTERVAL.in_intervals(arc, 0.95, 0.0)
+    assert make_rotation_system(0.25).in_domain(0.5)
+
+
+# ---------------------------------------------------------------------------
+# Root finder
+
+FUNCTIONS = {
+    "linear": (lambda r: lambda x: x - r, lambda r: r),
+    "cubic": (lambda r: lambda x: x ** 3 - r,
+              lambda r: math.copysign(abs(r) ** (1.0 / 3.0), r)),
+}
+
+
+@given(kind=st.sampled_from(sorted(FUNCTIONS)),
+       sign=st.sampled_from([1.0, -1.0]),
+       r=st.floats(-8.0, 8.0),
+       below=st.floats(1e-6, 5.0), above=st.floats(1e-6, 5.0),
+       xtol=st.floats(1e-12, 1e-2))
+def test_find_root_within_xtol(kind, sign, r, below, above, xtol):
+    make, exact = FUNCTIONS[kind]
+    g = make(r)
+    root = exact(r)
+    got = find_root(lambda x: sign * g(x), (root - below, root + above), xtol)
+    # the midpoint of a final bracket at most xtol wide, up to rounding
+    assert abs(got - root) <= 0.5 * xtol + 1e-15
+
+
+@given(r=st.floats(-8.0, 8.0), gap=st.floats(1e-6, 5.0),
+       width=st.floats(1e-6, 5.0), side=st.sampled_from([1.0, -1.0]))
+def test_find_root_one_signed_bracket_raises(r, gap, width, side):
+    a = r + side * gap
+    with pytest.raises(BracketFailure):
+        find_root(lambda x: x - r, (a, a + side * width), 1e-9)
+
+
+@given(k=st.integers(-5, 30), exact=st.booleans())
+def test_find_root_consumes_points_up_to_the_bracket(k, exact):
+    seen = []
+
+    def points():
+        for x in range(-10, 50):
+            seen.append(x)
+            yield float(x)
+
+    root = k if exact else k + 0.5
+    got = find_root(lambda x: x - root, points(), 1e-12)
+    # a point where f is exactly zero is returned as it is
+    assert got == root if exact else abs(got - root) <= 1e-12
+    assert seen == list(range(-10, k + 1 if exact else k + 2))
+
+
+def test_find_root_stops_at_float_resolution():
+    # xtol = 0 ends when the midpoint is an endpoint of the bracket
+    got = find_root(lambda x: x - 1.0 / 3.0, (0.0, 1.0), 0.0)
+    assert abs(got - 1.0 / 3.0) <= 2 * math.ulp(1.0 / 3.0)
+    with pytest.raises(BracketFailure):
+        find_root(lambda x: x, (), 1e-9)

@@ -120,6 +120,15 @@ def test_period_doubling_multiplier_residual():
             -1.0, abs=1e-6)
 
 
+def test_doubling_bracket_halves_back_from_an_overshot_start():
+    # a predicted gap this large puts the first point above lambda_2, so
+    # the bracket search has to halve back toward lambda_1
+    lam1 = lg.period_doubling_parameter(1)
+    got = lg._doubling_parameter(2, lam1, lam1 - 0.5 * lg.FEIGENBAUM_DELTA,
+                                 1e-12)
+    assert got == pytest.approx((1.0 + math.sqrt(6.0)) / 4.0, abs=1e-11)
+
+
 def test_superstable_parameters():
     assert lg.superstable_parameter(0) == pytest.approx(0.5, abs=1e-10)
     # closed form: alpha^2(1/2) = 1/2 at (1+sqrt 5)/4
@@ -164,6 +173,37 @@ def test_window_boundaries_period_three():
     # inside: attracting period 3; just below eta: not period 3
     assert lg.attracting_period(0.5 * (eta + nu)) == 3
     assert brute_period(0.5 * (eta + nu)) == 3
+
+
+def mp_multiplier_parameter(period, multiplier, lam_guess, lam_settle):
+    """The lambda where a period-``period`` orbit has the given multiplier:
+    alpha^p(x) = x and (alpha^p)'(x) = multiplier solved jointly in
+    (x, lambda) by mpmath at 40 digits, from a point of the attracting
+    orbit at ``lam_settle``."""
+    import mpmath as mp
+    x = 0.5
+    for _ in range(5000):
+        x = 4.0 * lam_settle * x * (1.0 - x)
+    with mp.workdps(40):
+        def equations(x, lam):
+            y, d = x, mp.mpf(1)
+            for _ in range(period):
+                d *= 4 * lam * (1 - 2 * y)
+                y = 4 * lam * y * (1 - y)
+            return [y - x, d - multiplier]
+
+        _, lam = mp.findroot(equations, (mp.mpf(x), mp.mpf(lam_guess)))
+    assert abs(lam - lam_guess) < 1e-3
+    return float(lam)
+
+
+@pytest.mark.parametrize("n,lam_guess,lam_settle", [
+    (1, 0.9603, 0.959), (2, 0.93528, 0.935)])
+def test_window_top_is_doubling_of_odd_orbit(n, lam_guess, lam_settle):
+    ref = mp_multiplier_parameter(2 * n + 1, -1, lam_guess, lam_settle)
+    nu = lg.window_boundaries(n)[1]
+    assert nu == pytest.approx(ref, abs=1e-10)
+    assert lg.window_cascade_parameter(n, 1) == nu
 
 
 def test_window_boundaries_higher_odd_periods():
