@@ -53,15 +53,15 @@ class CircleHomeo:
         return self.base(t - k) + k
 
     def lift_iter(self, t: float, n: int) -> float:
+        # lift inlined: the same floats in the same order, no call per step
+        base, floor = self.base, math.floor
         for _ in range(n):
-            t = self.lift(t)
+            k = floor(t)
+            t = base(t - k) + k
         return t
 
     def gamma0(self) -> float:
         return self.base(0.0)
-
-    def circle_map(self, x: float) -> float:
-        return _frac(self.lift(x))
 
     def inverse_lift(self, y: float, tol: float = 1e-14) -> float:
         """Solve gamma(t) = y (gamma is strictly increasing).  gamma(t) - t
@@ -130,6 +130,8 @@ def sampled_conjugate(h: CircleHomeo, phi: CircleHomeo,
 def rotation_number(h: CircleHomeo, n_iter: int = 100_000,
                     seed: float = 0.0) -> float:
     """Fractional part of gamma^n(t)/n at t = seed; error bound 1/n_iter."""
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be >= 1, got {n_iter}")
     return _frac((h.lift_iter(seed, n_iter) - seed) / n_iter)
 
 
@@ -182,18 +184,17 @@ def extension_shape(h: CircleHomeo, N_max: int = 50,
     if g0 <= 0.0:
         raise NotCoisometry("extension_shape requires gamma(0) > 0")
     ends = [0.0]
-    t = 0.0
     for _ in range(max(N_max + 1, limit_iters)):
-        t = h.lift(t)
-        ends.append(t)
+        ends.append(h.lift(ends[-1]))
     if g0 >= 1.0:
         return CircleExtensionShape("FullCylinder", (), ())
     arcs = tuple((N, _frac(ends[N]), _frac(ends[N + 1]))
                  for N in range(N_max + 1))
     tail = sorted(_frac(e) for e in ends[limit_iters // 2:])
+    # reps ascend to p: the nearest is reps[-1] or, across 0/1, reps[0]
     reps: list[float] = []
     for p in tail:
-        if all(min(abs(p - r), 1.0 - abs(p - r)) > cluster_eps for r in reps):
+        if not reps or min(p - reps[-1], 1.0 - (p - reps[0])) > cluster_eps:
             reps.append(p)
     return CircleExtensionShape("ArcLadder", arcs, tuple(reps))
 
@@ -256,8 +257,6 @@ def classify(h: CircleHomeo, n_iter: int = 100_000, max_den: int = 64,
     on the sampled orbit (heuristic evidence, not proof)."""
     tau = rotation_number(h, n_iter)
     for m, n in _convergents(tau, max_den):
-        if n < 1:
-            continue
         if abs(tau - m / n) <= 2.0 / n_iter + 1e-12:
             pt = _find_periodic_point(h, n, m)
             if pt is not None:

@@ -304,15 +304,14 @@ def cmd_rotation(cfg: RunConfig) -> int:
         h = ci.perturbed_rotation(cfg.tau, cfg.perturbation)
     else:
         h = ci.rigid_rotation(cfg.tau)
-    tau = ci.rotation_number(h, n_iter=cfg.n_iter)
     cls = ci.classify(h, n_iter=cfg.n_iter)
     case = ci.compression_case(h)
-    doc = {"space": "circle", "rotation_number": tau, "kind": cls.kind,
+    doc = {"space": "circle", "rotation_number": cls.tau, "kind": cls.kind,
            "m": cls.m, "n": cls.n, "compression_case": case.case,
            "evidence": cls.evidence}
     with open(cfg.output + ".json", "w") as fh:
         json.dump(doc, fh, indent=1)
-    print(f"rotation number {tau:.8f} ({cls.kind})")
+    print(f"rotation number {cls.tau:.8f} ({cls.kind})")
     return 0
 
 

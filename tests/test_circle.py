@@ -5,6 +5,7 @@ periodic points, and conjugation invariance of the rotation number."""
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from revext import circle as ci
 
@@ -24,6 +25,35 @@ def test_inverse_lift(offset):
         assert h.inverse_lift(h.lift(t)) == pytest.approx(t, abs=1e-12)
         assert h.lift(h.inverse_lift(h.lift(t))) == pytest.approx(
             h.lift(t), abs=1e-10)
+
+
+def _grid(g0, inner):
+    return ci.grid_homeo([g0] + [g0 + x for x in sorted(inner)] + [g0 + 1.0])
+
+
+_homeos = st.one_of(
+    st.builds(ci.rigid_rotation, st.floats(0.0, 1.0), st.integers(-2, 2)),
+    st.builds(ci.perturbed_rotation, st.floats(0.0, 1.0),
+              st.floats(-0.9, 0.9), st.integers(-2, 2)),
+    st.builds(_grid, st.floats(-1.5, 1.5),
+              st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6)))
+
+
+@given(h=_homeos, t=st.floats(-3.0, 3.0), n=st.integers(0, 300))
+def test_lift_iter_is_repeated_lift(h, t, n):
+    expected = t
+    for _ in range(n):
+        expected = h.lift(expected)
+    assert h.lift_iter(t, n) == expected
+
+
+@pytest.mark.parametrize("n_iter", [0, -5])
+def test_rotation_number_rejects_nonpositive_n_iter(n_iter):
+    h = ci.rigid_rotation(0.3)
+    with pytest.raises(ValueError, match="n_iter"):
+        ci.rotation_number(h, n_iter)
+    with pytest.raises(ValueError, match="n_iter"):
+        ci.classify(h, n_iter=n_iter)
 
 
 @pytest.mark.parametrize("tau", [0.3, 2.0 / 5.0, math.sqrt(2.0) - 1.0])
@@ -79,6 +109,50 @@ def test_extension_shape_quarter_arcs():
 def test_endpoint_limit_cardinality(m, n):
     shape = ci.extension_shape(ci.rigid_rotation(m / n))
     assert len(shape.limit_set) == n
+
+
+def _pairwise_limit_set(h, limit_iters, cluster_eps, N_max=50):
+    """The all-pairs clustering extension_shape used to run, on the same
+    orbit tail; also counts the points merged only across the 0/1 wrap."""
+    ends = [0.0]
+    for _ in range(max(N_max + 1, limit_iters)):
+        ends.append(h.lift(ends[-1]))
+    tail = sorted(ci._frac(e) for e in ends[limit_iters // 2:])
+    reps, wrap_merges = [], 0
+    for p in tail:
+        if all(min(abs(p - r), 1.0 - abs(p - r)) > cluster_eps for r in reps):
+            reps.append(p)
+        elif reps and p - reps[-1] > cluster_eps:
+            wrap_merges += 1
+    return tuple(reps), wrap_merges
+
+
+@settings(max_examples=40, deadline=None)
+@given(tau=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       a=st.floats(0.0, 0.5),
+       cluster_eps=st.sampled_from([1e-6, 1e-3, 0.02]),
+       limit_iters=st.integers(50, 2000))
+@example(tau=0.381966, a=0.05, cluster_eps=0.02, limit_iters=2000)
+@example(tau=0.2, a=0.0, cluster_eps=1e-3, limit_iters=200)
+def test_extension_shape_limit_set_matches_pairwise_clustering(
+        tau, a, cluster_eps, limit_iters):
+    h = ci.perturbed_rotation(tau, a)
+    shape = ci.extension_shape(h, limit_iters=limit_iters,
+                               cluster_eps=cluster_eps)
+    expected, _ = _pairwise_limit_set(h, limit_iters, cluster_eps)
+    assert shape.limit_set == expected
+
+
+@pytest.mark.parametrize("tau,a,cluster_eps,limit_iters",
+                         [(0.381966, 0.05, 0.02, 2000),
+                          (0.2, 0.0, 1e-3, 200)])
+def test_pairwise_oracle_merges_across_the_wrap(tau, a, cluster_eps,
+                                                limit_iters):
+    """The explicit examples above do merge points, some only across 0/1."""
+    h = ci.perturbed_rotation(tau, a)
+    reps, wrap_merges = _pairwise_limit_set(h, limit_iters, cluster_eps)
+    assert len(reps) < limit_iters - limit_iters // 2 + 1
+    assert wrap_merges > 0
 
 
 def test_extension_shape_json():

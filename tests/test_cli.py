@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from revext import circle as ci
 from revext.cli import main, read_config_file
 
 
@@ -84,6 +85,26 @@ def test_rotation_command(tmp_path):
     doc = json.loads((tmp_path / "rot.json").read_text())
     assert doc["kind"] == "RationalPeriodic"
     assert abs(doc["rotation_number"] - 0.4) < 1e-4
+
+
+@pytest.mark.parametrize("flags,h", [
+    (["--tau", "0.4"], ci.rigid_rotation(0.4)),
+    (["--tau", "0.381966", "--perturbation", "0.05"],
+     ci.perturbed_rotation(0.381966, 0.05))])
+def test_rotation_command_runs_one_orbit(tmp_path, monkeypatch, flags, h):
+    calls = []
+    rotation_number = ci.rotation_number
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return rotation_number(*args, **kwargs)
+
+    monkeypatch.setattr(ci, "rotation_number", counting)
+    out = str(tmp_path / "rot")
+    assert run(["rotation", *flags, "--n-iter", "20000", "-o", out]) == 0
+    assert len(calls) == 1
+    doc = json.loads((tmp_path / "rot.json").read_text())
+    assert doc["rotation_number"] == rotation_number(h, 20000)
 
 
 def test_operator_check_all_models(tmp_path):
