@@ -183,11 +183,11 @@ def extension_shape(h: CircleHomeo, N_max: int = 50,
     g0 = h.gamma0()
     if g0 <= 0.0:
         raise NotCoisometry("extension_shape requires gamma(0) > 0")
+    if g0 >= 1.0:
+        return CircleExtensionShape("FullCylinder", (), ())
     ends = [0.0]
     for _ in range(max(N_max + 1, limit_iters)):
         ends.append(h.lift(ends[-1]))
-    if g0 >= 1.0:
-        return CircleExtensionShape("FullCylinder", (), ())
     arcs = tuple((N, _frac(ends[N]), _frac(ends[N + 1]))
                  for N in range(N_max + 1))
     tail = sorted(_frac(e) for e in ends[limit_iters // 2:])

@@ -22,11 +22,21 @@ from .core import (EPS_CHAIN, EPS_DOM, Branch, BracketFailure, OutsideDomain,
                    PartialMapSystem, UNIT_INTERVAL, find_root)
 from .extension import ExtensionSpec
 
-FEIGENBAUM_DELTA = 4.669201609  # used only to predict bracket sizes
+FEIGENBAUM_DELTA = 4.669201609  # used only to seed the next doubling
+NEWTON_CAP = 32
+NEWTON_FLOOR = 1e-12  # rounding-floor steps are below 1e-14 up to n = 14
+WINDOW_FLOOR = 0.915  # windows accumulate above the first band-merging point
 
 
 class WindowNotFound(RuntimeError):
-    """The scan resolution missed the requested stability window."""
+    """The inverse-branch iteration for a window's superstable parameter
+    did not settle on an orbit through 1/2."""
+
+
+class BifurcationNotConverged(RuntimeError):
+    """A Newton bifurcation solve failed: its step was still large at the
+    iteration cap, lambda left its bracket, or the orbit it found has a
+    smaller least period."""
 
 
 class UnsupportedRegime(ValueError):
@@ -223,53 +233,88 @@ def attractor_points(lam: float, max_period: int = 64) -> list[float]:
 # Parameter sequence solvers
 
 
-def _multiplier_plus_one(lam: float, p: int) -> float:
-    return orbit_multiplier(lam, p, find_periodic_point(lam, p)) + 1.0
+def _bifurcation_parameter(p: int, c: float, x: float, lam: float,
+                           bracket: tuple[float, float]) -> float:
+    """The lambda in the open ``bracket`` where a period-p orbit has
+    multiplier c (+1: saddle-node, -1: period doubling), by Newton in
+    (x, lambda) on alpha^p(x) = x, (alpha^p)'(x) = c from the seed (x, lam).
+
+    Stops when the lambda step is at most four ulp, or when a step below
+    NEWTON_FLOOR is no smaller than the one before (the rounding floor); a
+    larger step that grows is part of the approach and does not stop it.
+    Raises BifurcationNotConverged when neither has happened after
+    NEWTON_CAP steps, when lambda leaves the bracket, or when the orbit's
+    least period is a proper divisor of p.
+    """
+    lo, hi = bracket
+    prev = math.inf
+    for _ in range(NEWTON_CAP):
+        l4, l8 = 4.0 * lam, 8.0 * lam
+        # one orbit pass: y = alpha^k(x), y_l = dy/dlambda, m = dy/dx (the
+        # multiplier so far), m_x and m_l its partials
+        y, y_l, m, m_x, m_l = x, 0.0, 1.0, 0.0, 0.0
+        for _ in range(p):
+            u = 1.0 - 2.0 * y
+            fy = l4 * u
+            m_x = fy * m_x - l8 * m * m
+            m_l = fy * m_l + (4.0 * u - l8 * y_l) * m
+            y_l = fy * y_l + 4.0 * y * (1.0 - y)
+            m *= fy
+            y = l4 * y * (1.0 - y)
+        r_fix, r_mult = y - x, m - c
+        det = (m - 1.0) * m_l - y_l * m_x
+        x -= (r_fix * m_l - y_l * r_mult) / det
+        step = ((m - 1.0) * r_mult - m_x * r_fix) / det
+        lam -= step
+        if not lo < lam < hi:
+            raise BifurcationNotConverged(
+                f"period-{p} Newton left ({lo!r}, {hi!r}) at {lam!r}")
+        step = abs(step)
+        if step <= 4.0 * math.ulp(lam) or prev <= step < NEWTON_FLOOR:
+            break
+        prev = step
+    else:
+        raise BifurcationNotConverged(
+            f"period-{p} Newton step still {step:.3g} after {NEWTON_CAP} "
+            f"steps")
+    for d in range(1, p):
+        if p % d == 0 and abs(_iterate(lam, x, d) - x) < 1e-9:
+            raise BifurcationNotConverged(
+                f"Newton found an orbit of period {d}, not {p}")
+    return lam
+
+
+def _doubling_after(p: int, prev: float, prev2: float) -> float:
+    """The doubling of the period-p orbit above the doubling ``prev``.
+    Seeded at the Feigenbaum prediction prev + (prev - prev2)/delta, with x
+    on the critical orbit settled halfway there, where it is close to
+    superstable."""
+    pred = (prev - prev2) / FEIGENBAUM_DELTA
+    x = _iterate(prev + 0.5 * pred, 0.5, 4 * p)
+    return _bifurcation_parameter(p, -1.0, x, prev + pred, (prev, 1.0))
 
 
 @lru_cache(maxsize=None)
 def period_doubling_parameter(n: int) -> float:
     """lambda_n: the parameter where the attracting 2^(n-1)-orbit has
     multiplier -1 (its period-doubling bifurcation).  lambda_0 = 1/4."""
-    if n == 0:
-        return 0.25
     if n < 0:
         raise ValueError("n must be >= 0")
-    p = 2 ** (n - 1)
-    if n == 1:
-        return find_root(lambda lam: _multiplier_plus_one(lam, p),
-                         (0.70, 0.80), 1e-12)
-    return _doubling_parameter(p, period_doubling_parameter(n - 1),
-                               period_doubling_parameter(n - 2), 1e-12)
-
-
-def _doubling_parameter(p: int, prev: float, prev2: float,
-                        xtol: float) -> float:
-    """The parameter above ``prev`` where the period-p orbit has multiplier
-    -1.  The bracket search starts a quarter of the Feigenbaum-predicted gap
-    above ``prev``; it halves toward ``prev`` while that start is already
-    past the root, and otherwise steps out by 0.8 predicted gaps."""
-    # cached: points() and find_root both evaluate h at the start
-    h = lru_cache(maxsize=None)(lambda lam: _multiplier_plus_one(lam, p))
-    pred = (prev - prev2) / FEIGENBAUM_DELTA
-
-    def points():
-        start = prev + 0.25 * pred
-        yield start
-        if h(start) <= 0.0:
-            yield from (prev + 0.25 * pred / 2 ** k for k in range(1, 7))
-        else:
-            yield from (min(start + 0.8 * pred * k, 1.0 - 1e-9)
-                        for k in range(1, 13))
-
-    return find_root(h, points(), xtol)
+    if n == 0:
+        return 0.25
+    # lambda_1 has no second predecessor: 0 predicts a gap of lambda_0/delta
+    prev2 = period_doubling_parameter(n - 2) if n >= 2 else 0.0
+    return _doubling_after(2 ** (n - 1), period_doubling_parameter(n - 1),
+                           prev2)
 
 
 @lru_cache(maxsize=None)
 def superstable_parameter(n: int) -> float:
     """s_n: the parameter where the critical point is periodic with least
     period 2^n; bisection on alpha^(2^n)(1/2) - 1/2 inside the cascade
-    interval (lambda_n, lambda_{n+1})."""
+    interval (lambda_n, lambda_{n+1}).  Not _itinerary_parameter: on these
+    harmonic itineraries its fixed-point iteration stops 8e-15 from s_7,
+    where bisection is within 2e-16."""
     if n < 0:
         raise ValueError("n must be >= 0")
     q = 2 ** n
@@ -343,68 +388,73 @@ def mu_parameter(n: int) -> float:
     return find_root(F, points(), 1e-12)
 
 
-def _scan_period(lam: float, target: int) -> bool:
-    return attracting_period(lam, max_period=4 * target + 2, burn_in=4000,
-                             iters=128, tol=1e-5) == target
+def _itinerary_parameter(word: str) -> float:
+    """The lambda whose critical orbit visits the sides ``word`` (L or R
+    of 1/2, one letter per point from the critical value alpha(1/2) =
+    lambda on) and then returns to 1/2: superstable with period
+    len(word) + 1.
 
-
-def _edge_period(lam: float, target: int) -> bool:
-    return attracting_period(lam, max_period=4 * target + 2, burn_in=40000,
-                             iters=256, tol=1e-6) == target
+    Iterates lambda <- x_1(lambda), where x_1 is 1/2 pulled back through
+    the inverse branches the word names, last letter first.  The inverse
+    branches contract, so no scan is needed (Metropolis-Stein-Stein).
+    Raises WindowNotFound when the iteration does not settle on an orbit
+    that follows the word and returns to 1/2.
+    """
+    lam, prev = 1.0, math.inf
+    for _ in range(200):
+        y = 0.5
+        for side in reversed(word):
+            r = math.sqrt(max(1.0 - y / lam, 0.0))
+            y = 0.5 * (1.0 + r) if side == "R" else 0.5 * (1.0 - r)
+        step = abs(y - lam)
+        lam = y
+        if step >= prev:
+            break
+        prev = step
+    y, sides = 0.5, ""
+    for _ in word:
+        y = 4.0 * lam * y * (1.0 - y)
+        sides += "R" if y > 0.5 else "L" if y < 0.5 else "C"
+    if sides != word or abs(4.0 * lam * y * (1.0 - y) - 0.5) > 1e-9:
+        raise WindowNotFound(f"no superstable parameter with itinerary "
+                             f"{word}: the orbit at {lam!r} visits {sides}")
+    return lam
 
 
 @lru_cache(maxsize=None)
-def window_boundaries(n: int, scan_step: float = 1e-4) -> tuple[float, float]:
-    """(eta_n, nu_n): the stability window of the first (largest-lambda)
-    attracting orbit of odd period 2n+1 below the previous window.
+def window_boundaries(n: int) -> tuple[float, float]:
+    """(eta_n, nu_n): the stability window of the period-(2n+1) orbit
+    whose superstable parameter s_n has the critical itinerary
+    R L R^(2n-2), the largest period-(2n+1) window below nu_{n-1}.
 
-    The window is found by scanning lambda downward from nu_{n-1}
-    (nu_0 = 1) in steps of ``scan_step`` until the attracting period is
-    2n+1.  nu_n, the doubling of the (2n+1)-orbit, is the multiplier -1
-    root of that orbit between the first window point and one step above
-    it.  eta_n, the onset (tangent bifurcation), is the lower edge of the
-    attracting-period predicate: a walk down to the first step where it
-    fails, then bisection to 1e-9.  It is not a saddle-node solve; for
-    n=1 it lies about 7e-8 below the exact (1+2*sqrt(2))/4.
+    eta_n, the onset, is the saddle-node root (multiplier +1) below s_n;
+    nu_n, the top, is the period-doubling root (multiplier -1) above it.
+    Both Newton solves start from the superstable point (1/2, s_n);
+    eta_1 lands within one ulp of (1 + 2*sqrt(2))/4.  Raises
+    WindowNotFound when the itinerary iteration for s_n fails, and
+    BifurcationNotConverged when a Newton solve does.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    target = 2 * n + 1
-    start = 1.0 - 1e-6 if n == 1 else window_boundaries(n - 1)[1] - 1e-6
-    floor = 0.915  # windows accumulate above the first band-merging point
-    lam = start
-    lam_in = None
-    while lam > floor:
-        if _scan_period(lam, target):
-            lam_in = lam
-            break
-        lam -= scan_step
-    if lam_in is None:
-        raise WindowNotFound(
-            f"no period-{target} window found at scan step {scan_step}; "
-            f"retry with a smaller step")
-    nu = find_root(lambda t: _multiplier_plus_one(t, target),
-                   (lam_in, lam_in + scan_step), 1e-12)
-    lam = lam_in
-    while lam - scan_step > floor and _scan_period(lam - scan_step, target):
-        lam -= scan_step
-    eta = find_root(lambda t: 1.0 if _edge_period(t, target) else -1.0,
-                    (lam - scan_step, lam), 1e-9)
-    return eta, nu
+    p = 2 * n + 1
+    s = _itinerary_parameter("RL" + "R" * (2 * n - 2))
+    return (_bifurcation_parameter(p, 1.0, 0.5, s, (WINDOW_FLOOR, s)),
+            _bifurcation_parameter(p, -1.0, 0.5, s, (s, 1.0)))
 
 
 @lru_cache(maxsize=None)
 def window_cascade_parameter(n: int, m: int) -> float:
     """lambda_m^(n): the m-th doubling parameter inside the period-(2n+1)
-    window.  m=0 is the onset eta_n, m=1 the first doubling nu_n; higher m
-    by multiplier -1 bisection on the 2^(m-1)*(2n+1)-orbit."""
-    if m == 0:
-        return window_boundaries(n)[0]
-    if m == 1:
-        return window_boundaries(n)[1]
-    return _doubling_parameter(2 ** (m - 1) * (2 * n + 1),
-                               window_cascade_parameter(n, m - 1),
-                               window_cascade_parameter(n, m - 2), 1e-11)
+    window.  m=0 is the onset eta_n and m=1 the first doubling nu_n, both
+    from window_boundaries; for m >= 2 the Newton doubling solve of the
+    2^(m-1)*(2n+1)-orbit, seeded like the main cascade from m-1 and m-2."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
+    if m <= 1:
+        return window_boundaries(n)[m]
+    return _doubling_after(2 ** (m - 1) * (2 * n + 1),
+                           window_cascade_parameter(n, m - 1),
+                           window_cascade_parameter(n, m - 2))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +491,8 @@ class CascadeTable:
             w = csv.writer(fh)
             w.writerow(["name", "n", "value", "residual"])
             for i, lam in enumerate(self.lambda_n, start=1):
-                res = _multiplier_plus_one(lam, 2 ** (i - 1))
+                p = 2 ** (i - 1)
+                res = orbit_multiplier(lam, p, find_periodic_point(lam, p)) + 1
                 w.writerow(["lambda_n", i, repr(lam), repr(abs(res))])
             for i, s in enumerate(self.superstable_n):
                 res = _iterate(s, 0.5, 2 ** i) - 0.5
@@ -582,40 +633,47 @@ def _cycle(ids: list[str]) -> dict:
     return {ids[j]: ids[(j + 1) % len(ids)] for j in range(len(ids))}
 
 
-def _cascade_stage_graph(n: int) -> ContinuumGraph:
-    nodes = [("R", "RayR")]
-    rays = {k: [_ray(k, i) for i in range(1, 2 ** k + 1)]
-            for k in range(1, n)}
-    for k in range(1, n):
-        nodes += [(r, "Ray") for r in rays[k]]
-    arcs = [f"I[{i}]" for i in range(1, 2 ** (n - 1) + 1)]
-    nodes += [(a, "Arc") for a in arcs]
-    all_ids = [i for i, _ in nodes]
-
-    closure = {"R": tuple(all_ids)}
-    for k in range(1, n):
-        for i in range(1, 2 ** k + 1):
-            cl = []
-            for j in range(0, n - k):
-                for l in range(2 ** j):
-                    cl.append(_ray(k + j, i + l * 2 ** k))
-            for l in range(2 ** (n - 1 - k)):
-                cl.append(f"I[{i + l * 2 ** k}]")
-            closure[_ray(k, i)] = tuple(cl)
-    for a in arcs:
-        closure[a] = (a,)
-
+def _rays_and_leaves(levels: range, q: int, leaf: str, kind: str,
+                     n_leaves: int, core: Optional[str] = None):
+    """Nodes, closure, permutation and the ray intersections of a
+    decomposition graph: the central ray R; the window's leaf continuum
+    ``core``, if any, fixed, with every node but R in its closure; the
+    rays R[k,i], i <= 2^k*q, for k in ``levels``, each level one cycle;
+    and ``n_leaves`` leaves ``leaf``[i] of ``kind`` in one cycle."""
+    rays = {k: [_ray(k, i) for i in range(1, 2 ** k * q + 1)]
+            for k in levels}
+    leaves = [f"{leaf}[{i}]" for i in range(1, n_leaves + 1)]
+    nodes = ([("R", "RayR")] + ([(core, "C")] if core else [])
+             + [(r, "Ray") for k in levels for r in rays[k]]
+             + [(x, kind) for x in leaves])
+    ids = [i for i, _ in nodes]
+    closure = {"R": tuple(ids)}
     permutation = {"R": "R"}
-    for k in range(1, n):
-        permutation.update(_cycle(rays[k]))
-    permutation.update(_cycle(arcs))
-
+    if core:
+        closure[core] = tuple(ids[1:])
+        permutation[core] = core
     inter = []
-    for k in range(1, n):
-        half = 2 ** (k - 1)
-        for i in range(1, half + 1):
-            inter.append((_ray(k, i), _ray(k, half + i), (half, i), half))
+    for k in levels:
+        step = 2 ** k * q
+        for i in range(1, step + 1):
+            closure[_ray(k, i)] = tuple(
+                [_ray(k + j, i + l * step)
+                 for j in range(levels.stop - k) for l in range(2 ** j)]
+                + [f"{leaf}[{i + l * step}]"
+                   for l in range(n_leaves // step)])
+        permutation.update(_cycle(rays[k]))
+        if k >= 1:
+            half = step // 2
+            inter += [(_ray(k, i), _ray(k, half + i), (half, i), half)
+                      for i in range(1, half + 1)]
+    closure.update((x, (x,)) for x in leaves)
+    permutation.update(_cycle(leaves))
+    return nodes, closure, permutation, inter
 
+
+def _cascade_stage_graph(n: int) -> ContinuumGraph:
+    nodes, closure, permutation, inter = _rays_and_leaves(
+        range(1, n), 1, "I", "Arc", 2 ** (n - 1))
     fixed = {
         "arc_midpoint_period": 2 ** (n - 1),
         "arc_endpoint_period": 2 ** n,
@@ -626,42 +684,11 @@ def _cascade_stage_graph(n: int) -> ContinuumGraph:
 
 
 def _mu_point_graph(n: int) -> ContinuumGraph:
-    nodes = [("R", "RayR")]
-    rays = {k: [_ray(k, i) for i in range(1, 2 ** k + 1)]
-            for k in range(1, n)}
-    for k in range(1, n):
-        nodes += [(r, "Ray") for r in rays[k]]
-    bjk = [f"B[{i}]" for i in range(1, 2 ** n + 1)]
-    nodes += [(b, "BJK") for b in bjk]
-    all_ids = [i for i, _ in nodes]
-
-    closure = {"R": tuple(all_ids)}
-    for k in range(1, n):
-        for i in range(1, 2 ** k + 1):
-            cl = []
-            for j in range(0, n - k):
-                for l in range(2 ** j):
-                    cl.append(_ray(k + j, i + l * 2 ** k))
-            for l in range(2 ** (n - k)):
-                cl.append(f"B[{i + l * 2 ** k}]")
-            closure[_ray(k, i)] = tuple(cl)
-    for b in bjk:
-        closure[b] = (b,)
-
-    permutation = {"R": "R"}
-    for k in range(1, n):
-        permutation.update(_cycle(rays[k]))
-    permutation.update(_cycle(bjk))
-
-    inter = []
-    for k in range(1, n):
-        half = 2 ** (k - 1)
-        for i in range(1, half + 1):
-            inter.append((_ray(k, i), _ray(k, half + i), (half, i), half))
+    nodes, closure, permutation, inter = _rays_and_leaves(
+        range(1, n), 1, "B", "BJK", 2 ** n)
     half = 2 ** (n - 1)
-    for i in range(1, half + 1):
-        inter.append((f"B[{i}]", f"B[{half + i}]", (half, i), half))
-
+    inter += [(f"B[{i}]", f"B[{half + i}]", (half, i), half)
+              for i in range(1, half + 1)]
     fixed = {
         "bjk_cycle_length": 2 ** n,
         "omega_orbit_periods": [2 ** (k - 1) for k in range(1, n + 1)],
@@ -673,46 +700,11 @@ def _mu_point_graph(n: int) -> ContinuumGraph:
 def _window_cascade_graph(n: int, m: int) -> ContinuumGraph:
     q = 2 * n + 1
     c_id = f"C[{q}]"
-    nodes = [("R", "RayR"), (c_id, "C")]
-    rays = {k: [_ray(k, i) for i in range(1, 2 ** k * q + 1)]
-            for k in range(0, m)}
-    for k in range(0, m):
-        nodes += [(r, "Ray") for r in rays[k]]
-    arcs = [f"I[{i}]" for i in range(1, 2 ** (m - 1) * q + 1)] if m >= 1 else []
-    nodes += [(a, "Arc") for a in arcs]
-    all_ids = [i for i, _ in nodes]
-
-    closure = {"R": tuple(all_ids),
-               c_id: tuple([c_id] + [r for k in rays for r in rays[k]] + arcs)}
-    for k in range(0, m):
-        for i in range(1, 2 ** k * q + 1):
-            cl = []
-            for j in range(0, m - k):
-                for l in range(2 ** j):
-                    cl.append(_ray(k + j, i + l * 2 ** k * q))
-            for l in range(2 ** (m - 1 - k)):
-                cl.append(f"I[{i + l * 2 ** k * q}]")
-            closure[_ray(k, i)] = tuple(cl)
-    for a in arcs:
-        closure[a] = (a,)
-
-    permutation = {"R": "R", c_id: c_id}
-    for k in range(0, m):
-        permutation.update(_cycle(rays[k]))
-    if arcs:
-        permutation.update(_cycle(arcs))
-
-    inter = []
-    if m >= 1:
-        for i in range(1, q + 1):
-            inter.append((c_id, _ray(0, i), (q, i), q))
-        for k in range(1, m):
-            half = 2 ** (k - 1) * q
-            for i in range(1, half + 1):
-                inter.append((_ray(k, i), _ray(k, half + i), (half, i), half))
-
+    nodes, closure, permutation, inter = _rays_and_leaves(
+        range(0, m), q, "I", "Arc", 2 ** (m - 1) * q if m >= 1 else 0, c_id)
     fixed = {"c_endpoint_period": 2 ** m * q}
     if m >= 1:
+        inter = [(c_id, _ray(0, i), (q, i), q) for i in range(1, q + 1)] + inter
         fixed["arc_midpoint_period"] = 2 ** (m - 1) * q
         fixed["omega_orbit_periods"] = ([q] +
                                         [2 ** (k - 1) * q for k in range(1, m)])

@@ -18,8 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (EPS_CHAIN, PartialMapSystem, UNIT_INTERVAL, Branch,
-                   find_root)
+from .core import EPS_CHAIN, PartialMapSystem, UNIT_INTERVAL, Branch
 from .extension import (Chain, ExtensionSpec, _ordered_preimages, alpha_tilde,
                         validate_chain)
 from . import logistic as _logistic
@@ -426,9 +425,7 @@ def logistic_period3_model(depth: int = 6) -> FiniteModel:
     """The superstable period-3 orbit of the logistic family as an exact
     finite invariant set; the extension dynamics is a cyclic permutation
     of its infinite chains (the base map is bijective on the orbit)."""
-    eta, nu = _logistic.window_boundaries(1)
-    lam = find_root(lambda lam: _logistic._iterate(lam, 0.5, 3) - 0.5,
-                    (eta + 1e-9, nu), 1e-15)
+    lam = _logistic._itinerary_parameter("RL")
     orbit = [0.5]
     for _ in range(2):
         orbit.append(4.0 * lam * orbit[-1] * (1.0 - orbit[-1]))

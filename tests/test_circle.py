@@ -89,6 +89,14 @@ def test_extension_shape_full_cylinder():
     assert shape.kind == "FullCylinder" and not shape.arcs
 
 
+def test_extension_shape_full_cylinder_builds_no_orbit():
+    rot = ci.rigid_rotation(0.5, offset=1)
+    calls = []
+    h = ci.CircleHomeo(lambda f: calls.append(f) or rot.base(f))
+    assert ci.extension_shape(h).kind == "FullCylinder"
+    assert calls == [0.0]  # gamma(0) alone
+
+
 def test_extension_shape_requires_coisometry():
     with pytest.raises(ci.NotCoisometry):
         ci.extension_shape(ci.rigid_rotation(0.0))

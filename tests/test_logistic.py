@@ -7,6 +7,7 @@ import math
 import pytest
 
 from revext import logistic as lg
+from revext.core import find_root
 
 
 # ---------------------------------------------------------------------------
@@ -98,9 +99,9 @@ def test_attractor_points_period_two():
 
 
 def test_period_doubling_closed_forms():
-    assert lg.period_doubling_parameter(1) == pytest.approx(0.75, abs=1e-8)
+    assert lg.period_doubling_parameter(1) == pytest.approx(0.75, abs=1e-12)
     assert lg.period_doubling_parameter(2) == pytest.approx(
-        (1.0 + math.sqrt(6.0)) / 4.0, abs=1e-6)
+        (1.0 + math.sqrt(6.0)) / 4.0, abs=1e-12)
 
 
 FROZEN_LAMBDA_N = {3: 0.8860226, 4: 0.8911018, 5: 0.8921899, 6: 0.8924229}
@@ -117,16 +118,61 @@ def test_period_doubling_multiplier_residual():
         lam = lg.period_doubling_parameter(n)
         x = lg.find_periodic_point(lam, 2 ** (n - 1))
         assert lg.orbit_multiplier(lam, 2 ** (n - 1), x) == pytest.approx(
-            -1.0, abs=1e-6)
+            -1.0, abs=1e-12)
 
 
-def test_doubling_bracket_halves_back_from_an_overshot_start():
-    # a predicted gap this large puts the first point above lambda_2, so
-    # the bracket search has to halve back toward lambda_1
-    lam1 = lg.period_doubling_parameter(1)
-    got = lg._doubling_parameter(2, lam1, lam1 - 0.5 * lg.FEIGENBAUM_DELTA,
-                                 1e-12)
-    assert got == pytest.approx((1.0 + math.sqrt(6.0)) / 4.0, abs=1e-11)
+@pytest.mark.parametrize("x,lam", [
+    # a predicted gap of 0.5 puts the seed a quarter gap up, at 0.875,
+    # above lambda_2
+    (lg._iterate(0.8125, 0.5, 8), 0.875),
+    # the fourth lambda step (3.9e-5) is larger than the third while
+    # |mult + 1| is already below 1e-3; stopping there would return
+    # 0.8623724304, 5.3e-9 below lambda_2
+    (0.8654247284588019, 0.8844619863006196)],
+    ids=["quarter-gap", "growing-step"])
+def test_doubling_newton_from_an_overshot_seed(x, lam):
+    got = lg._bifurcation_parameter(2, -1.0, x, lam, (0.75, 1.0))
+    assert got == pytest.approx((1.0 + math.sqrt(6.0)) / 4.0, abs=1e-12)
+
+
+def test_bifurcation_newton_failures_raise():
+    # no period-3 orbit exists below eta_1: the saddle-node solve leaves
+    # its bracket
+    with pytest.raises(lg.BifurcationNotConverged, match="left"):
+        lg._bifurcation_parameter(3, 1.0, 0.5, 0.8, (0.7, 0.9))
+    # seeded next to lambda_2, a period-6 doubling solve converges to the
+    # 2-orbit, whose 6-fold multiplier (-1)^3 is also -1
+    lam2 = lg.period_doubling_parameter(2)
+    x = lg.find_periodic_point(lam2 - 1e-3, 2)
+    with pytest.raises(lg.BifurcationNotConverged, match="period 2, not 6"):
+        lg._bifurcation_parameter(6, -1.0, x, lam2 + 1e-4, (0.8, 1.0))
+    # R R is not an admissible itinerary of a superstable 3-orbit
+    with pytest.raises(lg.WindowNotFound):
+        lg._itinerary_parameter("RR")
+    # seeded near lambda_2, a period-4 saddle-node solve meets the 2-orbit's
+    # doubling, a double root: Newton creeps linearly and hits the cap
+    with pytest.raises(lg.BifurcationNotConverged, match="after 32 steps"):
+        lg._bifurcation_parameter(4, 1.0, 0.4820562247461908,
+                                  0.8780914798393977, (0.75, 1.0))
+
+
+@pytest.mark.parametrize("n,lam_guess,lam_settle", [
+    (3, 0.886, 0.880), (4, 0.8911, 0.890), (5, 0.89219, 0.8918),
+    (6, 0.89242, 0.8923)])
+def test_period_doubling_against_mpmath(n, lam_guess, lam_settle):
+    ref = mp_multiplier_parameter(2 ** (n - 1), -1, lam_guess, lam_settle)
+    assert lg.period_doubling_parameter(n) == pytest.approx(ref, abs=1e-12)
+
+
+def test_cascade_csv_residuals(tmp_path):
+    # the multiplier residual of every lambda_n row, recomputed through
+    # find_periodic_point, stays small up to the 2048-orbit
+    path = tmp_path / "cascade.csv"
+    lg.CascadeTable.build(n_max=12).to_csv(path)
+    rows = [r.split(",") for r in path.read_text().splitlines()]
+    residuals = [float(r[3]) for r in rows if r[0] == "lambda_n"]
+    assert len(residuals) == 12
+    assert max(residuals) <= 1e-7
 
 
 def test_superstable_parameters():
@@ -166,6 +212,21 @@ def test_mu_parameters():
         assert res < 1e-9
 
 
+def test_window_onset_is_the_closed_form_saddle_node():
+    assert lg.window_boundaries(1)[0] == pytest.approx(
+        (1.0 + 2.0 * math.sqrt(2.0)) / 4.0, abs=1e-12)
+
+
+def test_period_three_superstable_seed():
+    s = lg._itinerary_parameter("RL")
+    assert lg._iterate(s, 0.5, 3) == pytest.approx(0.5, abs=1e-14)
+    eta, nu = lg.window_boundaries(1)
+    assert eta < s < nu
+    # the root of alpha^3(1/2) = 1/2 inside the window, by bisection
+    root = find_root(lambda t: lg._iterate(t, 0.5, 3) - 0.5, (eta, nu), 1e-15)
+    assert s == pytest.approx(root, abs=1e-15)
+
+
 def test_window_boundaries_period_three():
     eta, nu = lg.window_boundaries(1)
     assert eta == pytest.approx(0.9571067, abs=1e-5)
@@ -198,12 +259,28 @@ def mp_multiplier_parameter(period, multiplier, lam_guess, lam_settle):
 
 
 @pytest.mark.parametrize("n,lam_guess,lam_settle", [
-    (1, 0.9603, 0.959), (2, 0.93528, 0.935)])
+    (1, 0.9603, 0.959), (2, 0.93528, 0.935), (3, 0.92554, 0.92550)])
 def test_window_top_is_doubling_of_odd_orbit(n, lam_guess, lam_settle):
     ref = mp_multiplier_parameter(2 * n + 1, -1, lam_guess, lam_settle)
     nu = lg.window_boundaries(n)[1]
-    assert nu == pytest.approx(ref, abs=1e-10)
+    assert nu == pytest.approx(ref, abs=1e-13)
     assert lg.window_cascade_parameter(n, 1) == nu
+
+
+@pytest.mark.parametrize("n,lam_guess,lam_settle", [
+    (2, 0.9345, 0.935), (3, 0.92541, 0.92550)])
+def test_window_onset_is_saddle_node_of_odd_orbit(n, lam_guess, lam_settle):
+    ref = mp_multiplier_parameter(2 * n + 1, +1, lam_guess, lam_settle)
+    eta = lg.window_boundaries(n)[0]
+    assert eta == pytest.approx(ref, abs=1e-12)
+    assert lg.window_cascade_parameter(n, 0) == eta
+
+
+@pytest.mark.parametrize("m,lam_guess,lam_settle", [
+    (2, 0.9619, 0.9612), (3, 0.96226, 0.9621)])
+def test_window_cascade_against_mpmath(m, lam_guess, lam_settle):
+    ref = mp_multiplier_parameter(2 ** (m - 1) * 3, -1, lam_guess, lam_settle)
+    assert lg.window_cascade_parameter(1, m) == pytest.approx(ref, abs=1e-12)
 
 
 def test_window_boundaries_higher_odd_periods():
@@ -217,7 +294,7 @@ def test_window_cascade_parameter():
     assert eta < lam12 < nu * 1.01
     # at the stage parameter the period-6 orbit has multiplier -1
     x = lg.find_periodic_point(lam12, 6)
-    assert lg.orbit_multiplier(lam12, 6, x) == pytest.approx(-1.0, abs=1e-5)
+    assert lg.orbit_multiplier(lam12, 6, x) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_cascade_table_csv(tmp_path):
@@ -226,7 +303,8 @@ def test_cascade_table_csv(tmp_path):
     table.to_csv(path)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "name,n,value,residual"
-    assert any(r.startswith("lambda_n,1,0.749999999") for r in rows)
+    lam1 = next(r for r in rows if r.startswith("lambda_n,1,"))
+    assert float(lam1.split(",")[2]) == pytest.approx(0.75, abs=1e-12)
     assert len(rows) > 7
 
 
