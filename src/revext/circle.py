@@ -17,9 +17,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import BracketFailure, find_root
+from .core import CIRCLE, BracketFailure, cluster_points, find_root
 
 GRID_KNOTS = 2 ** 12
+# rotation_number: first orbit length, and the agreement of two successive
+# weighted averages that ends the doubling
+WEIGHTED_START = 1000
+WEIGHTED_AGREE = 1e-13
 
 
 class NotCoisometry(ValueError):
@@ -47,6 +51,9 @@ class CircleHomeo:
 
     base: Callable[[float], float]
     label: str = "homeo"
+    # (knots, values) when the lift is a grid_homeo
+    grid: Optional[tuple[np.ndarray, np.ndarray]] = field(
+        default=None, compare=False, repr=False)
 
     def lift(self, t: float) -> float:
         k = math.floor(t)
@@ -107,7 +114,23 @@ def grid_homeo(values: Sequence[float], label: str = "grid") -> CircleHomeo:
     def base(f: float) -> float:
         return float(np.interp(f, knots, v))
 
-    return CircleHomeo(base, label=label)
+    return CircleHomeo(base, label=label, grid=(knots, v))
+
+
+def _grid_inverse(phi: CircleHomeo, ys: np.ndarray) -> Optional[np.ndarray]:
+    """phi^-1 at ys in [0, 1] by one np.interp with the axes swapped, when
+    phi is a grid lift whose values, extended by -1 and +1 over the
+    neighbouring periods, increase strictly; None otherwise."""
+    if phi.grid is None:
+        return None
+    x, v = phi.grid
+    xs = np.concatenate((x[:-1] - 1.0, x[:-1], x + 1.0))
+    vs = np.concatenate((v[:-1] - 1.0, v[:-1], v + 1.0))
+    if np.any(np.diff(vs) <= 0.0):
+        return None
+    # phi^-1(y) = phi^-1(y + k) - k, and y + k lies in [v0 - 1, v0 + 2]
+    k = math.floor(v[0])
+    return np.interp(ys + k, vs, xs) - k
 
 
 def sampled_conjugate(h: CircleHomeo, phi: CircleHomeo,
@@ -115,8 +138,10 @@ def sampled_conjugate(h: CircleHomeo, phi: CircleHomeo,
     """The conjugated homeomorphism phi o h o phi^-1 as a grid lift
     (sampling once keeps long-orbit computations cheap)."""
     ts = np.linspace(0.0, 1.0, knots + 1)
-    vals = [phi.lift(h.lift(phi.inverse_lift(float(t)))) for t in ts]
-    vals = np.asarray(vals)
+    inv = _grid_inverse(phi, ts)
+    if inv is None:
+        inv = [phi.inverse_lift(float(t)) for t in ts]
+    vals = np.asarray([phi.lift(h.lift(float(s))) for s in inv])
     # re-anchor so the base is exactly periodic at the endpoints
     vals[-1] = vals[0] + 1.0
     vals = np.maximum.accumulate(vals)  # clip tiny monotonicity violations
@@ -127,12 +152,66 @@ def sampled_conjugate(h: CircleHomeo, phi: CircleHomeo,
 # Rotation number and compression trichotomy
 
 
+class RotationNumber(float):
+    """A rotation number in [0, 1) with the orbit that produced it.
+
+    ``steps`` is the orbit length.  ``interval`` holds tau for certain (up
+    to the rounding of the orbit), shifted by the same integer as the
+    value: the displacement sum S = gamma^n(seed) - seed satisfies
+    |S - n tau| < 1, so tau lies in ((S - 1)/n, (S + 1)/n).  ``weighted``
+    says whether the value is the converged weighted Birkhoff average
+    rather than S/n.
+    """
+
+    def __new__(cls, value: float, steps: int,
+                interval: tuple[float, float], weighted: bool):
+        self = super().__new__(cls, value)
+        self.steps, self.interval, self.weighted = steps, interval, weighted
+        return self
+
+
 def rotation_number(h: CircleHomeo, n_iter: int = 100_000,
-                    seed: float = 0.0) -> float:
-    """Fractional part of gamma^n(t)/n at t = seed; error bound 1/n_iter."""
+                    seed: float = 0.0) -> RotationNumber:
+    """Rotation number of h from the orbit of ``seed``, at most ``n_iter``
+    steps long.
+
+    The estimate is the weighted Birkhoff average of the displacement
+    gamma(t) - t along the orbit, t kept in [0, 1), under the weight
+    exp(-1/(s(1-s))) at s = (j+1)/(n+1).  For smooth maps conjugate to a
+    rotation it converges faster than any power of n (Das, Sander, Saiki &
+    Yorke, Nonlinearity 30, 2017).  The orbit starts at 1000 steps and
+    doubles until two successive averages agree to 1e-13, or reaches
+    ``n_iter``.  The weighted value is returned only when it converged
+    inside the certified interval of the same orbit; otherwise the plain
+    S/n is, with error below 1/n.
+    """
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-    return _frac((h.lift_iter(seed, n_iter) - seed) / n_iter)
+    disp = np.empty(n_iter)
+    out = memoryview(disp)  # per-element stores cost less than on disp
+    base, floor = h.base, math.floor
+    t = seed - floor(seed)
+    n, avg, converged = 0, None, False
+    while not converged and n < n_iter:
+        end = min(max(2 * n, WEIGHTED_START), n_iter)
+        for j in range(n, end):
+            y = base(t)
+            out[j] = y - t
+            t = y - floor(y)
+        n = end
+        s = np.arange(1, n + 1) / (n + 1)
+        w = np.exp(-1.0 / (s * (1.0 - s)))
+        prev, avg = avg, float(w @ disp[:n]) / float(w.sum())
+        converged = prev is not None and abs(avg - prev) <= WEIGHTED_AGREE
+    total = math.fsum(disp[:n].tolist())
+    lo, hi = (total - 1.0) / n, (total + 1.0) / n
+    weighted = converged and lo < avg < hi
+    value = avg if weighted else total / n
+    k = floor(value)
+    value -= k
+    if value >= 1.0:  # value was a tiny negative number
+        value, k = 0.0, k + 1
+    return RotationNumber(value, n, (lo - k, hi - k), weighted)
 
 
 @dataclass(frozen=True)
@@ -190,12 +269,8 @@ def extension_shape(h: CircleHomeo, N_max: int = 50,
         ends.append(h.lift(ends[-1]))
     arcs = tuple((N, _frac(ends[N]), _frac(ends[N + 1]))
                  for N in range(N_max + 1))
-    tail = sorted(_frac(e) for e in ends[limit_iters // 2:])
-    # reps ascend to p: the nearest is reps[-1] or, across 0/1, reps[0]
-    reps: list[float] = []
-    for p in tail:
-        if not reps or min(p - reps[-1], 1.0 - (p - reps[0])) > cluster_eps:
-            reps.append(p)
+    reps = cluster_points((_frac(e) for e in ends[limit_iters // 2:]),
+                          CIRCLE, cluster_eps)
     return CircleExtensionShape("ArcLadder", arcs, tuple(reps))
 
 
@@ -254,16 +329,25 @@ def classify(h: CircleHomeo, n_iter: int = 100_000, max_den: int = 64,
              orbit_sample: int = 4096) -> RotationClassification:
     """Rational rotation number (confirmed by a genuine periodic point)
     versus irrational; irrational transitivity decided by a gap statistic
-    on the sampled orbit (heuristic evidence, not proof)."""
+    on the sampled orbit (heuristic evidence, not proof).
+
+    The rational candidates are the convergents m/n (n <= max_den) of the
+    estimate that lie in its certified interval or, when the weighted
+    average converged, within 1e-12 of it.  ``evidence`` records the orbit
+    behind the estimate: ``steps``, ``interval`` and ``weighted``."""
     tau = rotation_number(h, n_iter)
+    orbit = {"steps": tau.steps, "interval": tau.interval,
+             "weighted": tau.weighted}
+    lo, hi = ((tau - 1e-12, tau + 1e-12) if tau.weighted
+              else tau.interval)
     for m, n in _convergents(tau, max_den):
-        if abs(tau - m / n) <= 2.0 / n_iter + 1e-12:
+        if lo <= m / n <= hi:
             pt = _find_periodic_point(h, n, m)
             if pt is not None:
                 g = math.gcd(m, n) if m else 1
                 return RotationClassification(
-                    tau, "RationalPeriodic", m=m // g, n=n // g,
-                    evidence={"periodic_point": pt})
+                    float(tau), "RationalPeriodic", m=m // g, n=n // g,
+                    evidence={"periodic_point": pt, **orbit})
     # irrational: gap statistic of the orbit closure sample
     pts = []
     t = 0.0
@@ -277,9 +361,10 @@ def classify(h: CircleHomeo, n_iter: int = 100_000, max_den: int = 64,
     threshold = 10.0 / math.sqrt(orbit_sample)
     kind = ("IrrationalTransitive" if max_gap < threshold
             else "IrrationalNonTransitive")
-    return RotationClassification(tau, kind,
+    return RotationClassification(float(tau), kind,
                                   evidence={"max_gap": max_gap,
-                                            "gap_threshold": threshold})
+                                            "gap_threshold": threshold,
+                                            **orbit})
 
 
 @dataclass(frozen=True)

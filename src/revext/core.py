@@ -209,12 +209,22 @@ def omega_limit(system: PartialMapSystem, x: float, transient: int = 2000,
     if rec.escaped:
         raise OrbitEscaped(f"orbit of {x} left the domain after "
                            f"{len(rec.points) - 1} steps")
-    tail = rec.points[transient:]
+    return cluster_points(rec.points[transient:], system.space, cluster_eps)
+
+
+def cluster_points(points: Iterable[float], space: StateSpace,
+                   eps: float) -> list[float]:
+    """Representatives of the points, ascending: a point starts a new
+    cluster when it lies farther than eps from every representative below
+    it.  Among those the nearest is the last one or, on the circle across
+    0/1, the first, so one pass over the sorted points suffices (points
+    on the circle must lie in [0, 1))."""
     reps: list[float] = []
-    for p in tail:
-        if all(system.space.metric(p, r) > cluster_eps for r in reps):
+    for p in sorted(points):
+        if not reps or min(space.metric(p, reps[-1]),
+                           space.metric(p, reps[0])) > eps:
             reps.append(p)
-    return sorted(reps)
+    return reps
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ periodic points, and conjugation invariance of the rotation number."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -60,6 +61,65 @@ def test_rotation_number_rejects_nonpositive_n_iter(n_iter):
 def test_rotation_number_rigid(tau):
     got = ci.rotation_number(ci.rigid_rotation(tau), n_iter=100_000)
     assert abs(got - tau) <= 1.0 / 100_000
+
+
+@settings(deadline=None)
+@given(tau=st.floats(0.01, 0.99), offset=st.integers(-2, 2))
+def test_rotation_number_rigid_to_rounding(tau, offset):
+    got = ci.rotation_number(ci.rigid_rotation(tau, offset))
+    assert abs(got - tau) <= 1e-13
+    assert got.weighted and got.steps == 2000
+
+
+@settings(max_examples=30, deadline=None)
+@given(h=_homeos)
+def test_rotation_number_lies_in_its_interval(h):
+    cls = ci.classify(h, n_iter=5000)
+    lo, hi = cls.evidence["interval"]
+    assert 0.0 <= cls.tau < 1.0 and lo < cls.tau < hi
+    assert hi - lo == pytest.approx(2.0 / cls.evidence["steps"], rel=1e-9)
+
+
+def _certified_interval(tau, a, n):
+    """(S - 1)/n .. (S + 1)/n for the displacement sum S of n steps of
+    t -> t + tau + a*sin(2*pi*t)/(2*pi) from 0, summed exactly."""
+    twopi = 2.0 * math.pi
+
+    def displacements():
+        t = 0.0
+        for _ in range(n):
+            d = tau + a * math.sin(twopi * t) / twopi
+            yield d
+            t = (t + d) % 1.0
+
+    total = math.fsum(displacements())
+    return (total - 1.0) / n, (total + 1.0) / n
+
+
+@pytest.mark.parametrize("tau,a", [(0.381966, 0.05), (0.618034, 0.3)])
+def test_rotation_number_perturbed_in_long_orbit_interval(tau, a):
+    got = ci.rotation_number(ci.perturbed_rotation(tau, a), n_iter=1_000_000)
+    lo, hi = _certified_interval(tau, a, 4_000_000)
+    assert got.weighted and lo < got < hi
+
+
+@pytest.mark.parametrize("n_iter", [1, 999, 1500])
+def test_rotation_number_capped_at_n_iter(n_iter):
+    tau = math.sqrt(2.0) - 1.0
+    got = ci.rotation_number(ci.rigid_rotation(tau), n_iter)
+    assert got.steps == n_iter and abs(got - tau) <= 1.0 / n_iter
+    assert got.weighted == (n_iter == 1500)  # 1000 and 1500 steps agree
+
+
+def test_rotation_number_unconverged_grid_stops_at_n_iter():
+    # a piecewise-linear conjugate of an irrational rotation: the weighted
+    # average converges only algebraically, far from 1e-13 in 20 000 steps
+    h = ci.sampled_conjugate(ci.rigid_rotation(math.sqrt(2.0) - 1.0),
+                             ci.grid_homeo([0.0, 0.35, 0.8, 1.0]))
+    got = ci.rotation_number(h, 20_000)
+    assert got.steps == 20_000 and not got.weighted
+    lo, hi = got.interval
+    assert lo < got < hi and lo < math.sqrt(2.0) - 1.0 < hi
 
 
 def test_rotation_number_seed_independent():
@@ -199,6 +259,24 @@ def test_sampled_conjugate_preserves_rotation_number():
     report = ci.check_rotation_invariant(h, conj, conj=phi)
     assert report.ok()
     assert report.conjugacy_residual < 1e-4
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, 0.35, 0.8, 1.0], [-1.3, -1.0, -0.9, -0.3],
+    [2.7, 2.9, 3.6, 3.7], [0.999, 1.5, 1.999]])
+def test_grid_inverse_matches_inverse_lift(values):
+    phi = ci.grid_homeo(values)
+    ts = np.linspace(0.0, 1.0, 513)
+    fast = ci._grid_inverse(phi, ts)
+    slow = np.array([phi.inverse_lift(float(t)) for t in ts])
+    assert np.max(np.abs(fast - slow)) <= 1e-14
+
+
+def test_grid_inverse_needs_strictly_increasing_values():
+    assert ci._grid_inverse(ci.grid_homeo([0.0, 0.5, 0.5, 1.0]),
+                            np.linspace(0.0, 1.0, 5)) is None
+    assert ci._grid_inverse(ci.rigid_rotation(0.3),
+                            np.linspace(0.0, 1.0, 5)) is None
 
 
 def test_check_rotation_invariant_rejects_fake_conjugacy():

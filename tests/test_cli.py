@@ -85,6 +85,11 @@ def test_rotation_command(tmp_path):
     doc = json.loads((tmp_path / "rot.json").read_text())
     assert doc["kind"] == "RationalPeriodic"
     assert abs(doc["rotation_number"] - 0.4) < 1e-4
+    evidence = doc["evidence"]
+    assert evidence["weighted"] is True and evidence["steps"] == 2000
+    lo, hi = evidence["interval"]
+    assert lo < doc["rotation_number"] < hi
+    assert hi - lo == pytest.approx(2.0 / 2000, rel=1e-12)
 
 
 @pytest.mark.parametrize("flags,h", [

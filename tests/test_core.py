@@ -96,6 +96,31 @@ def test_omega_limit_rotation_third():
     assert len(got) == 3
 
 
+def _omega_limit_pairwise(system, x, transient=2000, iters=512,
+                          cluster_eps=1e-6):
+    """The all-pairs clustering omega_limit used to run, in orbit order."""
+    reps = []
+    for p in orbit(system, x, transient + iters).points[transient:]:
+        if all(system.space.metric(p, r) > cluster_eps for r in reps):
+            reps.append(p)
+    return sorted(reps)
+
+
+@pytest.mark.parametrize("system,x,count", [
+    (make_system(0.8), 0.3, 2),                 # attracting 2-cycle
+    (make_rotation_system(1.0 / 3.0), 0.05, 3),
+    # the cluster near 0 drifts across 0/1 while the tail is taken
+    (make_rotation_system(1.0 / 3.0 + 1e-10), 1.0 - 2.2e-7, 3),
+    (make_system(0.95), 0.3, None)])            # chaotic
+def test_omega_limit_matches_pairwise_clustering(system, x, count):
+    got = omega_limit(system, x)
+    expected = _omega_limit_pairwise(system, x)
+    assert len(got) == len(expected)
+    assert count is None or len(got) == count
+    for g in got:
+        assert min(system.space.metric(g, e) for e in expected) <= 1e-6
+
+
 def test_tent_quadratic_semiconjugacy():
     # Psi(t) = sin^2(pi t / 2) intertwines the tent map and the full
     # quadratic map: a classical exact conjugacy.
