@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -94,10 +93,13 @@ def _coerce(name: str, value):
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = read_config_file(args.config) if args.config else {}
+    settable = [name for name in _FIELD_TYPES if name != "command"]
+    for key in file_cfg:
+        if key not in settable:
+            raise ValueError(f"unknown config key {key!r}; valid keys: "
+                             f"{', '.join(settable)}")
     cfg = RunConfig(command=args.command)
-    for name in _FIELD_TYPES:
-        if name == "command":
-            continue
+    for name in settable:
         if name in file_cfg:
             setattr(cfg, name, _coerce(name, file_cfg[name]))
         cli_val = getattr(args, name, None)
@@ -259,8 +261,15 @@ def cmd_bifurcate(cfg: RunConfig) -> int:
     return 0
 
 
+# Stability windows (and the doublings inside them) that `classify` checks.
+CLASSIFY_WINDOWS = 3
+CLASSIFY_WINDOW_CASCADE = 3
+
+
 def cmd_classify(cfg: RunConfig) -> int:
-    regime = lg.classify_regime(cfg.lam)
+    table = lg.CascadeTable.build(n_windows=CLASSIFY_WINDOWS,
+                                  cascade_m=CLASSIFY_WINDOW_CASCADE)
+    regime = lg.classify_regime(cfg.lam, table)
     doc = {"lambda": cfg.lam, "tag": regime.tag, "n": regime.n,
            "m": regime.m, "params": regime.params,
            "irreducible_continuum": regime.irreducible_continuum}

@@ -9,8 +9,7 @@ preimage branches so that backward orbits can be enumerated.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 # Residual tolerance for chain/branch arithmetic (backward iteration with
@@ -234,10 +233,6 @@ class FactorMapSample:
     psi: Callable[[object], float]
     points: tuple
     tolerance: float = 10 * EPS_CHAIN
-
-    @property
-    def pairs(self):
-        return tuple((p, self.psi(p)) for p in self.points)
 
 
 @dataclass(frozen=True)

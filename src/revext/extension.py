@@ -12,14 +12,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (EPS_CHAIN, EPS_DOM, FactorMapSample, OutsideDomain,
-                   PartialMapSystem, apply, preimages)
+                   PartialMapSystem, apply, orbit, preimages)
 
 INF = math.inf
+# Branch words of a backward search are enumerated exhaustively down to this
+# depth; deeper coordinates are completed by first-found continuation.
+PREFIX_DEPTH = 5
+# The chain metric: coordinate n weighs WEIGHT_BASE**n, and a coordinate
+# where exactly one chain has terminated contributes TERMINAL_GAP.
+WEIGHT_BASE = 0.5
+TERMINAL_GAP = 1.0
 
 # Deterministic branch enumeration order; unknown labels sort after these,
 # alphabetically.
@@ -49,8 +56,8 @@ class Chain:
     def depth(self) -> int:
         return len(self.coords) - 1
 
-    def key(self, ndigits: int = 9) -> tuple:
-        return (self.terminal, tuple(round(c, ndigits) for c in self.coords))
+    def key(self) -> tuple:
+        return (self.terminal, tuple(round(c, 9) for c in self.coords))
 
 
 @dataclass(frozen=True)
@@ -64,6 +71,19 @@ class ExtensionSpec:
 
     system: PartialMapSystem
     Y: tuple[tuple[float, float], ...]
+    # y -> preimage coordinates of y in branch order; every stratum of one
+    # spec reads the same backward-orbit tree
+    _preimages: dict = field(default_factory=dict, init=False, compare=False,
+                             repr=False)
+
+    def ordered_preimages(self, y: float) -> tuple[float, ...]:
+        """The preimages of y in ``_BRANCH_ORDER``, computed once per spec."""
+        xs = self._preimages.get(y)
+        if xs is None:
+            opts = sorted(preimages(self.system, y),
+                          key=lambda lx: (_BRANCH_ORDER.get(lx[0], 9), lx[0]))
+            xs = self._preimages[y] = tuple(x for _, x in opts)
+        return xs
 
     def in_Y(self, x: float, eps: float = EPS_DOM) -> bool:
         return self.system.space.in_intervals(self.Y, x, eps)
@@ -90,21 +110,6 @@ class ExtensionSpec:
                 t = lo + length * j / (k - 1)
                 pts.append(self.system.space.normalize(t))
         return pts
-
-
-@dataclass(frozen=True)
-class ChainMetricParams:
-    """Metric realizing the product topology: weights 2^-n, and a fixed gap
-    contribution where exactly one chain has already terminated."""
-
-    weight_base: float = 0.5
-    terminal_gap: float = 1.0
-
-    def weight(self, n: int) -> float:
-        return self.weight_base ** n
-
-
-DEFAULT_METRIC = ChainMetricParams()
 
 
 @dataclass(frozen=True)
@@ -175,87 +180,65 @@ class ChainExtensionSystem:
 # Stratum sampling
 
 
-def _ordered_preimages(system: PartialMapSystem, y: float):
-    opts = preimages(system, y)
-    return sorted(opts, key=lambda lx: (_BRANCH_ORDER.get(lx[0], 9), lx[0]))
+def _backward_chains(spec: ExtensionSpec, x0: float, depth: int,
+                     terminal: bool):
+    """Backward chains from x0 out to ``depth``, in search order.
 
+    Every branch word down to the prefix depth is enumerated; each prefix is
+    then completed by the first continuation, in branch order and in
+    reversed order (with backtracking).  Terminal chains must end in Y.
+    The same chain may be yielded twice."""
+    # a terminal chain always keeps its last step for the completion
+    prefix_depth = min(PREFIX_DEPTH, depth - 1 if terminal else depth)
 
-def _memo_preimages(system: PartialMapSystem, memo: dict, y: float):
-    """``_ordered_preimages`` looked up in ``memo`` (y -> ordered list)
-    first; callers must not mutate the returned list."""
-    opts = memo.get(y)
-    if opts is None:
-        opts = memo[y] = _ordered_preimages(system, y)
-    return opts
+    def complete(path: list[float], reverse: bool) -> Optional[tuple]:
+        if len(path) - 1 == depth:
+            if terminal and not spec.in_Y(path[-1], 1e-9):
+                return None
+            return tuple(path)
+        xs = spec.ordered_preimages(path[-1])
+        for x in (xs[::-1] if reverse else xs):
+            path.append(x)
+            got = complete(path, reverse)
+            path.pop()
+            if got is not None:
+                return got
+        return None
 
-
-def _extend_first(spec: ExtensionSpec, memo: dict, path: list[float],
-                  depth: int, reverse: bool,
-                  terminal: bool) -> Optional[tuple[float, ...]]:
-    """Depth-first backward continuation of ``path`` out to ``depth``,
-    taking the first completion in deterministic branch order (reversed
-    order when ``reverse``).  For terminal chains the final coordinate must
-    land in Y.  Returns None when no completion exists."""
-    if len(path) - 1 == depth:
-        if terminal and not spec.in_Y(path[-1], 1e-9):
-            return None
-        return tuple(path)
-    opts = _memo_preimages(spec.system, memo, path[-1])
-    if reverse:
-        opts = opts[::-1]
-    for _, x in opts:
-        path.append(x)
-        got = _extend_first(spec, memo, path, depth, reverse, terminal)
-        path.pop()
-        if got is not None:
-            return got
-    return None
-
-
-def _backward_chains(spec: ExtensionSpec, memo: dict, x0: float, depth: int,
-                     prefix_depth: int, terminal: bool) -> list[tuple[float, ...]]:
-    """All backward chains from x0 to ``depth`` whose first ``prefix_depth``
-    branch choices are enumerated exhaustively; beyond the prefix each
-    partial chain is completed by first-found continuation in both the
-    forward and the reversed branch order (with backtracking)."""
-    prefix_depth = min(prefix_depth, depth)
-    results: list[tuple[float, ...]] = []
-
-    def enumerate_prefix(path: list[float]) -> None:
+    def enumerate_prefix(path: list[float]):
         if len(path) - 1 == prefix_depth:
             for reverse in (False, True):
-                got = _extend_first(spec, memo, list(path), depth, reverse,
-                                    terminal)
-                if got is not None and got not in results:
-                    results.append(got)
+                got = complete(path, reverse)
+                if got is not None:
+                    yield got
             return
-        for _, x in _memo_preimages(spec.system, memo, path[-1]):
+        for x in spec.ordered_preimages(path[-1]):
             path.append(x)
-            enumerate_prefix(path)
+            yield from enumerate_prefix(path)
             path.pop()
 
-    enumerate_prefix([x0])
-    return results
+    return enumerate_prefix([x0])
 
 
 def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
-                   prefix_depth: int = 5,
                    extra_seeds: Sequence[float] = ()) -> StratumSample:
-    """Sample the stratum M_N (finite N) or depth-truncated M_inf (N=inf).
+    """Sample the stratum M_N (integer N >= 0) or depth-truncated M_inf
+    (N=INF).
 
     Finite strata combine two seedings: the parametrizing grid on Y pushed
     forward N steps, and backward branch enumeration from a grid of
-    ``density`` zeroth coordinates.  M_inf uses backward enumeration only;
-    branch words are enumerated exhaustively down to ``prefix_depth`` and
-    completed deterministically.  ``extra_seeds`` lets callers add known
-    dynamically relevant x0 values (e.g. attractor points).
+    ``density`` zeroth coordinates.  M_inf uses backward enumeration only.
+    Preimages come from the spec, so strata sampled from one spec share
+    them.  ``extra_seeds`` lets callers add known dynamically relevant x0
+    values (e.g. attractor points).
     """
+    if N != INF and (N < 0 or N != int(N)):
+        raise ValueError(f"N must be a nonnegative integer or INF, got {N!r}")
+    if density < 1:
+        raise ValueError(f"density must be >= 1, got {density!r}")
     sys_ = spec.system
     chains: list[Chain] = []
     seen: set = set()
-    # the backward searches of one stratum revisit the same points many
-    # times, so each call computes the preimages of a point once
-    memo: dict = {}
 
     def add(coords: tuple[float, ...], terminal: bool) -> None:
         c = Chain(tuple(sys_.space.normalize(x) for x in coords), terminal)
@@ -276,12 +259,11 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
             if all(abs(fx - s) > 1e-12 for s in seeds):
                 seeds.append(fx)
 
-    if N == INF or N == "inf":
+    if N == INF:
         if depth < 1:
             raise ValueError("depth must be >= 1 for the infinite stratum")
         for x0 in seeds:
-            for coords in _backward_chains(spec, memo, x0, depth,
-                                           prefix_depth, terminal=False):
+            for coords in _backward_chains(spec, x0, depth, terminal=False):
                 add(coords, False)
         if not chains:
             raise EmptyStratum("no infinite backward orbits found")
@@ -290,21 +272,13 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
     N = int(N)
     # forward seeding: M_N is parametrized by its last coordinate in Y
     for y in spec.y_grid(density):
-        coords = [y]
-        ok = True
-        for _ in range(N):
-            if not sys_.in_domain(coords[-1]):
-                ok = False
-                break
-            coords.append(apply(sys_, coords[-1]))
-        if ok:
-            add(tuple(coords[::-1]), True)
+        rec = orbit(sys_, y, N)
+        if not rec.escaped:
+            add(rec.points[::-1], True)
     # backward seeding: covers zeroth coordinates the forward push misses
     if N >= 1 and spec.Y:
         for x0 in seeds:
-            for coords in _backward_chains(spec, memo, x0, N,
-                                           min(prefix_depth, N - 1),
-                                           terminal=True):
+            for coords in _backward_chains(spec, x0, N, terminal=True):
                 add(coords, True)
     if not chains:
         raise EmptyStratum(f"stratum M_{N} is empty")
@@ -315,9 +289,7 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
 # Metric and Hausdorff distance
 
 
-def chain_distance(a: Chain, b: Chain,
-                   p: ChainMetricParams = DEFAULT_METRIC,
-                   space=None) -> float:
+def chain_distance(a: Chain, b: Chain, space=None) -> float:
     """Weighted sum over coordinates; where exactly one chain has
     *terminated* (terminal, past its depth) the contribution is the
     terminal gap; missing coordinates of non-terminal truncations cost
@@ -337,17 +309,12 @@ def chain_distance(a: Chain, b: Chain,
         if has_a and has_b:
             d = metric(a.coords[n], b.coords[n])
         elif has_a and not has_b:
-            d = p.terminal_gap if b.terminal else 0.0
+            d = TERMINAL_GAP if b.terminal else 0.0
         elif has_b and not has_a:
-            d = p.terminal_gap if a.terminal else 0.0
+            d = TERMINAL_GAP if a.terminal else 0.0
         else:
-            ended_a = a.terminal
-            ended_b = b.terminal
-            if ended_a != ended_b:
-                d = p.terminal_gap
-            else:
-                d = 0.0
-        total += p.weight(n) * d
+            d = TERMINAL_GAP if a.terminal != b.terminal else 0.0
+        total += WEIGHT_BASE ** n * d
     return total
 
 
@@ -392,9 +359,7 @@ def _prefix_minima(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
     return rmin, cmin
 
 
-def hausdorff(A: StratumSample, B: StratumSample,
-              p: ChainMetricParams = DEFAULT_METRIC,
-              space=None) -> float:
+def hausdorff(A: StratumSample, B: StratumSample, space=None) -> float:
     """Hausdorff distance between two stratum samples under chain_distance.
 
     Exact, and equal to the max-min over the full pairwise matrix summed
@@ -411,8 +376,7 @@ def hausdorff(A: StratumSample, B: StratumSample,
 
     ga, gb = _classes(A), _classes(B)
     horizon = max(max(g[0] for g in ga), max(g[0] for g in gb), 60)
-    w = p.weight_base ** np.arange(horizon)
-    gap = p.terminal_gap
+    w = WEIGHT_BASE ** np.arange(horizon)
 
     row_min = np.full(len(A.chains), np.inf)
     col_min = np.full(len(B.chains), np.inf)
@@ -422,11 +386,11 @@ def hausdorff(A: StratumSample, B: StratumSample,
             rmin, cmin = _prefix_minima(xa[:, :k], xb[:, :k], w, circle)
             for n in range(k, horizon):
                 if n < la:  # b has run out
-                    d = gap if tb else 0.0
+                    d = TERMINAL_GAP if tb else 0.0
                 elif n < lb:  # a has run out
-                    d = gap if ta else 0.0
+                    d = TERMINAL_GAP if ta else 0.0
                 else:
-                    d = gap if ta != tb else 0.0
+                    d = TERMINAL_GAP if ta != tb else 0.0
                 if d:
                     rmin += w[n] * d
                     cmin += w[n] * d
@@ -472,16 +436,13 @@ def lift_semiconjugacy(psi: FactorMapSample,
 # Serialization
 
 
-def stratum_to_json(sample: StratumSample, space_kind: str = "interval") -> dict:
-    doc = {
+def stratum_to_json(sample: StratumSample) -> dict:
+    return {
         "N": "inf" if sample.N == INF else int(sample.N),
         "depth": sample.depth,
         "chains": [{"coords": list(c.coords), "terminal": c.terminal}
                    for c in sample.chains],
     }
-    if space_kind != "interval":
-        doc["space"] = space_kind
-    return doc
 
 
 def stratum_from_json(doc: dict) -> StratumSample:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (EPS_CHAIN, EPS_DOM, Branch, BracketFailure, OutsideDomain,
+from .core import (EPS_DOM, Branch, BracketFailure, OutsideDomain,
                    PartialMapSystem, UNIT_INTERVAL, find_root)
 from .extension import ExtensionSpec
 
@@ -542,7 +542,11 @@ class Regime:
 
 def classify_regime(lam: float, table: Optional[CascadeTable] = None,
                     n_max: int = 8, tol_mu: float = 1e-6) -> Regime:
-    """Classify lambda against the computed parameter sequences."""
+    """Classify lambda against the computed parameter sequences.
+
+    Stability windows and their internal cascades are classified only
+    against a ``table`` built with windows; without one, a lambda inside a
+    window beyond the cascade limit is ChaoticUnclassified."""
     if not (0.0 < lam <= 1.0):
         raise ValueError("lambda must be in (0,1]")
     if lam >= 1.0 - EPS_DOM:

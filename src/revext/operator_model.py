@@ -19,8 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import EPS_CHAIN, PartialMapSystem, UNIT_INTERVAL, Branch
-from .extension import (Chain, ExtensionSpec, _ordered_preimages, alpha_tilde,
-                        validate_chain)
+from .extension import Chain, ExtensionSpec, alpha_tilde, validate_chain
 from . import logistic as _logistic
 
 THRESHOLD = 1e-12
@@ -74,11 +73,11 @@ def _canonical(spec: ExtensionSpec, c: Chain, depth: int) -> Chain:
     # extend deterministically by the first available preimage branch
     coords = list(c.coords)
     while len(coords) - 1 < depth:
-        opts = _ordered_preimages(spec.system, coords[-1])
-        if not opts:
+        xs = spec.ordered_preimages(coords[-1])
+        if not xs:
             raise ValueError("non-terminal chain cannot be extended to the "
                              "canonical depth")
-        coords.append(opts[0][1])
+        coords.append(xs[0])
     return Chain(tuple(coords), False)
 
 
@@ -86,67 +85,54 @@ def build_model(spec: ExtensionSpec, seed_chains: Sequence[Chain],
                 closure_depth: int, size_cap: int = 5000,
                 a_funcs: Optional[dict] = None) -> FiniteModel:
     """Close the seeds under the extension dynamics and its inverse (up to
-    ``closure_depth``), then assemble sigma and the diagonal generators.
+    ``closure_depth``), recording sigma as each chain's forward image joins
+    the basis, then assemble the diagonal generators.
 
     sigma[i] = j iff chain j is the image of chain i under the extension
     dynamics; chains whose image leaves the basis get -1
     (finite-dimensional compression)."""
     a_funcs = dict(DEFAULT_A_FUNCS) if a_funcs is None else a_funcs
     basis: list[Chain] = []
+    sigma: list[int] = []
     index: dict = {}
+    pending: list[int] = []
 
-    def add(c: Chain) -> bool:
+    def add(c: Chain) -> int:
+        """The basis index of c, appended and queued when new."""
         c = _canonical(spec, c, closure_depth)
         if not validate_chain(spec, c):
             raise ValueError(f"invalid chain in model basis: {c}")
         k = c.key()
-        if k in index:
-            return False
-        if len(basis) >= size_cap:
-            raise ClosureOverflow(f"basis exceeded size cap {size_cap}")
-        index[k] = len(basis)
-        basis.append(c)
-        return True
+        if k not in index:
+            if len(basis) >= size_cap:
+                raise ClosureOverflow(f"basis exceeded size cap {size_cap}")
+            index[k] = len(basis)
+            basis.append(c)
+            sigma.append(-1)
+            pending.append(index[k])
+        return index[k]
 
-    work = [
-        _canonical(spec, c, closure_depth) for c in seed_chains]
-    for c in work:
+    for c in seed_chains:
         add(c)
-    pending = list(basis)
     while pending:
-        c = pending.pop()
-        images = []
+        i = pending.pop()
+        c = basis[i]
         if spec.system.in_domain(c.coords[0]):
             img = alpha_tilde(spec, c)
-            if img.terminal and img.depth > closure_depth:
-                pass  # not addable: depth cap
-            else:
-                images.append(img)
+            if not (img.terminal and img.depth > closure_depth):
+                sigma[i] = add(img)
         if len(c.coords) >= 2:
-            images.append(Chain(c.coords[1:], c.terminal))
-        for img in images:
             try:
-                img = _canonical(spec, img, closure_depth)
+                tail = _canonical(spec, Chain(c.coords[1:], c.terminal),
+                                  closure_depth)
             except ValueError:
-                continue
-            if add(img):
-                pending.append(img)
-
-    sigma = np.full(len(basis), -1)
-    for i, c in enumerate(basis):
-        if not spec.system.in_domain(c.coords[0]):
-            continue
-        img = alpha_tilde(spec, c)
-        if img.terminal and img.depth > closure_depth:
-            continue
-        img = _canonical(spec, img, closure_depth)
-        j = index.get(img.key())
-        if j is not None:
-            sigma[i] = j
+                continue  # a truncation with no backward continuation
+            add(tail)
 
     gens = {name: np.array([f(c.coords[0]) for c in basis])
             for name, f in a_funcs.items()}
-    return FiniteModel(spec, tuple(basis), sigma, gens, closure_depth)
+    return FiniteModel(spec, tuple(basis), np.array(sigma, dtype=int), gens,
+                       closure_depth)
 
 
 # ---------------------------------------------------------------------------

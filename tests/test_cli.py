@@ -1,6 +1,7 @@
 """CLI tests: every subcommand produces its artifacts, config files merge
 with flag overrides, outputs are deterministic, and failures exit nonzero."""
 
+import hashlib
 import json
 import os
 
@@ -65,6 +66,19 @@ def test_classify(tmp_path):
     assert run(["classify", "--lambda", "0.8", "-o", out]) == 0
     doc = json.loads((tmp_path / "cls.json").read_text())
     assert doc["tag"] == "CascadeStage" and doc["n"] == 1
+
+
+@pytest.mark.parametrize("lam, tag, n, m", [
+    ("0.958", "Window", 1, None),
+    ("0.9615", "WindowCascadeStage", 1, 1),
+    ("0.935", "Window", 2, None),
+    ("0.95", "ChaoticUnclassified", None, None),
+])
+def test_classify_reports_windows(tmp_path, lam, tag, n, m):
+    out = str(tmp_path / "cls")
+    assert run(["classify", "--lambda", lam, "-o", out]) == 0
+    doc = json.loads((tmp_path / "cls.json").read_text())
+    assert (doc["tag"], doc["n"], doc["m"]) == (tag, n, m)
 
 
 def test_continuum_graph_dot_and_json(tmp_path):
@@ -138,6 +152,20 @@ def test_bad_config_line_fails(tmp_path):
                 "-o", str(tmp_path / "x")]) == 1
 
 
+@pytest.mark.parametrize("line, key", [
+    ("lambda = 0.7", "lambda"),  # the flag's spelling, not the field's
+    ("command = classify", "command"),
+])
+def test_unknown_config_key_fails(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert run(["extend", "--config", str(cfg),
+                "-o", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err and "lam" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_invalid_lambda_fails():
     assert run(["classify", "--lambda", "1.5", "-o", "/tmp/nope"]) == 1
 
@@ -149,3 +177,42 @@ def test_deterministic_output(tmp_path):
                     "--N", "3", "--density", "12", "-o", out]) == 0
     assert (tmp_path / "a.json").read_bytes() == \
         (tmp_path / "b.json").read_bytes()
+
+
+# sha256 of each output, pinned so that any change to stratum sampling or
+# the operator models is deliberate.  The outputs use only +, -, *, / and
+# sqrt, and every residual is 0.0, so the digests are platform-stable.
+_SMALL = ["--N", "4", "--depth", "8", "--density", "12", "--format", "svg"]
+_PINNED = [
+    (["extend", "--lambda", "0.95"] + _SMALL, {
+        ".json": "193c9840de1f00a7b9c82af1c9579fb8"
+                 "f850e1af77038de7122b0de096075a01",
+        ".svg": "2a0d46c3c0105e525b7c776ab6b044ae"
+                "d9b5213895afc17eea5b1f50f70be7fb"}),
+    (["extend", "--lambda", "0.6"] + _SMALL, {
+        ".json": "4853a701b93d104e9c5b39ab3a26d070"
+                 "7f406ae48b616d6546b2e2ad7a38c043",
+        ".svg": "cce41ae2ec84c9da8281500bc191c2ae"
+                "83a1c67e3115014f68f0599218ed4a03"}),
+    (["extend", "--system", "constant", "--N", "3", "--depth", "8",
+      "--density", "12", "--format", "svg"], {
+        ".json": "b57318afc46172d733ee5db162240501"
+                 "0a6983840744fb9a50a82d7bda762ea7",
+        ".svg": "27f1cb812daa61271750bc3480ecd94e"
+                "6a0571b28b964d740ac1c9314ec7ca54"}),
+] + [
+    (["operator-check", "--system", system, "--depth", "6"], {
+        ".json": "9d6bd9a45ee4a4276106de0c77c67057"
+                 "8f1ca417231573ababcb78d1714f93f6"})
+    for system in ("constant", "rotation", "period3")
+]
+
+
+@pytest.mark.parametrize("args, digests", _PINNED,
+                         ids=[" ".join(a[:3]) for a, _ in _PINNED])
+def test_outputs_match_pinned_digests(tmp_path, args, digests):
+    out = tmp_path / "out"
+    assert run(args + ["-o", str(out)]) == 0
+    for suffix, digest in digests.items():
+        data = out.with_suffix(suffix).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, suffix

@@ -134,10 +134,27 @@ def test_sample_stratum_computes_each_preimage_once(monkeypatch, N):
 
     monkeypatch.setattr(ext, "preimages", counting)
     spec = extension_spec(0.95)
-    s = sample_stratum(spec, N, 40, depth=20)
+    # the strata of one spec share its preimage lookup, so sampling N
+    # first and then the others computes no point's preimages twice
+    for M in [N] + [M for M in (4, 8, INF) if M != N]:
+        s = sample_stratum(spec, M, 40, depth=20)
+        for c in s.chains:
+            assert validate_chain(spec, c)
     assert calls and max(calls.values()) == 1
-    for c in s.chains:
-        assert validate_chain(spec, c)
+
+
+def test_preimage_lookup_leaves_spec_identity_alone():
+    a = ExtensionSpec(SPEC06.system, SPEC06.Y)
+    b = ExtensionSpec(SPEC06.system, SPEC06.Y)
+    sample_stratum(a, 3, 10)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("N, density", [
+    (-1, 10), (-INF, 10), (2.5, 10), (3, 0), (3, -4), (INF, 0)])
+def test_sample_stratum_rejects_invalid_input(N, density):
+    with pytest.raises(ValueError):
+        sample_stratum(SPEC06, N, density)
 
 
 def test_constant_map_full_strata_singleton_infinity():
