@@ -58,6 +58,10 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not (0.0 < self.lam <= 1.0):
             raise ValueError("lambda must be in (0, 1]")
+        if not (0.0 < self.lambda_min < self.lambda_max <= 1.0):
+            raise ValueError("need 0 < lambda_min < lambda_max <= 1, got "
+                             f"lambda_min={self.lambda_min}, "
+                             f"lambda_max={self.lambda_max}")
         if self.format not in ("json", "csv", "svg", "dot"):
             raise ValueError(f"unknown format {self.format!r}")
 
@@ -78,17 +82,18 @@ def read_config_file(path: str) -> dict:
 
 
 _FIELD_TYPES = {f: t for f, t in RunConfig.__annotations__.items()}
+_PARSERS = {"int": int, "float": float, "Optional[float]": float}
 
 
-def _coerce(name: str, value):
-    if value is None or not isinstance(value, str):
+def _coerce(name: str, value: str):
+    parse = _PARSERS.get(_FIELD_TYPES[name])
+    if parse is None:
         return value
-    t = _FIELD_TYPES.get(name)
-    if t in ("int",):
-        return int(value)
-    if t in ("float", "Optional[float]"):
-        return float(value)
-    return value
+    try:
+        return parse(value)
+    except ValueError:
+        raise ValueError(f"config key {name!r}: expected "
+                         f"{parse.__name__}, got {value!r}") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -127,10 +132,9 @@ class SvgCanvas:
             f'<polyline points="{coords}" fill="none" '
             f'stroke="{color}" stroke-width="{width}"/>')
 
-    def dot(self, x: float, y: float, r: float = 1.2,
-            color="black") -> None:
+    def dot(self, x: float, y: float) -> None:
         self.elements.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="{r}" fill="{color}"/>')
+            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.2" fill="black"/>')
 
     def text(self, x: float, y: float, s: str, size: int = 11) -> None:
         self.elements.append(
@@ -236,6 +240,27 @@ def _sweep_chunk(lams: np.ndarray, burn_in: int, keep: int) -> np.ndarray:
     return out
 
 
+def _centi(v: np.ndarray) -> np.ndarray:
+    """Non-negative coordinates in integer hundredths, rounded as
+    ``f"{v:.2f}"`` rounds them.  ``rint`` rounds the product ``v * 100``,
+    the format rounds the exact binary value; they can differ only within
+    a few ulps of a half, and those few are formatted directly."""
+    t = v * 100.0
+    c = np.rint(t).astype(np.int64)
+    tie = np.flatnonzero(np.abs(t - np.floor(t) - 0.5) < 1e-9)
+    c.flat[tie] = [int(f"{x:.2f}".replace(".", "")) for x in v.flat[tie]]
+    return c
+
+
+def _centi_labels(c: np.ndarray) -> list:
+    """Integer hundredths as ``:.2f`` text, each distinct value formatted
+    once."""
+    u, inv = np.unique(c, return_inverse=True)
+    text = np.array([f"{v // 100}.{v % 100:02d}" for v in u.tolist()],
+                    dtype=object)
+    return text[inv].tolist()
+
+
 def cmd_bifurcate(cfg: RunConfig) -> int:
     table = lg.CascadeTable.build(n_max=cfg.N_max)
     table.to_csv(cfg.output + ".csv")
@@ -247,12 +272,18 @@ def cmd_bifurcate(cfg: RunConfig) -> int:
     canvas = SvgCanvas(width=800.0, height=520.0)
     margin = 40.0
     span = cfg.lambda_max - cfg.lambda_min
-    for j, lam in enumerate(lams):
-        px = margin + (lam - cfg.lambda_min) / span * \
-            (canvas.width - 2 * margin)
-        for x in pts[:, j]:
-            canvas.dot(px, canvas.height - margin -
-                       x * (canvas.height - 2 * margin), r=0.4)
+    cx = _centi(margin + (lams - cfg.lambda_min) / span *
+                (canvas.width - 2 * margin))
+    cy = _centi(canvas.height - margin - pts * (canvas.height - 2 * margin))
+    # Each distinct printed dot once: sort the (cx, cy) keys and keep the
+    # first of each run (np.unique took about ten times as long on these
+    # keys), so the dots come column by column in ascending cy.
+    base = int(cy.max()) + 1
+    key = np.sort((cx * base + cy).ravel())
+    key = key[np.r_[True, key[1:] != key[:-1]]]
+    canvas.elements += [f'<circle cx="{x}" cy="{y}" r="0.4" fill="black"/>'
+                        for x, y in zip(_centi_labels(key // base),
+                                        _centi_labels(key % base))]
     canvas.text(margin, canvas.height - 8.0, f"{cfg.lambda_min:.3f}")
     canvas.text(canvas.width - margin - 40.0, canvas.height - 8.0,
                 f"{cfg.lambda_max:.3f}")

@@ -7,7 +7,6 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 
 from revext import circle as ci

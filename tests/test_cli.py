@@ -3,12 +3,13 @@ with flag overrides, outputs are deterministic, and failures exit nonzero."""
 
 import hashlib
 import json
-import os
 
+import numpy as np
 import pytest
 
 from revext import circle as ci
-from revext.cli import main, read_config_file
+from revext.cli import (_centi, _centi_labels, _sweep_chunk, main,
+                        read_config_file)
 
 
 def run(args):
@@ -59,6 +60,67 @@ def test_bifurcate_svg_sweep(tmp_path):
     assert run(["bifurcate", "--n-max", "2", "--steps", "60",
                 "--format", "svg", "-o", out]) == 0
     assert (tmp_path / "bif.svg").stat().st_size > 1000
+
+
+def _old_bifurcation_dots(lambda_min=0.74, lambda_max=1.0, steps=2000):
+    """The per-dot emitter the bifurcation SVG used before deduplication:
+    one `<circle>` per swept point, each coordinate formatted with `:.2f`."""
+    lams = np.linspace(lambda_min, lambda_max, steps)
+    pts = _sweep_chunk(lams, burn_in=600, keep=120)
+    width, height, margin = 800.0, 520.0, 40.0
+    span = lambda_max - lambda_min
+    out = []
+    for j, lam in enumerate(lams):
+        px = margin + (lam - lambda_min) / span * (width - 2 * margin)
+        for x in pts[:, j]:
+            py = height - margin - x * (height - 2 * margin)
+            out.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="0.4" '
+                       f'fill="black"/>')
+    return out
+
+
+@pytest.mark.parametrize("steps", [60, 2000])
+def test_bifurcate_svg_draws_each_old_dot_once(tmp_path, steps):
+    out = str(tmp_path / "bif")
+    args = ["bifurcate", "--n-max", "2", "--format", "svg", "-o", out]
+    if steps != 2000:  # 2000 is the default sweep
+        args += ["--steps", str(steps)]
+    assert run(args) == 0
+    svg = (tmp_path / "bif.svg").read_text()
+    assert svg.startswith("<svg") and svg.endswith("</svg>\n")
+    assert '<text x="40.00" y="512.00" font-size="11" ' \
+        'font-family="monospace">0.740</text>' in svg
+    assert '<text x="720.00" y="512.00" font-size="11" ' \
+        'font-family="monospace">1.000</text>' in svg
+    dots = [line for line in svg.splitlines() if line.startswith("<circle")]
+    assert len(dots) == len(set(dots))
+    assert set(dots) == set(_old_bifurcation_dots(steps=steps))
+    # column by column, and within a column in ascending cy
+    coords = [tuple(float(line.split('"')[k]) for k in (1, 3))
+              for line in dots]
+    assert coords == sorted(coords)
+
+
+def test_centi_rounds_as_format_does():
+    # Values at and next to half a hundredth, where rounding v * 100 and
+    # formatting v with `:.2f` can disagree.
+    v = (np.arange(48_000) + 0.5) / 100.0
+    v = np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, 1e9)])
+    assert _centi_labels(_centi(v)) == [f"{x:.2f}" for x in v.tolist()]
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--lambda-min", "0.9", "--lambda-max", "0.9"],
+    ["--lambda-min", "0.9", "--lambda-max", "0.8"],
+    ["--lambda-max", "1.2"],
+], ids=["empty", "reversed", "above-1"])
+def test_bifurcate_rejects_bad_range(tmp_path, capsys, bounds):
+    out = str(tmp_path / "bif")
+    assert run(["bifurcate", "--n-max", "2", "--steps", "50",
+                "--format", "svg", "-o", out] + bounds) == 1
+    err = capsys.readouterr().err
+    assert "lambda_min" in err and "lambda_max" in err
+    assert not list(tmp_path.iterdir())  # no .svg, and no .csv either
 
 
 def test_classify(tmp_path):
@@ -166,6 +228,16 @@ def test_unknown_config_key_fails(tmp_path, capsys, line, key):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_config_value_error_names_key(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("N = 2.5\n")
+    assert run(["extend", "--config", str(cfg),
+                "-o", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == \
+        "error: config key 'N': expected int, got '2.5'\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_invalid_lambda_fails():
     assert run(["classify", "--lambda", "1.5", "-o", "/tmp/nope"]) == 1
 
@@ -179,9 +251,10 @@ def test_deterministic_output(tmp_path):
         (tmp_path / "b.json").read_bytes()
 
 
-# sha256 of each output, pinned so that any change to stratum sampling or
-# the operator models is deliberate.  The outputs use only +, -, *, / and
-# sqrt, and every residual is 0.0, so the digests are platform-stable.
+# sha256 of each output, pinned so that any change to stratum sampling, the
+# operator models or the bifurcation sweep is deliberate.  The outputs use
+# only +, -, *, / and sqrt, and every residual is 0.0, so the digests are
+# platform-stable.
 _SMALL = ["--N", "4", "--depth", "8", "--density", "12", "--format", "svg"]
 _PINNED = [
     (["extend", "--lambda", "0.95"] + _SMALL, {
@@ -200,6 +273,9 @@ _PINNED = [
                  "0a6983840744fb9a50a82d7bda762ea7",
         ".svg": "27f1cb812daa61271750bc3480ecd94e"
                 "6a0571b28b964d740ac1c9314ec7ca54"}),
+    (["bifurcate", "--n-max", "2", "--steps", "60", "--format", "svg"], {
+        ".svg": "8db3475b50eb734ce2c5cd78d6b00208"
+                "12c643f34a7130507825192c87998fb7"}),
 ] + [
     (["operator-check", "--system", system, "--depth", "6"], {
         ".json": "9d6bd9a45ee4a4276106de0c77c67057"

@@ -8,7 +8,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from revext.core import (CIRCLE, BracketFailure, Branch, FactorMapSample,
+from revext.core import (CIRCLE, BracketFailure, FactorMapSample,
                          OutsideDomain, PartialMapSystem, UNIT_INTERVAL, apply,
                          check_semiconjugacy, find_root, make_constant_system,
                          make_rotation_system, omega_limit, orbit, preimages)

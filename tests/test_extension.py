@@ -3,7 +3,6 @@ and its inverse, the factor map, stratum sampling, the chain metric with a
 brute-force Hausdorff oracle, and the semiconjugacy lift."""
 
 import json
-import math
 import random
 from collections import Counter
 

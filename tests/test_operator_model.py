@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from revext import operator_model as om
-from revext.extension import Chain, ExtensionSpec, alpha_tilde
+from revext.extension import Chain, alpha_tilde
 from revext.logistic import extension_spec
 
 
