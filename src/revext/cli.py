@@ -21,8 +21,7 @@ from . import circle as ci
 from . import logistic as lg
 from . import operator_model as om
 from .core import make_constant_system
-from .extension import (INF, EmptyStratum, ExtensionSpec, sample_stratum,
-                        stratum_to_json)
+from .extension import INF, EmptyStratum, ExtensionSpec, sample_stratum
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +123,13 @@ class SvgCanvas:
     height: float = 480.0
     elements: list = field(default_factory=list)
 
-    def polyline(self, pts, color="black", width=1.0) -> None:
+    def polyline(self, pts, width=1.0) -> None:
         if len(pts) < 2:
             return
         coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
         self.elements.append(
             f'<polyline points="{coords}" fill="none" '
-            f'stroke="{color}" stroke-width="{width}"/>')
-
-    def dot(self, x: float, y: float) -> None:
-        self.elements.append(
-            f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.2" fill="black"/>')
+            f'stroke="black" stroke-width="{width}"/>')
 
     def text(self, x: float, y: float, s: str, size: int = 11) -> None:
         self.elements.append(
@@ -142,13 +137,28 @@ class SvgCanvas:
             f'font-family="monospace">{s}</text>')
 
     def write(self, path: str) -> None:
-        body = "\n".join(self.elements)
-        doc = (f'<svg xmlns="http://www.w3.org/2000/svg" '
-               f'width="{self.width:.0f}" height="{self.height:.0f}" '
-               f'viewBox="0 0 {self.width:.0f} {self.height:.0f}">\n'
-               f'{body}\n</svg>\n')
         with open(path, "w") as fh:
-            fh.write(doc)
+            fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
+                     f'width="{self.width:.0f}" height="{self.height:.0f}" '
+                     f'viewBox="0 0 {self.width:.0f} {self.height:.0f}">\n')
+            fh.write("\n".join(self.elements))
+            fh.write("\n</svg>\n")
+
+
+class _Formats(dict):
+    """``fmt(x)`` of each distinct nonzero number, computed once.  Zeros
+    are formatted every time: 0.0 and -0.0 are one dict key, but ``repr``
+    tells them apart."""
+
+    def __init__(self, fmt):
+        super().__init__()
+        self.fmt = fmt
+
+    def __missing__(self, x):
+        s = self.fmt(x)
+        if x:
+            self[x] = s
+        return s
 
 
 # ---------------------------------------------------------------------------
@@ -166,23 +176,62 @@ def _extension_spec_for(cfg: RunConfig) -> ExtensionSpec:
 def _ladder_svg(samples: dict, path: str) -> None:
     """Rows of strata (finite N top to bottom, infinite part last), each
     chain drawn as its head coordinate; successive coordinates of the same
-    chain are offset into a short spring to hint at the backward orbit."""
+    chain are offset into a short spring to hint at the backward orbit.
+    Each distinct x label is formatted once, and the y labels once per row
+    and chain length."""
     canvas = SvgCanvas()
     margin, row_h = 50.0, 36.0
+    scale = canvas.width - 2 * margin
     rows = list(samples.items())
     canvas.height = max(140.0, margin + row_h * (len(rows) + 1))
+    xl = _Formats(lambda c: f"{margin + c * scale:.2f}")
+    lines = canvas.elements
     for r, (label, sample) in enumerate(rows):
         y0 = margin + r * row_h
         canvas.text(8.0, y0 + 4.0, f"N={label}")
+        yl = {}
         for chain in sample.chains:
-            xs = [margin + c * (canvas.width - 2 * margin)
-                  for c in chain.coords]
-            pts = [(x, y0 + 10.0 * k / (len(xs) or 1))
-                   for k, x in enumerate(xs[:6])]
-            canvas.dot(pts[0][0], pts[0][1])
-            if len(pts) > 1:
-                canvas.polyline(pts, color="#888", width=0.5)
+            coords = chain.coords
+            n = len(coords)
+            ys = yl.get(n)
+            if ys is None:
+                ys = yl[n] = [f"{y0 + 10.0 * k / n:.2f}"
+                              for k in range(min(n, 6))]
+            xs = [xl[c] for c in coords[:6]]
+            lines.append(f'<circle cx="{xs[0]}" cy="{ys[0]}" r="1.2" '
+                         f'fill="black"/>')
+            if n > 1:
+                pts = " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
+                lines.append(f'<polyline points="{pts}" fill="none" '
+                             f'stroke="#888" stroke-width="0.5"/>')
     canvas.write(path)
+
+
+def _write_strata_json(fh, strata: dict) -> None:
+    """Write ``{key: stratum_to_json(sample)}``, with ``{"empty": true}``
+    where the sample is None, exactly as ``json.dump(doc, fh, indent=1)``
+    writes it for finite coordinates, stratum by stratum and chain by
+    chain.  Strata sampled from one spec share most coordinates, so each
+    distinct one is formatted once."""
+    text = _Formats(float.__repr__)
+    sep = "{\n "
+    for key, sample in strata.items():
+        fh.write(f"{sep}{json.dumps(key)}: {{\n  ")
+        sep = ",\n "
+        if sample is None:
+            fh.write('"empty": true\n }')
+            continue
+        N = '"inf"' if sample.N == INF else int(sample.N)
+        fh.write(f'"N": {N},\n  "depth": {sample.depth},\n  "chains": [')
+        item = "\n   {"
+        for c in sample.chains:
+            fh.write(f'{item}\n    "coords": [\n     '
+                     + ",\n     ".join([text[x] for x in c.coords])
+                     + ('\n    ],\n    "terminal": true\n   }' if c.terminal
+                        else '\n    ],\n    "terminal": false\n   }'))
+            item = ",\n   {"
+        fh.write("\n  ]\n }")
+    fh.write("\n}")
 
 
 def cmd_extend(cfg: RunConfig) -> int:
@@ -209,23 +258,20 @@ def cmd_extend(cfg: RunConfig) -> int:
         return 0
 
     spec = _extension_spec_for(cfg)
-    samples = {}
-    doc = {}
+    strata = {}
     for N in list(range(cfg.N + 1)) + ["inf"]:
         try:
-            sample = sample_stratum(spec, INF if N == "inf" else N,
-                                    cfg.density, depth=cfg.depth)
+            strata[str(N)] = sample_stratum(spec, INF if N == "inf" else N,
+                                            cfg.density, depth=cfg.depth)
         except EmptyStratum:
-            doc[str(N)] = {"empty": True}
-            continue
-        samples[N] = sample
-        doc[str(N)] = stratum_to_json(sample)
+            strata[str(N)] = None
     with open(cfg.output + ".json", "w") as fh:
-        json.dump(doc, fh, indent=1)
+        _write_strata_json(fh, strata)
+    samples = {N: s for N, s in strata.items() if s is not None}
     if cfg.format == "svg":
         _ladder_svg(samples, cfg.output + ".svg")
     print(f"sampled {len(samples)} nonempty strata "
-          f"({len(doc) - len(samples)} empty)")
+          f"({len(strata) - len(samples)} empty)")
     return 0
 
 

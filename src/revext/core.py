@@ -301,6 +301,9 @@ def make_constant_system(p: float) -> PartialMapSystem:
     canonical representative p, which is the only point with an infinite
     backward orbit.
     """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"constant map target p must lie in [0, 1], "
+                         f"got p={p!r}")
 
     def fwd(x: float) -> float:
         return p

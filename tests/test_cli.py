@@ -2,14 +2,18 @@
 with flag overrides, outputs are deterministic, and failures exit nonzero."""
 
 import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revext import circle as ci
-from revext.cli import (_centi, _centi_labels, _sweep_chunk, main,
-                        read_config_file)
+from revext.cli import (RunConfig, SvgCanvas, _centi, _centi_labels,
+                        _extension_spec_for, _ladder_svg, _sweep_chunk,
+                        _write_strata_json, main, read_config_file)
+from revext.extension import INF, EmptyStratum, sample_stratum, stratum_to_json
 
 
 def run(args):
@@ -45,6 +49,104 @@ def test_extend_rotation_ladder(tmp_path):
     doc = json.loads((tmp_path / "rot.json").read_text())
     assert doc["kind"] == "ArcLadder" and doc["space"] == "circle"
     assert (tmp_path / "rot.svg").exists()
+
+
+def _strata(N=4, depth=8, density=12, **system):
+    """The strata `extend` samples, keyed as in its JSON (None if empty)."""
+    spec = _extension_spec_for(RunConfig("extend", **system))
+    strata = {}
+    for n in list(range(N + 1)) + ["inf"]:
+        try:
+            strata[str(n)] = sample_stratum(spec, INF if n == "inf" else n,
+                                            density, depth=depth)
+        except EmptyStratum:
+            strata[str(n)] = None
+    return strata
+
+
+def _check_strata_json(strata):
+    doc = {k: {"empty": True} if s is None else stratum_to_json(s)
+           for k, s in strata.items()}
+    fh = io.StringIO()
+    _write_strata_json(fh, strata)
+    assert fh.getvalue() == json.dumps(doc, indent=1)
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("system", [
+    {"lam": 0.95}, {"lam": 0.6}, {"system": "constant", "p": 0.5},
+], ids=["lambda=0.95", "lambda=0.6", "constant-p=0.5"])
+def test_strata_json_is_json_dump(system):
+    _check_strata_json(_strata(**system))
+
+
+def test_strata_json_at_lambda_one_has_empty_finite_strata():
+    strata = _strata(lam=1.0)
+    assert [k for k, s in strata.items() if s is not None] == ["inf"]
+    _check_strata_json(strata)
+
+
+def test_strata_json_keeps_signed_zero():
+    text = _check_strata_json(_strata(system="constant", p=-0.0))
+    lines = text.splitlines()
+    assert "     -0.0," in lines and "     0.0," in lines
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(0.5, 1.0))
+def test_strata_json_is_json_dump_across_lambda(lam):
+    _check_strata_json(_strata(N=3, depth=6, density=8, lam=lam))
+
+
+def _old_ladder_svg(samples, path):
+    """The per-chain emitter the ladder SVG used before its labels were
+    memoized: every point of every chain formatted with `:.2f`."""
+    canvas = SvgCanvas()
+    margin, row_h = 50.0, 36.0
+    rows = list(samples.items())
+    canvas.height = max(140.0, margin + row_h * (len(rows) + 1))
+    for r, (label, sample) in enumerate(rows):
+        y0 = margin + r * row_h
+        canvas.text(8.0, y0 + 4.0, f"N={label}")
+        for chain in sample.chains:
+            xs = [margin + c * (canvas.width - 2 * margin)
+                  for c in chain.coords]
+            pts = [(x, y0 + 10.0 * k / (len(xs) or 1))
+                   for k, x in enumerate(xs[:6])]
+            canvas.elements.append(f'<circle cx="{pts[0][0]:.2f}" '
+                                   f'cy="{pts[0][1]:.2f}" r="1.2" '
+                                   f'fill="black"/>')
+            if len(pts) > 1:
+                coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
+                canvas.elements.append(
+                    f'<polyline points="{coords}" fill="none" '
+                    f'stroke="#888" stroke-width="0.5"/>')
+    canvas.write(path)
+
+
+@pytest.mark.parametrize("system", [
+    {"lam": 0.95}, {"lam": 0.6}, {"lam": 1.0},
+    {"system": "constant", "p": -0.0},
+], ids=["lambda=0.95", "lambda=0.6", "lambda=1.0", "constant-p=-0.0"])
+def test_ladder_svg_matches_per_chain_emitter(tmp_path, system):
+    samples = {k: s for k, s in _strata(N=6, depth=10, density=20,
+                                        **system).items() if s is not None}
+    _ladder_svg(samples, str(tmp_path / "new.svg"))
+    _old_ladder_svg(samples, str(tmp_path / "old.svg"))
+    assert (tmp_path / "new.svg").read_text() == \
+        (tmp_path / "old.svg").read_text()
+
+
+@pytest.mark.parametrize("argv, shown", [
+    (["extend", "--system", "constant", "--p", "1.5"], "p=1.5"),
+    (["operator-check", "--system", "constant", "--p", "2"], "p=2.0"),
+], ids=["extend", "operator-check"])
+def test_constant_target_outside_unit_interval_fails(tmp_path, capsys,
+                                                     argv, shown):
+    assert run(argv + ["-o", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and shown in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_bifurcate_csv(tmp_path):
@@ -273,6 +375,19 @@ _PINNED = [
                  "0a6983840744fb9a50a82d7bda762ea7",
         ".svg": "27f1cb812daa61271750bc3480ecd94e"
                 "6a0571b28b964d740ac1c9314ec7ca54"}),
+    # every finite stratum empty
+    (["extend", "--lambda", "1.0"] + _SMALL, {
+        ".json": "80f7b8632385bd273f8b366fdfbb99b1"
+                 "e0463061ac9ef4f59bf574d0137c232c",
+        ".svg": "84861ce20656b363e71c7d771206802f"
+                "5b63c8e3441a29b79e3ce073967675ac"}),
+    # a signed zero in every chain
+    (["extend", "--p", "-0.0", "--system", "constant", "--N", "3",
+      "--depth", "8", "--density", "12", "--format", "svg"], {
+        ".json": "32584dcec7f2d65745aaf89733c8089a"
+                 "a1a5005255be12a63fc98d0630b26f00",
+        ".svg": "2caf525aff21a205fb2c79b43d0c7057"
+                "b9dfae10ee73b902e8c2c33d290cf0fc"}),
     (["bifurcate", "--n-max", "2", "--steps", "60", "--format", "svg"], {
         ".svg": "8db3475b50eb734ce2c5cd78d6b00208"
                 "12c643f34a7130507825192c87998fb7"}),

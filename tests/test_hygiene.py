@@ -1,5 +1,6 @@
 """Source hygiene: no module in the package or the tests imports a name it
-never uses.  A plain AST scan, so no linter is needed."""
+never uses, and every function, class and method of the package is
+referenced somewhere.  Plain AST scans, so no linter is needed."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,19 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "revext").glob("*.py")) + \
-    sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "revext").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+# every file that may reference a package definition
+READERS = sorted((ROOT / "src").rglob("*.py")) + \
+    sorted((ROOT / "tests").glob("*.py")) + \
+    sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _exported(tree: ast.AST) -> set:
+    return {name for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)}
 
 
 def unused_imports(source: str) -> list:
@@ -17,7 +29,6 @@ def unused_imports(source: str) -> list:
     ``__all__`` (the package's re-exports)."""
     tree = ast.parse(source)
     imported = {}
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -26,13 +37,42 @@ def unused_imports(source: str) -> list:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            exported |= set(ast.literal_eval(node.value))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(f"line {line}: {name}" for name, line in imported.items()
-                  if name not in used | exported)
+                  if name not in used | _exported(tree))
+
+
+def unreferenced_definitions(modules: dict, readers: list) -> list:
+    """Functions, classes and methods defined in ``modules`` (label ->
+    source) that no source in ``readers`` references.  A method counts as
+    referenced only by an attribute of its name (a local variable of the
+    same name does not reach it); any other definition also by a name or
+    an imported name.  Dunder methods are exempt, and so are the names any
+    of ``modules`` lists in its ``__all__``."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined = []
+    exempt = set()
+    for label, source in modules.items():
+        tree = ast.parse(source)
+        exempt |= _exported(tree)
+        methods = {id(node) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, defs)}
+        defined += [(label, node.lineno, node.name, id(node) in methods)
+                    for node in ast.walk(tree) if isinstance(node, defs)]
+    names, attrs = set(), set()
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return [f"{label} line {line}: {name}"
+            for label, line, name, method in sorted(defined)
+            if name not in (attrs if method else names | attrs) | exempt
+            and not (name.startswith("__") and name.endswith("__"))]
 
 
 def test_scan_finds_unused_imports():
@@ -48,3 +88,27 @@ def test_scan_finds_unused_imports():
                          ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_unreferenced_definitions():
+    module = ("__all__ = ['exported']\n"
+              "def exported(): pass\n"
+              "def imported(): pass\n"
+              "def called(): pass\n"
+              "def dead(): called()\n"
+              "class Canvas:\n"
+              "    def __repr__(self): return ''\n"
+              "    def draw(self): pass\n"
+              "    def dot(self): pass\n"
+              "class Orphan: pass\n")
+    reader = ("from m import imported as im\n"
+              "Canvas().draw()\n"
+              "dot = None\n")
+    assert unreferenced_definitions({"m": module}, [module, reader]) == [
+        "m line 5: dead", "m line 9: dot", "m line 10: Orphan"]
+
+
+def test_every_definition_is_referenced():
+    modules = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert unreferenced_definitions(
+        modules, [p.read_text() for p in READERS]) == []
