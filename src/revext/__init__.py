@@ -6,8 +6,8 @@ from .core import (CIRCLE, EPS_CHAIN, EPS_DOM, UNIT_INTERVAL, Branch,
                    OrbitEscaped, OutsideDomain, PartialMapSystem, apply,
                    check_semiconjugacy, make_constant_system,
                    make_rotation_system, omega_limit, orbit, preimages)
-from .extension import (INF, Chain, EmptyStratum, ExtensionSpec, InvalidLift,
-                        NotInImage, StratumSample, alpha_tilde,
+from .extension import (INF, Chain, ChainRows, EmptyStratum, ExtensionSpec,
+                        InvalidLift, NotInImage, StratumSample, alpha_tilde,
                         alpha_tilde_inv, chain_distance, factor_map,
                         hausdorff, lift_semiconjugacy, sample_stratum,
                         validate_chain)
@@ -17,10 +17,10 @@ __all__ = [
     "OrbitEscaped", "OutsideDomain", "PartialMapSystem", "apply",
     "check_semiconjugacy", "make_constant_system", "make_rotation_system",
     "omega_limit", "orbit", "preimages",
-    "INF", "Chain", "EmptyStratum", "ExtensionSpec", "InvalidLift",
-    "NotInImage", "StratumSample", "alpha_tilde", "alpha_tilde_inv",
-    "chain_distance", "factor_map", "hausdorff", "lift_semiconjugacy",
-    "sample_stratum", "validate_chain",
+    "INF", "Chain", "ChainRows", "EmptyStratum", "ExtensionSpec",
+    "InvalidLift", "NotInImage", "StratumSample", "alpha_tilde",
+    "alpha_tilde_inv", "chain_distance", "factor_map", "hausdorff",
+    "lift_semiconjugacy", "sample_stratum", "validate_chain",
 ]
 
 __version__ = "0.1.0"

@@ -177,8 +177,8 @@ def _ladder_svg(samples: dict, path: str) -> None:
     """Rows of strata (finite N top to bottom, infinite part last), each
     chain drawn as its head coordinate; successive coordinates of the same
     chain are offset into a short spring to hint at the backward orbit.
-    Each distinct x label is formatted once, and the y labels once per row
-    and chain length."""
+    Each distinct x label is formatted once, and the y labels once per
+    row (a sampled stratum's chains share one length)."""
     canvas = SvgCanvas()
     margin, row_h = 50.0, 36.0
     scale = canvas.width - 2 * margin
@@ -189,15 +189,11 @@ def _ladder_svg(samples: dict, path: str) -> None:
     for r, (label, sample) in enumerate(rows):
         y0 = margin + r * row_h
         canvas.text(8.0, y0 + 4.0, f"N={label}")
-        yl = {}
-        for chain in sample.chains:
-            coords = chain.coords
-            n = len(coords)
-            ys = yl.get(n)
-            if ys is None:
-                ys = yl[n] = [f"{y0 + 10.0 * k / n:.2f}"
-                              for k in range(min(n, 6))]
-            xs = [xl[c] for c in coords[:6]]
+        coords = sample.chains.coords
+        n = coords.shape[1]
+        ys = [f"{y0 + 10.0 * k / n:.2f}" for k in range(min(n, 6))]
+        for head in coords[:, :6].tolist():
+            xs = [xl[c] for c in head]
             lines.append(f'<circle cx="{xs[0]}" cy="{ys[0]}" r="1.2" '
                          f'fill="black"/>')
             if n > 1:
@@ -223,12 +219,13 @@ def _write_strata_json(fh, strata: dict) -> None:
             continue
         N = '"inf"' if sample.N == INF else int(sample.N)
         fh.write(f'"N": {N},\n  "depth": {sample.depth},\n  "chains": [')
+        rows = sample.chains
+        tail = ('\n    ],\n    "terminal": true\n   }' if rows.terminal
+                else '\n    ],\n    "terminal": false\n   }')
         item = "\n   {"
-        for c in sample.chains:
+        for row in rows.coords.tolist():
             fh.write(f'{item}\n    "coords": [\n     '
-                     + ",\n     ".join([text[x] for x in c.coords])
-                     + ('\n    ],\n    "terminal": true\n   }' if c.terminal
-                        else '\n    ],\n    "terminal": false\n   }'))
+                     + ",\n     ".join([text[x] for x in row]) + tail)
             item = ",\n   {"
         fh.write("\n  ]\n }")
     fh.write("\n}")

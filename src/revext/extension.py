@@ -10,9 +10,11 @@ prepends alpha(x0); its inverse is the coordinate shift.
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -112,10 +114,44 @@ class ExtensionSpec:
         return pts
 
 
+class ChainRows(Sequence):
+    """Chains of one length and one terminal flag, kept as the rows of a
+    float64 (n, length) array.  A Chain is built only when one is read:
+    indexing gives a Chain, slicing another ChainRows, and iteration yields
+    Chains.  Equal to any sequence of the same Chains in the same order."""
+
+    def __init__(self, coords: np.ndarray, terminal: bool):
+        self.coords = coords
+        self.terminal = terminal
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ChainRows(self.coords[i], self.terminal)
+        return Chain(tuple(self.coords[i].tolist()), self.terminal)
+
+    def __iter__(self):
+        t = self.terminal
+        return (Chain(tuple(row), t) for row in self.coords.tolist())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class StratumSample:
+    """A sample of the stratum M_N (N an int, or INF for depth-truncated
+    M_inf).  ``chains`` is a ChainRows in every sampled stratum; a sample
+    built by hand may hold any sequence of Chain, of mixed lengths and
+    terminal flags too."""
+
     N: object  # int or math.inf
-    chains: tuple[Chain, ...]
+    chains: Sequence[Chain]
     depth: int
 
 
@@ -237,52 +273,67 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
     if density < 1:
         raise ValueError(f"density must be >= 1, got {density!r}")
     sys_ = spec.system
-    chains: list[Chain] = []
-    seen: set = set()
-
-    def add(coords: tuple[float, ...], terminal: bool) -> None:
-        c = Chain(tuple(sys_.space.normalize(x) for x in coords), terminal)
-        k = c.key()
-        if k not in seen:
-            seen.add(k)
-            chains.append(c)
-
     lo = min(iv[0] for iv in sys_.domain)
     hi = max(iv[1] for iv in sys_.domain)
     grid = [lo + (hi - lo) * j / max(density - 1, 1) for j in range(density)]
     seeds = grid + [sys_.space.normalize(s) for s in extra_seeds]
     # forward images of grid points reach values (e.g. a constant map's
-    # target) that carry backward orbits even when the grid misses them
+    # target) that carry backward orbits even when the grid misses them.
+    # fl(fx - s) is monotone in s, so the accepted seeds nearest to fx on
+    # either side decide whether fx is new.
+    ordered = sorted(seeds)
     for x in grid:
         if sys_.in_domain(x):
             fx = apply(sys_, x)
-            if all(abs(fx - s) > 1e-12 for s in seeds):
+            i = bisect.bisect_left(ordered, fx)
+            if all(abs(fx - s) > 1e-12 for s in ordered[max(i - 1, 0):i + 1]):
                 seeds.append(fx)
+                ordered.insert(i, fx)
 
+    # backward chains start at a seed; their other coordinates are
+    # preimages, already normalized
+    rows: list[tuple[float, ...]] = []
     if N == INF:
         if depth < 1:
             raise ValueError("depth must be >= 1 for the infinite stratum")
         for x0 in seeds:
-            for coords in _backward_chains(spec, x0, depth, terminal=False):
-                add(coords, False)
-        if not chains:
+            rows += _backward_chains(spec, sys_.space.normalize(x0), depth,
+                                     terminal=False)
+        if not rows:
             raise EmptyStratum("no infinite backward orbits found")
-        return StratumSample(INF, tuple(chains), depth)
+        return StratumSample(INF, ChainRows(_distinct_rows(rows), False),
+                             depth)
 
     N = int(N)
     # forward seeding: M_N is parametrized by its last coordinate in Y
     for y in spec.y_grid(density):
         rec = orbit(sys_, y, N)
         if not rec.escaped:
-            add(rec.points[::-1], True)
+            rows.append(rec.points[::-1])
     # backward seeding: covers zeroth coordinates the forward push misses
     if N >= 1 and spec.Y:
         for x0 in seeds:
-            for coords in _backward_chains(spec, x0, N, terminal=True):
-                add(coords, True)
-    if not chains:
+            rows += _backward_chains(spec, sys_.space.normalize(x0), N,
+                                     terminal=True)
+    if not rows:
         raise EmptyStratum(f"stratum M_{N} is empty")
-    return StratumSample(N, tuple(chains), depth)
+    return StratumSample(N, ChainRows(_distinct_rows(rows), True), depth)
+
+
+def _distinct_rows(rows: list) -> np.ndarray:
+    """The rows of one length as an array, one per class of ``Chain.key``,
+    in first-occurrence order: two rows are one class when Python's
+    ``round(x, 9)`` agrees at every coordinate.  ``round`` runs once per
+    distinct value; it is monotone, so the values it merges are neighbours
+    in sorted order and one class id per run of them suffices."""
+    coords = np.array(rows, dtype=float)
+    values, inverse = np.unique(coords, return_inverse=True)
+    rounded = np.array([round(v, 9) for v in values.tolist()])
+    ids = np.cumsum(np.r_[False, rounded[1:] != rounded[:-1]])
+    # numpy 2.0 changed the shape of the inverse, so set it here
+    classes = ids[inverse.reshape(coords.shape)]
+    _, first = np.unique(classes, axis=0, return_index=True)
+    return coords[np.sort(first)]
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +375,12 @@ _ROW_BLOCK = 256
 
 def _classes(sample: StratumSample) -> list:
     """Chains grouped by (length, terminal): one (length, terminal, indices
-    in the sample, (count, length) coordinate array) tuple per class."""
+    in the sample, (count, length) coordinate array) tuple per class.  A
+    ChainRows sample is its one class."""
+    rows = sample.chains
+    if isinstance(rows, ChainRows):
+        return [(rows.coords.shape[1], rows.terminal, slice(None),
+                 rows.coords)]
     groups: dict = {}
     for i, c in enumerate(sample.chains):
         groups.setdefault((len(c.coords), c.terminal), []).append(i)
@@ -437,16 +493,35 @@ def lift_semiconjugacy(psi: FactorMapSample,
 
 
 def stratum_to_json(sample: StratumSample) -> dict:
+    rows = sample.chains
+    if isinstance(rows, ChainRows):
+        chains = [{"coords": row, "terminal": rows.terminal}
+                  for row in rows.coords.tolist()]
+    else:
+        chains = [{"coords": list(c.coords), "terminal": c.terminal}
+                  for c in rows]
     return {
         "N": "inf" if sample.N == INF else int(sample.N),
         "depth": sample.depth,
-        "chains": [{"coords": list(c.coords), "terminal": c.terminal}
-                   for c in sample.chains],
+        "chains": chains,
     }
 
 
 def stratum_from_json(doc: dict) -> StratumSample:
+    """The sample ``stratum_to_json`` wrote.  Raises EmptyStratum for the
+    ``{"empty": true}`` entry that ``extend`` writes for an empty stratum.
+    Chains of one length and flag come back as ChainRows."""
+    if doc.get("empty"):
+        raise EmptyStratum('the entry {"empty": true} holds no stratum '
+                           'sample: that stratum was empty')
     N = INF if doc["N"] == "inf" else int(doc["N"])
-    chains = tuple(Chain(tuple(c["coords"]), bool(c["terminal"]))
-                   for c in doc["chains"])
+    items = doc["chains"]
+    shapes = {(len(c["coords"]), bool(c["terminal"])) for c in items}
+    if len(shapes) == 1:
+        (_, terminal), = shapes
+        chains = ChainRows(np.array([c["coords"] for c in items],
+                                    dtype=float), terminal)
+    else:
+        chains = tuple(Chain(tuple(c["coords"]), bool(c["terminal"]))
+                       for c in items)
     return StratumSample(N, chains, int(doc["depth"]))

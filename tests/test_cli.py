@@ -13,7 +13,8 @@ from revext import circle as ci
 from revext.cli import (RunConfig, SvgCanvas, _centi, _centi_labels,
                         _extension_spec_for, _ladder_svg, _sweep_chunk,
                         _write_strata_json, main, read_config_file)
-from revext.extension import INF, EmptyStratum, sample_stratum, stratum_to_json
+from revext.extension import (INF, EmptyStratum, sample_stratum,
+                              stratum_from_json, stratum_to_json)
 
 
 def run(args):
@@ -84,6 +85,24 @@ def test_strata_json_at_lambda_one_has_empty_finite_strata():
     strata = _strata(lam=1.0)
     assert [k for k, s in strata.items() if s is not None] == ["inf"]
     _check_strata_json(strata)
+
+
+def test_strata_json_at_lambda_one_reads_back(tmp_path):
+    # every finite entry is {"empty": true}; reading one back names it
+    out = str(tmp_path / "ext")
+    assert run(["extend", "--lambda", "1.0", "--N", "4", "--depth", "8",
+                "--density", "12", "-o", out]) == 0
+    doc = json.loads((tmp_path / "ext.json").read_text())
+    strata = _strata(lam=1.0)
+    assert list(doc) == list(strata)
+    for key, entry in doc.items():
+        if strata[key] is None:
+            with pytest.raises(EmptyStratum, match='"empty": true'):
+                stratum_from_json(entry)
+        else:
+            back = stratum_from_json(entry)
+            assert (back.N, back.depth) == (INF, 8)
+            assert back.chains == strata[key].chains
 
 
 def test_strata_json_keeps_signed_zero():

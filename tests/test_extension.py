@@ -7,6 +7,7 @@ import random
 from collections import Counter
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import revext.extension as ext
@@ -168,6 +169,150 @@ def test_constant_map_full_strata_singleton_infinity():
     si = sample_stratum(spec, INF, 15, depth=10)
     assert len(si.chains) == 1
     assert all(x == pytest.approx(p) for x in si.chains[0].coords)
+
+
+def _old_sample_stratum(spec, N, density, depth):
+    """The sampler as it was before strata became arrays, as the oracle:
+    an O(density^2) seed scan, and a Chain per yield, normalized
+    coordinate by coordinate and kept when its ``Chain.key`` is new."""
+    sys_ = spec.system
+    chains, seen = [], set()
+
+    def add(coords, terminal):
+        c = Chain(tuple(sys_.space.normalize(x) for x in coords), terminal)
+        if c.key() not in seen:
+            seen.add(c.key())
+            chains.append(c)
+
+    lo = min(iv[0] for iv in sys_.domain)
+    hi = max(iv[1] for iv in sys_.domain)
+    grid = [lo + (hi - lo) * j / max(density - 1, 1) for j in range(density)]
+    seeds = list(grid)
+    for x in grid:
+        if sys_.in_domain(x):
+            fx = ext.apply(sys_, x)
+            if all(abs(fx - s) > 1e-12 for s in seeds):
+                seeds.append(fx)
+    if N == INF:
+        for x0 in seeds:
+            for coords in ext._backward_chains(spec, x0, depth, False):
+                add(coords, False)
+        return chains
+    for y in spec.y_grid(density):
+        rec = ext.orbit(sys_, y, N)
+        if not rec.escaped:
+            add(rec.points[::-1], True)
+    if N >= 1 and spec.Y:
+        for x0 in seeds:
+            for coords in ext._backward_chains(spec, x0, N, True):
+                add(coords, True)
+    return chains
+
+
+def _check_against_old_sampler(spec, N, density, depth):
+    # both samplers must search from the same seeds, in the same order
+    real = ext._backward_chains
+    searches = []
+
+    def recording(spec, x0, depth, terminal):
+        searches[-1].append((x0, depth, terminal))
+        return real(spec, x0, depth, terminal)
+
+    ext._backward_chains = recording
+    try:
+        searches.append([])
+        old = _old_sample_stratum(spec, N, density, depth)
+        searches.append([])
+        try:
+            s = sample_stratum(spec, N, density, depth=depth)
+        except EmptyStratum:
+            s = None
+    finally:
+        ext._backward_chains = real
+    assert repr(searches[0]) == repr(searches[1])
+    if s is None:
+        assert old == []
+        return
+    assert isinstance(s.chains, ext.ChainRows)
+    assert s.chains.coords.dtype == float
+    assert s.chains.coords.shape == (len(old), len(old[0].coords))
+    assert repr(s.chains.coords.tolist()) == repr([list(c.coords)
+                                                   for c in old])
+    assert s.chains.terminal == (N != INF)
+    assert list(s.chains) == old
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(0.5, 1.0), N=st.one_of(st.integers(0, 6), st.just(INF)),
+       density=st.integers(5, 30), depth=st.integers(1, 8))
+def test_array_sampler_matches_chain_key_dedupe(lam, N, density, depth):
+    _check_against_old_sampler(extension_spec(lam), N, density, depth)
+
+
+@pytest.mark.parametrize("p", [-0.0, 0.5, 1.0 / 3.0,
+                               np.nextafter(1.0 / 3.0, 1.0)])
+@pytest.mark.parametrize("density", [4, 20])
+@pytest.mark.parametrize("N", [0, 2, 5, INF])
+def test_array_sampler_matches_chain_key_dedupe_constant(p, density, N):
+    # p = -0.0: the forward images -0.0 and the grid point 0.0 are one
+    # key, and the chain first yielded keeps its signs.  At density 4 the
+    # grid holds 1/3, the target lands on it or one ulp above it.
+    spec = ExtensionSpec(make_constant_system(float(p)), ((0.0, 1.0),))
+    _check_against_old_sampler(spec, N, density, 6)
+
+
+def test_distinct_rows_rounds_as_python_round():
+    # the double nearest 5e-10 lies above the tie, so Python's round gives
+    # 1e-9 and np.round gives 0.0; rows equal after Python's rounding are
+    # one class, and the first of them is kept
+    rows = [(5e-10, 0.25), (0.0, 0.25), (1e-9, 0.25), (0.0, 0.25 + 1e-12)]
+    got = ext._distinct_rows(rows)
+    assert got.tolist() == [[5e-10, 0.25], [0.0, 0.25]]
+    assert round(5e-10, 9) == 1e-9 != np.round(5e-10, 9)
+
+
+def test_chain_rows_sequence_contract():
+    s = sample_stratum(SPEC06, 4, 12)
+    rows = s.chains
+    chains = list(rows)
+    assert isinstance(rows, ext.ChainRows) and len(rows) == len(chains) > 3
+    assert rows and not rows[:0] and len(rows[:0]) == 0
+    assert all(isinstance(c, Chain) and c.terminal and c.depth == 4
+               for c in chains)
+    assert rows[0] == chains[0] and rows[-1] == chains[-1]
+    assert rows[np.int64(2)] == chains[2]
+    with pytest.raises(IndexError):
+        rows[len(chains)]
+    for sl in (slice(None, None, 3), slice(1, -1, 2), slice(None, None, -1),
+               slice(5, 2)):
+        assert isinstance(rows[sl], ext.ChainRows)
+        assert list(rows[sl]) == chains[sl]
+        assert rows[sl] == chains[sl] and chains[sl] == rows[sl]
+    assert rows == chains and rows == tuple(chains) and tuple(chains) == rows
+    assert rows != chains[:-1] and rows != chains[::-1]
+    assert rows != "not chains" and rows is not None
+    assert chains[1] in rows and rows.index(chains[1]) == 1
+    # the strided subsample pattern of the benchmark's d_H check
+    sub = StratumSample(s.N, rows[::max(1, len(rows) // 3)][:3], s.depth)
+    assert sub.chains == chains[::max(1, len(chains) // 3)][:3]
+    # a positional sequence of Chain is kept as given
+    built = StratumSample(s.N, chains, s.depth)
+    assert built.chains is chains
+    assert built == s and s == built
+
+
+@pytest.mark.parametrize("lam, N, space", [
+    (0.6, 3, None), (0.9, 5, None), (0.95, 2, CIRCLE), (1.0, INF, None)])
+def test_hausdorff_rows_equal_hand_built(lam, N, space):
+    spec = extension_spec(lam)
+    A = sample_stratum(spec, N, 12, depth=9)
+    B = sample_stratum(spec, INF, 12, depth=6)
+    hand_a = StratumSample(A.N, list(A.chains), A.depth)
+    hand_b = StratumSample(B.N, list(B.chains), B.depth)
+    assert repr(hausdorff(A, B, space=space)) == \
+        repr(hausdorff(hand_a, hand_b, space=space))
+    assert repr(hausdorff(B, A, space=space)) == \
+        repr(hausdorff(hand_b, hand_a, space=space))
 
 
 # ---------------------------------------------------------------------------
