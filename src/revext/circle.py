@@ -11,7 +11,6 @@ algebra has, hence the shape of the reversible extension.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -111,19 +110,9 @@ def grid_homeo(values: Sequence[float], label: str = "grid") -> CircleHomeo:
     if np.any(np.diff(v) < 0):
         raise ValueError("grid lift must be monotone")
     knots = np.linspace(0.0, 1.0, len(v))
-    ks, vs = knots.tolist(), v.tolist()
-    last = len(ks) - 1
 
     def base(f: float) -> float:
-        # float(np.interp(f, knots, v)) for finite f, without a numpy call
-        # per lift step: numpy's cases and its formula, in its order
-        j = bisect.bisect_right(ks, f) - 1
-        if j < 0:
-            return vs[0]
-        if j == last or ks[j] == f:
-            return vs[j]
-        slope = (vs[j + 1] - vs[j]) / (ks[j + 1] - ks[j])
-        return slope * (f - ks[j]) + vs[j]
+        return float(np.interp(f, knots, v))
 
     return CircleHomeo(base, label=label, grid=(knots, v))
 

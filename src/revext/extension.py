@@ -10,7 +10,6 @@ prepends alpha(x0); its inverse is the coordinate shift.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -121,6 +120,8 @@ class ChainRows(Sequence):
     Chains.  Equal to any sequence of the same Chains in the same order."""
 
     def __init__(self, coords: np.ndarray, terminal: bool):
+        coords = coords.view()
+        coords.flags.writeable = False
         self.coords = coords
         self.terminal = terminal
 
@@ -141,6 +142,14 @@ class ChainRows(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(
             a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        # a tuple of the same Chains compares equal, so hash as one
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return (f"ChainRows({self.coords.tolist()!r}, "
+                f"terminal={self.terminal!r})")
 
 
 @dataclass(frozen=True)
@@ -278,17 +287,12 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
     grid = [lo + (hi - lo) * j / max(density - 1, 1) for j in range(density)]
     seeds = grid + [sys_.space.normalize(s) for s in extra_seeds]
     # forward images of grid points reach values (e.g. a constant map's
-    # target) that carry backward orbits even when the grid misses them.
-    # fl(fx - s) is monotone in s, so the accepted seeds nearest to fx on
-    # either side decide whether fx is new.
-    ordered = sorted(seeds)
+    # target) that carry backward orbits even when the grid misses them
     for x in grid:
         if sys_.in_domain(x):
             fx = apply(sys_, x)
-            i = bisect.bisect_left(ordered, fx)
-            if all(abs(fx - s) > 1e-12 for s in ordered[max(i - 1, 0):i + 1]):
+            if all(abs(fx - s) > 1e-12 for s in seeds):
                 seeds.append(fx)
-                ordered.insert(i, fx)
 
     # backward chains start at a seed; their other coordinates are
     # preimages, already normalized
@@ -493,35 +497,21 @@ def lift_semiconjugacy(psi: FactorMapSample,
 
 
 def stratum_to_json(sample: StratumSample) -> dict:
-    rows = sample.chains
-    if isinstance(rows, ChainRows):
-        chains = [{"coords": row, "terminal": rows.terminal}
-                  for row in rows.coords.tolist()]
-    else:
-        chains = [{"coords": list(c.coords), "terminal": c.terminal}
-                  for c in rows]
     return {
         "N": "inf" if sample.N == INF else int(sample.N),
         "depth": sample.depth,
-        "chains": chains,
+        "chains": [{"coords": list(c.coords), "terminal": c.terminal}
+                   for c in sample.chains],
     }
 
 
 def stratum_from_json(doc: dict) -> StratumSample:
     """The sample ``stratum_to_json`` wrote.  Raises EmptyStratum for the
-    ``{"empty": true}`` entry that ``extend`` writes for an empty stratum.
-    Chains of one length and flag come back as ChainRows."""
+    ``{"empty": true}`` entry that ``extend`` writes for an empty stratum."""
     if doc.get("empty"):
         raise EmptyStratum('the entry {"empty": true} holds no stratum '
                            'sample: that stratum was empty')
     N = INF if doc["N"] == "inf" else int(doc["N"])
-    items = doc["chains"]
-    shapes = {(len(c["coords"]), bool(c["terminal"])) for c in items}
-    if len(shapes) == 1:
-        (_, terminal), = shapes
-        chains = ChainRows(np.array([c["coords"] for c in items],
-                                    dtype=float), terminal)
-    else:
-        chains = tuple(Chain(tuple(c["coords"]), bool(c["terminal"]))
-                       for c in items)
+    chains = tuple(Chain(tuple(c["coords"]), bool(c["terminal"]))
+                   for c in doc["chains"])
     return StratumSample(N, chains, int(doc["depth"]))

@@ -286,20 +286,6 @@ def test_check_rotation_invariant_rejects_fake_conjugacy():
         ci.check_rotation_invariant(h1, h2, conj=ci.rigid_rotation(0.1))
 
 
-@settings(max_examples=200, deadline=None)
-@example(g0=-0.0, inner=[], fs=[])  # the knot case keeps the sign of -0.0
-@given(g0=st.floats(-1.5, 1.5),
-       inner=st.lists(st.floats(0.0, 1.0), min_size=0, max_size=40),
-       fs=st.lists(st.floats(-0.5, 1.5), max_size=20))
-def test_grid_base_is_np_interp(g0, inner, fs):
-    # every knot, both ends and points beyond them, and random points
-    values = [g0] + [g0 + x for x in sorted(inner)] + [g0 + 1.0]
-    phi = ci.grid_homeo(values)
-    knots, v = phi.grid
-    for f in knots.tolist() + [0.0, 1.0, -0.0, 1e-300, 1.0 - 2 ** -53] + fs:
-        assert repr(phi.base(f)) == repr(float(np.interp(f, knots, v)))
-
-
 def test_grid_homeo_validation():
     with pytest.raises(ValueError):
         ci.grid_homeo([0.0, 0.5, 0.9])   # endpoint mismatch

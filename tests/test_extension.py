@@ -292,6 +292,13 @@ def test_chain_rows_sequence_contract():
     assert rows != chains[:-1] and rows != chains[::-1]
     assert rows != "not chains" and rows is not None
     assert chains[1] in rows and rows.index(chains[1]) == 1
+    # hashable as the equal tuple, so the frozen sample is hashable too;
+    # the rows are read-only and the repr shows them
+    assert hash(rows) == hash(tuple(chains))
+    assert hash(s) == hash(StratumSample(s.N, tuple(chains), s.depth))
+    with pytest.raises(ValueError):
+        rows.coords[0, 0] = 0.5
+    assert repr(rows) == f"ChainRows({rows.coords.tolist()!r}, terminal=True)"
     # the strided subsample pattern of the benchmark's d_H check
     sub = StratumSample(s.N, rows[::max(1, len(rows) // 3)][:3], s.depth)
     assert sub.chains == chains[::max(1, len(chains) // 3)][:3]
