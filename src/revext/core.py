@@ -85,6 +85,12 @@ class StateSpace:
             return min(d, 1.0 - d)
         return abs(x - y)
 
+    def midpoint(self, x: float, y: float) -> float:
+        """The midpoint of x and y; on the circle, of the shorter arc."""
+        if self.kind == "circle":
+            return self.normalize(x + 0.5 * ((y - x + 0.5) % 1.0 - 0.5))
+        return 0.5 * (x + y)
+
     def in_intervals(self, intervals: Sequence[tuple[float, float]],
                      x: float, eps: float) -> bool:
         """Whether x lies in the union of closed intervals; on the circle
@@ -175,7 +181,7 @@ def preimages(system: PartialMapSystem, y: float) -> list[tuple[str, float]]:
         dup = False
         for k, (mlabel, mx) in enumerate(merged):
             if system.space.metric(x, mx) <= 10 * EPS_CHAIN:
-                merged[k] = ("C", 0.5 * (x + mx))
+                merged[k] = ("C", system.space.midpoint(x, mx))
                 dup = True
                 break
         if not dup:

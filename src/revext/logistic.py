@@ -16,16 +16,18 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
-from .core import (EPS_DOM, Branch, BracketFailure, OutsideDomain,
-                   PartialMapSystem, UNIT_INTERVAL, find_root)
+from .core import (EPS_DOM, Branch, OutsideDomain, PartialMapSystem,
+                   UNIT_INTERVAL, find_root)
 from .extension import ExtensionSpec
 
-FEIGENBAUM_DELTA = 4.669201609  # used only to seed the next doubling
+FEIGENBAUM_DELTA = 4.669201609  # used only to seed the Newton solves
 NEWTON_CAP = 32
 NEWTON_FLOOR = 1e-12  # rounding-floor steps are below 1e-14 up to n = 14
 WINDOW_FLOOR = 0.915  # windows accumulate above the first band-merging point
+TABLE_SUPERSTABLE = 5  # a CascadeTable holds s_0 .. s_5
+TABLE_MU = 2           # and mu_0 .. mu_2
+REGIME_N_MAX = 8       # classify_regime checks cascade stages n <= 8
+MU_POINT_TOL = 1e-6    # and calls lambda a MuPoint within 1e-6 of mu_n
 
 
 class WindowNotFound(RuntimeError):
@@ -167,42 +169,26 @@ def attracting_period(lam: float, max_period: int = 64, burn_in: int = 20000,
 def find_periodic_point(lam: float, p: int, settle: int = 3000) -> float:
     """A fixed point of the p-fold map near the settled critical orbit.
 
-    Located by bisection on g(x) = alpha^p(x) - x: after burn-in the orbit
-    and its p-step image straddle the periodic point (oscillatory approach
-    below a doubling, period-2p splitting above it); when they do not, a
-    local scan around the settled point brackets the nearest root.
+    Bisection on g(x) = alpha^p(x) - x, bracketed along one walk xt + k*s,
+    k = 0, 1, 2, 4, ..., clipped to [0, 1], from the settled orbit point xt
+    with s = alpha^p(xt) - xt: an oscillatory approach brackets at k = 1, a
+    monotone one a few steps later.  Raises BracketFailure when g keeps
+    its sign up to the end of the interval.
     """
     settle = max(settle, 50 * p)
     xt = _iterate(lam, 0.5, settle)
+    s = _iterate(lam, xt, p) - xt
 
-    def g(t: float) -> float:
-        return _iterate(lam, t, p) - t
+    def walk():
+        k = 0.0
+        while True:
+            t = min(max(xt + k * s, 0.0), 1.0)
+            yield t
+            if t in (0.0, 1.0):
+                return
+            k = max(2.0 * k, 1.0)
 
-    try:
-        return find_root(g, (xt, _iterate(lam, xt, p)), 1e-15)
-    except BracketFailure:
-        return find_root(g, _scan_for_root(g, xt), 1e-15)
-
-
-def _scan_for_root(g, center: float):
-    """Bracket the root of g nearest to ``center`` by expanding scans."""
-    for half_width in (0.005, 0.05, 0.25):
-        lo = max(0.0, center - half_width)
-        hi = min(1.0, center + half_width)
-        ts = [lo + (hi - lo) * j / 800 for j in range(801)]
-        best = None
-        prev, gprev = ts[0], g(ts[0])
-        for t in ts[1:]:
-            gt = g(t)
-            if gprev * gt <= 0.0:
-                mid = 0.5 * (prev + t)
-                d = abs(mid - center)
-                if best is None or d < best[0]:
-                    best = (d, prev, t)
-            prev, gprev = t, gt
-        if best is not None:
-            return best[1], best[2]
-    raise BracketFailure("no sign change found near the settled orbit")
+    return find_root(lambda t: _iterate(lam, t, p) - t, walk(), 1e-15)
 
 
 def orbit_multiplier(lam: float, p: int, x: float) -> float:
@@ -233,38 +219,43 @@ def attractor_points(lam: float, max_period: int = 64) -> list[float]:
 # Parameter sequence solvers
 
 
-def _bifurcation_parameter(p: int, c: float, x: float, lam: float,
-                           bracket: tuple[float, float]) -> float:
-    """The lambda in the open ``bracket`` where a period-p orbit has
-    multiplier c (+1: saddle-node, -1: period doubling), by Newton in
-    (x, lambda) on alpha^p(x) = x, (alpha^p)'(x) = c from the seed (x, lam).
+def _orbit_pass(lam: float, y: float, y_l: float, p: int):
+    """p steps of the orbit of y, whose lambda-derivative is y_l.  Returns
+    alpha^p(y), its lambda-derivative, the multiplier m = d alpha^p / dy,
+    and m's partials in y and lambda."""
+    l4, l8 = 4.0 * lam, 8.0 * lam
+    m, m_x, m_l = 1.0, 0.0, 0.0
+    for _ in range(p):
+        u = 1.0 - 2.0 * y
+        fy = l4 * u
+        m_x = fy * m_x - l8 * m * m
+        m_l = fy * m_l + (4.0 * u - l8 * y_l) * m
+        y_l = fy * y_l + 4.0 * y * (1.0 - y)
+        m *= fy
+        y = l4 * y * (1.0 - y)
+    return y, y_l, m, m_x, m_l
+
+
+def _newton(p: int, equations, x: float, lam: float,
+            bracket: tuple[float, float]) -> tuple[float, float]:
+    """Newton in (x, lambda) from the seed (x, lam) on two equations in a
+    period-p orbit point x: ``equations(x, lam)`` returns their residuals
+    r1, r2 and Jacobian rows (a, b), (c, d) in (x, lambda).
 
     Stops when the lambda step is at most four ulp, or when a step below
     NEWTON_FLOOR is no smaller than the one before (the rounding floor); a
     larger step that grows is part of the approach and does not stop it.
     Raises BifurcationNotConverged when neither has happened after
-    NEWTON_CAP steps, when lambda leaves the bracket, or when the orbit's
-    least period is a proper divisor of p.
+    NEWTON_CAP steps, when lambda leaves the open ``bracket``, or when the
+    orbit's least period is a proper divisor of p.
     """
     lo, hi = bracket
     prev = math.inf
     for _ in range(NEWTON_CAP):
-        l4, l8 = 4.0 * lam, 8.0 * lam
-        # one orbit pass: y = alpha^k(x), y_l = dy/dlambda, m = dy/dx (the
-        # multiplier so far), m_x and m_l its partials
-        y, y_l, m, m_x, m_l = x, 0.0, 1.0, 0.0, 0.0
-        for _ in range(p):
-            u = 1.0 - 2.0 * y
-            fy = l4 * u
-            m_x = fy * m_x - l8 * m * m
-            m_l = fy * m_l + (4.0 * u - l8 * y_l) * m
-            y_l = fy * y_l + 4.0 * y * (1.0 - y)
-            m *= fy
-            y = l4 * y * (1.0 - y)
-        r_fix, r_mult = y - x, m - c
-        det = (m - 1.0) * m_l - y_l * m_x
-        x -= (r_fix * m_l - y_l * r_mult) / det
-        step = ((m - 1.0) * r_mult - m_x * r_fix) / det
+        r1, r2, a, b, c, d = equations(x, lam)
+        det = a * d - b * c
+        x -= (r1 * d - b * r2) / det
+        step = (a * r2 - c * r1) / det
         lam -= step
         if not lo < lam < hi:
             raise BifurcationNotConverged(
@@ -281,7 +272,20 @@ def _bifurcation_parameter(p: int, c: float, x: float, lam: float,
         if p % d == 0 and abs(_iterate(lam, x, d) - x) < 1e-9:
             raise BifurcationNotConverged(
                 f"Newton found an orbit of period {d}, not {p}")
-    return lam
+    return x, lam
+
+
+def _bifurcation_parameter(p: int, c: float, x: float, lam: float,
+                           bracket: tuple[float, float]) -> float:
+    """The lambda in the open ``bracket`` where a period-p orbit has
+    multiplier c (+1: saddle-node, -1: period doubling), by _newton on
+    alpha^p(x) = x, (alpha^p)'(x) = c from the seed (x, lam)."""
+
+    def equations(x, lam):
+        y, y_l, m, m_x, m_l = _orbit_pass(lam, x, 0.0, p)
+        return y - x, m - c, m - 1.0, y_l, m_x, m_l
+
+    return _newton(p, equations, x, lam, bracket)[1]
 
 
 def _doubling_after(p: int, prev: float, prev2: float) -> float:
@@ -311,22 +315,15 @@ def period_doubling_parameter(n: int) -> float:
 @lru_cache(maxsize=None)
 def superstable_parameter(n: int) -> float:
     """s_n: the parameter where the critical point is periodic with least
-    period 2^n; bisection on alpha^(2^n)(1/2) - 1/2 inside the cascade
-    interval (lambda_n, lambda_{n+1}).  Not _itinerary_parameter: on these
-    harmonic itineraries its fixed-point iteration stops 8e-15 from s_7,
-    where bisection is within 2e-16."""
+    period 2^n; bisection on alpha^(2^n)(1/2) - 1/2, which changes sign
+    once on the cascade interval (lambda_n, lambda_{n+1}).  For n <= 8 it
+    is within 6 ulp of mpmath; _newton with multiplier 0 is no closer (8
+    ulp), and the itinerary iteration stops 8e-15 from s_7."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    q = 2 ** n
-    lo = period_doubling_parameter(n) + 1e-12
-    hi = period_doubling_parameter(n + 1) - 1e-12
-
-    def g(lam: float) -> float:
-        return _iterate(lam, 0.5, q) - 0.5
-
-    steps = 256
-    return find_root(g, (lo + (hi - lo) * j / steps for j in range(steps + 1)),
-                     1e-15)
+    return find_root(lambda lam: _iterate(lam, 0.5, 2 ** n) - 0.5,
+                     (period_doubling_parameter(n) + 1e-12,
+                      period_doubling_parameter(n + 1) - 1e-12), 1e-15)
 
 
 @lru_cache(maxsize=None)
@@ -343,49 +340,42 @@ def feigenbaum_limit_estimate(k: int) -> float:
     return x2 - d2 * d2 / denom
 
 
-def _largest_fixed_point(lam: float, q: int) -> float:
-    """The largest x in [0,1] with alpha^q(x) = x (vectorized scan plus
-    bisection)."""
-    xs = np.linspace(0.0, 1.0, 4001)
-    F = xs.copy()
-    for _ in range(q):
-        F = 4.0 * lam * F * (1.0 - F)
-    h = F - xs
-    sign = np.sign(h)
-    flips = np.nonzero(sign[:-1] * sign[1:] <= 0.0)[0]
-    if len(flips) == 0:
-        raise BracketFailure(f"no fixed point of the {q}-fold map found")
-    i = flips[-1]
-    return find_root(lambda x: _iterate(lam, x, q) - x,
-                     (float(xs[i]), float(xs[i + 1])), 1e-15)
+def _merging_parameter(q: int, lam: float,
+                       bracket: tuple[float, float]) -> float:
+    """The lambda in the open ``bracket`` where alpha^(2q)(lambda), the
+    2q-th image of the critical value, is the largest point x of a period-q
+    orbit: _newton on alpha^q(x) = x and alpha^(2q)(lambda) = x from the
+    seed (alpha^(2q)(lam), lam).  Raises BifurcationNotConverged when the
+    solve does, or when x is not the largest point of its orbit."""
+
+    def equations(x, lam):
+        y, y_l, m, _, _ = _orbit_pass(lam, x, 0.0, q)
+        z, z_l, _, _, _ = _orbit_pass(lam, lam, 1.0, 2 * q)
+        return y - x, z - x, m - 1.0, y_l, -1.0, z_l
+
+    x, lam = _newton(q, equations, _iterate(lam, lam, 2 * q), lam, bracket)
+    if any(_iterate(lam, x, k) > x for k in range(1, q)):
+        raise BifurcationNotConverged(
+            f"Newton found a point below the top of its {q}-orbit")
+    return lam
 
 
 @lru_cache(maxsize=None)
 def mu_parameter(n: int) -> float:
     """mu_n: mu_0 = 1; for n >= 1 the parameter where the 2^n-th image of
     the critical value hits the largest fixed point of the 2^(n-1)-fold
-    map (band-merging parameters, decreasing to the cascade limit)."""
+    map, the top of the 2^(n-1)-orbit born in the cascade (band-merging
+    parameters, decreasing to the cascade limit).  _merging_parameter in
+    (lambda_inf, mu_{n-1}), seeded at lambda_inf + (mu_{n-1} -
+    lambda_inf)/delta; mu_1 matches its closed form to the ulp."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 1.0
-    q_top = 2 ** n
-    q_fix = 2 ** (n - 1)
-
-    def F(lam: float) -> float:
-        return _iterate(lam, lam, q_top) - _largest_fixed_point(lam, q_fix)
-
-    floor = feigenbaum_limit_estimate(6) + 1e-4
-    step = 5e-4
-
-    def points():
-        lam = mu_parameter(n - 1) - 1e-6
-        yield lam
-        while lam - step > floor:
-            lam -= step
-            yield lam
-
-    return find_root(F, points(), 1e-12)
+    lam_inf, prev = feigenbaum_limit_estimate(7), mu_parameter(n - 1)
+    return _merging_parameter(
+        2 ** (n - 1), lam_inf + (prev - lam_inf) / FEIGENBAUM_DELTA,
+        (lam_inf, prev))
 
 
 def _itinerary_parameter(word: str) -> float:
@@ -464,19 +454,20 @@ def window_cascade_parameter(n: int, m: int) -> float:
 @dataclass(frozen=True)
 class CascadeTable:
     lambda_n: tuple[float, ...]           # lambda_1 .. lambda_{n_max}
-    superstable_n: tuple[float, ...]      # s_0 .. (shorter list)
+    superstable_n: tuple[float, ...]      # s_0 .. s_{TABLE_SUPERSTABLE}
     lambda_inf_estimate: float
-    mu_n: tuple[float, ...]               # mu_0 .. mu_{n_mu}
+    mu_n: tuple[float, ...]               # mu_0 .. mu_{TABLE_MU}
     windows: tuple[tuple[int, float, float], ...]
     window_cascades: dict
 
     @staticmethod
-    def build(n_max: int = 8, n_super: int = 5, n_mu: int = 2,
-              n_windows: int = 0, cascade_m: int = 1) -> "CascadeTable":
+    def build(n_max: int = 8, n_windows: int = 0,
+              cascade_m: int = 1) -> "CascadeTable":
         lam_n = tuple(period_doubling_parameter(n) for n in range(1, n_max + 1))
-        sups = tuple(superstable_parameter(n) for n in range(0, n_super + 1))
+        sups = tuple(superstable_parameter(n)
+                     for n in range(0, TABLE_SUPERSTABLE + 1))
         lam_inf = feigenbaum_limit_estimate(min(max(n_max, 3), 7))
-        mus = tuple(mu_parameter(n) for n in range(0, n_mu + 1))
+        mus = tuple(mu_parameter(n) for n in range(0, TABLE_MU + 1))
         wins = []
         cascades = {}
         for n in range(1, n_windows + 1):
@@ -502,8 +493,9 @@ class CascadeTable:
                 if i == 0:
                     w.writerow(["mu_n", 0, repr(mu), "0.0"])
                 else:
-                    res = (_iterate(mu, mu, 2 ** i)
-                           - _largest_fixed_point(mu, 2 ** (i - 1)))
+                    # alpha^(2q)(mu) is a fixed point of alpha^q
+                    x = _iterate(mu, mu, 2 ** i)
+                    res = _iterate(mu, x, 2 ** (i - 1)) - x
                     w.writerow(["mu_n", i, repr(mu), repr(abs(res))])
             for (n, eta, nu) in self.windows:
                 w.writerow(["eta_n", n, repr(eta), ""])
@@ -540,8 +532,8 @@ class Regime:
                       irreducible_continuum=True)
 
 
-def classify_regime(lam: float, table: Optional[CascadeTable] = None,
-                    n_max: int = 8, tol_mu: float = 1e-6) -> Regime:
+def classify_regime(lam: float,
+                    table: Optional[CascadeTable] = None) -> Regime:
     """Classify lambda against the computed parameter sequences.
 
     Stability windows and their internal cascades are classified only
@@ -560,7 +552,7 @@ def classify_regime(lam: float, table: Optional[CascadeTable] = None,
         if lam <= 0.25:
             return Regime("CascadeStage", n=-1, params={"interval": (0.0, 0.25)})
         lo = 0.25
-        for n in range(0, n_max + 1):
+        for n in range(0, REGIME_N_MAX + 1):
             hi = period_doubling_parameter(n + 1)
             if lo < lam <= hi:
                 return Regime("CascadeStage", n=n,
@@ -568,10 +560,10 @@ def classify_regime(lam: float, table: Optional[CascadeTable] = None,
             lo = hi
         return Regime("FeigenbaumLimit", params={"lambda_inf": lam_inf})
     # beyond the cascade limit
-    n_mu = len(table.mu_n) - 1 if table is not None else 2
+    n_mu = len(table.mu_n) - 1 if table is not None else TABLE_MU
     for n in range(1, n_mu + 1):
         mu = table.mu_n[n] if table is not None else mu_parameter(n)
-        if abs(lam - mu) < tol_mu:
+        if abs(lam - mu) < MU_POINT_TOL:
             return Regime("MuPoint", n=n, irreducible_continuum=True,
                           params={"mu": mu})
     if table is not None:

@@ -48,7 +48,7 @@ def test_02_feigenbaum_limit():
            time.time() - t0, 30.0)
 
 
-def test_03_mu_sequence():
+def test_03_mu_sequence(largest_fixed_point):
     t0 = time.time()
     mu0 = lg.mu_parameter(0)
     mu1 = lg.mu_parameter(1)
@@ -56,7 +56,7 @@ def test_03_mu_sequence():
     lam_inf = lg.feigenbaum_limit_estimate(6)
     res = max(
         abs(lg._iterate(mu, mu, 2 ** n)
-            - lg._largest_fixed_point(mu, 2 ** (n - 1)))
+            - largest_fixed_point(mu, 2 ** (n - 1)))
         for n, mu in ((1, mu1), (2, mu2)))
     ok = (mu0 == 1.0 and res < 1e-9 and 1.0 > mu1 > mu2 > lam_inf)
     report(3, ok, f"mu=(1, {mu1:.7f}, {mu2:.7f}) residual {res:.1e} "

@@ -373,9 +373,9 @@ def test_deterministic_output(tmp_path):
 
 
 # sha256 of each output, pinned so that any change to stratum sampling, the
-# operator models or the bifurcation sweep is deliberate.  The outputs use
-# only +, -, *, / and sqrt, and every residual is 0.0, so the digests are
-# platform-stable.
+# operator models, the cascade table or the bifurcation sweep is deliberate.
+# The outputs use only +, -, *, / and sqrt, and every operator-model
+# residual is 0.0, so the digests are platform-stable.
 _SMALL = ["--N", "4", "--depth", "8", "--density", "12", "--format", "svg"]
 _PINNED = [
     (["extend", "--lambda", "0.95"] + _SMALL, {
@@ -408,6 +408,8 @@ _PINNED = [
         ".svg": "2caf525aff21a205fb2c79b43d0c7057"
                 "b9dfae10ee73b902e8c2c33d290cf0fc"}),
     (["bifurcate", "--n-max", "2", "--steps", "60", "--format", "svg"], {
+        ".csv": "bfe5c35e98088c3775cdbf3d597cd9d1"
+                "024a397603c6aca6b9483a9b18e466d6",
         ".svg": "8db3475b50eb734ce2c5cd78d6b00208"
                 "12c643f34a7130507825192c87998fb7"}),
 ] + [

@@ -8,10 +8,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from revext.core import (CIRCLE, BracketFailure, FactorMapSample,
-                         OutsideDomain, PartialMapSystem, UNIT_INTERVAL, apply,
-                         check_semiconjugacy, find_root, make_constant_system,
-                         make_rotation_system, omega_limit, orbit, preimages)
+from revext.core import (CIRCLE, EPS_CHAIN, Branch, BracketFailure,
+                         FactorMapSample, OutsideDomain, PartialMapSystem,
+                         UNIT_INTERVAL, apply, check_semiconjugacy, find_root,
+                         make_constant_system, make_rotation_system,
+                         omega_limit, orbit, preimages)
 from revext.logistic import make_system
 
 
@@ -58,6 +59,21 @@ def test_preimages_at_critical_value_merge_to_C():
     label, x = got[0]
     assert label == "C"
     assert x == pytest.approx(0.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("y", [1e-9, 3e-10, 1e-12])
+def test_preimages_merge_across_zero_on_the_circle(y):
+    # x -> 1.5 min(x, 1 - x) on the circle folds at 0 = 1, so the preimages
+    # y/1.5 and 1 - y/1.5 of a small y are near-coincident there; their
+    # plain average is near the antipode 1/2, which maps to 0.75, not to y
+    roof = PartialMapSystem(
+        space=CIRCLE, domain=((0.0, 1.0),),
+        forward_map=lambda x: 1.5 * min(x, 1.0 - x),
+        branches=(Branch("L", (0.0, 0.5), lambda y: y / 1.5),
+                  Branch("R", (0.5, 1.0), lambda y: 1.0 - y / 1.5)))
+    got = preimages(roof, y)
+    assert [label for label, _ in got] == ["C"]
+    assert CIRCLE.metric(apply(roof, got[0][1]), y) <= EPS_CHAIN
 
 
 def test_apply_outside_domain_raises():

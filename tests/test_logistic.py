@@ -88,6 +88,20 @@ def test_find_periodic_point_and_multiplier():
     assert abs(mult) < 1.0  # attracting
 
 
+def test_find_periodic_point_after_a_monotone_approach():
+    # the fixed point attracts with multiplier 2 - 4*lambda = 0.32 > 0, so
+    # the settled orbit point and its image lie on one side of it
+    lam = 0.41967722574191396
+    assert lg.find_periodic_point(lam, 1) == pytest.approx(
+        1.0 - 1.0 / (4.0 * lam), abs=1e-15)
+    # the same for the attracting 6-orbit in the period-3 window
+    lam = 0.960805601867289
+    x = lg.find_periodic_point(lam, 6)
+    assert lg._iterate(lam, x, 6) == pytest.approx(x, abs=1e-13)
+    assert all(abs(lg._iterate(lam, x, d) - x) > 1e-3 for d in (1, 2, 3))
+    assert 0.0 < lg.orbit_multiplier(lam, 6, x) < 1.0
+
+
 def test_attractor_points_period_two():
     pts = lg.attractor_points(0.8)
     assert len(pts) == 2
@@ -197,7 +211,7 @@ def test_feigenbaum_limit_estimate():
     assert ratio == pytest.approx(lg.FEIGENBAUM_DELTA, rel=0.05)
 
 
-def test_mu_parameters():
+def test_mu_parameters(largest_fixed_point):
     assert lg.mu_parameter(0) == 1.0
     mu1 = lg.mu_parameter(1)
     mu2 = lg.mu_parameter(2)
@@ -205,11 +219,73 @@ def test_mu_parameters():
     assert mu2 == pytest.approx(0.8981430, abs=1e-6)
     lam_inf = lg.feigenbaum_limit_estimate(6)
     assert 1.0 > mu1 > mu2 > lam_inf
-    # defining equation residuals (independent of the solver's bisection)
+    # defining equation residuals (independent of the solver's Newton)
     for n, mu in ((1, mu1), (2, mu2)):
         res = abs(lg._iterate(mu, mu, 2 ** n)
-                  - lg._largest_fixed_point(mu, 2 ** (n - 1)))
+                  - largest_fixed_point(mu, 2 ** (n - 1)))
         assert res < 1e-9
+
+
+def test_mu_one_is_the_closed_form():
+    # mu_1 = r/4 for the real root r of r^3 - 2r^2 - 4r - 8 = 0
+    import mpmath as mp
+    with mp.workdps(40):
+        ref = float(mp.findroot(lambda r: r ** 3 - 2 * r ** 2 - 4 * r - 8,
+                                3.68) / 4)
+    assert abs(lg.mu_parameter(1) - ref) <= 4 * math.ulp(ref)
+
+
+def mp_mu_parameter(n, lam_guess):
+    """mu_n by mpmath at 40 digits: alpha^q(x) = x and alpha^(2q)(lambda)
+    = x, q = 2^(n-1), solved jointly in (x, lambda) from lam_guess and x =
+    alpha^(2q)(lam_guess)."""
+    import mpmath as mp
+    q = 2 ** (n - 1)
+
+    def orbit(lam, x, k):
+        for _ in range(k):
+            x = 4 * lam * x * (1 - x)
+        return x
+
+    with mp.workdps(40):
+        lam = mp.mpf(lam_guess)
+        x, lam = mp.findroot(
+            lambda x, lam: [orbit(lam, x, q) - x, orbit(lam, lam, 2 * q) - x],
+            (orbit(lam, lam, 2 * q), lam))
+    assert abs(lam - lam_guess) < 1e-6
+    return float(lam)
+
+
+@pytest.mark.parametrize("n,lam_guess", [
+    (2, 0.8981430), (3, 0.8937012), (4, 0.8927465), (5, 0.8925421)])
+def test_mu_parameters_against_mpmath(n, lam_guess, largest_fixed_point):
+    ref = mp_mu_parameter(n, lam_guess)
+    mu = lg.mu_parameter(n)
+    assert abs(mu - ref) <= 4 * math.ulp(ref)
+    # the 2q-th image of the critical value is the top of the q-orbit
+    assert lg._iterate(mu, mu, 2 ** n) == pytest.approx(
+        largest_fixed_point(mu, 2 ** (n - 1)), abs=1e-9)
+
+
+def test_mu_five_lies_between_mu_four_and_the_cascade_limit():
+    # the scan this solve replaced started at lambda_inf + 1e-4, above mu_5
+    assert lg.feigenbaum_limit_estimate(7) < lg.mu_parameter(5) \
+        < lg.mu_parameter(4)
+
+
+def test_mu_newton_failures_raise():
+    mu1 = lg.mu_parameter(1)
+    # seeded at mu_1 the period-2 solve stays there, outside its bracket
+    with pytest.raises(lg.BifurcationNotConverged, match="left"):
+        lg._merging_parameter(2, mu1, (0.89, 0.91))
+    # inside a wider bracket it converges to the fixed point, which the
+    # 2-fold map fixes too: least period 1
+    with pytest.raises(lg.BifurcationNotConverged, match="period 1, not 2"):
+        lg._merging_parameter(2, mu1, (0.9, 0.95))
+    # near 0.94125 the 4th image of the critical value is the lower point
+    # of the 2-orbit
+    with pytest.raises(lg.BifurcationNotConverged, match="below the top"):
+        lg._merging_parameter(2, 0.94125, (0.93, 0.95))
 
 
 def test_window_onset_is_the_closed_form_saddle_node():
@@ -298,7 +374,7 @@ def test_window_cascade_parameter():
 
 
 def test_cascade_table_csv(tmp_path):
-    table = lg.CascadeTable.build(n_max=3, n_super=2, n_mu=1)
+    table = lg.CascadeTable.build(n_max=3)
     path = tmp_path / "cascade.csv"
     table.to_csv(path)
     rows = path.read_text().strip().splitlines()
