@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 # Residual tolerance for chain/branch arithmetic (backward iteration with
 # exact branch inverses stays near machine precision).
 EPS_CHAIN = 1e-9
@@ -135,6 +137,9 @@ class PartialMapSystem:
     forward_map: Callable[[float], float]
     branches: tuple[Branch, ...]
     name: str = "system"
+    # optional closed form of ``preimages`` on a float64 array: row i is
+    # ExtensionSpec.ordered_preimages(y[i]) NaN-padded to len(branches)
+    preimage_table: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def in_domain(self, x: float, eps: float = EPS_DOM) -> bool:
         return self.space.in_intervals(self.domain, x, eps)
@@ -156,8 +161,10 @@ def preimages(system: PartialMapSystem, y: float) -> list[tuple[str, float]]:
 
     Two branches meeting at a critical value (coincident preimages) are
     merged into a single entry with label "C".  The empty list means y has
-    no preimage.
+    no preimage.  An array y gives the system's ``preimage_table`` of it.
     """
+    if isinstance(y, np.ndarray):
+        return system.preimage_table(y)
     y = system.space.normalize(y)
     found: list[tuple[str, float]] = []
     for br in system.branches:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -225,44 +224,80 @@ class ChainExtensionSystem:
 # Stratum sampling
 
 
-def _backward_chains(spec: ExtensionSpec, x0: float, depth: int,
-                     terminal: bool):
-    """Backward chains from x0 out to ``depth``, in search order.
+def _preimage_table(spec: ExtensionSpec, ys: np.ndarray) -> np.ndarray:
+    """The preimages of each point of ``ys`` as a row of an (n, branches)
+    array in ``ordered_preimages`` order, NaN-padded: the system's closed
+    form if it has one, else the spec's scalar lookups."""
+    if spec.system.preimage_table is not None:
+        return preimages(spec.system, ys)
+    table = np.full((len(ys), len(spec.system.branches)), np.nan)
+    for i, y in enumerate(ys.tolist()):
+        xs = spec.ordered_preimages(y)
+        table[i, :len(xs)] = xs
+    return table
 
-    Every branch word down to the prefix depth is enumerated; each prefix is
-    then completed by the first continuation, in branch order and in
-    reversed order (with backtracking).  Terminal chains must end in Y.
-    The same chain may be yielded twice."""
+
+def _in_Y(spec: ExtensionSpec, xs: np.ndarray) -> np.ndarray:
+    """``spec.in_Y(x, 1e-9)`` of each normalized point x of ``xs``."""
+    eps = 1e-9
+    hit = np.zeros(len(xs), dtype=bool)
+    for lo, hi in spec.Y:
+        hit |= (lo - eps <= xs) & (xs <= hi + eps)
+        if spec.system.space.kind == "circle" and hi < lo:
+            hit |= (xs >= lo - eps) | (xs <= hi + eps)
+    return hit
+
+
+def _backward_rows(spec: ExtensionSpec, seeds: Sequence[float], depth: int,
+                   terminal: bool) -> np.ndarray:
+    """Backward chains from the seeds out to ``depth``, as the rows of an
+    array, in search order: seed by seed, every branch word down to the
+    prefix depth in branch order, each followed by its lexicographically
+    first and then its last valid completion.  Terminal chains end in Y.
+    A word without a completion gives no row; a chain may come twice.
+
+    Each (word, direction) job is a depth-first search with a choice index
+    per level.  All jobs advance in lockstep, one numpy step per iteration
+    that reads the preimages of all newly entered nodes as one table."""
     # a terminal chain always keeps its last step for the completion
-    prefix_depth = min(PREFIX_DEPTH, depth - 1 if terminal else depth)
-
-    def complete(path: list[float], reverse: bool) -> Optional[tuple]:
-        if len(path) - 1 == depth:
-            if terminal and not spec.in_Y(path[-1], 1e-9):
-                return None
-            return tuple(path)
-        xs = spec.ordered_preimages(path[-1])
-        for x in (xs[::-1] if reverse else xs):
-            path.append(x)
-            got = complete(path, reverse)
-            path.pop()
-            if got is not None:
-                return got
-        return None
-
-    def enumerate_prefix(path: list[float]):
-        if len(path) - 1 == prefix_depth:
-            for reverse in (False, True):
-                got = complete(path, reverse)
-                if got is not None:
-                    yield got
-            return
-        for x in spec.ordered_preimages(path[-1]):
-            path.append(x)
-            yield from enumerate_prefix(path)
-            path.pop()
-
-    return enumerate_prefix([x0])
+    top = min(PREFIX_DEPTH, depth - 1 if terminal else depth)
+    words = np.array(seeds, dtype=float)[:, None]
+    for _ in range(top):
+        table = _preimage_table(spec, words[:, -1])
+        i, j = np.nonzero(~np.isnan(table))
+        words = np.column_stack([words[i], table[i, j]])
+    # job 2w runs word w in branch order, job 2w + 1 in reversed order
+    jobs = 2 * len(words)
+    path = np.repeat(np.pad(words, ((0, 0), (0, depth - top))), 2, axis=0)
+    kids = np.full((jobs, depth + 1, len(spec.system.branches)), np.nan)
+    tried = np.zeros((jobs, depth + 1), dtype=int)
+    level = np.full(jobs, top)
+    found = np.zeros(jobs, dtype=bool)
+    live = entered = np.arange(jobs)
+    while live.size:
+        entered = entered[level[entered] < depth]
+        if entered.size:
+            kids[entered, level[entered]] = _preimage_table(
+                spec, path[entered, level[entered]])
+        lv = level[live]
+        leaf = lv == depth
+        ok = leaf.copy()
+        if terminal:
+            ok[leaf] = _in_Y(spec, path[live[leaf], depth])
+        found[live[ok]] = True
+        # a node descends to its next child in its job's direction, or
+        # backs up when none is left; a leaf has none (kids stay NaN)
+        counts = (~np.isnan(kids[live, lv])).sum(axis=1)
+        t = tried[live, lv]
+        tried[live, lv] += 1
+        down = t < counts
+        col = np.where(live % 2 == 1, counts - 1 - t, t)[down]
+        level[live] = lv = lv + np.where(down, 1, -1)
+        entered, lvd = live[down], lv[down]
+        path[entered, lvd] = kids[entered, lvd - 1, col]
+        tried[entered, lvd] = 0
+        live = live[~ok & (lv >= top)]
+    return path[found]
 
 
 def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
@@ -277,10 +312,11 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
     them.  ``extra_seeds`` lets callers add known dynamically relevant x0
     values (e.g. attractor points).
     """
-    if N != INF and (N < 0 or N != int(N)):
+    if isinstance(N, bool) or N != INF and (N < 0 or N != int(N)):
         raise ValueError(f"N must be a nonnegative integer or INF, got {N!r}")
-    if density < 1:
-        raise ValueError(f"density must be >= 1, got {density!r}")
+    if isinstance(density, bool) or not isinstance(
+            density, (int, np.integer)) or density < 1:
+        raise ValueError(f"density must be an integer >= 1, got {density!r}")
     sys_ = spec.system
     lo = min(iv[0] for iv in sys_.domain)
     hi = max(iv[1] for iv in sys_.domain)
@@ -293,44 +329,39 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
             fx = apply(sys_, x)
             if all(abs(fx - s) > 1e-12 for s in seeds):
                 seeds.append(fx)
-
     # backward chains start at a seed; their other coordinates are
     # preimages, already normalized
-    rows: list[tuple[float, ...]] = []
+    seeds = [sys_.space.normalize(x0) for x0 in seeds]
+
     if N == INF:
         if depth < 1:
             raise ValueError("depth must be >= 1 for the infinite stratum")
-        for x0 in seeds:
-            rows += _backward_chains(spec, sys_.space.normalize(x0), depth,
-                                     terminal=False)
-        if not rows:
+        rows = _backward_rows(spec, seeds, depth, terminal=False)
+        if not len(rows):
             raise EmptyStratum("no infinite backward orbits found")
         return StratumSample(INF, ChainRows(_distinct_rows(rows), False),
                              depth)
 
     N = int(N)
     # forward seeding: M_N is parametrized by its last coordinate in Y
-    for y in spec.y_grid(density):
-        rec = orbit(sys_, y, N)
-        if not rec.escaped:
-            rows.append(rec.points[::-1])
+    records = (orbit(sys_, y, N) for y in spec.y_grid(density))
+    rows = np.array([rec.points[::-1] for rec in records if not rec.escaped],
+                    dtype=float).reshape(-1, N + 1)
     # backward seeding: covers zeroth coordinates the forward push misses
     if N >= 1 and spec.Y:
-        for x0 in seeds:
-            rows += _backward_chains(spec, sys_.space.normalize(x0), N,
-                                     terminal=True)
-    if not rows:
+        rows = np.vstack([rows, _backward_rows(spec, seeds, N, True)])
+    if not len(rows):
         raise EmptyStratum(f"stratum M_{N} is empty")
     return StratumSample(N, ChainRows(_distinct_rows(rows), True), depth)
 
 
-def _distinct_rows(rows: list) -> np.ndarray:
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The rows of one length as an array, one per class of ``Chain.key``,
     in first-occurrence order: two rows are one class when Python's
     ``round(x, 9)`` agrees at every coordinate.  ``round`` runs once per
     distinct value; it is monotone, so the values it merges are neighbours
     in sorted order and one class id per run of them suffices."""
-    coords = np.array(rows, dtype=float)
+    coords = np.asarray(rows, dtype=float)
     values, inverse = np.unique(coords, return_inverse=True)
     rounded = np.array([round(v, 9) for v in values.tolist()])
     ids = np.cumsum(np.r_[False, rounded[1:] != rounded[:-1]])

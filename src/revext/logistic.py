@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .core import (EPS_DOM, Branch, OutsideDomain, PartialMapSystem,
-                   UNIT_INTERVAL, find_root)
+import numpy as np
+
+from .core import (EPS_CHAIN, EPS_DOM, Branch, OutsideDomain,
+                   PartialMapSystem, UNIT_INTERVAL, find_root)
 from .extension import ExtensionSpec
 
 FEIGENBAUM_DELTA = 4.669201609  # used only to seed the Newton solves
@@ -86,6 +88,23 @@ def make_system(lam: float) -> PartialMapSystem:
             return None
         return 0.5 * (1.0 + math.sqrt(max(1.0 - y / lam, 0.0)))
 
+    def table(y: np.ndarray) -> np.ndarray:
+        # core.preimages of every y at once, with the same guards (the
+        # branch and domain bounds folded) and floating-point operations
+        y = y[:, None]
+        s = np.sqrt(np.maximum(1.0 - y / lam, 0.0))
+        x = np.hstack([0.5 * (1.0 - s), 0.5 * (1.0 + s)])
+        ok = ((y <= lam + EPS_DOM)
+              & (np.array([-EPS_DOM, 0.5 - 1e-9]) <= x)
+              & (x <= np.array([0.5 + 1e-9, 1.0 + EPS_DOM]))
+              & ~(np.abs(4.0 * lam * x * (1.0 - x) - y) > EPS_CHAIN))
+        out = np.where(ok, x, np.nan)
+        out[~ok[:, 0]] = out[~ok[:, 0], ::-1]  # a lone R moves left
+        merge = ok.all(axis=1) & (np.abs(x[:, 1] - x[:, 0]) <= 10 * EPS_CHAIN)
+        out[merge] = np.nan
+        out[merge, 0] = 0.5 * (x[merge, 1] + x[merge, 0])
+        return out
+
     return PartialMapSystem(
         space=UNIT_INTERVAL,
         domain=((0.0, 1.0),),
@@ -93,6 +112,7 @@ def make_system(lam: float) -> PartialMapSystem:
         branches=(Branch("L", (0.0, 0.5), inv_l),
                   Branch("R", (0.5, 1.0), inv_r)),
         name=f"logistic(lam={lam})",
+        preimage_table=table,
     )
 
 

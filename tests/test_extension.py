@@ -2,13 +2,14 @@
 and its inverse, the factor map, stratum sampling, the chain metric with a
 brute-force Hausdorff oracle, and the semiconjugacy lift."""
 
+import dataclasses
 import json
 import random
 from collections import Counter
 
 import pytest
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import revext.extension as ext
 from revext.core import (CIRCLE, FactorMapSample, check_semiconjugacy,
@@ -123,6 +124,13 @@ def test_lambda_one_strata_empty_but_inverse_limit_nonempty():
         assert validate_chain(spec1, c) and not c.terminal
 
 
+def _scalar_fill(spec):
+    """The spec with its system's closed-form preimage table taken away, so
+    the search fills its tables from ``ordered_preimages``."""
+    return ExtensionSpec(dataclasses.replace(spec.system, preimage_table=None),
+                         spec.Y)
+
+
 @pytest.mark.parametrize("N", [8, INF])
 def test_sample_stratum_computes_each_preimage_once(monkeypatch, N):
     calls = Counter()
@@ -133,7 +141,7 @@ def test_sample_stratum_computes_each_preimage_once(monkeypatch, N):
         return real(system, y)
 
     monkeypatch.setattr(ext, "preimages", counting)
-    spec = extension_spec(0.95)
+    spec = _scalar_fill(extension_spec(0.95))
     # the strata of one spec share its preimage lookup, so sampling N
     # first and then the others computes no point's preimages twice
     for M in [N] + [M for M in (4, 8, INF) if M != N]:
@@ -141,6 +149,30 @@ def test_sample_stratum_computes_each_preimage_once(monkeypatch, N):
         for c in s.chains:
             assert validate_chain(spec, c)
     assert calls and max(calls.values()) == 1
+
+
+def test_sample_stratum_batch_calls_do_not_depend_on_density(monkeypatch):
+    # with a closed-form table each call computes one level of all the
+    # searches of a stratum, however many seeds it starts from
+    calls = []
+    real = ext.preimages
+
+    def counting(system, y):
+        assert isinstance(y, np.ndarray) and y.ndim == 1
+        calls[-1] += 1
+        return real(system, y)
+
+    monkeypatch.setattr(ext, "preimages", counting)
+    per_density = []
+    for density in (10, 40, 160):
+        spec = extension_spec(0.95)
+        calls.clear()
+        for N in (3, 8, 12, INF):
+            calls.append(0)
+            sample_stratum(spec, N, density, depth=20)
+        per_density.append(list(calls))
+    assert per_density[0] == per_density[1] == per_density[2]
+    assert all(per_density[0])
 
 
 def test_preimage_lookup_leaves_spec_identity_alone():
@@ -151,10 +183,17 @@ def test_preimage_lookup_leaves_spec_identity_alone():
 
 
 @pytest.mark.parametrize("N, density", [
-    (-1, 10), (-INF, 10), (2.5, 10), (3, 0), (3, -4), (INF, 0)])
+    (-1, 10), (-INF, 10), (2.5, 10), (3, 0), (3, -4), (INF, 0),
+    (True, 10), (False, 10), (3, 10.5), (3, 10.0), (INF, 2.5), (3, True),
+    (3, "10")])
 def test_sample_stratum_rejects_invalid_input(N, density):
     with pytest.raises(ValueError):
         sample_stratum(SPEC06, N, density)
+
+
+def test_sample_stratum_takes_numpy_integers():
+    assert sample_stratum(SPEC06, np.int64(3), np.int64(10)) == \
+        sample_stratum(SPEC06, 3, 10)
 
 
 def test_constant_map_full_strata_singleton_infinity():
@@ -171,12 +210,51 @@ def test_constant_map_full_strata_singleton_infinity():
     assert all(x == pytest.approx(p) for x in si.chains[0].coords)
 
 
+def _recursive_search(spec, x0, depth, terminal):
+    """The recursive backward search the sampler had before its lockstep
+    one, as the oracle: backward chains from x0 out to ``depth``, every
+    branch word down to the prefix depth, each completed by the first
+    continuation in branch order and in reversed order (with
+    backtracking).  Terminal chains must end in Y."""
+    # a terminal chain always keeps its last step for the completion
+    prefix_depth = min(ext.PREFIX_DEPTH, depth - 1 if terminal else depth)
+
+    def complete(path, reverse):
+        if len(path) - 1 == depth:
+            if terminal and not spec.in_Y(path[-1], 1e-9):
+                return None
+            return tuple(path)
+        xs = spec.ordered_preimages(path[-1])
+        for x in (xs[::-1] if reverse else xs):
+            path.append(x)
+            got = complete(path, reverse)
+            path.pop()
+            if got is not None:
+                return got
+        return None
+
+    def enumerate_prefix(path):
+        if len(path) - 1 == prefix_depth:
+            for reverse in (False, True):
+                got = complete(path, reverse)
+                if got is not None:
+                    yield got
+            return
+        for x in spec.ordered_preimages(path[-1]):
+            path.append(x)
+            yield from enumerate_prefix(path)
+            path.pop()
+
+    return enumerate_prefix([x0])
+
+
 def _old_sample_stratum(spec, N, density, depth):
     """The sampler as it was before strata became arrays, as the oracle:
-    an O(density^2) seed scan, and a Chain per yield, normalized
-    coordinate by coordinate and kept when its ``Chain.key`` is new."""
+    an O(density^2) seed scan, the recursive search from each seed, and a
+    Chain per yield, normalized coordinate by coordinate and kept when its
+    ``Chain.key`` is new.  Returns the chains and the seeds searched."""
     sys_ = spec.system
-    chains, seen = [], set()
+    chains, seen, searched = [], set(), []
 
     def add(coords, terminal):
         c = Chain(tuple(sys_.space.normalize(x) for x in coords), terminal)
@@ -193,58 +271,63 @@ def _old_sample_stratum(spec, N, density, depth):
             fx = ext.apply(sys_, x)
             if all(abs(fx - s) > 1e-12 for s in seeds):
                 seeds.append(fx)
+    seeds = [sys_.space.normalize(x0) for x0 in seeds]
     if N == INF:
         for x0 in seeds:
-            for coords in ext._backward_chains(spec, x0, depth, False):
+            searched.append(x0)
+            for coords in _recursive_search(spec, x0, depth, False):
                 add(coords, False)
-        return chains
+        return chains, searched
     for y in spec.y_grid(density):
         rec = ext.orbit(sys_, y, N)
         if not rec.escaped:
             add(rec.points[::-1], True)
     if N >= 1 and spec.Y:
         for x0 in seeds:
-            for coords in ext._backward_chains(spec, x0, N, True):
+            searched.append(x0)
+            for coords in _recursive_search(spec, x0, N, True):
                 add(coords, True)
-    return chains
+    return chains, searched
 
 
 def _check_against_old_sampler(spec, N, density, depth):
-    # both samplers must search from the same seeds, in the same order
-    real = ext._backward_chains
-    searches = []
+    old, old_seeds = _old_sample_stratum(spec, N, density, depth)
+    # the closed-form table, when the system has one, and the scalar fill
+    for source in (spec, _scalar_fill(spec)):
+        # both samplers must search from the same seeds, in the same order
+        real = ext._backward_rows
+        seeds = []
 
-    def recording(spec, x0, depth, terminal):
-        searches[-1].append((x0, depth, terminal))
-        return real(spec, x0, depth, terminal)
+        def recording(spec, x0s, depth, terminal):
+            seeds.extend(x0s)
+            return real(spec, x0s, depth, terminal)
 
-    ext._backward_chains = recording
-    try:
-        searches.append([])
-        old = _old_sample_stratum(spec, N, density, depth)
-        searches.append([])
+        ext._backward_rows = recording
         try:
-            s = sample_stratum(spec, N, density, depth=depth)
+            s = sample_stratum(source, N, density, depth=depth)
         except EmptyStratum:
             s = None
-    finally:
-        ext._backward_chains = real
-    assert repr(searches[0]) == repr(searches[1])
-    if s is None:
-        assert old == []
-        return
-    assert isinstance(s.chains, ext.ChainRows)
-    assert s.chains.coords.dtype == float
-    assert s.chains.coords.shape == (len(old), len(old[0].coords))
-    assert repr(s.chains.coords.tolist()) == repr([list(c.coords)
-                                                   for c in old])
-    assert s.chains.terminal == (N != INF)
-    assert list(s.chains) == old
+        finally:
+            ext._backward_rows = real
+        assert repr(seeds) == repr(old_seeds)
+        if s is None:
+            assert old == []
+            continue
+        assert isinstance(s.chains, ext.ChainRows)
+        assert s.chains.coords.dtype == float
+        assert s.chains.coords.shape == (len(old), len(old[0].coords))
+        assert repr(s.chains.coords.tolist()) == repr([list(c.coords)
+                                                       for c in old])
+        assert s.chains.terminal == (N != INF)
+        assert list(s.chains) == old
 
 
 @settings(max_examples=60, deadline=None)
 @given(lam=st.floats(0.5, 1.0), N=st.one_of(st.integers(0, 6), st.just(INF)),
        density=st.integers(5, 30), depth=st.integers(1, 8))
+@example(lam=1.0, N=INF, density=12, depth=7)  # Y is empty at lambda = 1
+@example(lam=1.0, N=3, density=12, depth=7)
+@example(lam=0.95, N=INF, density=20, depth=3)  # the prefix is the chain
 def test_array_sampler_matches_chain_key_dedupe(lam, N, density, depth):
     _check_against_old_sampler(extension_spec(lam), N, density, depth)
 
@@ -259,6 +342,16 @@ def test_array_sampler_matches_chain_key_dedupe_constant(p, density, N):
     # grid holds 1/3, the target lands on it or one ulp above it.
     spec = ExtensionSpec(make_constant_system(float(p)), ((0.0, 1.0),))
     _check_against_old_sampler(spec, N, density, 6)
+
+
+@pytest.mark.parametrize("Y", [((0.1, 0.3),), ((0.9, 0.05),),
+                               ((0.2, 0.25), (0.95, 0.0))])
+@pytest.mark.parametrize("N", [2, 4, INF])
+def test_array_sampler_matches_recursive_search_on_the_circle(Y, N):
+    # terminal leaves are tested against Y as an array; two of these Y
+    # wrap through 0 = 1
+    spec = ExtensionSpec(make_rotation_system(0.3), Y)
+    _check_against_old_sampler(spec, N, 9, 5)
 
 
 def test_distinct_rows_rounds_as_python_round():

@@ -4,10 +4,12 @@ regime classification, and golden-count checks of the continuum graphs."""
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from revext import logistic as lg
-from revext.core import find_root
+from revext.core import EPS_DOM, find_root, preimages
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +33,28 @@ def test_preimage_branches_against_forward_map():
                 assert lg.eval_map(lam, x) == pytest.approx(y, abs=1e-12)
     assert lg.preimage_branches(0.6, 0.6) == {"C": 0.5}
     assert lg.preimage_branches(0.6, 0.61) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(lam=st.floats(0.25, 1.0), y=st.floats(0.0, 1.0),
+       t=st.floats(0.0, 1.0))
+def test_preimage_table_matches_scalar_preimages(lam, y, t):
+    # the critical value, the cut just above it, signed zeros, the ends of
+    # [0, 1], and the band [lambda, lambda + EPS_DOM] where L and R merge
+    # to C; plus the few ulps below lambda, where they no longer merge, and
+    # y near -4e-12 lambda, where L leaves the domain just before R does
+    edges = [lam, lam + EPS_DOM, lam - EPS_DOM, -0.0, 0.0, 1.0,
+             np.nextafter(lam + EPS_DOM, 2.0), lam + t * EPS_DOM,
+             lam * (1.0 - 1e-16), lam * (1.0 - t * 1e-15)]
+    ys = [y] + [float(e) for e in edges]
+    ys += [float(lam - k * np.spacing(lam)) for k in range(1, 6)]
+    ys += [-4e-12 * lam + k * 1e-16 for k in range(-40, 41)]
+    spec = lg.extension_spec(lam)
+    table = preimages(spec.system, np.array(ys))
+    assert table.shape == (len(ys), 2)
+    for y, row in zip(ys, table.tolist()):
+        want = list(spec.ordered_preimages(y))
+        assert repr(row) == repr(want + [math.nan] * (2 - len(want)))
 
 
 def test_lift_gamma_periodicity_and_injectivity():
