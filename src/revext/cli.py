@@ -20,7 +20,7 @@ import numpy as np
 from . import circle as ci
 from . import logistic as lg
 from . import operator_model as om
-from .core import make_constant_system
+from .core import decimal_rint, make_constant_system
 from .extension import INF, EmptyStratum, ExtensionSpec, sample_stratum
 
 
@@ -285,14 +285,8 @@ def _sweep_chunk(lams: np.ndarray, burn_in: int, keep: int) -> np.ndarray:
 
 def _centi(v: np.ndarray) -> np.ndarray:
     """Non-negative coordinates in integer hundredths, rounded as
-    ``f"{v:.2f}"`` rounds them.  ``rint`` rounds the product ``v * 100``,
-    the format rounds the exact binary value; they can differ only within
-    a few ulps of a half, and those few are formatted directly."""
-    t = v * 100.0
-    c = np.rint(t).astype(np.int64)
-    tie = np.flatnonzero(np.abs(t - np.floor(t) - 0.5) < 1e-9)
-    c.flat[tie] = [int(f"{x:.2f}".replace(".", "")) for x in v.flat[tie]]
-    return c
+    ``f"{v:.2f}"`` rounds them."""
+    return decimal_rint(v, 2)
 
 
 def _centi_labels(c: np.ndarray) -> list:

@@ -67,6 +67,26 @@ def find_root(f: Callable[[float], float], points: Iterable[float],
     return 0.5 * (a + b)
 
 
+def decimal_rint(v, digits: int) -> np.ndarray:
+    """Per x of ``v``, the int64 k nearest the exact x * 10**digits, ties
+    to even, as ``round(x, digits)`` and ``f"{x:.{digits}f}"`` round.  A
+    normal t = fl(x * 10**digits) lies within eps * |t| of it (digits <=
+    22), so ``np.rint(t)`` is k unless a half is that close; those x are
+    formatted (ValueError if not finite, OverflowError past 2**63)."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = v * 10.0 ** digits
+        k = np.rint(t)
+        d = np.abs(t - k)
+        np.subtract(0.5, d, out=d)  # the distance from t to the nearest half
+        np.multiply(np.abs(t, out=t), np.finfo(float).eps, out=t)
+        risky = np.flatnonzero(~(d > t))
+        out = k.astype(np.int64)
+    out.flat[risky] = [int(f"{x:.{digits}f}".replace(".", ""))
+                       for x in v.flat[risky].tolist()]
+    return out
+
+
 @dataclass(frozen=True)
 class StateSpace:
     """The unit interval [0,1] or the circle R/Z with its induced metric."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (EPS_CHAIN, EPS_DOM, FactorMapSample, OutsideDomain,
-                   PartialMapSystem, apply, orbit, preimages)
+                   PartialMapSystem, apply, decimal_rint, orbit, preimages)
 
 INF = math.inf
 # Branch words of a backward search are enumerated exhaustively down to this
@@ -310,32 +310,41 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
     ``density`` zeroth coordinates.  M_inf uses backward enumeration only.
     Preimages come from the spec, so strata sampled from one spec share
     them.  ``extra_seeds`` lets callers add known dynamically relevant x0
-    values (e.g. attractor points).
+    values (e.g. attractor points); each must be a finite point of the
+    state space (any real on the circle), else ValueError.  ``depth`` is
+    the chain depth of M_inf and must be an integer >= 1 for every N.
     """
     if isinstance(N, bool) or N != INF and (N < 0 or N != int(N)):
         raise ValueError(f"N must be a nonnegative integer or INF, got {N!r}")
-    if isinstance(density, bool) or not isinstance(
-            density, (int, np.integer)) or density < 1:
-        raise ValueError(f"density must be an integer >= 1, got {density!r}")
+    for name, n in (("density", density), ("depth", depth)):
+        if isinstance(n, bool) or not isinstance(
+                n, (int, np.integer)) or n < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
     sys_ = spec.system
+    bad = [s for s in extra_seeds if not 0.0 <= sys_.space.normalize(s) <= 1.0]
+    if bad:
+        raise ValueError(f"extra seed {bad[0]!r} is not a point of the space")
     lo = min(iv[0] for iv in sys_.domain)
     hi = max(iv[1] for iv in sys_.domain)
     grid = [lo + (hi - lo) * j / max(density - 1, 1) for j in range(density)]
     seeds = grid + [sys_.space.normalize(s) for s in extra_seeds]
     # forward images of grid points reach values (e.g. a constant map's
-    # target) that carry backward orbits even when the grid misses them
-    for x in grid:
-        if sys_.in_domain(x):
-            fx = apply(sys_, x)
-            if all(abs(fx - s) > 1e-12 for s in seeds):
-                seeds.append(fx)
+    # target) that carry backward orbits even when the grid misses them.
+    # An image joins the seeds unless it lies within 1e-12 of a seed before
+    # it: a grid or extra seed, or an earlier image that joined.
+    fx = np.array([apply(sys_, x) for x in grid if sys_.in_domain(x)])
+    fx = fx[(np.abs(fx[:, None] - np.array(seeds)) > 1e-12).all(axis=1)]
+    near = np.tril(~(np.abs(fx[:, None] - fx) > 1e-12), -1)
+    # joined[i] depends on joined[:i] only, so each sweep settles one more
+    # image at least, and usually all of them
+    joined = np.ones(len(fx), dtype=bool)
+    while (joined != (new := ~(near & joined).any(axis=1))).any():
+        joined = new
     # backward chains start at a seed; their other coordinates are
     # preimages, already normalized
-    seeds = [sys_.space.normalize(x0) for x0 in seeds]
+    seeds = [sys_.space.normalize(x0) for x0 in seeds + fx[joined].tolist()]
 
     if N == INF:
-        if depth < 1:
-            raise ValueError("depth must be >= 1 for the infinite stratum")
         rows = _backward_rows(spec, seeds, depth, terminal=False)
         if not len(rows):
             raise EmptyStratum("no infinite backward orbits found")
@@ -358,13 +367,15 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The rows of one length as an array, one per class of ``Chain.key``,
     in first-occurrence order: two rows are one class when Python's
-    ``round(x, 9)`` agrees at every coordinate.  ``round`` runs once per
-    distinct value; it is monotone, so the values it merges are neighbours
-    in sorted order and one class id per run of them suffices."""
+    ``round(x, 9)`` agrees at every coordinate.  That is the double nearest
+    k / 10**9 for k = ``decimal_rint(x, 9)``, and on [0, 1], where
+    coordinates lie, distinct k give distinct doubles, so equal k is the
+    class.  Rounding is monotone: the values it merges are neighbours in
+    sorted order, and one class id per run of equal k suffices."""
     coords = np.asarray(rows, dtype=float)
     values, inverse = np.unique(coords, return_inverse=True)
-    rounded = np.array([round(v, 9) for v in values.tolist()])
-    ids = np.cumsum(np.r_[False, rounded[1:] != rounded[:-1]])
+    k = decimal_rint(values, 9)
+    ids = np.cumsum(np.r_[False, k[1:] != k[:-1]])
     # numpy 2.0 changed the shape of the inverse, so set it here
     classes = ids[inverse.reshape(coords.shape)]
     _, first = np.unique(classes, axis=0, return_index=True)

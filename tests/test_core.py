@@ -4,13 +4,17 @@ checking on the classical tent-to-quadratic conjugacy, and the bracketing
 root finder."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from conftest import decimal_edge_floats
 from revext.core import (CIRCLE, EPS_CHAIN, Branch, BracketFailure,
                          FactorMapSample, OutsideDomain, PartialMapSystem,
-                         UNIT_INTERVAL, apply, check_semiconjugacy, find_root,
+                         UNIT_INTERVAL, apply, check_semiconjugacy,
+                         decimal_rint, find_root,
                          make_constant_system, make_rotation_system,
                          omega_limit, orbit, preimages)
 from revext.logistic import make_system
@@ -238,3 +242,25 @@ def test_find_root_stops_at_float_resolution():
     assert abs(got - 1.0 / 3.0) <= 2 * math.ulp(1.0 / 3.0)
     with pytest.raises(BracketFailure):
         find_root(lambda x: x, (), 1e-9)
+
+
+@given(xs=st.lists(decimal_edge_floats(), min_size=1, max_size=40),
+       big=st.lists(st.floats(-2.0 ** 62, 2.0 ** 62), max_size=5),
+       digits=st.sampled_from([2, 9]))
+@example(xs=[5e-10, (12345 + 0.5) / 1e9, -0.0], big=[], digits=9)
+def test_decimal_rint_rounds_the_exact_value(xs, big, digits):
+    # Python's round gives the double nearest k / 10**digits
+    got = decimal_rint(np.array(xs), digits)
+    assert (got / 10.0 ** digits).tolist() == [round(x, digits) for x in xs]
+    # big: products up to 2**62, where they lose integer resolution
+    xs += [b / 10 ** digits for b in big]
+    got = decimal_rint(np.array(xs), digits)
+    assert got.dtype == np.int64
+    assert got.tolist() == [round(Fraction(x) * 10 ** digits) for x in xs]
+
+
+@pytest.mark.parametrize("x, error", [
+    (math.nan, ValueError), (math.inf, ValueError), (1e300, OverflowError)])
+def test_decimal_rint_rejects_what_int64_cannot_hold(x, error):
+    with pytest.raises(error):
+        decimal_rint([0.5, x], 9)

@@ -4,6 +4,7 @@ brute-force Hausdorff oracle, and the semiconjugacy lift."""
 
 import dataclasses
 import json
+import math
 import random
 from collections import Counter
 
@@ -12,7 +13,9 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import revext.extension as ext
-from revext.core import (CIRCLE, FactorMapSample, check_semiconjugacy,
+from conftest import decimal_edge_floats
+from revext.core import (CIRCLE, UNIT_INTERVAL, Branch, FactorMapSample,
+                         PartialMapSystem, apply, check_semiconjugacy,
                          make_constant_system, make_rotation_system)
 from revext.extension import (INF, Chain, ChainExtensionSystem, EmptyStratum,
                               ExtensionSpec, InvalidLift,
@@ -191,6 +194,31 @@ def test_sample_stratum_rejects_invalid_input(N, density):
         sample_stratum(SPEC06, N, density)
 
 
+@pytest.mark.parametrize("depth", [0, -4, 2.5, 3.0, True, False, "3"])
+@pytest.mark.parametrize("N", [3, INF])
+def test_sample_stratum_rejects_invalid_depth(N, depth):
+    with pytest.raises(ValueError, match="depth"):
+        sample_stratum(SPEC06, N, 10, depth=depth)
+
+
+@pytest.mark.parametrize("seed", [math.nan, math.inf, -math.inf, 1.5,
+                                  -1e-9])
+def test_sample_stratum_rejects_extra_seeds_outside_the_space(seed):
+    # a NaN seed used to compare unequal to every forward image and so
+    # suppressed all of them: M_2 at lambda = 0.9 lost a chain
+    with pytest.raises(ValueError, match="extra seed"):
+        sample_stratum(extension_spec(0.9), 2, 5, extra_seeds=[0.3, seed])
+
+
+def test_extra_seeds_on_the_circle_wrap_but_must_be_finite():
+    spec = ExtensionSpec(make_rotation_system(0.3), ((0.1, 0.3),))
+    assert sample_stratum(spec, 2, 9, extra_seeds=[1.25, -0.5]) == \
+        sample_stratum(spec, 2, 9, extra_seeds=[0.25, 0.5])
+    for seed in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="extra seed"):
+            sample_stratum(spec, 2, 9, extra_seeds=[seed])
+
+
 def test_sample_stratum_takes_numpy_integers():
     assert sample_stratum(SPEC06, np.int64(3), np.int64(10)) == \
         sample_stratum(SPEC06, 3, 10)
@@ -248,7 +276,7 @@ def _recursive_search(spec, x0, depth, terminal):
     return enumerate_prefix([x0])
 
 
-def _old_sample_stratum(spec, N, density, depth):
+def _old_sample_stratum(spec, N, density, depth, extra_seeds=()):
     """The sampler as it was before strata became arrays, as the oracle:
     an O(density^2) seed scan, the recursive search from each seed, and a
     Chain per yield, normalized coordinate by coordinate and kept when its
@@ -265,7 +293,7 @@ def _old_sample_stratum(spec, N, density, depth):
     lo = min(iv[0] for iv in sys_.domain)
     hi = max(iv[1] for iv in sys_.domain)
     grid = [lo + (hi - lo) * j / max(density - 1, 1) for j in range(density)]
-    seeds = list(grid)
+    seeds = grid + [sys_.space.normalize(s) for s in extra_seeds]
     for x in grid:
         if sys_.in_domain(x):
             fx = ext.apply(sys_, x)
@@ -290,8 +318,9 @@ def _old_sample_stratum(spec, N, density, depth):
     return chains, searched
 
 
-def _check_against_old_sampler(spec, N, density, depth):
-    old, old_seeds = _old_sample_stratum(spec, N, density, depth)
+def _check_against_old_sampler(spec, N, density, depth, extra_seeds=()):
+    old, old_seeds = _old_sample_stratum(spec, N, density, depth,
+                                         extra_seeds)
     # the closed-form table, when the system has one, and the scalar fill
     for source in (spec, _scalar_fill(spec)):
         # both samplers must search from the same seeds, in the same order
@@ -304,7 +333,8 @@ def _check_against_old_sampler(spec, N, density, depth):
 
         ext._backward_rows = recording
         try:
-            s = sample_stratum(source, N, density, depth=depth)
+            s = sample_stratum(source, N, density, depth=depth,
+                               extra_seeds=extra_seeds)
         except EmptyStratum:
             s = None
         finally:
@@ -354,6 +384,32 @@ def test_array_sampler_matches_recursive_search_on_the_circle(Y, N):
     _check_against_old_sampler(spec, N, 9, 5)
 
 
+@pytest.mark.parametrize("spec", [
+    extension_spec(0.9),
+    ExtensionSpec(make_constant_system(0.3), ((0.0, 1.0),)),
+    ExtensionSpec(make_rotation_system(0.3), ((0.1, 0.3),)),
+], ids=["logistic", "constant", "rotation"])
+@pytest.mark.parametrize("offset", [0.0, 5e-13, -1e-12, 2e-12])
+@pytest.mark.parametrize("N", [3, INF])
+def test_array_sampler_matches_old_sampler_near_extra_seeds(spec, offset, N):
+    # an extra seed at or within 1e-12 of a forward image keeps the image
+    # out of the seeds; one 2e-12 away lets it in.  The image of 1/3 is no
+    # point of the density-7 grid.
+    image = apply(spec.system, 1.0 / 3.0)
+    _check_against_old_sampler(spec, N, 7, 5, [0.77, image + offset])
+
+
+@pytest.mark.parametrize("N", [2, INF])
+def test_forward_images_join_the_seeds_in_order(N):
+    # images 0.6e-12 apart from 0.5 on: each lies within 1e-12 of the one
+    # before it, but every other one is 1.2e-12 from the last that joined
+    step = 6 * 0.6e-12
+    system = PartialMapSystem(
+        UNIT_INTERVAL, ((0.0, 1.0),), lambda x: 0.5 + step * x,
+        (Branch("only", (0.0, 1.0), lambda y: (y - 0.5) / step),))
+    _check_against_old_sampler(ExtensionSpec(system, ((0.0, 1.0),)), N, 7, 3)
+
+
 def test_distinct_rows_rounds_as_python_round():
     # the double nearest 5e-10 lies above the tie, so Python's round gives
     # 1e-9 and np.round gives 0.0; rows equal after Python's rounding are
@@ -362,6 +418,22 @@ def test_distinct_rows_rounds_as_python_round():
     got = ext._distinct_rows(rows)
     assert got.tolist() == [[5e-10, 0.25], [0.0, 0.25]]
     assert round(5e-10, 9) == 1e-9 != np.round(5e-10, 9)
+
+
+@given(data=st.data())
+def test_distinct_rows_matches_chain_key_dedupe(data):
+    # values next to decimal halves, and neighbours of them that round
+    # alike or apart
+    base = data.draw(st.lists(decimal_edge_floats(), min_size=1, max_size=4))
+    pool = [y for x in base
+            for y in (x, math.nextafter(x, 2.0), min(x + 4e-10, 1.0))]
+    rows = data.draw(st.lists(st.tuples(*[st.sampled_from(pool)] * 3),
+                              min_size=1, max_size=30))
+    first = {}
+    for r in rows:
+        first.setdefault(Chain(r, True).key(), list(r))
+    assert repr(ext._distinct_rows(np.array(rows)).tolist()) == \
+        repr(list(first.values()))
 
 
 def test_chain_rows_sequence_contract():
