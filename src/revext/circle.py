@@ -187,13 +187,15 @@ def rotation_number(h: CircleHomeo, n_iter: int = 100_000,
     """
     if n_iter < 1:
         raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-    disp = np.empty(n_iter)
-    out = memoryview(disp)  # per-element stores cost less than on disp
+    disp = np.empty(0)
     base, floor = h.base, math.floor
     t = seed - floor(seed)
     n, avg, converged = 0, None, False
     while not converged and n < n_iter:
         end = min(max(2 * n, WEIGHTED_START), n_iter)
+        # the buffer grows with the orbit: n_iter is a cap, not a size
+        disp = np.concatenate([disp, np.empty(end - n)])
+        out = memoryview(disp)  # per-element stores cost less than on disp
         for j in range(n, end):
             y = base(t)
             out[j] = y - t

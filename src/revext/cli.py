@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,6 +58,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not (0.0 < self.lam <= 1.0):
             raise ValueError("lambda must be in (0, 1]")
+        if not all(map(math.isfinite, (self.tau, self.gamma0 or 0.0))):
+            raise ValueError("tau and gamma0 must be finite")
         if not (0.0 < self.lambda_min < self.lambda_max <= 1.0):
             raise ValueError("need 0 < lambda_min < lambda_max <= 1, got "
                              f"lambda_min={self.lambda_min}, "
@@ -233,8 +236,12 @@ def _write_strata_json(fh, strata: dict) -> None:
 
 def cmd_extend(cfg: RunConfig) -> int:
     if cfg.system == "rotation":
+        # the lift t -> t + tau + offset has gamma(0) = tau + offset
         g0 = cfg.tau if cfg.gamma0 is None else cfg.gamma0
-        offset = int(round(g0 - (cfg.tau % 1.0)))
+        offset = round(g0 - cfg.tau)
+        if abs(g0 - cfg.tau - offset) > 1e-9:
+            raise ValueError(f"gamma0 {g0!r} is not congruent to tau "
+                             f"{cfg.tau!r} mod 1")
         h = ci.rigid_rotation(cfg.tau, offset=offset)
         shape = ci.extension_shape(h, N_max=cfg.N)
         with open(cfg.output + ".json", "w") as fh:

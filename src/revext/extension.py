@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +27,6 @@ PREFIX_DEPTH = 5
 # where exactly one chain has terminated contributes TERMINAL_GAP.
 WEIGHT_BASE = 0.5
 TERMINAL_GAP = 1.0
-
-# Deterministic branch enumeration order; unknown labels sort after these,
-# alphabetically.
-_BRANCH_ORDER = {"L": 0, "R": 1, "C": 2}
 
 
 class NotInImage(ValueError):
@@ -71,19 +67,10 @@ class ExtensionSpec:
 
     system: PartialMapSystem
     Y: tuple[tuple[float, float], ...]
-    # y -> preimage coordinates of y in branch order; every stratum of one
-    # spec reads the same backward-orbit tree
-    _preimages: dict = field(default_factory=dict, init=False, compare=False,
-                             repr=False)
 
     def ordered_preimages(self, y: float) -> tuple[float, ...]:
-        """The preimages of y in ``_BRANCH_ORDER``, computed once per spec."""
-        xs = self._preimages.get(y)
-        if xs is None:
-            opts = sorted(preimages(self.system, y),
-                          key=lambda lx: (_BRANCH_ORDER.get(lx[0], 9), lx[0]))
-            xs = self._preimages[y] = tuple(x for _, x in opts)
-        return xs
+        """The preimages of y, in the order of the system's branches."""
+        return tuple(x for _, x in preimages(self.system, y))
 
     def in_Y(self, x: float, eps: float = EPS_DOM) -> bool:
         return self.system.space.in_intervals(self.Y, x, eps)
@@ -116,7 +103,7 @@ class ChainRows(Sequence):
     """Chains of one length and one terminal flag, kept as the rows of a
     float64 (n, length) array.  A Chain is built only when one is read:
     indexing gives a Chain, slicing another ChainRows, and iteration yields
-    Chains.  Equal to any sequence of the same Chains in the same order."""
+    Chains.  Equal to a ChainRows with the same flag and rows."""
 
     def __init__(self, coords: np.ndarray, terminal: bool):
         coords = coords.view()
@@ -137,14 +124,15 @@ class ChainRows(Sequence):
         return (Chain(tuple(row), t) for row in self.coords.tolist())
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
+        if not isinstance(other, ChainRows):
             return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other))
+        return (self.terminal == other.terminal
+                and np.array_equal(self.coords, other.coords))
 
     def __hash__(self) -> int:
-        # a tuple of the same Chains compares equal, so hash as one
-        return hash(tuple(self))
+        # from the values, not the bytes: 0.0 == -0.0 must hash alike
+        return hash((self.terminal, self.coords.shape,
+                     tuple(self.coords.ravel().tolist())))
 
     def __repr__(self) -> str:
         return (f"ChainRows({self.coords.tolist()!r}, "
@@ -154,12 +142,11 @@ class ChainRows(Sequence):
 @dataclass(frozen=True)
 class StratumSample:
     """A sample of the stratum M_N (N an int, or INF for depth-truncated
-    M_inf).  ``chains`` is a ChainRows in every sampled stratum; a sample
-    built by hand may hold any sequence of Chain, of mixed lengths and
-    terminal flags too."""
+    M_inf).  Its chains share one length and one terminal flag, so
+    ``chains`` is always a ChainRows."""
 
     N: object  # int or math.inf
-    chains: Sequence[Chain]
+    chains: ChainRows
     depth: int
 
 
@@ -227,7 +214,7 @@ class ChainExtensionSystem:
 def _preimage_table(spec: ExtensionSpec, ys: np.ndarray) -> np.ndarray:
     """The preimages of each point of ``ys`` as a row of an (n, branches)
     array in ``ordered_preimages`` order, NaN-padded: the system's closed
-    form if it has one, else the spec's scalar lookups."""
+    form if it has one, else scalar ``preimages`` calls."""
     if spec.system.preimage_table is not None:
         return preimages(spec.system, ys)
     table = np.full((len(ys), len(spec.system.branches)), np.nan)
@@ -308,8 +295,7 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
     Finite strata combine two seedings: the parametrizing grid on Y pushed
     forward N steps, and backward branch enumeration from a grid of
     ``density`` zeroth coordinates.  M_inf uses backward enumeration only.
-    Preimages come from the spec, so strata sampled from one spec share
-    them.  ``extra_seeds`` lets callers add known dynamically relevant x0
+    ``extra_seeds`` lets callers add known dynamically relevant x0
     values (e.g. attractor points); each must be a finite point of the
     state space (any real on the circle), else ValueError.  ``depth`` is
     the chain depth of M_inf and must be an integer >= 1 for every N.
@@ -415,25 +401,8 @@ def chain_distance(a: Chain, b: Chain, space=None) -> float:
     return total
 
 
-# Rows of one class pair's prefix-distance matrix held in memory at once.
+# Rows of the prefix-distance matrix held in memory at once.
 _ROW_BLOCK = 256
-
-
-def _classes(sample: StratumSample) -> list:
-    """Chains grouped by (length, terminal): one (length, terminal, indices
-    in the sample, (count, length) coordinate array) tuple per class.  A
-    ChainRows sample is its one class."""
-    rows = sample.chains
-    if isinstance(rows, ChainRows):
-        return [(rows.coords.shape[1], rows.terminal, slice(None),
-                 rows.coords)]
-    groups: dict = {}
-    for i, c in enumerate(sample.chains):
-        groups.setdefault((len(c.coords), c.terminal), []).append(i)
-    return [(length, terminal, np.array(idx),
-             np.array([sample.chains[i].coords for i in idx]).reshape(
-                 len(idx), length))
-            for (length, terminal), idx in groups.items()]
 
 
 def _prefix_minima(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
@@ -465,40 +434,35 @@ def hausdorff(A: StratumSample, B: StratumSample, space=None) -> float:
     """Hausdorff distance between two stratum samples under chain_distance.
 
     Exact, and equal to the max-min over the full pairwise matrix summed
-    over a horizon of max(lengths, 60) terms.  Within one pair of
-    (length, terminal) classes every distance is the weighted l1 prefix
-    distance over the k = min(la, lb) shared coordinates followed by the
-    same tail terms (terminal gaps).  Each step x -> fl(x + t) of the tail
-    is monotone, so adding it to the prefix row and column minima gives the
-    same floats as adding it to every entry before taking minima.
+    over a horizon of max(lengths, 60) terms.  The chains of a sample share
+    one length and one terminal flag, so every distance is the weighted l1
+    prefix distance over the k = min(la, lb) shared coordinates followed by
+    the same tail terms (terminal gaps).  Each step x -> fl(x + t) of the
+    tail is monotone, so adding it to the prefix row and column minima
+    gives the same floats as adding it to every entry before taking minima.
     """
     if not A.chains or not B.chains:
         raise EmptyStratum("hausdorff requires nonempty samples")
     circle = space is not None and getattr(space, "kind", "") == "circle"
-
-    ga, gb = _classes(A), _classes(B)
-    horizon = max(max(g[0] for g in ga), max(g[0] for g in gb), 60)
+    xa, xb = A.chains.coords, B.chains.coords
+    ta, tb = A.chains.terminal, B.chains.terminal
+    la, lb = xa.shape[1], xb.shape[1]
+    horizon = max(la, lb, 60)
     w = WEIGHT_BASE ** np.arange(horizon)
 
-    row_min = np.full(len(A.chains), np.inf)
-    col_min = np.full(len(B.chains), np.inf)
-    for la, ta, ia, xa in ga:
-        for lb, tb, ib, xb in gb:
-            k = min(la, lb)
-            rmin, cmin = _prefix_minima(xa[:, :k], xb[:, :k], w, circle)
-            for n in range(k, horizon):
-                if n < la:  # b has run out
-                    d = TERMINAL_GAP if tb else 0.0
-                elif n < lb:  # a has run out
-                    d = TERMINAL_GAP if ta else 0.0
-                else:
-                    d = TERMINAL_GAP if ta != tb else 0.0
-                if d:
-                    rmin += w[n] * d
-                    cmin += w[n] * d
-            row_min[ia] = np.minimum(row_min[ia], rmin)
-            col_min[ib] = np.minimum(col_min[ib], cmin)
-    return max(row_min.max(), col_min.max())
+    k = min(la, lb)
+    rmin, cmin = _prefix_minima(xa[:, :k], xb[:, :k], w, circle)
+    for n in range(k, horizon):
+        if n < la:  # b has run out
+            d = TERMINAL_GAP if tb else 0.0
+        elif n < lb:  # a has run out
+            d = TERMINAL_GAP if ta else 0.0
+        else:
+            d = TERMINAL_GAP if ta != tb else 0.0
+        if d:
+            rmin += w[n] * d
+            cmin += w[n] * d
+    return max(rmin.max(), cmin.max())
 
 
 # ---------------------------------------------------------------------------
@@ -539,21 +503,42 @@ def lift_semiconjugacy(psi: FactorMapSample,
 
 
 def stratum_to_json(sample: StratumSample) -> dict:
+    rows = sample.chains
     return {
         "N": "inf" if sample.N == INF else int(sample.N),
         "depth": sample.depth,
-        "chains": [{"coords": list(c.coords), "terminal": c.terminal}
-                   for c in sample.chains],
+        "chains": [{"coords": coords, "terminal": rows.terminal}
+                   for coords in rows.coords.tolist()],
     }
+
+
+def _is_count(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 0
 
 
 def stratum_from_json(doc: dict) -> StratumSample:
     """The sample ``stratum_to_json`` wrote.  Raises EmptyStratum for the
-    ``{"empty": true}`` entry that ``extend`` writes for an empty stratum."""
+    ``{"empty": true}`` entry of an empty stratum and for an empty chain
+    list, and ValueError unless N is a nonnegative integer or "inf", depth
+    an integer >= 1, and the chains share one length and flag that fit N:
+    terminal with N + 1 coordinates, or for "inf" non-terminal with
+    depth + 1."""
     if doc.get("empty"):
         raise EmptyStratum('the entry {"empty": true} holds no stratum '
                            'sample: that stratum was empty')
-    N = INF if doc["N"] == "inf" else int(doc["N"])
-    chains = tuple(Chain(tuple(c["coords"]), bool(c["terminal"]))
-                   for c in doc["chains"])
-    return StratumSample(N, chains, int(doc["depth"]))
+    N, depth, chains = doc["N"], doc["depth"], doc["chains"]
+    if N != "inf" and not _is_count(N):
+        raise ValueError(f'N must be a nonnegative integer or "inf", '
+                         f'got {N!r}')
+    if not _is_count(depth) or depth < 1:
+        raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
+    if not chains:
+        raise EmptyStratum(f"the sample of M_{N} holds no chains")
+    shapes = {(len(c["coords"]), bool(c["terminal"])) for c in chains}
+    fit = (depth + 1, False) if N == "inf" else (N + 1, True)
+    if shapes != {fit}:
+        raise ValueError(f"chains of (length, terminal) {sorted(shapes)} "
+                         f"do not fit M_{N}, which needs {fit}")
+    rows = np.array([c["coords"] for c in chains], dtype=float)
+    return StratumSample(INF if N == "inf" else N, ChainRows(rows, fit[1]),
+                         depth)

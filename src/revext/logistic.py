@@ -743,7 +743,8 @@ def continuum_graph(regime: Regime) -> ContinuumGraph:
         return _mu_point_graph(regime.n)
     if regime.tag == "Window" and (regime.n or 0) >= 1:
         return _window_cascade_graph(regime.n, 0)
-    if regime.tag == "WindowCascadeStage" and (regime.n or 0) >= 1:
+    if (regime.tag == "WindowCascadeStage" and (regime.n or 0) >= 1
+            and (regime.m or 0) >= 0):
         return _window_cascade_graph(regime.n, regime.m or 0)
     raise UnsupportedRegime(f"no decomposition theorem for {regime.tag}"
                             f"(n={regime.n}, m={regime.m})")

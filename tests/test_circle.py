@@ -71,6 +71,13 @@ def test_rotation_number_rigid_to_rounding(tau, offset):
     assert got.weighted and got.steps == 2000
 
 
+def test_rotation_number_cap_is_not_a_buffer_size():
+    # the orbit converges at 2000 steps; a cap of 10**11 steps is never
+    # allocated
+    got = ci.rotation_number(ci.rigid_rotation(0.4), n_iter=10**11)
+    assert got.steps == 2000 and got.weighted
+
+
 @settings(max_examples=30, deadline=None)
 @given(h=_homeos)
 def test_rotation_number_lies_in_its_interval(h):

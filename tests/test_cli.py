@@ -52,6 +52,38 @@ def test_extend_rotation_ladder(tmp_path):
     assert (tmp_path / "rot.svg").exists()
 
 
+@pytest.mark.parametrize("tau", ["1.3", "-0.7", "0.3"])
+def test_extend_rotation_lift_takes_gamma0(tmp_path, tau):
+    # tau = 1.3 and -0.7 name the rotation by 0.3 too; gamma(0) = 0.3
+    # picks the lift with the same ladder
+    out = str(tmp_path / "rot")
+    assert run(["extend", "--system", "rotation", "--tau", tau,
+                "--gamma0", "0.3", "--N", "4", "-o", out]) == 0
+    doc = json.loads((tmp_path / "rot.json").read_text())
+    assert doc["kind"] == "ArcLadder"
+    for arc in doc["arcs"]:
+        assert arc["origin"] == pytest.approx(arc["N"] * 0.3 % 1.0)
+        assert arc["end"] == pytest.approx((arc["N"] + 1) * 0.3 % 1.0)
+
+
+def test_extend_rotation_rejects_gamma0_of_another_rotation(tmp_path,
+                                                             capsys):
+    assert run(["extend", "--system", "rotation", "--tau", "0.25",
+                "--gamma0", "0.6", "-o", str(tmp_path / "rot")]) == 1
+    assert "not congruent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--system", "rotation", "--gamma0", "inf"],
+    ["extend", "--system", "rotation", "--tau=-inf"],
+    ["rotation", "--tau", "inf"],
+    ["rotation", "--tau", "nan"],
+])
+def test_rotation_rejects_non_finite_tau_and_gamma0(tmp_path, capsys, argv):
+    assert run(argv + ["-o", str(tmp_path / "rot")]) == 1
+    assert "must be finite" in capsys.readouterr().err
+
+
 def _strata(N=4, depth=8, density=12, **system):
     """The strata `extend` samples, keyed as in its JSON (None if empty)."""
     spec = _extension_spec_for(RunConfig("extend", **system))
@@ -276,6 +308,13 @@ def test_continuum_graph_dot_and_json(tmp_path):
     assert len(doc["nodes"]) == 5
 
 
+def test_continuum_graph_rejects_negative_m(tmp_path):
+    out = tmp_path / "wc"
+    assert run(["continuum-graph", "--regime", "window-cascade", "--n", "1",
+                "--m", "-1", "-o", str(out)]) == 1
+    assert not out.with_suffix(".json").exists()
+
+
 def test_rotation_command(tmp_path):
     out = str(tmp_path / "rot")
     assert run(["rotation", "--tau", "0.4", "-o", out]) == 0
@@ -407,6 +446,12 @@ _PINNED = [
                  "a1a5005255be12a63fc98d0630b26f00",
         ".svg": "2caf525aff21a205fb2c79b43d0c7057"
                 "b9dfae10ee73b902e8c2c33d290cf0fc"}),
+    (["extend", "--system", "rotation", "--tau", "0.25", "--gamma0", "0.25",
+      "--N", "6", "--format", "svg"], {
+        ".json": "03b19c90a2006d9a8bc19eaa4fa20129"
+                 "d42c66188c798ea4ad0cedcc677a5ed3",
+        ".svg": "8337ce732e9227b205504ae72c77f055"
+                "29c810317b2bbb71984df4b21a960394"}),
     (["bifurcate", "--n-max", "2", "--steps", "60", "--format", "svg"], {
         ".csv": "bfe5c35e98088c3775cdbf3d597cd9d1"
                 "024a397603c6aca6b9483a9b18e466d6",

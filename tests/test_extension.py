@@ -6,7 +6,6 @@ import dataclasses
 import json
 import math
 import random
-from collections import Counter
 
 import pytest
 import numpy as np
@@ -132,26 +131,6 @@ def _scalar_fill(spec):
     the search fills its tables from ``ordered_preimages``."""
     return ExtensionSpec(dataclasses.replace(spec.system, preimage_table=None),
                          spec.Y)
-
-
-@pytest.mark.parametrize("N", [8, INF])
-def test_sample_stratum_computes_each_preimage_once(monkeypatch, N):
-    calls = Counter()
-    real = ext.preimages
-
-    def counting(system, y):
-        calls[y] += 1
-        return real(system, y)
-
-    monkeypatch.setattr(ext, "preimages", counting)
-    spec = _scalar_fill(extension_spec(0.95))
-    # the strata of one spec share its preimage lookup, so sampling N
-    # first and then the others computes no point's preimages twice
-    for M in [N] + [M for M in (4, 8, INF) if M != N]:
-        s = sample_stratum(spec, M, 40, depth=20)
-        for c in s.chains:
-            assert validate_chain(spec, c)
-    assert calls and max(calls.values()) == 1
 
 
 def test_sample_stratum_batch_calls_do_not_depend_on_density(monkeypatch):
@@ -452,39 +431,29 @@ def test_chain_rows_sequence_contract():
                slice(5, 2)):
         assert isinstance(rows[sl], ext.ChainRows)
         assert list(rows[sl]) == chains[sl]
-        assert rows[sl] == chains[sl] and chains[sl] == rows[sl]
-    assert rows == chains and rows == tuple(chains) and tuple(chains) == rows
-    assert rows != chains[:-1] and rows != chains[::-1]
-    assert rows != "not chains" and rows is not None
+    # a ChainRows equals only a ChainRows with the same flag and rows
+    same = ext.ChainRows(rows.coords.copy(), True)
+    assert rows == same and hash(rows) == hash(same)
+    assert rows != ext.ChainRows(rows.coords, False)
+    assert rows != rows[:-1] and rows != rows[::-1]
+    assert rows != chains and rows != tuple(chains) and rows != "not chains"
     assert chains[1] in rows and rows.index(chains[1]) == 1
-    # hashable as the equal tuple, so the frozen sample is hashable too;
-    # the rows are read-only and the repr shows them
-    assert hash(rows) == hash(tuple(chains))
-    assert hash(s) == hash(StratumSample(s.N, tuple(chains), s.depth))
+    # the frozen sample is hashable; the rows are read-only and the repr
+    # shows them
+    assert hash(s) == hash(StratumSample(s.N, same, s.depth))
     with pytest.raises(ValueError):
         rows.coords[0, 0] = 0.5
     assert repr(rows) == f"ChainRows({rows.coords.tolist()!r}, terminal=True)"
     # the strided subsample pattern of the benchmark's d_H check
     sub = StratumSample(s.N, rows[::max(1, len(rows) // 3)][:3], s.depth)
-    assert sub.chains == chains[::max(1, len(chains) // 3)][:3]
-    # a positional sequence of Chain is kept as given
-    built = StratumSample(s.N, chains, s.depth)
-    assert built.chains is chains
-    assert built == s and s == built
+    assert list(sub.chains) == chains[::max(1, len(chains) // 3)][:3]
 
 
-@pytest.mark.parametrize("lam, N, space", [
-    (0.6, 3, None), (0.9, 5, None), (0.95, 2, CIRCLE), (1.0, INF, None)])
-def test_hausdorff_rows_equal_hand_built(lam, N, space):
-    spec = extension_spec(lam)
-    A = sample_stratum(spec, N, 12, depth=9)
-    B = sample_stratum(spec, INF, 12, depth=6)
-    hand_a = StratumSample(A.N, list(A.chains), A.depth)
-    hand_b = StratumSample(B.N, list(B.chains), B.depth)
-    assert repr(hausdorff(A, B, space=space)) == \
-        repr(hausdorff(hand_a, hand_b, space=space))
-    assert repr(hausdorff(B, A, space=space)) == \
-        repr(hausdorff(hand_b, hand_a, space=space))
+def test_chain_rows_signed_zeros_are_equal_and_hash_alike():
+    pos = ext.ChainRows(np.array([[0.0, 0.5]]), True)
+    neg = ext.ChainRows(np.array([[-0.0, 0.5]]), True)
+    assert pos.coords.tobytes() != neg.coords.tobytes()
+    assert pos == neg and hash(pos) == hash(neg)
 
 
 # ---------------------------------------------------------------------------
@@ -540,22 +509,27 @@ def test_hausdorff_matches_bruteforce_oracle():
     assert got == pytest.approx(expected, abs=1e-12)
 
 
-_chains = st.lists(
-    st.builds(Chain,
-              st.lists(st.floats(0.0, 1.0, exclude_max=True),
-                       min_size=1, max_size=8).map(tuple),
-              st.booleans()),
-    min_size=1, max_size=10)
+@st.composite
+def _uniform_samples(draw):
+    """A sample of 1 to 10 chains of one length (1 to 8) and one flag."""
+    length = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                  min_size=length, max_size=length),
+                         min_size=1, max_size=10))
+    terminal = draw(st.booleans())
+    return StratumSample(length - 1 if terminal else INF,
+                         ext.ChainRows(np.array(rows), terminal), length - 1)
 
 
 @settings(max_examples=200, deadline=None)
-@given(A=_chains, B=_chains, space=st.sampled_from([None, CIRCLE]))
-def test_hausdorff_matches_bruteforce_on_mixed_classes(A, B, space):
-    # chain lengths and terminal flags mix, so every class-pair tail case
+@given(A=_uniform_samples(), B=_uniform_samples(),
+       space=st.sampled_from([None, CIRCLE]))
+def test_hausdorff_matches_bruteforce_on_uniform_samples(A, B, space):
+    # each sample draws its own length and flag, so every tail case
     # (terminal gaps, unequal lengths) and the circle metric are exercised
-    got = hausdorff(StratumSample(0, tuple(A), 0),
-                    StratumSample(0, tuple(B), 0), space=space)
-    assert got == pytest.approx(_brute_hausdorff(A, B, space), abs=1e-15)
+    got = hausdorff(A, B, space=space)
+    assert got == pytest.approx(_brute_hausdorff(A.chains, B.chains, space),
+                                abs=1e-15)
 
 
 def test_hausdorff_converges_for_logistic():
@@ -611,3 +585,45 @@ def test_stratum_json_round_trip(tmp_path):
     si = sample_stratum(SPEC06, INF, 10, depth=6)
     assert stratum_to_json(si)["N"] == "inf"
     assert stratum_from_json(stratum_to_json(si)).N == INF
+
+
+def _doc(N=2, depth=6, chains=(([0.1, 0.2, 0.3], True),
+                               ([0.4, 0.5, 0.6], True))):
+    return {"N": N, "depth": depth,
+            "chains": [{"coords": c, "terminal": t} for c, t in chains]}
+
+
+@pytest.mark.parametrize("doc, error", [
+    (_doc(N=-2), ValueError),
+    (_doc(N=2.0), ValueError),
+    (_doc(N="2"), ValueError),
+    (_doc(N=True), ValueError),
+    (_doc(N=None), ValueError),
+    (_doc(depth=0), ValueError),
+    (_doc(depth=-3), ValueError),
+    (_doc(depth=2.5), ValueError),
+    (_doc(chains=(([0.1, 0.2, 0.3], True), ([0.4, 0.5], True))), ValueError),
+    (_doc(chains=(([0.1, 0.2, 0.3], True), ([0.4, 0.5, 0.6], False))),
+     ValueError),
+    (_doc(N=3), ValueError),  # terminal chains of N + 1 = 4 coordinates
+    (_doc(chains=(([0.1, 0.2, 0.3], False),)), ValueError),
+    (_doc(N="inf", depth=2), ValueError),  # M_inf is non-terminal
+    (_doc(N="inf", chains=(([0.1, 0.2, 0.3], False),)), ValueError),
+    (_doc(chains=()), EmptyStratum),
+    (_doc(N="inf", chains=()), EmptyStratum),
+], ids=["N-negative", "N-float", "N-str", "N-bool", "N-null", "depth-0",
+        "depth-negative", "depth-float", "mixed-lengths", "mixed-flags",
+        "length-not-N+1", "finite-non-terminal", "inf-terminal",
+        "inf-length-not-depth+1", "empty", "inf-empty"])
+def test_stratum_from_json_rejects_non_strata(doc, error):
+    with pytest.raises(error):
+        stratum_from_json(doc)
+
+
+def test_stratum_from_json_accepts_the_fitting_docs():
+    s = stratum_from_json(_doc())
+    assert (s.N, s.depth, s.chains.terminal) == (2, 6, True)
+    assert s.chains.coords.tolist() == [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]
+    s = stratum_from_json(_doc(N="inf", depth=2,
+                               chains=(([0.1, 0.2, 0.3], False),)))
+    assert (s.N, s.depth, s.chains.terminal) == (INF, 2, False)

@@ -517,6 +517,12 @@ def test_continuum_graph_unsupported():
         lg.continuum_graph(lg.Regime("Full"))
 
 
+@pytest.mark.parametrize("m", [-1, -4])
+def test_continuum_graph_rejects_negative_m(m):
+    with pytest.raises(lg.UnsupportedRegime):
+        lg.continuum_graph(lg.Regime.window_cascade_stage(1, m))
+
+
 def test_graph_serialization():
     g = lg.continuum_graph(lg.Regime.mu_point(1))
     doc = g.to_json()
