@@ -3,9 +3,9 @@ the circle: chain spaces, logistic-family bifurcation analysis, circle
 rotation numbers, and finite-dimensional operator-model verification."""
 
 from .core import (CIRCLE, EPS_CHAIN, EPS_DOM, UNIT_INTERVAL, Branch,
-                   OrbitEscaped, OutsideDomain, PartialMapSystem, apply,
+                   OutsideDomain, PartialMapSystem, apply,
                    check_semiconjugacy, make_constant_system,
-                   make_rotation_system, omega_limit, orbit, preimages)
+                   make_rotation_system, preimages)
 from .extension import (INF, Chain, ChainRows, EmptyStratum, ExtensionSpec,
                         InvalidLift, NotInImage, StratumSample, alpha_tilde,
                         alpha_tilde_inv, chain_distance, factor_map,
@@ -14,9 +14,9 @@ from .extension import (INF, Chain, ChainRows, EmptyStratum, ExtensionSpec,
 
 __all__ = [
     "CIRCLE", "EPS_CHAIN", "EPS_DOM", "UNIT_INTERVAL", "Branch",
-    "OrbitEscaped", "OutsideDomain", "PartialMapSystem", "apply",
+    "OutsideDomain", "PartialMapSystem", "apply",
     "check_semiconjugacy", "make_constant_system", "make_rotation_system",
-    "omega_limit", "orbit", "preimages",
+    "preimages",
     "INF", "Chain", "ChainRows", "EmptyStratum", "ExtensionSpec",
     "InvalidLift", "NotInImage", "StratumSample", "alpha_tilde",
     "alpha_tilde_inv", "chain_distance", "factor_map", "hausdorff",

@@ -91,8 +91,9 @@ def rigid_rotation(tau: float, offset: int = 0) -> CircleHomeo:
 
 def perturbed_rotation(tau: float, a: float, offset: int = 0) -> CircleHomeo:
     """Lift t -> t + tau + a*sin(2*pi*t)/(2*pi); a diffeomorphism for |a|<1."""
-    if abs(a) >= 1.0:
-        raise ValueError("|a| must be < 1 for monotonicity")
+    if not abs(a) < 1.0:  # NaN too
+        raise ValueError(f"the perturbation a must satisfy |a| < 1 for "
+                         f"monotonicity, got a={a!r}")
     twopi = 2.0 * math.pi
 
     def base(f: float) -> float:

@@ -1,16 +1,17 @@
-"""State spaces, partial maps with enumerable preimage branches, orbits,
-omega-limit sets, and semiconjugacy checking.
+"""State spaces, partial maps with enumerable preimage branches, and
+semiconjugacy checking.
 
 A partial dynamical system here is a compact state space M (the unit
 interval or the circle), a domain Delta given as a finite union of closed
 intervals, a forward map alpha defined on Delta, and an explicit list of
-preimage branches so that backward orbits can be enumerated.
+preimage branches so that backward orbits can be enumerated.  The forward
+map and the branch inverses act elementwise on arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -23,10 +24,6 @@ EPS_DOM = 1e-12
 
 class OutsideDomain(ValueError):
     """Raised when a map is evaluated outside its domain Delta."""
-
-
-class OrbitEscaped(RuntimeError):
-    """Raised when an orbit leaves the domain before the requested length."""
 
 
 class BracketFailure(RuntimeError):
@@ -89,42 +86,45 @@ def decimal_rint(v, digits: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """The unit interval [0,1] or the circle R/Z with its induced metric."""
+    """The unit interval [0,1] or the circle R/Z with its induced metric.
+
+    Every method acts elementwise on a float or a float64 array: a float
+    in gives a float out, an array the array of the per-element results.
+    """
 
     kind: str  # "interval" | "circle"
 
-    def normalize(self, x: float) -> float:
+    def normalize(self, x):
         if self.kind == "circle":
             x = x % 1.0
-            if x >= 1.0:  # guard against x % 1.0 == 1.0 from rounding
-                x -= 1.0
-            return x
-        return float(x)
+            return x - (x >= 1.0)  # x % 1.0 rounds up to 1.0 for tiny x < 0
+        return x * 1.0
 
-    def metric(self, x: float, y: float) -> float:
+    def metric(self, x, y):
         if self.kind == "circle":
-            d = abs((x % 1.0) - (y % 1.0))
-            return min(d, 1.0 - d)
+            d = abs(x % 1.0 - y % 1.0)
+            # min(d, 1 - d), exactly: for d > 1/2, 1 - 2d and 1 - d are
+            # exact, so d + (1 - 2d) rounds to 1 - d
+            return d + (d > 0.5) * (1.0 - 2.0 * d)
         return abs(x - y)
 
-    def midpoint(self, x: float, y: float) -> float:
+    def midpoint(self, x, y):
         """The midpoint of x and y; on the circle, of the shorter arc."""
         if self.kind == "circle":
             return self.normalize(x + 0.5 * ((y - x + 0.5) % 1.0 - 0.5))
         return 0.5 * (x + y)
 
-    def in_intervals(self, intervals: Sequence[tuple[float, float]],
-                     x: float, eps: float) -> bool:
+    def in_intervals(self, intervals: Sequence[tuple[float, float]], x,
+                     eps: float):
         """Whether x lies in the union of closed intervals; on the circle
         an interval (lo, hi) with hi < lo wraps through 0."""
         x = self.normalize(x)
+        hit = x < x  # False, in the shape of x
         for lo, hi in intervals:
-            if lo - eps <= x <= hi + eps:
-                return True
-            if self.kind == "circle" and hi < lo and (x >= lo - eps
-                                                      or x <= hi + eps):
-                return True
-        return False
+            hit = hit | ((lo - eps <= x) & (x <= hi + eps))
+            if self.kind == "circle" and hi < lo:
+                hit = hit | (x >= lo - eps) | (x <= hi + eps)
+        return hit
 
 
 UNIT_INTERVAL = StateSpace("interval")
@@ -135,33 +135,28 @@ CIRCLE = StateSpace("circle")
 class Branch:
     """One monotone preimage branch of the forward map.
 
-    ``inverse`` maps a point of the image back into ``domain``; it may
-    return None where the branch has no preimage.
+    ``inverse`` maps the points of the image back into ``domain``,
+    elementwise on a float or a float64 array; it gives NaN where the
+    branch has no preimage.
     """
 
-    label: str
     domain: tuple[float, float]
-    inverse: Callable[[float], Optional[float]]
-
-    def contains(self, x: float, eps: float = EPS_DOM) -> bool:
-        lo, hi = self.domain
-        return lo - eps <= x <= hi + eps
+    inverse: Callable
 
 
 @dataclass(frozen=True)
 class PartialMapSystem:
-    """(M, Delta, alpha) with enumerable preimage branches."""
+    """(M, Delta, alpha) with enumerable preimage branches.  The forward
+    map, like each branch inverse, acts elementwise on a float or a float64
+    array."""
 
     space: StateSpace
     domain: tuple[tuple[float, float], ...]
-    forward_map: Callable[[float], float]
+    forward_map: Callable
     branches: tuple[Branch, ...]
     name: str = "system"
-    # optional closed form of ``preimages`` on a float64 array: row i is
-    # ExtensionSpec.ordered_preimages(y[i]) NaN-padded to len(branches)
-    preimage_table: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def in_domain(self, x: float, eps: float = EPS_DOM) -> bool:
+    def in_domain(self, x, eps: float = EPS_DOM):
         return self.space.in_intervals(self.domain, x, eps)
 
     def forward(self, x: float) -> float:
@@ -169,79 +164,43 @@ class PartialMapSystem:
 
 
 def apply(system: PartialMapSystem, x: float) -> float:
-    """Evaluate alpha(x).  Raises OutsideDomain when x is not in Delta."""
+    """Evaluate alpha(x) as a float.  Raises OutsideDomain when x is not
+    in Delta."""
     x = system.space.normalize(x)
     if not system.in_domain(x):
         raise OutsideDomain(f"{x!r} is not in the domain of {system.name}")
-    return system.space.normalize(system.forward_map(x))
+    return float(system.space.normalize(system.forward_map(x)))
 
 
-def preimages(system: PartialMapSystem, y: float) -> list[tuple[str, float]]:
-    """All x in Delta with alpha(x) = y, one per branch, labelled.
+def preimages(system: PartialMapSystem, ys: np.ndarray) -> np.ndarray:
+    """All x in Delta with alpha(x) = y, for each y of the float64 array
+    ``ys``: row i holds those of ys[i] in branch order, NaN-padded to
+    ``len(system.branches)``; a row of NaN means ys[i] has no preimage.
 
-    Two branches meeting at a critical value (coincident preimages) are
-    merged into a single entry with label "C".  The empty list means y has
-    no preimage.  An array y gives the system's ``preimage_table`` of it.
+    A branch inverse counts where it lies within 1e-9 of the branch's
+    domain, in Delta, and maps back to within EPS_CHAIN of y (which drops
+    clamped inverses of values above a critical value).  One within
+    10 * EPS_CHAIN of an earlier preimage (two branches meeting at a
+    critical value) merges with it into their midpoint, in its place.
     """
-    if isinstance(y, np.ndarray):
-        return system.preimage_table(y)
-    y = system.space.normalize(y)
-    found: list[tuple[str, float]] = []
-    for br in system.branches:
-        x = br.inverse(y)
-        if x is None:
-            continue
-        x = system.space.normalize(x)
-        if not br.contains(x, 1e-9):
-            continue
-        if not system.in_domain(x):
-            continue
-        # x is normalized and in Delta, so this is apply(system, x); the
-        # check drops clamped inverses of values above the critical value
-        back = system.space.normalize(system.forward_map(x))
-        if system.space.metric(back, y) > EPS_CHAIN:
-            continue
-        found.append((br.label, x))
-    # merge coincident double points (critical values)
-    merged: list[tuple[str, float]] = []
-    for label, x in found:
-        dup = False
-        for k, (mlabel, mx) in enumerate(merged):
-            if system.space.metric(x, mx) <= 10 * EPS_CHAIN:
-                merged[k] = ("C", system.space.midpoint(x, mx))
-                dup = True
-                break
-        if not dup:
-            merged.append((label, x))
-    return merged
-
-
-@dataclass(frozen=True)
-class OrbitRecord:
-    points: tuple[float, ...]
-    escaped: bool
-
-
-def orbit(system: PartialMapSystem, x: float, n: int) -> OrbitRecord:
-    """Forward orbit x, alpha(x), ..., up to n steps; records escape."""
-    pts = [system.space.normalize(x)]
-    escaped = False
-    for _ in range(n):
-        if not system.in_domain(pts[-1]):
-            escaped = True
-            break
-        pts.append(apply(system, pts[-1]))
-    return OrbitRecord(tuple(pts), escaped)
-
-
-def omega_limit(system: PartialMapSystem, x: float, transient: int = 2000,
-                iters: int = 512, cluster_eps: float = 1e-6) -> list[float]:
-    """Cluster representatives of the tail of the forward orbit of x."""
-    rec = orbit(system, x, transient + iters)
-    if rec.escaped:
-        raise OrbitEscaped(f"orbit of {x} left the domain after "
-                           f"{len(rec.points) - 1} steps")
-    return cluster_points(rec.points[transient:], system.space, cluster_eps)
+    space = system.space
+    ys = space.normalize(ys)
+    table = np.full((len(ys), len(system.branches)), np.nan)
+    count = np.zeros(len(ys), dtype=int)
+    with np.errstate(invalid="ignore"):  # NaN: no preimage on a branch
+        for b, br in enumerate(system.branches):
+            x = space.normalize(br.inverse(ys))
+            lo, hi = br.domain
+            ok = (lo - 1e-9 <= x) & (x <= hi + 1e-9) & system.in_domain(x)
+            back = space.normalize(system.forward_map(x[ok]))
+            ok[ok] = ~(space.metric(back, ys[ok]) > EPS_CHAIN)
+            for k in range(b):
+                merge = ok & (space.metric(x, table[:, k]) <= 10 * EPS_CHAIN)
+                table[merge, k] = space.midpoint(x[merge], table[merge, k])
+                ok &= ~merge
+            table[ok, count[ok]] = x[ok]
+            count += ok
+    return table
 
 
 def cluster_points(points: Iterable[float], space: StateSpace,
@@ -312,17 +271,17 @@ def make_rotation_system(tau: float) -> PartialMapSystem:
     """Rigid rotation of the circle by tau (a homeomorphism, Delta = S^1)."""
     tau = tau % 1.0
 
-    def fwd(x: float) -> float:
+    def fwd(x):
         return (x + tau) % 1.0
 
-    def inv(y: float) -> Optional[float]:
+    def inv(y):
         return (y - tau) % 1.0
 
     return PartialMapSystem(
         space=CIRCLE,
         domain=((0.0, 1.0),),
         forward_map=fwd,
-        branches=(Branch("only", (0.0, 1.0), inv),),
+        branches=(Branch((0.0, 1.0), inv),),
         name=f"rotation(tau={tau})",
     )
 
@@ -338,18 +297,18 @@ def make_constant_system(p: float) -> PartialMapSystem:
         raise ValueError(f"constant map target p must lie in [0, 1], "
                          f"got p={p!r}")
 
-    def fwd(x: float) -> float:
-        return p
+    def fwd(x):
+        # p at every finite x, in the shape of x; subtracting +0.0 keeps
+        # the sign of p = -0.0
+        return p - 0.0 * abs(x)
 
-    def inv(y: float) -> Optional[float]:
-        if abs(y - p) <= EPS_CHAIN:
-            return p
-        return None
+    def inv(y):
+        return np.where(abs(y - p) <= EPS_CHAIN, p, np.nan)[()]
 
     return PartialMapSystem(
         space=UNIT_INTERVAL,
         domain=((0.0, 1.0),),
         forward_map=fwd,
-        branches=(Branch("only", (0.0, 1.0), inv),),
+        branches=(Branch((0.0, 1.0), inv),),
         name=f"constant(p={p})",
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (EPS_CHAIN, EPS_DOM, FactorMapSample, OutsideDomain,
-                   PartialMapSystem, apply, decimal_rint, orbit, preimages)
+                   PartialMapSystem, apply, decimal_rint, preimages)
 
 INF = math.inf
 # Branch words of a backward search are enumerated exhaustively down to this
@@ -70,9 +70,10 @@ class ExtensionSpec:
 
     def ordered_preimages(self, y: float) -> tuple[float, ...]:
         """The preimages of y, in the order of the system's branches."""
-        return tuple(x for _, x in preimages(self.system, y))
+        row = preimages(self.system, np.array([y], dtype=float))[0]
+        return tuple(row[~np.isnan(row)].tolist())
 
-    def in_Y(self, x: float, eps: float = EPS_DOM) -> bool:
+    def in_Y(self, x, eps: float = EPS_DOM):
         return self.system.space.in_intervals(self.Y, x, eps)
 
     def y_grid(self, density: int) -> list[float]:
@@ -157,19 +158,14 @@ def validate_chain(spec: ExtensionSpec, c: Chain,
     if len(c.coords) == 0:
         return False
     sys_ = spec.system
-    for n in range(len(c.coords) - 1):
-        x_next = c.coords[n + 1]
-        if not sys_.in_domain(x_next):
-            return False
-        try:
-            back = apply(sys_, x_next)
-        except OutsideDomain:
-            return False
-        if sys_.space.metric(back, c.coords[n]) > eps:
-            return False
-    if c.terminal and not spec.in_Y(c.coords[-1], 1e-9):
+    coords = np.array(c.coords, dtype=float)
+    x = sys_.space.normalize(coords[1:])
+    if not sys_.in_domain(x).all():
         return False
-    return True
+    back = sys_.space.normalize(sys_.forward_map(x))
+    if (sys_.space.metric(back, coords[:-1]) > eps).any():
+        return False
+    return not c.terminal or spec.in_Y(c.coords[-1], 1e-9)
 
 
 def alpha_tilde(spec: ExtensionSpec, c: Chain) -> Chain:
@@ -211,30 +207,6 @@ class ChainExtensionSystem:
 # Stratum sampling
 
 
-def _preimage_table(spec: ExtensionSpec, ys: np.ndarray) -> np.ndarray:
-    """The preimages of each point of ``ys`` as a row of an (n, branches)
-    array in ``ordered_preimages`` order, NaN-padded: the system's closed
-    form if it has one, else scalar ``preimages`` calls."""
-    if spec.system.preimage_table is not None:
-        return preimages(spec.system, ys)
-    table = np.full((len(ys), len(spec.system.branches)), np.nan)
-    for i, y in enumerate(ys.tolist()):
-        xs = spec.ordered_preimages(y)
-        table[i, :len(xs)] = xs
-    return table
-
-
-def _in_Y(spec: ExtensionSpec, xs: np.ndarray) -> np.ndarray:
-    """``spec.in_Y(x, 1e-9)`` of each normalized point x of ``xs``."""
-    eps = 1e-9
-    hit = np.zeros(len(xs), dtype=bool)
-    for lo, hi in spec.Y:
-        hit |= (lo - eps <= xs) & (xs <= hi + eps)
-        if spec.system.space.kind == "circle" and hi < lo:
-            hit |= (xs >= lo - eps) | (xs <= hi + eps)
-    return hit
-
-
 def _backward_rows(spec: ExtensionSpec, seeds: Sequence[float], depth: int,
                    terminal: bool) -> np.ndarray:
     """Backward chains from the seeds out to ``depth``, as the rows of an
@@ -250,7 +222,7 @@ def _backward_rows(spec: ExtensionSpec, seeds: Sequence[float], depth: int,
     top = min(PREFIX_DEPTH, depth - 1 if terminal else depth)
     words = np.array(seeds, dtype=float)[:, None]
     for _ in range(top):
-        table = _preimage_table(spec, words[:, -1])
+        table = preimages(spec.system, words[:, -1])
         i, j = np.nonzero(~np.isnan(table))
         words = np.column_stack([words[i], table[i, j]])
     # job 2w runs word w in branch order, job 2w + 1 in reversed order
@@ -264,13 +236,13 @@ def _backward_rows(spec: ExtensionSpec, seeds: Sequence[float], depth: int,
     while live.size:
         entered = entered[level[entered] < depth]
         if entered.size:
-            kids[entered, level[entered]] = _preimage_table(
-                spec, path[entered, level[entered]])
+            kids[entered, level[entered]] = preimages(
+                spec.system, path[entered, level[entered]])
         lv = level[live]
         leaf = lv == depth
         ok = leaf.copy()
         if terminal:
-            ok[leaf] = _in_Y(spec, path[live[leaf], depth])
+            ok[leaf] = spec.in_Y(path[live[leaf], depth], 1e-9)
         found[live[ok]] = True
         # a node descends to its next child in its job's direction, or
         # backs up when none is left; a leaf has none (kids stay NaN)
@@ -318,7 +290,8 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
     # target) that carry backward orbits even when the grid misses them.
     # An image joins the seeds unless it lies within 1e-12 of a seed before
     # it: a grid or extra seed, or an earlier image that joined.
-    fx = np.array([apply(sys_, x) for x in grid if sys_.in_domain(x)])
+    fx = sys_.space.normalize(np.array(grid))
+    fx = sys_.space.normalize(sys_.forward_map(fx[sys_.in_domain(fx)]))
     fx = fx[(np.abs(fx[:, None] - np.array(seeds)) > 1e-12).all(axis=1)]
     near = np.tril(~(np.abs(fx[:, None] - fx) > 1e-12), -1)
     # joined[i] depends on joined[:i] only, so each sweep settles one more
@@ -338,10 +311,13 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
                              depth)
 
     N = int(N)
-    # forward seeding: M_N is parametrized by its last coordinate in Y
-    records = (orbit(sys_, y, N) for y in spec.y_grid(density))
-    rows = np.array([rec.points[::-1] for rec in records if not rec.escaped],
-                    dtype=float).reshape(-1, N + 1)
+    # forward seeding: M_N is parametrized by its last coordinate in Y; a
+    # point drops out when it lies outside Delta before a step
+    rows = sys_.space.normalize(np.array(spec.y_grid(density)))[:, None]
+    for _ in range(N):
+        rows = rows[sys_.in_domain(rows[:, 0])]
+        fx = sys_.space.normalize(sys_.forward_map(rows[:, 0]))
+        rows = np.column_stack([fx, rows])
     # backward seeding: covers zeroth coordinates the forward push misses
     if N >= 1 and spec.Y:
         rows = np.vstack([rows, _backward_rows(spec, seeds, N, True)])

@@ -1,8 +1,8 @@
 """The logistic family alpha_lambda(x) = 4*lambda*x*(1-x) on [0,1].
 
-Covers the map itself and its preimage branches, the interval lift, the
-critical orbit, solvers for the named parameter sequences (period-doubling
-lambda_n, superstable s_n, the cascade limit, the band-merging mu_n, the
+Covers the map itself and its preimage branches, the critical orbit,
+solvers for the named parameter sequences (period-doubling lambda_n,
+superstable s_n, the cascade limit, the band-merging mu_n, the
 odd-period stability windows and their own doubling cascades), regime
 classification, and the symbolic decomposition graphs of the limit set of
 the associated reversible extension.
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (EPS_CHAIN, EPS_DOM, Branch, OutsideDomain,
+from .core import (EPS_DOM, Branch, OutsideDomain,
                    PartialMapSystem, UNIT_INTERVAL, find_root)
 from .extension import ExtensionSpec
 
@@ -75,44 +75,21 @@ def preimage_branches(lam: float, y: float) -> Optional[dict]:
 def make_system(lam: float) -> PartialMapSystem:
     """The logistic map as a partial map system (Delta = [0,1])."""
 
-    def fwd(x: float) -> float:
+    def fwd(x):
         return 4.0 * lam * x * (1.0 - x)
 
-    def inv_l(y: float) -> Optional[float]:
-        if y > lam + EPS_DOM:
-            return None
-        return 0.5 * (1.0 - math.sqrt(max(1.0 - y / lam, 0.0)))
-
-    def inv_r(y: float) -> Optional[float]:
-        if y > lam + EPS_DOM:
-            return None
-        return 0.5 * (1.0 + math.sqrt(max(1.0 - y / lam, 0.0)))
-
-    def table(y: np.ndarray) -> np.ndarray:
-        # core.preimages of every y at once, with the same guards (the
-        # branch and domain bounds folded) and floating-point operations
-        y = y[:, None]
+    def root(y):
+        # sqrt(1 - y/lambda), NaN above the critical value
         s = np.sqrt(np.maximum(1.0 - y / lam, 0.0))
-        x = np.hstack([0.5 * (1.0 - s), 0.5 * (1.0 + s)])
-        ok = ((y <= lam + EPS_DOM)
-              & (np.array([-EPS_DOM, 0.5 - 1e-9]) <= x)
-              & (x <= np.array([0.5 + 1e-9, 1.0 + EPS_DOM]))
-              & ~(np.abs(4.0 * lam * x * (1.0 - x) - y) > EPS_CHAIN))
-        out = np.where(ok, x, np.nan)
-        out[~ok[:, 0]] = out[~ok[:, 0], ::-1]  # a lone R moves left
-        merge = ok.all(axis=1) & (np.abs(x[:, 1] - x[:, 0]) <= 10 * EPS_CHAIN)
-        out[merge] = np.nan
-        out[merge, 0] = 0.5 * (x[merge, 1] + x[merge, 0])
-        return out
+        return np.where(y > lam + EPS_DOM, np.nan, s)[()]
 
     return PartialMapSystem(
         space=UNIT_INTERVAL,
         domain=((0.0, 1.0),),
         forward_map=fwd,
-        branches=(Branch("L", (0.0, 0.5), inv_l),
-                  Branch("R", (0.5, 1.0), inv_r)),
+        branches=(Branch((0.0, 0.5), lambda y: 0.5 * (1.0 - root(y))),
+                  Branch((0.5, 1.0), lambda y: 0.5 * (1.0 + root(y)))),
         name=f"logistic(lam={lam})",
-        preimage_table=table,
     )
 
 
@@ -121,39 +98,6 @@ def extension_spec(lam: float) -> ExtensionSpec:
     where the map is onto and the extension is the inverse limit)."""
     Y = () if lam >= 1.0 - EPS_DOM else ((lam, 1.0),)
     return ExtensionSpec(make_system(lam), Y)
-
-
-# ---------------------------------------------------------------------------
-# Lift and tent parametrizations
-
-
-def lift_gamma(lam: float, t: float) -> float:
-    """The injective interval lift of the logistic map: on [k, k+1/2] it is
-    4*lambda*{t}*(1-{t}) + 2k, on [k+1/2, k+1) the same plus one more."""
-    k = math.floor(t)
-    f = t - k
-    base = 4.0 * lam * f * (1.0 - f)
-    if f <= 0.5:
-        return base + 2 * k
-    return base + 2 * k + 1
-
-
-def tal_tent_parametrized(t: float) -> float:
-    """Extension dynamics in the tent-map parametrization: doubling."""
-    return 2.0 * t
-
-
-def tal1_parametrized(t: float) -> float:
-    """Extension dynamics of the full logistic map in its own
-    parametrization: piecewise alpha_1 of the fractional part."""
-    if t < 0:
-        raise ValueError("parameter must be nonnegative")
-    k = math.floor(t)
-    f = t - k
-    a = 4.0 * f * (1.0 - f)
-    if f < 0.5:
-        return 2 * k + a
-    return 2 * (k + 1) - a
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +280,15 @@ def period_doubling_parameter(n: int) -> float:
 def superstable_parameter(n: int) -> float:
     """s_n: the parameter where the critical point is periodic with least
     period 2^n; bisection on alpha^(2^n)(1/2) - 1/2, which changes sign
-    once on the cascade interval (lambda_n, lambda_{n+1}).  For n <= 8 it
-    is within 6 ulp of mpmath; _newton with multiplier 0 is no closer (8
-    ulp), and the itinerary iteration stops 8e-15 from s_7."""
+    once on the cascade interval (lambda_n, lambda_{n+1}), until no float
+    lies inside the bracket.  For n <= 8 it is within 4.1 ulp of mpmath
+    (2.4 for n <= 5); _newton with multiplier 0 is no closer (8 ulp), and
+    the itinerary iteration stops 8e-15 from s_7."""
     if n < 0:
         raise ValueError("n must be >= 0")
     return find_root(lambda lam: _iterate(lam, 0.5, 2 ** n) - 0.5,
                      (period_doubling_parameter(n) + 1e-12,
-                      period_doubling_parameter(n + 1) - 1e-12), 1e-15)
+                      period_doubling_parameter(n + 1) - 1e-12), 0.0)
 
 
 @lru_cache(maxsize=None)

@@ -415,24 +415,20 @@ def logistic_period3_model(depth: int = 6) -> FiniteModel:
     orbit = [0.5]
     for _ in range(2):
         orbit.append(4.0 * lam * orbit[-1] * (1.0 - orbit[-1]))
+    points = np.array(orbit)
 
-    def fwd(x: float) -> float:
-        for k, pt in enumerate(orbit):
-            if abs(x - pt) <= 1e-7:
-                return orbit[(k + 1) % 3]
-        raise ValueError(f"{x} is not on the invariant orbit")
-
-    def inv(y: float):
-        for k, pt in enumerate(orbit):
-            if abs(y - pt) <= 1e-7:
-                return orbit[(k - 1) % 3]
-        return None
+    def along(x, k):
+        # the orbit point k steps after the first within 1e-7 of x; NaN
+        # off the orbit
+        near = np.abs(np.subtract.outer(x, points)) <= 1e-7
+        return np.where(near.any(axis=-1),
+                        points[(near.argmax(axis=-1) + k) % 3], np.nan)[()]
 
     system = PartialMapSystem(
         space=UNIT_INTERVAL,
         domain=((0.0, 1.0),),
-        forward_map=fwd,
-        branches=(Branch("only", (0.0, 1.0), inv),),
+        forward_map=lambda x: along(x, 1),
+        branches=(Branch((0.0, 1.0), lambda y: along(y, -1)),),
         name=f"logistic-period3(lam={lam})",
     )
     spec = ExtensionSpec(system, ())

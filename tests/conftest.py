@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from revext.core import find_root
+from revext.core import EPS_CHAIN, find_root
 
 
 def _largest_fixed_point(lam: float, q: int) -> float:
@@ -28,6 +28,33 @@ def _largest_fixed_point(lam: float, q: int) -> float:
 @pytest.fixture(scope="session")
 def largest_fixed_point():
     return _largest_fixed_point
+
+
+def scalar_preimages(system, y: float) -> list:
+    """The preimages of y in branch order, one scalar branch inverse at a
+    time: the per-point loop ``core.preimages`` ran before it took arrays,
+    kept as the oracle of its table."""
+    space = system.space
+    y = space.normalize(y)
+    found = []
+    for br in system.branches:
+        x = space.normalize(float(br.inverse(y)))
+        lo, hi = br.domain
+        if not lo - 1e-9 <= x <= hi + 1e-9 or not system.in_domain(x):
+            continue
+        back = space.normalize(system.forward_map(x))
+        if space.metric(back, y) > EPS_CHAIN:
+            continue
+        found.append(x)
+    merged = []
+    for x in found:
+        for k, mx in enumerate(merged):
+            if space.metric(x, mx) <= 10 * EPS_CHAIN:
+                merged[k] = space.midpoint(x, mx)
+                break
+        else:
+            merged.append(x)
+    return [float(x) for x in merged]
 
 
 def _decimal_half(k_steps_digits):

@@ -18,6 +18,14 @@ def test_lift_periodicity():
         assert h.lift(t + 1.0) == pytest.approx(h.lift(t) + 1.0)
 
 
+@pytest.mark.parametrize("a", [math.nan, 1.0, -1.0, math.inf, 1.5])
+def test_perturbed_rotation_rejects_a_outside_the_unit_disc(a):
+    # a NaN passed the old test abs(a) >= 1 and failed later, in the
+    # rotation number, with an error that named no input
+    with pytest.raises(ValueError, match="perturbation a"):
+        ci.perturbed_rotation(0.3, a)
+
+
 @pytest.mark.parametrize("offset", [-3, -1, 0, 2])
 def test_inverse_lift(offset):
     h = ci.perturbed_rotation(0.3, 0.4, offset=offset)

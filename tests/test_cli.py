@@ -73,6 +73,14 @@ def test_extend_rotation_rejects_gamma0_of_another_rotation(tmp_path,
     assert "not congruent" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a", ["nan", "1.0", "-2"])
+def test_rotation_rejects_perturbation_outside_the_unit_disc(tmp_path, capsys,
+                                                             a):
+    assert run(["rotation", "--tau", "0.3", "--perturbation", a,
+                "-o", str(tmp_path / "rot")]) == 1
+    assert f"got a={float(a)!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["extend", "--system", "rotation", "--gamma0", "inf"],
     ["extend", "--system", "rotation", "--tau=-inf"],
@@ -453,8 +461,8 @@ _PINNED = [
         ".svg": "8337ce732e9227b205504ae72c77f055"
                 "29c810317b2bbb71984df4b21a960394"}),
     (["bifurcate", "--n-max", "2", "--steps", "60", "--format", "svg"], {
-        ".csv": "bfe5c35e98088c3775cdbf3d597cd9d1"
-                "024a397603c6aca6b9483a9b18e466d6",
+        ".csv": "430234d3dbecf11480c9db07e88627c7"
+                "dfdc6ed9a56df54d8d191f9a3a888829",
         ".svg": "8db3475b50eb734ce2c5cd78d6b00208"
                 "12c643f34a7130507825192c87998fb7"}),
 ] + [

@@ -1,23 +1,24 @@
-"""Core system tests: preimages against an independent bisection oracle,
-orbits and omega-limit sets against brute iteration, semiconjugacy
-checking on the classical tent-to-quadratic conjugacy, and the bracketing
-root finder."""
+"""Core system tests: preimages against an independent bisection oracle
+and the scalar per-point loop, the elementwise contract of the stock
+systems' maps, clustering of orbit tails, semiconjugacy checking on the
+classical tent-to-quadratic conjugacy, and the bracketing root finder."""
 
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import decimal_edge_floats
-from revext.core import (CIRCLE, EPS_CHAIN, Branch, BracketFailure,
+from conftest import decimal_edge_floats, scalar_preimages
+from revext.core import (CIRCLE, EPS_CHAIN, EPS_DOM, Branch, BracketFailure,
                          FactorMapSample, OutsideDomain, PartialMapSystem,
                          UNIT_INTERVAL, apply, check_semiconjugacy,
-                         decimal_rint, find_root,
+                         cluster_points, decimal_rint, find_root,
                          make_constant_system, make_rotation_system,
-                         omega_limit, orbit, preimages)
+                         preimages)
 from revext.logistic import make_system
+from revext.operator_model import logistic_period3_model
 
 
 def bisect_preimage(f, y, lo, hi, tol=1e-13):
@@ -41,43 +42,100 @@ def bisect_preimage(f, y, lo, hi, tol=1e-13):
 def test_preimages_match_bisection_oracle(lam):
     system = make_system(lam)
     f = lambda x: 4.0 * lam * x * (1.0 - x)
-    for j in range(40):
-        y = j / 39 * lam * 0.999  # strictly below the critical value
-        got = dict(preimages(system, y))
-        left = bisect_preimage(f, y, 0.0, 0.5)
-        right = bisect_preimage(f, y, 0.5, 1.0)
-        assert set(got) == {"L", "R"}
-        assert got["L"] == pytest.approx(left, abs=1e-10)
-        assert got["R"] == pytest.approx(right, abs=1e-10)
+    # strictly below the critical value
+    ys = [j / 39 * lam * 0.999 for j in range(40)]
+    table = preimages(system, np.array(ys))
+    assert table.shape == (40, 2)
+    for y, (left, right) in zip(ys, table.tolist()):
+        assert left == pytest.approx(bisect_preimage(f, y, 0.0, 0.5),
+                                     abs=1e-10)
+        assert right == pytest.approx(bisect_preimage(f, y, 0.5, 1.0),
+                                      abs=1e-10)
 
 
 def test_preimages_above_critical_value_empty():
     system = make_system(0.6)
-    assert preimages(system, 0.7) == []
+    assert np.isnan(preimages(system, np.array([0.7, 1.0]))).all()
 
 
 def test_preimages_at_critical_value_merge_to_C():
+    # the two branches meet at the critical point: one preimage, first
     system = make_system(0.6)
-    got = preimages(system, 0.6)
-    assert len(got) == 1
-    label, x = got[0]
-    assert label == "C"
-    assert x == pytest.approx(0.5, abs=1e-8)
+    x, rest = preimages(system, np.array([0.6]))[0]
+    assert x == pytest.approx(0.5, abs=1e-8) and math.isnan(rest)
+
+
+def _roof():
+    """x -> 1.5 min(x, 1 - x) on the circle, which folds at 0 = 1."""
+    return PartialMapSystem(
+        space=CIRCLE, domain=((0.0, 1.0),),
+        forward_map=lambda x: 1.5 * np.minimum(x, 1.0 - x),
+        branches=(Branch((0.0, 0.5), lambda y: y / 1.5),
+                  Branch((0.5, 1.0), lambda y: 1.0 - y / 1.5)))
 
 
 @pytest.mark.parametrize("y", [1e-9, 3e-10, 1e-12])
 def test_preimages_merge_across_zero_on_the_circle(y):
-    # x -> 1.5 min(x, 1 - x) on the circle folds at 0 = 1, so the preimages
-    # y/1.5 and 1 - y/1.5 of a small y are near-coincident there; their
-    # plain average is near the antipode 1/2, which maps to 0.75, not to y
-    roof = PartialMapSystem(
-        space=CIRCLE, domain=((0.0, 1.0),),
-        forward_map=lambda x: 1.5 * min(x, 1.0 - x),
-        branches=(Branch("L", (0.0, 0.5), lambda y: y / 1.5),
-                  Branch("R", (0.5, 1.0), lambda y: 1.0 - y / 1.5)))
-    got = preimages(roof, y)
-    assert [label for label, _ in got] == ["C"]
-    assert CIRCLE.metric(apply(roof, got[0][1]), y) <= EPS_CHAIN
+    # the preimages y/1.5 and 1 - y/1.5 of a small y are near-coincident
+    # at 0 = 1; their plain average is near the antipode 1/2, which maps to
+    # 0.75, not to y
+    roof = _roof()
+    x, rest = preimages(roof, np.array([y]))[0]
+    assert math.isnan(rest)
+    assert CIRCLE.metric(apply(roof, x), y) <= EPS_CHAIN
+    # and row by row as the scalar loop: the fold, the top 0.75 and past
+    # it, values that wrap, and the merge threshold of 1.5e-8 on each side
+    ys = [y, 0.0, -0.0, 0.3, 0.75, 0.75 + 1e-10, 0.8, 1.0 - 1e-12, 1.25,
+          -1e-12, 1.5e-8 * (1 - 1e-9), 1.5e-8 * (1 + 1e-9), 0.5]
+    _check_against_scalar_loop(roof, ys)
+
+
+def _check_against_scalar_loop(system, ys):
+    table = preimages(system, np.array(ys))
+    assert table.shape == (len(ys), len(system.branches))
+    for y, row in zip(ys, table.tolist()):
+        want = scalar_preimages(system, y)
+        assert repr(row) == repr(want + [math.nan] * (len(row) - len(want)))
+
+
+def _check_elementwise(system, xs):
+    """The forward map and each branch inverse give on an array what they
+    give on its elements, NaN and signed zeros included."""
+    for f in (system.forward_map,) + tuple(b.inverse for b in system.branches):
+        each = [f(x) for x in xs]
+        assert all(isinstance(v, float) for v in each)
+        assert repr(f(np.array(xs)).tolist()) == repr([float(v) for v in each])
+        assert f(np.empty(0)).shape == (0,)
+
+
+_EDGES = [0.0, -0.0, 1.0, 0.5, 1e-9, -1e-20, math.nextafter(1.0, 0.0), 0.25,
+          math.nan]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.floats(0.25, 1.0),
+       xs=st.lists(st.floats(-0.5, 1.5), max_size=20))
+def test_logistic_maps_act_elementwise(lam, xs):
+    edges = [lam, lam + EPS_DOM, float(np.nextafter(lam + EPS_DOM, 2.0)),
+             lam - EPS_DOM]
+    _check_elementwise(make_system(lam), xs + edges + _EDGES)
+
+
+def _period3_system():
+    model = logistic_period3_model(depth=2)
+    return model.spec.system, list(model.chains[0].coords)
+
+
+@pytest.mark.parametrize("system", [
+    make_rotation_system(0.3), make_rotation_system(0.0),
+    make_constant_system(0.5), make_constant_system(-0.0),
+    _period3_system()[0]], ids=["rotation", "rotation-0", "constant-0.5",
+                                "constant--0.0", "period3"])
+def test_stock_maps_act_elementwise(system):
+    orbit = _period3_system()[1]
+    near = [x + d for x in orbit for d in (0.0, 9e-8, -2e-7)]
+    xs = [j / 40 for j in range(41)] + _EDGES + near + [0.5 + 1e-9, 0.3]
+    _check_elementwise(system, xs)
 
 
 def test_apply_outside_domain_raises():
@@ -89,39 +147,20 @@ def test_apply_outside_domain_raises():
         apply(half, 0.75)
 
 
-def test_orbit_records_escape():
-    half = PartialMapSystem(
-        space=UNIT_INTERVAL, domain=((0.0, 0.5),),
-        forward_map=lambda x: 2.0 * x, branches=(), name="half")
-    rec = orbit(half, 0.2, 10)
-    assert rec.escaped
-    assert rec.points[-1] == pytest.approx(0.8)
+def _orbit_tail(system, x, transient=2000, iters=512):
+    """The points of the forward orbit of x after ``transient`` steps."""
+    points = [system.space.normalize(x)]
+    for _ in range(transient + iters):
+        points.append(apply(system, points[-1]))
+    return points[transient:]
 
 
-def test_omega_limit_matches_brute_iteration():
-    # lam = 0.8: attracting 2-cycle; brute-force the cycle independently
-    lam = 0.8
-    x = 0.3
-    for _ in range(100000):
-        x = 4.0 * lam * x * (1.0 - x)
-    cycle = sorted({round(x, 9), round(4.0 * lam * x * (1.0 - x), 9)})
-    got = omega_limit(make_system(lam), 0.3)
-    assert len(got) == 2
-    for g, c in zip(got, cycle):
-        assert g == pytest.approx(c, abs=1e-6)
-
-
-def test_omega_limit_rotation_third():
-    got = omega_limit(make_rotation_system(1.0 / 3.0), 0.05)
-    assert len(got) == 3
-
-
-def _omega_limit_pairwise(system, x, transient=2000, iters=512,
-                          cluster_eps=1e-6):
-    """The all-pairs clustering omega_limit used to run, in orbit order."""
+def _cluster_pairwise(space, points, eps=1e-6):
+    """The all-pairs clustering of an orbit tail, in orbit order: the
+    oracle of cluster_points' one pass over the sorted points."""
     reps = []
-    for p in orbit(system, x, transient + iters).points[transient:]:
-        if all(system.space.metric(p, r) > cluster_eps for r in reps):
+    for p in points:
+        if all(space.metric(p, r) > eps for r in reps):
             reps.append(p)
     return sorted(reps)
 
@@ -133,8 +172,9 @@ def _omega_limit_pairwise(system, x, transient=2000, iters=512,
     (make_rotation_system(1.0 / 3.0 + 1e-10), 1.0 - 2.2e-7, 3),
     (make_system(0.95), 0.3, None)])            # chaotic
 def test_omega_limit_matches_pairwise_clustering(system, x, count):
-    got = omega_limit(system, x)
-    expected = _omega_limit_pairwise(system, x)
+    tail = _orbit_tail(system, x)
+    got = cluster_points(tail, system.space, 1e-6)
+    expected = _cluster_pairwise(system.space, tail)
     assert len(got) == len(expected)
     assert count is None or len(got) == count
     for g in got:
@@ -168,8 +208,8 @@ def test_semiconjugacy_detects_wrong_factor_map():
 def test_constant_system_preimage_is_target_only():
     system = make_constant_system(0.3)
     assert apply(system, 0.9) == pytest.approx(0.3)
-    assert preimages(system, 0.3) == [("only", 0.3)]
-    assert preimages(system, 0.4) == []
+    assert repr(preimages(system, np.array([0.3, 0.4])).tolist()) == \
+        repr([[0.3], [math.nan]])
 
 
 def test_circle_metric_wraps():

@@ -2,7 +2,6 @@
 and its inverse, the factor map, stratum sampling, the chain metric with a
 brute-force Hausdorff oracle, and the semiconjugacy lift."""
 
-import dataclasses
 import json
 import math
 import random
@@ -12,10 +11,11 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import revext.extension as ext
-from conftest import decimal_edge_floats
-from revext.core import (CIRCLE, UNIT_INTERVAL, Branch, FactorMapSample,
-                         PartialMapSystem, apply, check_semiconjugacy,
-                         make_constant_system, make_rotation_system)
+from conftest import decimal_edge_floats, scalar_preimages
+from revext.core import (CIRCLE, EPS_CHAIN, UNIT_INTERVAL, Branch,
+                         FactorMapSample, OutsideDomain, PartialMapSystem,
+                         apply, check_semiconjugacy, make_constant_system,
+                         make_rotation_system)
 from revext.extension import (INF, Chain, ChainExtensionSystem, EmptyStratum,
                               ExtensionSpec, InvalidLift,
                               InverseOrbitRecord, NotInImage, alpha_tilde,
@@ -24,6 +24,7 @@ from revext.extension import (INF, Chain, ChainExtensionSystem, EmptyStratum,
                               stratum_from_json, stratum_to_json,
                               validate_chain, StratumSample)
 from revext.logistic import attractor_points, eval_map, extension_spec
+from revext.operator_model import logistic_period3_model
 
 
 SPEC06 = extension_spec(0.6)
@@ -43,6 +44,63 @@ def test_validate_chain_rejects_terminal_outside_Y():
     # Y = [0.6, 1]; a terminal chain must end there
     assert not validate_chain(SPEC06, Chain((0.1,), True))
     assert validate_chain(SPEC06, Chain((0.7,), True))
+
+
+def _validate_chain_loop(spec, c, eps=EPS_CHAIN):
+    """validate_chain one coordinate at a time, as it was before it took
+    the chain as an array: the oracle of its array form."""
+    if len(c.coords) == 0:
+        return False
+    sys_ = spec.system
+    for n in range(len(c.coords) - 1):
+        x_next = c.coords[n + 1]
+        if not sys_.in_domain(x_next):
+            return False
+        try:
+            back = apply(sys_, x_next)
+        except OutsideDomain:
+            return False
+        if sys_.space.metric(back, c.coords[n]) > eps:
+            return False
+    return not c.terminal or spec.in_Y(c.coords[-1], 1e-9)
+
+
+def _sampled(spec, N):
+    return spec, list(sample_stratum(spec, N, 6, depth=4).chains)
+
+
+def _period3():
+    model = logistic_period3_model(depth=4)
+    return model.spec, list(model.chains)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _sampled(extension_spec(0.9), 3),
+    lambda: _sampled(extension_spec(0.9), INF),
+    lambda: _sampled(ExtensionSpec(make_rotation_system(0.3),
+                                   ((0.9, 0.05),)), 3),
+    lambda: _sampled(ExtensionSpec(make_constant_system(-0.0),
+                                   ((0.0, 1.0),)), 2),
+    lambda: _sampled(ExtensionSpec(make_constant_system(0.3),
+                                   ((0.0, 1.0),)), INF),
+    _period3,
+], ids=["logistic-3", "logistic-inf", "rotation-3", "constant-2",
+        "constant-inf", "period3"])
+def test_validate_chain_matches_the_coordinate_loop(make):
+    # each coordinate of each chain moved by nothing, by less and by more
+    # than EPS_CHAIN, across 0 = 1, out of [0, 1] and to NaN, with either
+    # flag
+    spec, chains = make()
+    chains.append(Chain((0.5,), True))
+    for c in chains:
+        for n in range(len(c.coords)):
+            for delta in (0.0, 5e-10, -2e-9, 0.25, -0.95, 1.5, math.nan):
+                coords = list(c.coords)
+                coords[n] += delta
+                for terminal in (True, False):
+                    moved = Chain(tuple(coords), terminal)
+                    assert validate_chain(spec, moved) == \
+                        _validate_chain_loop(spec, moved), (moved, delta)
 
 
 def test_alpha_tilde_prepends_image():
@@ -126,16 +184,9 @@ def test_lambda_one_strata_empty_but_inverse_limit_nonempty():
         assert validate_chain(spec1, c) and not c.terminal
 
 
-def _scalar_fill(spec):
-    """The spec with its system's closed-form preimage table taken away, so
-    the search fills its tables from ``ordered_preimages``."""
-    return ExtensionSpec(dataclasses.replace(spec.system, preimage_table=None),
-                         spec.Y)
-
-
 def test_sample_stratum_batch_calls_do_not_depend_on_density(monkeypatch):
-    # with a closed-form table each call computes one level of all the
-    # searches of a stratum, however many seeds it starts from
+    # each preimage table holds one level of all the searches of a
+    # stratum, however many seeds it starts from
     calls = []
     real = ext.preimages
 
@@ -231,7 +282,7 @@ def _recursive_search(spec, x0, depth, terminal):
             if terminal and not spec.in_Y(path[-1], 1e-9):
                 return None
             return tuple(path)
-        xs = spec.ordered_preimages(path[-1])
+        xs = scalar_preimages(spec.system, path[-1])
         for x in (xs[::-1] if reverse else xs):
             path.append(x)
             got = complete(path, reverse)
@@ -247,7 +298,7 @@ def _recursive_search(spec, x0, depth, terminal):
                 if got is not None:
                     yield got
             return
-        for x in spec.ordered_preimages(path[-1]):
+        for x in scalar_preimages(spec.system, path[-1]):
             path.append(x)
             yield from enumerate_prefix(path)
             path.pop()
@@ -257,14 +308,17 @@ def _recursive_search(spec, x0, depth, terminal):
 
 def _old_sample_stratum(spec, N, density, depth, extra_seeds=()):
     """The sampler as it was before strata became arrays, as the oracle:
-    an O(density^2) seed scan, the recursive search from each seed, and a
-    Chain per yield, normalized coordinate by coordinate and kept when its
-    ``Chain.key`` is new.  Returns the chains and the seeds searched."""
+    an O(density^2) seed scan, the Y grid pushed forward point by point,
+    the recursive search from each seed, and a Chain per yield, normalized
+    coordinate by coordinate to a float and kept when its ``Chain.key`` is
+    new.
+    Returns the chains and the seeds searched."""
     sys_ = spec.system
     chains, seen, searched = [], set(), []
 
     def add(coords, terminal):
-        c = Chain(tuple(sys_.space.normalize(x) for x in coords), terminal)
+        c = Chain(tuple(float(sys_.space.normalize(x)) for x in coords),
+                  terminal)
         if c.key() not in seen:
             seen.add(c.key())
             chains.append(c)
@@ -275,7 +329,7 @@ def _old_sample_stratum(spec, N, density, depth, extra_seeds=()):
     seeds = grid + [sys_.space.normalize(s) for s in extra_seeds]
     for x in grid:
         if sys_.in_domain(x):
-            fx = ext.apply(sys_, x)
+            fx = float(ext.apply(sys_, x))
             if all(abs(fx - s) > 1e-12 for s in seeds):
                 seeds.append(fx)
     seeds = [sys_.space.normalize(x0) for x0 in seeds]
@@ -286,9 +340,14 @@ def _old_sample_stratum(spec, N, density, depth, extra_seeds=()):
                 add(coords, False)
         return chains, searched
     for y in spec.y_grid(density):
-        rec = ext.orbit(sys_, y, N)
-        if not rec.escaped:
-            add(rec.points[::-1], True)
+        # a point drops out when it lies outside Delta before a step
+        points = [sys_.space.normalize(y)]
+        for _ in range(N):
+            if not sys_.in_domain(points[-1]):
+                break
+            points.append(ext.apply(sys_, points[-1]))
+        else:
+            add(points[::-1], True)
     if N >= 1 and spec.Y:
         for x0 in seeds:
             searched.append(x0)
@@ -300,35 +359,33 @@ def _old_sample_stratum(spec, N, density, depth, extra_seeds=()):
 def _check_against_old_sampler(spec, N, density, depth, extra_seeds=()):
     old, old_seeds = _old_sample_stratum(spec, N, density, depth,
                                          extra_seeds)
-    # the closed-form table, when the system has one, and the scalar fill
-    for source in (spec, _scalar_fill(spec)):
-        # both samplers must search from the same seeds, in the same order
-        real = ext._backward_rows
-        seeds = []
+    # both samplers must search from the same seeds, in the same order
+    real = ext._backward_rows
+    seeds = []
 
-        def recording(spec, x0s, depth, terminal):
-            seeds.extend(x0s)
-            return real(spec, x0s, depth, terminal)
+    def recording(spec, x0s, depth, terminal):
+        seeds.extend(x0s)
+        return real(spec, x0s, depth, terminal)
 
-        ext._backward_rows = recording
-        try:
-            s = sample_stratum(source, N, density, depth=depth,
-                               extra_seeds=extra_seeds)
-        except EmptyStratum:
-            s = None
-        finally:
-            ext._backward_rows = real
-        assert repr(seeds) == repr(old_seeds)
-        if s is None:
-            assert old == []
-            continue
-        assert isinstance(s.chains, ext.ChainRows)
-        assert s.chains.coords.dtype == float
-        assert s.chains.coords.shape == (len(old), len(old[0].coords))
-        assert repr(s.chains.coords.tolist()) == repr([list(c.coords)
-                                                       for c in old])
-        assert s.chains.terminal == (N != INF)
-        assert list(s.chains) == old
+    ext._backward_rows = recording
+    try:
+        s = sample_stratum(spec, N, density, depth=depth,
+                           extra_seeds=extra_seeds)
+    except EmptyStratum:
+        s = None
+    finally:
+        ext._backward_rows = real
+    assert repr(seeds) == repr(old_seeds)
+    if s is None:
+        assert old == []
+        return
+    assert isinstance(s.chains, ext.ChainRows)
+    assert s.chains.coords.dtype == float
+    assert s.chains.coords.shape == (len(old), len(old[0].coords))
+    assert repr(s.chains.coords.tolist()) == repr([list(c.coords)
+                                                   for c in old])
+    assert s.chains.terminal == (N != INF)
+    assert list(s.chains) == old
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,8 +442,20 @@ def test_forward_images_join_the_seeds_in_order(N):
     step = 6 * 0.6e-12
     system = PartialMapSystem(
         UNIT_INTERVAL, ((0.0, 1.0),), lambda x: 0.5 + step * x,
-        (Branch("only", (0.0, 1.0), lambda y: (y - 0.5) / step),))
+        (Branch((0.0, 1.0), lambda y: (y - 0.5) / step),))
     _check_against_old_sampler(ExtensionSpec(system, ((0.0, 1.0),)), N, 7, 3)
+
+
+@pytest.mark.parametrize("N", [1, 3, 6, INF])
+def test_forward_push_drops_points_that_leave_the_domain(N):
+    # Delta = [0, 1/4] u [1/2, 3/4] and x -> 2x mod 1: every point of
+    # Y = [1/2, 1] but 1/2 leaves Delta within three steps
+    system = PartialMapSystem(
+        UNIT_INTERVAL, ((0.0, 0.25), (0.5, 0.75)),
+        lambda x: 2.0 * x - (x >= 0.5),
+        (Branch((0.0, 0.25), lambda y: 0.5 * y),
+         Branch((0.5, 0.75), lambda y: 0.5 * (y + 1.0))))
+    _check_against_old_sampler(ExtensionSpec(system, ((0.5, 1.0),)), N, 20, 4)
 
 
 def test_distinct_rows_rounds_as_python_round():

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import scalar_preimages
 from revext import logistic as lg
 from revext.core import EPS_DOM, find_root, preimages
 
 
 # ---------------------------------------------------------------------------
-# Map, branches, lifts
+# Map and branches
 
 
 def test_eval_map_exact_values():
@@ -49,36 +50,12 @@ def test_preimage_table_matches_scalar_preimages(lam, y, t):
     ys = [y] + [float(e) for e in edges]
     ys += [float(lam - k * np.spacing(lam)) for k in range(1, 6)]
     ys += [-4e-12 * lam + k * 1e-16 for k in range(-40, 41)]
-    spec = lg.extension_spec(lam)
-    table = preimages(spec.system, np.array(ys))
+    system = lg.make_system(lam)
+    table = preimages(system, np.array(ys))
     assert table.shape == (len(ys), 2)
     for y, row in zip(ys, table.tolist()):
-        want = list(spec.ordered_preimages(y))
+        want = scalar_preimages(system, y)
         assert repr(row) == repr(want + [math.nan] * (2 - len(want)))
-
-
-def test_lift_gamma_periodicity_and_injectivity():
-    for lam in (0.6, 1.0):
-        for j in range(20):
-            t = j / 20
-            assert lg.lift_gamma(lam, t + 1.0) == pytest.approx(
-                lg.lift_gamma(lam, t) + 2.0)
-        vals = [round(lg.lift_gamma(lam, j / 400), 12) for j in range(400)]
-        assert len(set(vals)) == len(vals)
-
-
-def test_tent_parametrized_dynamics():
-    assert lg.tal_tent_parametrized(0.3) == pytest.approx(0.6)
-    # tal1: conjugate of doubling through the tent-quadratic conjugacy,
-    # checked against the quadratic map on the fractional part
-    for j in range(40):
-        t = j / 40
-        v = lg.tal1_parametrized(t)
-        assert math.floor(v) in (2 * math.floor(t), 2 * math.floor(t) + 1)
-        frac = t - math.floor(t)
-        assert v - 2 * math.floor(t) == pytest.approx(
-            4.0 * frac * (1.0 - frac) if frac < 0.5
-            else 2.0 - 4.0 * frac * (1.0 - frac))
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +201,34 @@ def test_superstable_parameters():
         assert lg._iterate(s, 0.5, 2 ** n) == pytest.approx(0.5, abs=1e-10)
         assert lg.period_doubling_parameter(n) < s \
             < lg.period_doubling_parameter(n + 1)
+
+
+def _superstable_mpmath(n: int, s: float) -> float:
+    """s_n by a 60-digit mpmath solve of alpha^(2^n)(1/2) = 1/2, on a
+    bracket 1e-13 either side of the float s that must change sign."""
+    import mpmath as mp
+    with mp.workdps(60):
+        def f(lam):
+            x = mp.mpf(1) / 2
+            for _ in range(2 ** n):
+                x = 4 * lam * x * (1 - x)
+            return x - mp.mpf(1) / 2
+
+        lo, hi = mp.mpf(s) - mp.mpf("1e-13"), mp.mpf(s) + mp.mpf("1e-13")
+        assert f(lo) * f(hi) < 0
+        return mp.findroot(f, (lo, hi), solver="anderson",
+                           tol=mp.mpf("1e-55"))
+
+
+@pytest.mark.parametrize("n, ulps", [(n, 2.5) for n in range(6)]
+                         + [(n, 4.5) for n in (6, 7, 8)])
+def test_superstable_parameters_to_float_resolution(n, ulps):
+    # the bisection runs until the bracket has no float inside; an xtol of
+    # 1e-15 left s_4 5.1 ulp and s_8 6.1 ulp from the root
+    import mpmath as mp
+    s = lg.superstable_parameter(n)
+    exact = _superstable_mpmath(n, s)
+    assert abs(mp.mpf(s) - exact) <= ulps * math.ulp(s)
 
 
 def test_feigenbaum_limit_estimate():
