@@ -372,8 +372,6 @@ def classify(h: CircleHomeo, n_iter: int = 100_000, max_den: int = 64,
 
 @dataclass(frozen=True)
 class RotationInvariantReport:
-    tau1: float
-    tau2: float
     difference: float
     bound: float
     conjugacy_residual: Optional[float]
@@ -406,4 +404,4 @@ def check_rotation_invariant(h1: CircleHomeo, h2: CircleHomeo,
     t2 = rotation_number(h2, n_iter)
     d = abs(t1 - t2)
     d = min(d, 1.0 - d)
-    return RotationInvariantReport(t1, t2, d, 2.0 / n_iter, residual)
+    return RotationInvariantReport(d, 2.0 / n_iter, residual)

@@ -231,7 +231,6 @@ class FactorMapSample:
 class SemiconjugacyReport:
     max_residual: float
     domain_violations: int
-    checked: int
 
     def ok(self, tol: float) -> bool:
         return self.max_residual <= tol and self.domain_violations == 0
@@ -248,7 +247,6 @@ def check_semiconjugacy(sample: FactorMapSample, upstairs,
     """
     worst = 0.0
     violations = 0
-    checked = 0
     for x in sample.points:
         up_in = upstairs.in_domain(x)
         down_in = downstairs.in_domain(sample.psi(x))
@@ -259,8 +257,7 @@ def check_semiconjugacy(sample: FactorMapSample, upstairs,
         lhs = apply(downstairs, sample.psi(x))
         rhs = sample.psi(upstairs.forward(x))
         worst = max(worst, downstairs.space.metric(lhs, rhs))
-        checked += 1
-    return SemiconjugacyReport(worst, violations, checked)
+    return SemiconjugacyReport(worst, violations)
 
 
 # ---------------------------------------------------------------------------

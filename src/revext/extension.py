@@ -52,9 +52,6 @@ class Chain:
     def depth(self) -> int:
         return len(self.coords) - 1
 
-    def key(self) -> tuple:
-        return (self.terminal, tuple(round(c, 9) for c in self.coords))
-
 
 @dataclass(frozen=True)
 class ExtensionSpec:
@@ -67,11 +64,6 @@ class ExtensionSpec:
 
     system: PartialMapSystem
     Y: tuple[tuple[float, float], ...]
-
-    def ordered_preimages(self, y: float) -> tuple[float, ...]:
-        """The preimages of y, in the order of the system's branches."""
-        row = preimages(self.system, np.array([y], dtype=float))[0]
-        return tuple(row[~np.isnan(row)].tolist())
 
     def in_Y(self, x, eps: float = EPS_DOM):
         return self.system.space.in_intervals(self.Y, x, eps)
@@ -151,21 +143,33 @@ class StratumSample:
     depth: int
 
 
+def valid_rows(spec: ExtensionSpec, coords: np.ndarray, lengths: np.ndarray,
+               terminal, eps: float = EPS_CHAIN) -> np.ndarray:
+    """Per row i, whether the chain coords[i, :lengths[i]] (lengths >= 1),
+    terminal where ``terminal`` is, has a head in the space (on the circle
+    any finite real), every later coordinate in Delta and mapped to within
+    eps of the one before it, and, if terminal, its last coordinate in Y.
+    Entries past a row's length do not count."""
+    sys_, space = spec.system, spec.system.space
+    with np.errstate(invalid="ignore"):  # NaN and inf fail every test
+        x = space.normalize(coords[:, 1:])
+        ok = sys_.in_domain(x)
+        back = space.normalize(sys_.forward_map(x[ok]))
+        ok[ok] = space.metric(back, coords[:, :-1][ok]) <= eps
+        ok |= np.arange(1, coords.shape[1]) >= lengths[:, None]
+        head = space.normalize(coords[:, 0])
+        last = coords[np.arange(len(coords)), lengths - 1]
+        return ((0.0 <= head) & (head <= 1.0) & ok.all(axis=1)
+                & ~(terminal & ~spec.in_Y(last, 1e-9)))
+
+
 def validate_chain(spec: ExtensionSpec, c: Chain,
                    eps: float = EPS_CHAIN) -> bool:
-    """True iff c satisfies the chain condition, domain membership, and
-    (when terminal) ends in Y."""
-    if len(c.coords) == 0:
-        return False
-    sys_ = spec.system
-    coords = np.array(c.coords, dtype=float)
-    x = sys_.space.normalize(coords[1:])
-    if not sys_.in_domain(x).all():
-        return False
-    back = sys_.space.normalize(sys_.forward_map(x))
-    if (sys_.space.metric(back, coords[:-1]) > eps).any():
-        return False
-    return not c.terminal or spec.in_Y(c.coords[-1], 1e-9)
+    """True iff c satisfies the chain condition of ``valid_rows`` (a chain
+    of no coordinates has no head in the space)."""
+    coords = np.array([c.coords or (math.nan,)], dtype=float)
+    return bool(valid_rows(spec, coords, np.array([coords.shape[1]]),
+                           c.terminal, eps)[0])
 
 
 def alpha_tilde(spec: ExtensionSpec, c: Chain) -> Chain:
@@ -326,22 +330,38 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
     return StratumSample(N, ChainRows(_distinct_rows(rows), True), depth)
 
 
+def chain_keys(coords: np.ndarray, terminal: np.ndarray) -> np.ndarray:
+    """One int64 row per chain: its flag, then k = ``decimal_rint(x, 9)``
+    per coordinate (int64 min for NaN padding or any non-finite x).  Equal
+    rows are one class: ``round(x, 9)`` is the double nearest k / 10**9, and
+    on [0, 1] distinct k give distinct doubles, so they are the chains of
+    one flag and length whose coordinates agree under ``round(x, 9)``."""
+    finite = np.isfinite(coords)
+    k = decimal_rint(np.where(finite, coords, 0.0), 9)
+    return np.column_stack([terminal, np.where(finite, k, -1 << 63)])
+
+
+def class_index(keys: np.ndarray):
+    """The class of each row of ``keys``, rows compared as byte strings,
+    numbered in order of first occurrence (so when the first n rows are
+    distinct, row i < n has class i), and the first row of each class."""
+    # a row of no entries is one byte string, equal to every other
+    keys = (np.ascontiguousarray(keys) if keys.shape[1]
+            else np.zeros((len(keys), 1)))
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    _, first, inv = np.unique(rows.ravel(), return_index=True,
+                              return_inverse=True)
+    rank = np.empty(len(first), dtype=int)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inv.reshape(-1)], np.sort(first)
+
+
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows of one length as an array, one per class of ``Chain.key``,
-    in first-occurrence order: two rows are one class when Python's
-    ``round(x, 9)`` agrees at every coordinate.  That is the double nearest
-    k / 10**9 for k = ``decimal_rint(x, 9)``, and on [0, 1], where
-    coordinates lie, distinct k give distinct doubles, so equal k is the
-    class.  Rounding is monotone: the values it merges are neighbours in
-    sorted order, and one class id per run of equal k suffices."""
-    coords = np.asarray(rows, dtype=float)
-    values, inverse = np.unique(coords, return_inverse=True)
-    k = decimal_rint(values, 9)
-    ids = np.cumsum(np.r_[False, k[1:] != k[:-1]])
-    # numpy 2.0 changed the shape of the inverse, so set it here
-    classes = ids[inverse.reshape(coords.shape)]
-    _, first = np.unique(classes, axis=0, return_index=True)
-    return coords[np.sort(first)]
+    """The rows of one length, one per class of ``chain_keys``, in
+    first-occurrence order."""
+    rows = np.asarray(rows, dtype=float)
+    flags = np.zeros(len(rows), dtype=bool)
+    return rows[class_index(chain_keys(rows, flags))[1]]
 
 
 # ---------------------------------------------------------------------------

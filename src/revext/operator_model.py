@@ -18,8 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import EPS_CHAIN, PartialMapSystem, UNIT_INTERVAL, Branch
-from .extension import Chain, ExtensionSpec, alpha_tilde, validate_chain
+from .core import (EPS_CHAIN, UNIT_INTERVAL, Branch, PartialMapSystem,
+                   decimal_rint, make_constant_system, make_rotation_system,
+                   preimages)
+from .extension import (Chain, ExtensionSpec, chain_keys, class_index,
+                        valid_rows)
 from . import logistic as _logistic
 
 THRESHOLD = 1e-12
@@ -44,95 +47,119 @@ DEFAULT_A_FUNCS = {
 
 @dataclass(frozen=True)
 class FiniteModel:
+    """Basis chain i is row i of ``coords``: its coordinates, then NaN out
+    to the width closure_depth + 1, with the flag ``terminal[i]``."""
     spec: ExtensionSpec
-    chains: tuple[Chain, ...]
+    coords: np.ndarray              # float64 (dim, closure_depth + 1)
+    terminal: np.ndarray            # bool, one flag per chain
     sigma: np.ndarray               # chain i maps to chain sigma[i]; -1: none
     a_gens: dict                    # name -> diagonal vector
-    closure_depth: int
 
     @property
     def dim(self) -> int:
-        return len(self.chains)
+        return len(self.coords)
 
     @property
-    def U(self) -> np.ndarray:
-        """The dense partial permutation matrix, U[i, sigma[i]] = 1."""
-        U = np.zeros((self.dim, self.dim))
-        rows = np.flatnonzero(self.sigma >= 0)
-        U[rows, self.sigma[rows]] = 1.0
-        return U
+    def depths(self) -> np.ndarray:
+        return np.count_nonzero(~np.isnan(self.coords), axis=1) - 1
 
 
-def _canonical(spec: ExtensionSpec, c: Chain, depth: int) -> Chain:
-    """Terminal chains keep their length; non-terminal truncations are
-    stored at exactly ``depth`` coordinates past the head."""
-    if c.terminal or c.depth == depth:
-        return c
-    if c.depth > depth:
-        return Chain(c.coords[:depth + 1], False)
-    # extend deterministically by the first available preimage branch
-    coords = list(c.coords)
-    while len(coords) - 1 < depth:
-        xs = spec.ordered_preimages(coords[-1])
-        if not xs:
-            raise ValueError("non-terminal chain cannot be extended to the "
-                             "canonical depth")
-        coords.append(xs[0])
-    return Chain(tuple(coords), False)
+def _images(spec: ExtensionSpec, coords: np.ndarray, terminal: np.ndarray):
+    """The rows with an image in the basis (head in Delta, and not terminal
+    at full width), and those images: alpha(x0) prepended and the last
+    column dropped, which truncates a non-terminal image."""
+    space = spec.system.space
+    has = spec.system.in_domain(coords[:, 0]) & ~(
+        terminal & ~np.isnan(coords[:, -1]))
+    fx = spec.system.forward_map(space.normalize(coords[has, 0]))
+    return has, np.column_stack([space.normalize(fx), coords[has, :-1]])
+
+
+def _complete(system: PartialMapSystem, coords: np.ndarray,
+              terminal: np.ndarray) -> np.ndarray:
+    """Fill the non-terminal rows out to the full width in place, each
+    coordinate the first preimage of the one before it; return the rows
+    left short, where one has no preimage."""
+    stuck = np.zeros(len(coords), dtype=bool)
+    while (short := np.flatnonzero(
+            ~terminal & ~stuck & np.isnan(coords[:, -1]))).size:
+        col = np.isnan(coords[short]).argmax(axis=1)
+        coords[short, col] = preimages(system, coords[short, col - 1])[:, 0]
+        stuck[short] = np.isnan(coords[short, col])
+    return stuck
 
 
 def build_model(spec: ExtensionSpec, seed_chains: Sequence[Chain],
                 closure_depth: int, size_cap: int = 5000,
                 a_funcs: Optional[dict] = None) -> FiniteModel:
-    """Close the seeds under the extension dynamics and its inverse (up to
-    ``closure_depth``), recording sigma as each chain's forward image joins
-    the basis, then assemble the diagonal generators.
+    """Close the seeds under the extension dynamics and its inverse, one
+    layer (the chains that joined last) at a time: a layer's images join,
+    less terminal ones deeper than closure_depth, and so do its tails, the
+    head dropped.  A non-terminal chain is kept at closure_depth: truncated,
+    or completed by ``_complete`` (a tail that cannot be is left out).  A
+    chain joins unless its ``chain_keys`` class has.  sigma[i] = j iff chain
+    j is the image of chain i, else -1 (finite-dimensional compression).
 
-    sigma[i] = j iff chain j is the image of chain i under the extension
-    dynamics; chains whose image leaves the basis get -1
-    (finite-dimensional compression)."""
-    a_funcs = dict(DEFAULT_A_FUNCS) if a_funcs is None else a_funcs
-    basis: list[Chain] = []
-    sigma: list[int] = []
-    index: dict = {}
-    pending: list[int] = []
-
-    def add(c: Chain) -> int:
-        """The basis index of c, appended and queued when new."""
-        c = _canonical(spec, c, closure_depth)
-        if not validate_chain(spec, c):
-            raise ValueError(f"invalid chain in model basis: {c}")
-        k = c.key()
-        if k not in index:
-            if len(basis) >= size_cap:
+    Raises ValueError for a closure_depth that is not an integer >= 0, no
+    seeds, a seed that fails ``validate_chain``, is terminal and deeper than
+    closure_depth, or cannot be completed, and a basis chain that fails the
+    chain condition (a map that leaves the space); ClosureOverflow past
+    ``size_cap`` chains."""
+    if isinstance(closure_depth, bool) or not isinstance(
+            closure_depth, (int, np.integer)) or closure_depth < 0:
+        raise ValueError(f"closure_depth must be an integer >= 0, "
+                         f"got {closure_depth!r}")
+    if len(seed_chains) == 0:
+        raise ValueError("build_model needs at least one seed chain")
+    width = closure_depth + 1
+    lengths = np.array([len(c.coords) for c in seed_chains])
+    cand_t = np.array([c.terminal for c in seed_chains], dtype=bool)
+    cand = np.full((len(lengths), max(width, lengths.max())), np.nan)
+    cand[np.arange(cand.shape[1]) < lengths[:, None]] = [
+        x for c in seed_chains for x in c.coords]
+    coords, terminal = np.empty((0, width)), np.empty(0, dtype=bool)
+    keys, sources, targets = chain_keys(coords, terminal), [], []
+    src = np.arange(0)
+    with np.errstate(invalid="ignore"):  # NaN and inf fail the checks
+        bad = ~valid_rows(spec, cand, lengths, cand_t) | cand_t & (
+            lengths > width)
+        cand = cand[:, :width]
+        bad |= _complete(spec.system, cand, cand_t)
+        if bad.any():
+            raise ValueError(f"invalid seed chain for closure_depth "
+                             f"{closure_depth}: "
+                             f"{seed_chains[int(bad.argmax())]}")
+        while len(cand):
+            cand_keys = chain_keys(cand, cand_t)
+            index, first = class_index(np.vstack([keys, cand_keys]))
+            sources.append(src)
+            targets.append(index[len(keys):len(keys) + len(src)])
+            new, n = first[len(keys):] - len(keys), len(keys)
+            coords = np.vstack([coords, cand[new]])
+            terminal = np.concatenate([terminal, cand_t[new]])
+            keys = np.vstack([keys, cand_keys[new]])
+            if len(keys) > size_cap:
                 raise ClosureOverflow(f"basis exceeded size cap {size_cap}")
-            index[k] = len(basis)
-            basis.append(c)
-            sigma.append(-1)
-            pending.append(index[k])
-        return index[k]
-
-    for c in seed_chains:
-        add(c)
-    while pending:
-        i = pending.pop()
-        c = basis[i]
-        if spec.system.in_domain(c.coords[0]):
-            img = alpha_tilde(spec, c)
-            if not (img.terminal and img.depth > closure_depth):
-                sigma[i] = add(img)
-        if len(c.coords) >= 2:
-            try:
-                tail = _canonical(spec, Chain(c.coords[1:], c.terminal),
-                                  closure_depth)
-            except ValueError:
-                continue  # a truncation with no backward continuation
-            add(tail)
-
-    gens = {name: np.array([f(c.coords[0]) for c in basis])
-            for name, f in a_funcs.items()}
-    return FiniteModel(spec, tuple(basis), np.array(sigma, dtype=int), gens,
-                       closure_depth)
+            c, t = coords[n:], terminal[n:]
+            has, img = _images(spec, c, t)
+            tails = np.column_stack([c[:, 1:], np.full(len(c), np.nan)])
+            keep = ~_complete(spec.system, tails, t) & ~np.isnan(tails[:, 0])
+            cand = np.vstack([img, tails[keep]])
+            cand_t = np.concatenate([t[has], t[keep]])
+            src = n + np.flatnonzero(has)
+        lengths = np.count_nonzero(~np.isnan(coords), axis=1)
+        bad = ~valid_rows(spec, coords, lengths, terminal)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"invalid chain in model basis: "
+                         f"{coords[i, :lengths[i]].tolist()}")
+    sigma = np.full(len(coords), -1)
+    sigma[np.concatenate(sources)] = np.concatenate(targets)
+    heads = coords[:, 0].tolist()
+    gens = {name: np.array([f(x) for x in heads])
+            for name, f in (DEFAULT_A_FUNCS if a_funcs is None
+                              else a_funcs).items()}
+    return FiniteModel(spec, coords, terminal, sigma, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +179,6 @@ class OperatorCheckReport:
 
     def all_pass(self) -> bool:
         return all(v <= self.threshold for v in self.residuals.values())
-
-    def merge(self, other: "OperatorCheckReport") -> "OperatorCheckReport":
-        out = OperatorCheckReport(threshold=self.threshold)
-        out.residuals = {**self.residuals, **other.residuals}
-        return out
 
     def to_json(self) -> dict:
         return {name: {"residual": res, "pass": res <= self.threshold}
@@ -180,18 +202,29 @@ def _fibre_sizes(sigma: np.ndarray) -> np.ndarray:
 
 
 def _delta_diag(sigma: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The diagonal of delta(b) = UbU*: b gathered through sigma."""
-    return np.where(sigma >= 0, b[sigma], 0.0)
+    """Per row of b, the diagonal of delta(b) = UbU*: b gathered through
+    sigma."""
+    return np.where(sigma >= 0, b[:, sigma], 0.0)
 
 
 def _delta_star(sigma: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """U*bU, which is diagonal: b scattered (summed) through sigma."""
+    """Per row of b, U*bU, which is diagonal: b scattered (summed) through
+    sigma, in index order as np.bincount sums."""
     dom = sigma >= 0
-    return np.bincount(sigma[dom], weights=b[dom], minlength=sigma.size)
+    out = np.zeros(b.shape)
+    np.add.at(out, (slice(None), sigma[dom]), b[:, dom])
+    return out
 
 
-def _max(v: np.ndarray) -> float:
-    return float(np.max(v)) if v.size else 0.0
+def _max(v: np.ndarray, axis=None):
+    """The maximum of v >= 0, or 0 over nothing."""
+    return np.max(v, axis=axis, initial=0.0)
+
+
+def _a_rows(m: FiniteModel) -> np.ndarray:
+    """The diagonals of the A-generators as the rows of one array."""
+    return np.array(list(m.a_gens.values()), dtype=float).reshape(
+        len(m.a_gens), m.dim)
 
 
 def verify_coefficient_relations(m: FiniteModel) -> OperatorCheckReport:
@@ -201,9 +234,7 @@ def verify_coefficient_relations(m: FiniteModel) -> OperatorCheckReport:
     rep = OperatorCheckReport()
     k = _fibre_sizes(m.sigma)
     extra = np.maximum(k - 1.0, 0.0)
-    a_abs = np.zeros(m.dim)
-    for a in m.a_gens.values():
-        a_abs = np.maximum(a_abs, np.abs(a))
+    a_abs = _max(np.abs(_a_rows(m)), axis=0)
     # off-diagonal part of delta(a): a_j (J - 1) on fibre j
     rep.record("UaU*_diagonal", _max(a_abs * extra))
     # U has at most one entry per row, so U*aU is diagonal
@@ -221,72 +252,59 @@ def verify_coefficient_relations(m: FiniteModel) -> OperatorCheckReport:
 @dataclass(frozen=True)
 class BAlgebra:
     gens: np.ndarray      # row g: the diagonal of the generator U*^n a U^n
-    names: tuple
     classes: np.ndarray   # joint-eigenvalue class of each chain
     vanishing: np.ndarray  # one entry per class: every generator is 0 there
 
 
 def build_B(m: FiniteModel, n_max: int) -> BAlgebra:
-    """Generators of B = C*(union of U*^n A U^n) and the partition of the
-    basis into joint-eigenvalue classes (chains whose generator values
-    agree to 8 digits), which determines the algebra B generates."""
-    gens, names = [], []
-    level = {name: np.asarray(a, dtype=float) for name, a in m.a_gens.items()}
-    for n in range(n_max + 1):
-        for name, b in level.items():
-            gens.append(b)
-            names.append(f"U*^{n} {name} U^{n}")
-        level = {name: _delta_star(m.sigma, b) for name, b in level.items()}
-    gens = np.array(gens, dtype=float).reshape(len(gens), m.dim)
-    index: dict = {}
-    classes = np.array([index.setdefault(tuple(col), len(index))
-                        for col in (np.round(gens, 8) + 0.0).T.tolist()],
-                       dtype=int)
-    vanishing = np.array([not any(key) for key in index], dtype=bool)
-    return BAlgebra(gens, tuple(names), classes, vanishing)
+    """Generators of B = C*(union of U*^n A U^n), level n after level n,
+    and the partition of the basis into joint-eigenvalue classes (chains
+    whose generator values agree to 8 digits), which determines the
+    algebra B generates."""
+    levels = [_a_rows(m)]
+    for _ in range(n_max):
+        levels.append(_delta_star(m.sigma, levels[-1]))
+    gens = np.concatenate(levels)
+    values = np.round(gens, 8).T + 0.0
+    classes, first = class_index(values)
+    return BAlgebra(gens, classes, ~values[first].any(axis=1))
 
 
-def _distance_to_B(B: BAlgebra, v: np.ndarray) -> float:
-    """Sup-norm distance from diag(v) to the C*-algebra B generates.  B is
-    commutative and diagonal, so that algebra is the set of vectors that
-    are constant on each joint-eigenvalue class and vanish on the classes
-    where every generator vanishes."""
-    n = len(B.vanishing)
-    hi = np.full(n, -np.inf)
-    lo = np.full(n, np.inf)
-    np.maximum.at(hi, B.classes, v)
-    np.minimum.at(lo, B.classes, v)
-    return _max(np.where(B.vanishing, np.maximum(hi, -lo), 0.5 * (hi - lo)))
+def _distance_to_B(B: BAlgebra, v: np.ndarray) -> np.ndarray:
+    """Per row of v, the sup-norm distance from diag(v) to the C*-algebra B
+    generates.  B is commutative and diagonal, so that algebra is the set
+    of vectors that are constant on each joint-eigenvalue class and vanish
+    on the classes where all generators vanish."""
+    shape = (len(v), len(B.vanishing))
+    hi = np.full(shape, -np.inf)
+    lo = np.full(shape, np.inf)
+    np.maximum.at(hi, (slice(None), B.classes), v)
+    np.minimum.at(lo, (slice(None), B.classes), v)
+    return _max(np.where(B.vanishing, np.maximum(hi, -lo), 0.5 * (hi - lo)),
+                axis=1)
 
 
 def verify_reversibility(m: FiniteModel, B: BAlgebra) -> OperatorCheckReport:
     """Generalized-inverse identities of delta(b) = UbU* on B, and
-    invariance of B under conjugation by U and U*."""
-    sigma = m.sigma
-    dom = sigma >= 0
+    invariance of B under conjugation by U and U*, over all generators b
+    at once."""
+    sigma, b = m.sigma, B.gens
     rep = OperatorCheckReport()
     k = _fibre_sizes(sigma)
-    r1 = r2 = r_mem_down = r_mem_up = r_ideal = 0.0
-    for b in B.gens:
-        s = _delta_star(sigma, b)
-        # delta(dstar(delta(b))) - delta(b) = delta((k^2 - 1) b)
-        r1 = max(r1, _max(np.abs(b * (k * k - 1.0)) * k))
-        # dstar(delta(dstar(b))) - dstar(b) = diag((k^2 - 1) s)
-        r2 = max(r2, _max(np.abs(s * (k * k - 1.0))))
-        off = _max(np.abs(b) * np.maximum(k - 1.0, 0.0))
-        r_mem_down = max(r_mem_down,
-                         off + _distance_to_B(B, _delta_diag(sigma, b)))
-        r_mem_up = max(r_mem_up, _distance_to_B(B, s))
-        # delta(dstar(b)) - UU*b is the rank-one block 1 w^T on each fibre,
-        # w_l = s_j - b_l, of norm sqrt(k_j) |w|
-        w = np.where(dom, _delta_diag(sigma, s) - b, 0.0)
-        w2 = np.bincount(sigma[dom], weights=w[dom] ** 2, minlength=m.dim)
-        r_ideal = max(r_ideal, math.sqrt(_max(k * w2)))
-    rep.record("delta_dstar_delta=delta", r1)
-    rep.record("dstar_delta_dstar=dstar", r2)
-    rep.record("UBU*_in_B", r_mem_down)
-    rep.record("U*BU_in_B", r_mem_up)
-    rep.record("delta_range_is_UU*B", r_ideal)
+    s = _delta_star(sigma, b)
+    # delta(dstar(delta(b))) - delta(b) = delta((k^2 - 1) b)
+    rep.record("delta_dstar_delta=delta", _max(np.abs(b * (k * k - 1.0)) * k))
+    # dstar(delta(dstar(b))) - dstar(b) = diag((k^2 - 1) s)
+    rep.record("dstar_delta_dstar=dstar", _max(np.abs(s * (k * k - 1.0))))
+    off = _max(np.abs(b) * np.maximum(k - 1.0, 0.0), axis=1)
+    rep.record("UBU*_in_B",
+               _max(off + _distance_to_B(B, _delta_diag(sigma, b))))
+    rep.record("U*BU_in_B", _max(_distance_to_B(B, s)))
+    # delta(dstar(b)) - UU*b is the rank-one block 1 w^T on each fibre,
+    # w_l = s_j - b_l, of norm sqrt(k_j) |w|
+    w = np.where(sigma >= 0, _delta_diag(sigma, s) - b, 0.0)
+    rep.record("delta_range_is_UU*B",
+               math.sqrt(_max(k * _delta_star(sigma, w ** 2))))
     # the generators are diagonal, so B is commutative
     rep.record("B_commutative", 0.0)
     return rep
@@ -297,14 +315,6 @@ class IdealData:
     UstarU: np.ndarray         # diagonal of U*U
     Q: np.ndarray              # diagonal of the carrier of ker(delta|A)
     kernel_classes: tuple      # index sets of x0-classes with delta = 0
-    ideal_classes: tuple       # index sets annihilated by U*U
-
-
-def _x0_classes(m: FiniteModel) -> list[tuple[int, ...]]:
-    classes: dict = {}
-    for i, c in enumerate(m.chains):
-        classes.setdefault(round(c.coords[0], 9), []).append(i)
-    return [tuple(v) for _, v in sorted(classes.items())]
 
 
 def kernel_annihilator_check(m: FiniteModel):
@@ -312,29 +322,28 @@ def kernel_annihilator_check(m: FiniteModel):
     with A, the carrier Q of that ideal, and the bound U*U <= P = 1 - Q.
 
     A is the algebra of functions of the zeroth coordinate, i.e. diagonal
-    matrices constant on x0-classes of the basis."""
+    matrices constant on x0-classes of the basis: heads that agree to 9
+    decimals, numbered in ascending order."""
     rep = OperatorCheckReport()
     sigma = m.sigma
-    classes = _x0_classes(m)
-    label = np.empty(m.dim, dtype=int)
-    for c, cls in enumerate(classes):
-        label[list(cls)] = c
+    _, label = np.unique(decimal_rint(m.coords[:, 0], 9),
+                         return_inverse=True)
+    n = label.max() + 1
     UstarU = _fibre_sizes(sigma)
     # delta(e) = UeU* vanishes iff no image of U lies in the class of e
-    hit = np.zeros(len(classes), dtype=bool)
+    hit = np.zeros(n, dtype=bool)
     hit[label[sigma[sigma >= 0]]] = True
     # U*U e = diag(k) e vanishes iff k is zero on the class of e
-    charged = np.bincount(label, weights=UstarU, minlength=len(classes)) > 0
-    kernel = [cls for cls, h in zip(classes, hit) if not h]
-    ideal = [cls for cls, h in zip(classes, charged) if not h]
+    charged = np.bincount(label, weights=UstarU, minlength=n) > 0
     rep.record("ker_delta_equals_(1-U*U)A_cap_A",
-               0.0 if kernel == ideal else 1.0)
+               0.0 if np.array_equal(hit, charged) else 1.0)
     Q = (~hit[label]).astype(float)
     rep.record("U*U_leq_P", max(0.0, _max(UstarU - (1.0 - Q))))
     # Q is diagonal, so it commutes with A
     rep.record("Q_in_commutant_of_A", 0.0)
-    data = IdealData(UstarU, Q, tuple(kernel), tuple(ideal))
-    return data, rep
+    kernel = tuple(tuple(np.flatnonzero(label == c).tolist())
+                   for c in np.flatnonzero(~hit))
+    return IdealData(UstarU, Q, kernel), rep
 
 
 def spectrum_matches_extension(m: FiniteModel, B: BAlgebra) -> OperatorCheckReport:
@@ -344,20 +353,14 @@ def spectrum_matches_extension(m: FiniteModel, B: BAlgebra) -> OperatorCheckRepo
     rep = OperatorCheckReport()
     rep.record("B_separates_chains",
                0.0 if len(B.vanishing) == m.dim else 1.0)
-    index = {c.key(): j for j, c in enumerate(m.chains)}
-    bad = 0
-    for i, c in enumerate(m.chains):
-        if not m.spec.system.in_domain(c.coords[0]):
-            if m.sigma[i] >= 0:
-                bad += 1
-            continue
-        img = alpha_tilde(m.spec, c)
-        if img.terminal and img.depth > m.closure_depth:
-            continue
-        img = _canonical(m.spec, img, m.closure_depth)
-        j = index.get(img.key())
-        if j is not None and m.sigma[i] != j:
-            bad += 1
+    has, img = _images(m.spec, m.coords, m.terminal)
+    index, _ = class_index(np.vstack([chain_keys(m.coords, m.terminal),
+                                      chain_keys(img, m.terminal[has])]))
+    j = index[m.dim:]
+    # a chain outside Delta has no image; an image in the basis is sigma's
+    outside = ~m.spec.system.in_domain(m.coords[:, 0])
+    bad = (np.count_nonzero(outside & (m.sigma >= 0))
+           + np.count_nonzero((j < m.dim) & (m.sigma[has] != j)))
     rep.record("U_implements_chain_shift", float(bad))
     return rep
 
@@ -365,13 +368,12 @@ def spectrum_matches_extension(m: FiniteModel, B: BAlgebra) -> OperatorCheckRepo
 def full_report(m: FiniteModel, n_max: Optional[int] = None) -> OperatorCheckReport:
     """All registered checks on one model."""
     if n_max is None:
-        n_max = max(c.depth for c in m.chains)
+        n_max = int(m.depths.max())
     rep = verify_coefficient_relations(m)
     B = build_B(m, n_max)
-    rep = rep.merge(verify_reversibility(m, B))
-    _, krep = kernel_annihilator_check(m)
-    rep = rep.merge(krep)
-    rep = rep.merge(spectrum_matches_extension(m, B))
+    for part in (verify_reversibility(m, B), kernel_annihilator_check(m)[1],
+                 spectrum_matches_extension(m, B)):
+        rep.residuals.update(part.residuals)
     return rep
 
 
@@ -387,7 +389,8 @@ def constant_model(p: float = 1.0 / 3.0, n_points: int = 3,
     Raises InseparableModel when a grid point y = j/(n_points-1) equals p
     within EPS_CHAIN: the terminal chain (p, ..., p) and the depth-capped
     constant chain would then agree in every stored coordinate."""
-    from .core import make_constant_system
+    if not (isinstance(n_points, (int, np.integer)) and n_points >= 2):
+        raise ValueError(f"n_points must be an integer >= 2, got {n_points!r}")
     grid = [j / (n_points - 1) for j in range(n_points)]
     if any(abs(y - p) <= EPS_CHAIN for y in grid):
         raise InseparableModel(
@@ -401,7 +404,6 @@ def constant_model(p: float = 1.0 / 3.0, n_points: int = 3,
 
 def rotation_model(tau: float = 1.0 / 3.0, depth: int = 6) -> FiniteModel:
     """A rigid rotation with Y a single point: a finite ladder of strata."""
-    from .core import make_rotation_system
     spec = ExtensionSpec(make_rotation_system(tau), ((0.0, 0.0),))
     seeds = [Chain((0.0,), True)]
     return build_model(spec, seeds, depth)
@@ -432,8 +434,5 @@ def logistic_period3_model(depth: int = 6) -> FiniteModel:
         name=f"logistic-period3(lam={lam})",
     )
     spec = ExtensionSpec(system, ())
-    seeds = []
-    for k in range(3):
-        coords = [orbit[(k - j) % 3] for j in range(depth + 1)]
-        seeds.append(Chain(tuple(coords), False))
-    return build_model(spec, seeds, depth)
+    # each orbit point, completed backward along the orbit
+    return build_model(spec, [Chain((x,), False) for x in orbit], depth)

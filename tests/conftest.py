@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from revext.core import EPS_CHAIN, find_root
+from revext.core import (EPS_CHAIN, UNIT_INTERVAL, Branch, PartialMapSystem,
+                         find_root)
+from revext.extension import Chain, ExtensionSpec
 
 
 def _largest_fixed_point(lam: float, q: int) -> float:
@@ -55,6 +57,27 @@ def scalar_preimages(system, y: float) -> list:
         else:
             merged.append(x)
     return [float(x) for x in merged]
+
+
+def chain_key(c) -> tuple:
+    """The class of a chain: its flag and its coordinates under Python's
+    round(x, 9).  Chains with equal keys are one chain of a stratum sample
+    or of an operator model's basis."""
+    return (c.terminal, tuple(round(x, 9) for x in c.coords))
+
+
+def model_chains(m) -> list:
+    """The basis of a FiniteModel as Chains, read from its rows."""
+    return [Chain(tuple(row[~np.isnan(row)].tolist()), bool(t))
+            for row, t in zip(m.coords, m.terminal)]
+
+
+def doubling_spec():
+    """x -> 2x on Delta = Y = [0, 1], a forward map that leaves [0, 1]."""
+    system = PartialMapSystem(UNIT_INTERVAL, ((0.0, 1.0),), lambda x: 2.0 * x,
+                              (Branch((0.0, 0.5), lambda y: 0.5 * y),),
+                              name="doubling")
+    return ExtensionSpec(system, ((0.0, 1.0),))
 
 
 def _decimal_half(k_steps_digits):

@@ -123,7 +123,7 @@ def test_logistic_maps_act_elementwise(lam, xs):
 
 def _period3_system():
     model = logistic_period3_model(depth=2)
-    return model.spec.system, list(model.chains[0].coords)
+    return model.spec.system, model.coords[0].tolist()
 
 
 @pytest.mark.parametrize("system", [

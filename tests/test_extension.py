@@ -11,7 +11,8 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import revext.extension as ext
-from conftest import decimal_edge_floats, scalar_preimages
+from conftest import (chain_key, decimal_edge_floats, doubling_spec,
+                      model_chains, scalar_preimages)
 from revext.core import (CIRCLE, EPS_CHAIN, UNIT_INTERVAL, Branch,
                          FactorMapSample, OutsideDomain, PartialMapSystem,
                          apply, check_semiconjugacy, make_constant_system,
@@ -48,10 +49,14 @@ def test_validate_chain_rejects_terminal_outside_Y():
 
 def _validate_chain_loop(spec, c, eps=EPS_CHAIN):
     """validate_chain one coordinate at a time, as it was before it took
-    the chain as an array: the oracle of its array form."""
+    the chain as an array: the oracle of its array form.  The head must
+    be a point of the space (any finite real on the circle)."""
     if len(c.coords) == 0:
         return False
     sys_ = spec.system
+    head = sys_.space.normalize(c.coords[0])
+    if not (math.isfinite(c.coords[0]) and 0.0 <= head <= 1.0):
+        return False
     for n in range(len(c.coords) - 1):
         x_next = c.coords[n + 1]
         if not sys_.in_domain(x_next):
@@ -60,9 +65,27 @@ def _validate_chain_loop(spec, c, eps=EPS_CHAIN):
             back = apply(sys_, x_next)
         except OutsideDomain:
             return False
-        if sys_.space.metric(back, c.coords[n]) > eps:
+        if not sys_.space.metric(back, c.coords[n]) <= eps:
             return False
     return not c.terminal or spec.in_Y(c.coords[-1], 1e-9)
+
+
+@pytest.mark.parametrize("coords", [(math.nan, 0.5), (math.nan,),
+                                    (math.inf,), (2.0,), (-0.1,)])
+def test_validate_chain_rejects_a_head_outside_the_space(coords):
+    # NaN failed no "> eps" test, and the head was never checked
+    for terminal in (True, False):
+        c = Chain(coords, terminal)
+        assert not validate_chain(SPEC06, c)
+        assert not _validate_chain_loop(SPEC06, c)
+
+
+def test_validate_chain_wraps_a_finite_head_on_the_circle():
+    spec = ExtensionSpec(make_rotation_system(0.3), ((0.0, 0.0),))
+    assert validate_chain(spec, Chain((1.3, 1.0), False))
+    assert validate_chain(spec, Chain((-0.7,), False))
+    assert not validate_chain(spec, Chain((math.inf,), False))
+    assert not validate_chain(spec, Chain((math.nan,), False))
 
 
 def _sampled(spec, N):
@@ -71,7 +94,7 @@ def _sampled(spec, N):
 
 def _period3():
     model = logistic_period3_model(depth=4)
-    return model.spec, list(model.chains)
+    return model.spec, model_chains(model)
 
 
 @pytest.mark.parametrize("make", [
@@ -84,17 +107,20 @@ def _period3():
     lambda: _sampled(ExtensionSpec(make_constant_system(0.3),
                                    ((0.0, 1.0),)), INF),
     _period3,
+    lambda: (doubling_spec(), [Chain((0.4,), True), Chain((0.8, 0.4), True),
+                               Chain((1.6, 0.8, 0.4), True)]),
 ], ids=["logistic-3", "logistic-inf", "rotation-3", "constant-2",
-        "constant-inf", "period3"])
+        "constant-inf", "period3", "doubling"])
 def test_validate_chain_matches_the_coordinate_loop(make):
     # each coordinate of each chain moved by nothing, by less and by more
-    # than EPS_CHAIN, across 0 = 1, out of [0, 1] and to NaN, with either
-    # flag
+    # than EPS_CHAIN, across 0 = 1, out of [0, 1], to NaN and to infinity,
+    # with either flag
     spec, chains = make()
     chains.append(Chain((0.5,), True))
     for c in chains:
         for n in range(len(c.coords)):
-            for delta in (0.0, 5e-10, -2e-9, 0.25, -0.95, 1.5, math.nan):
+            for delta in (0.0, 5e-10, -2e-9, 0.25, -0.95, 1.5, math.nan,
+                          math.inf):
                 coords = list(c.coords)
                 coords[n] += delta
                 for terminal in (True, False):
@@ -310,7 +336,7 @@ def _old_sample_stratum(spec, N, density, depth, extra_seeds=()):
     """The sampler as it was before strata became arrays, as the oracle:
     an O(density^2) seed scan, the Y grid pushed forward point by point,
     the recursive search from each seed, and a Chain per yield, normalized
-    coordinate by coordinate to a float and kept when its ``Chain.key`` is
+    coordinate by coordinate to a float and kept when its ``chain_key`` is
     new.
     Returns the chains and the seeds searched."""
     sys_ = spec.system
@@ -319,8 +345,8 @@ def _old_sample_stratum(spec, N, density, depth, extra_seeds=()):
     def add(coords, terminal):
         c = Chain(tuple(float(sys_.space.normalize(x)) for x in coords),
                   terminal)
-        if c.key() not in seen:
-            seen.add(c.key())
+        if chain_key(c) not in seen:
+            seen.add(chain_key(c))
             chains.append(c)
 
     lo = min(iv[0] for iv in sys_.domain)
@@ -479,7 +505,7 @@ def test_distinct_rows_matches_chain_key_dedupe(data):
                               min_size=1, max_size=30))
     first = {}
     for r in rows:
-        first.setdefault(Chain(r, True).key(), list(r))
+        first.setdefault(chain_key(Chain(r, True)), list(r))
     assert repr(ext._distinct_rows(np.array(rows)).tolist()) == \
         repr(list(first.values()))
 

@@ -1,7 +1,8 @@
 """Source hygiene: no module in the package or the tests imports a name it
 never uses, every function, class and method of the package is referenced
-somewhere, and only a named few are referenced by tests alone.  Plain AST
-scans, so no linter is needed.  Also: the suite's warning filters let a
+somewhere, only a named few are referenced by tests alone, and every field
+of a package dataclass is read somewhere.  Plain AST scans, so no linter is
+needed.  Also: the suite's warning filters let a
 failing property test fail alone."""
 
 import ast
@@ -79,6 +80,35 @@ def unreferenced_definitions(modules: dict, readers: list) -> list:
             and not (name.startswith("__") and name.endswith("__"))]
 
 
+def _is_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return (isinstance(target, ast.Name) and target.id == "dataclass"
+            or isinstance(target, ast.Attribute)
+            and target.attr == "dataclass")
+
+
+def unread_fields(modules: dict, readers: list) -> list:
+    """Fields of the dataclasses defined in ``modules`` (label -> source)
+    that no source in ``readers`` reads as an attribute.  A dataclass is a
+    class decorated with ``dataclass``, called or not; its fields are the
+    annotated names of its body."""
+    fields = []
+    for label, source in modules.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and any(
+                    _is_dataclass(d) for d in cls.decorator_list):
+                fields += [(label, node.lineno, cls.name, node.target.id)
+                           for node in cls.body
+                           if isinstance(node, ast.AnnAssign)
+                           and isinstance(node.target, ast.Name)]
+    read = {node.attr for source in readers
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return [f"{label} line {line}: {cls}.{name}"
+            for label, line, cls, name in sorted(fields) if name not in read]
+
+
 def test_scan_finds_unused_imports():
     src = ("from __future__ import annotations\n"
            "import math\nimport os.path\nimport numpy as np\n"
@@ -118,12 +148,38 @@ def test_every_definition_is_referenced():
         modules, [p.read_text() for p in READERS]) == []
 
 
+def test_scan_finds_unread_dataclass_fields():
+    module = ("import dataclasses\n"
+              "from dataclasses import dataclass, field\n"
+              "@dataclass(frozen=True)\n"
+              "class Report:\n"
+              "    value: float\n"
+              "    count: int\n"
+              "    notes: list = field(default_factory=list)\n"
+              "    def ok(self): return self.value < 1\n"
+              "@dataclasses.dataclass\n"
+              "class Pair:\n"
+              "    left: int\n"
+              "    right: int\n"
+              "class Plain:\n"
+              "    hidden: int\n")
+    reader = ("r = Report(1.0, 2)\n"
+              "r.notes.append(Pair(1, 2).left)\n"
+              "Pair(3, 4).right = 5\n")
+    assert unread_fields({"m": module}, [module, reader]) == [
+        "m line 6: Report.count", "m line 12: Pair.right"]
+
+
+def test_every_dataclass_field_is_read():
+    modules = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert unread_fields(modules, [p.read_text() for p in READERS]) == []
+
+
 # Definitions that only tests reach, each with the reason it stays.
 TEST_ONLY = {
     "ChainExtensionSystem": "the extension as a system; callers to come",
     "stratum_to_json": "stratum serialization; callers to come",
     "stratum_from_json": "stratum serialization; callers to come",
-    "U": "FiniteModel.U, the dense matrix: oracle of the sigma index map",
     "passes": "OperatorCheckReport.passes: oracle of the report checks",
 }
 
