@@ -135,33 +135,63 @@ class SvgCanvas:
             f'stroke="black" stroke-width="{width}"/>')
 
     def text(self, x: float, y: float, s: str, size: int = 11) -> None:
-        self.elements.append(
-            f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
-            f'font-family="monospace">{s}</text>')
+        self.elements.append(_text(x, y, s, size))
 
-    def write(self, path: str) -> None:
+    def write(self, path: str, body=None) -> None:
+        """Write the SVG file; ``body``, an iterable of strings, stands in
+        for the elements joined by newlines."""
         with open(path, "w") as fh:
             fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
                      f'width="{self.width:.0f}" height="{self.height:.0f}" '
                      f'viewBox="0 0 {self.width:.0f} {self.height:.0f}">\n')
-            fh.write("\n".join(self.elements))
+            fh.writelines(["\n".join(self.elements)] if body is None
+                          else body)
             fh.write("\n</svg>\n")
 
 
-class _Formats(dict):
-    """``fmt(x)`` of each distinct nonzero number, computed once.  Zeros
-    are formatted every time: 0.0 and -0.0 are one dict key, but ``repr``
-    tells them apart."""
+def _text(x: float, y: float, s: str, size: int = 11) -> str:
+    return (f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
+            f'font-family="monospace">{s}</text>')
 
-    def __init__(self, fmt):
-        super().__init__()
-        self.fmt = fmt
 
-    def __missing__(self, x):
-        s = self.fmt(x)
-        if x:
-            self[x] = s
-        return s
+# Chains per block of the `extend` writers: each block's text is one join,
+# written at once, so neither holds a stratum, let alone a file, as one
+# string.
+_BLOCK = 512
+
+
+def _indexed(parts: list, fmt):
+    """Each distinct value of the int64 arrays ``parts`` formatted once:
+    ``fmt`` maps the sorted distinct values to their labels.  Returns the
+    labels as an object array and, per part, the int32 indices of its
+    entries among them, in its shape.  (``np.unique`` with
+    ``return_inverse`` gives the same with about twice the temporary
+    arrays.)"""
+    flat = np.concatenate([np.empty(0, np.int64)]
+                          + [p.ravel() for p in parts])
+    perm = np.argsort(flat)
+    flat = flat[perm]
+    new = np.empty(len(flat), dtype=bool)
+    new[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    inv = np.empty(len(flat), dtype=np.int32)
+    inv[perm] = np.cumsum(new, dtype=np.int32) - 1
+    ends = np.cumsum([p.size for p in parts])
+    return (np.array(fmt(flat[new]), dtype=object),
+            [inv[e - p.size:e].reshape(p.shape) for p, e in zip(parts, ends)])
+
+
+def _block_text(labels: np.ndarray, idx: np.ndarray, consts: list,
+                first: Optional[str] = None) -> str:
+    """Per row of ``idx``: consts[0], labels[idx[i, 0]], consts[1], ...,
+    labels[idx[i, -1]], consts[-1], all rows joined into one string;
+    ``first``, if given, replaces consts[0] in the first row."""
+    tok = np.empty((len(idx), 2 * idx.shape[1] + 1), dtype=object)
+    tok[:, 0::2] = np.array(consts, dtype=object)
+    tok[:, 1::2] = labels[idx]
+    if first is not None:
+        tok[0, 0] = first
+    return "".join(tok.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -180,39 +210,55 @@ def _ladder_svg(samples: dict, path: str) -> None:
     """Rows of strata (finite N top to bottom, infinite part last), each
     chain drawn as its head coordinate; successive coordinates of the same
     chain are offset into a short spring to hint at the backward orbit.
-    Each distinct x label is formatted once, and the y labels once per
-    row (a sampled stratum's chains share one length)."""
+    The x labels are the ``_centi`` values of the first six columns, each
+    distinct one formatted once by ``_centi_labels``, and the y labels are
+    formatted once per row (a sampled stratum's chains share one length).
+    The elements go to the file a block of chains at a time."""
     canvas = SvgCanvas()
     margin, row_h = 50.0, 36.0
     scale = canvas.width - 2 * margin
-    rows = list(samples.items())
-    canvas.height = max(140.0, margin + row_h * (len(rows) + 1))
-    xl = _Formats(lambda c: f"{margin + c * scale:.2f}")
-    lines = canvas.elements
-    for r, (label, sample) in enumerate(rows):
-        y0 = margin + r * row_h
-        canvas.text(8.0, y0 + 4.0, f"N={label}")
-        coords = sample.chains.coords
-        n = coords.shape[1]
-        ys = [f"{y0 + 10.0 * k / n:.2f}" for k in range(min(n, 6))]
-        for head in coords[:, :6].tolist():
-            xs = [xl[c] for c in head]
-            lines.append(f'<circle cx="{xs[0]}" cy="{ys[0]}" r="1.2" '
-                         f'fill="black"/>')
+    canvas.height = max(140.0, margin + row_h * (len(samples) + 1))
+    xl, cx = _indexed([_centi(margin + s.chains.coords[:, :6] * scale)
+                       for s in samples.values()], _centi_labels)
+
+    def body():
+        for r, ((label, s), c) in enumerate(zip(samples.items(), cx)):
+            y0 = margin + r * row_h
+            yield ("\n" if r else "") + _text(8.0, y0 + 4.0, f"N={label}")
+            n = s.chains.coords.shape[1]
+            ys = [f"{y0 + 10.0 * k / n:.2f}" for k in range(c.shape[1])]
+            consts = ['\n<circle cx="',
+                      f'" cy="{ys[0]}" r="1.2" fill="black"/>']
+            cols = [0]
             if n > 1:
-                pts = " ".join([f"{x},{y}" for x, y in zip(xs, ys)])
-                lines.append(f'<polyline points="{pts}" fill="none" '
-                             f'stroke="#888" stroke-width="0.5"/>')
-    canvas.write(path)
+                consts[1] += '\n<polyline points="'
+                consts += [f",{y} " for y in ys]
+                consts[-1] = (f',{ys[-1]}" fill="none" stroke="#888" '
+                              'stroke-width="0.5"/>')
+                cols += range(len(ys))
+            for b in range(0, len(c), _BLOCK):
+                yield _block_text(xl, c[b:b + _BLOCK, cols], consts)
+
+    canvas.write(path, body())
 
 
 def _write_strata_json(fh, strata: dict) -> None:
     """Write ``{key: stratum_to_json(sample)}``, with ``{"empty": true}``
     where the sample is None, exactly as ``json.dump(doc, fh, indent=1)``
-    writes it for finite coordinates, stratum by stratum and chain by
-    chain.  Strata sampled from one spec share most coordinates, so each
-    distinct one is formatted once."""
-    text = _Formats(float.__repr__)
+    writes it, stratum by stratum and a block of chains at a time.  Each
+    distinct coordinate bit pattern of the strata (so 0.0 and -0.0 apart)
+    is formatted once.  Raises ValueError, before writing, for a
+    coordinate that is not finite: JSON has no NaN or infinity."""
+    coords = {k: s.chains.coords for k, s in strata.items() if s is not None}
+    for key, c in coords.items():
+        bad = ~np.isfinite(c)
+        if bad.any():
+            raise ValueError(f"stratum {key!r} has the coordinate "
+                             f"{c[bad][0]!r}, which JSON cannot hold")
+    text, rows = _indexed(
+        [c.view(np.int64) for c in coords.values()],
+        lambda bits: list(map(float.__repr__, bits.view(float).tolist())))
+    rows = dict(zip(coords, rows))
     sep = "{\n "
     for key, sample in strata.items():
         fh.write(f"{sep}{json.dumps(key)}: {{\n  ")
@@ -222,14 +268,15 @@ def _write_strata_json(fh, strata: dict) -> None:
             continue
         N = '"inf"' if sample.N == INF else int(sample.N)
         fh.write(f'"N": {N},\n  "depth": {sample.depth},\n  "chains": [')
-        rows = sample.chains
-        tail = ('\n    ],\n    "terminal": true\n   }' if rows.terminal
-                else '\n    ],\n    "terminal": false\n   }')
-        item = "\n   {"
-        for row in rows.coords.tolist():
-            fh.write(f'{item}\n    "coords": [\n     '
-                     + ",\n     ".join([text[x] for x in row]) + tail)
-            item = ",\n   {"
+        c = rows[key]
+        consts = ([',\n   {\n    "coords": [\n     ']
+                  + [",\n     "] * (c.shape[1] - 1)
+                  + ['\n    ],\n    "terminal": true\n   }'
+                     if sample.chains.terminal else
+                     '\n    ],\n    "terminal": false\n   }'])
+        for b in range(0, len(c), _BLOCK):
+            fh.write(_block_text(text, c[b:b + _BLOCK], consts,
+                                 consts[0][1:] if b == 0 else None))
         fh.write("\n  ]\n }")
     fh.write("\n}")
 

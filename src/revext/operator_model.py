@@ -117,8 +117,8 @@ def build_model(spec: ExtensionSpec, seed_chains: Sequence[Chain],
     cand = np.full((len(lengths), max(width, lengths.max())), np.nan)
     cand[np.arange(cand.shape[1]) < lengths[:, None]] = [
         x for c in seed_chains for x in c.coords]
-    coords, terminal = np.empty((0, width)), np.empty(0, dtype=bool)
-    keys, sources, targets = chain_keys(coords, terminal), [], []
+    # each class's chain_keys row, as bytes, -> its basis index
+    seen, layers, sources, targets = {}, [], [], []
     src = np.arange(0)
     with np.errstate(invalid="ignore"):  # NaN and inf fail the checks
         bad = ~valid_rows(spec, cand, lengths, cand_t) | cand_t & (
@@ -130,23 +130,31 @@ def build_model(spec: ExtensionSpec, seed_chains: Sequence[Chain],
                              f"{closure_depth}: "
                              f"{seed_chains[int(bad.argmax())]}")
         while len(cand):
-            cand_keys = chain_keys(cand, cand_t)
-            index, first = class_index(np.vstack([keys, cand_keys]))
+            keys = chain_keys(cand, cand_t)
+            n = len(seen)
+            rows = keys.view(np.dtype((np.void, keys.itemsize
+                                       * keys.shape[1]))).ravel()
+            index = np.array([seen.setdefault(k, len(seen))
+                              for k in rows.tolist()], dtype=int)
+            targets.append(index[:len(src)])
             sources.append(src)
-            targets.append(index[len(keys):len(keys) + len(src)])
-            new, n = first[len(keys):] - len(keys), len(keys)
-            coords = np.vstack([coords, cand[new]])
-            terminal = np.concatenate([terminal, cand_t[new]])
-            keys = np.vstack([keys, cand_keys[new]])
-            if len(keys) > size_cap:
+            # new classes are numbered in order of first occurrence, so a
+            # row is the first of a new class iff its class is above all
+            # before it
+            new = np.flatnonzero(
+                index > np.maximum.accumulate(np.r_[n - 1, index[:-1]]))
+            if len(seen) > size_cap:
                 raise ClosureOverflow(f"basis exceeded size cap {size_cap}")
-            c, t = coords[n:], terminal[n:]
+            c, t = cand[new], cand_t[new]
+            layers.append((c, t))
             has, img = _images(spec, c, t)
             tails = np.column_stack([c[:, 1:], np.full(len(c), np.nan)])
             keep = ~_complete(spec.system, tails, t) & ~np.isnan(tails[:, 0])
             cand = np.vstack([img, tails[keep]])
             cand_t = np.concatenate([t[has], t[keep]])
             src = n + np.flatnonzero(has)
+        coords = np.vstack([c for c, _ in layers])
+        terminal = np.concatenate([t for _, t in layers])
         lengths = np.count_nonzero(~np.isnan(coords), axis=1)
         bad = ~valid_rows(spec, coords, lengths, terminal)
     if bad.any():

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revext import circle as ci
-from revext.cli import (RunConfig, SvgCanvas, _centi, _centi_labels,
+from revext.cli import (_BLOCK, RunConfig, SvgCanvas, _centi, _centi_labels,
                         _extension_spec_for, _ladder_svg, _sweep_chunk,
                         _write_strata_json, main, read_config_file)
-from revext.extension import (INF, EmptyStratum, sample_stratum,
-                              stratum_from_json, stratum_to_json)
+from revext.extension import (INF, ChainRows, EmptyStratum, StratumSample,
+                              sample_stratum, stratum_from_json,
+                              stratum_to_json)
 
 
 def run(args):
@@ -183,6 +184,13 @@ def _old_ladder_svg(samples, path):
     canvas.write(path)
 
 
+def _check_ladder_svg(tmp_path, samples):
+    _ladder_svg(samples, str(tmp_path / "new.svg"))
+    _old_ladder_svg(samples, str(tmp_path / "old.svg"))
+    assert (tmp_path / "new.svg").read_text() == \
+        (tmp_path / "old.svg").read_text()
+
+
 @pytest.mark.parametrize("system", [
     {"lam": 0.95}, {"lam": 0.6}, {"lam": 1.0},
     {"system": "constant", "p": -0.0},
@@ -190,10 +198,66 @@ def _old_ladder_svg(samples, path):
 def test_ladder_svg_matches_per_chain_emitter(tmp_path, system):
     samples = {k: s for k, s in _strata(N=6, depth=10, density=20,
                                         **system).items() if s is not None}
-    _ladder_svg(samples, str(tmp_path / "new.svg"))
-    _old_ladder_svg(samples, str(tmp_path / "old.svg"))
-    assert (tmp_path / "new.svg").read_text() == \
-        (tmp_path / "old.svg").read_text()
+    _check_ladder_svg(tmp_path, samples)
+
+
+@settings(max_examples=20, deadline=None)
+@given(lam=st.floats(0.5, 1.0))
+def test_ladder_svg_matches_per_chain_emitter_across_lambda(tmp_path_factory,
+                                                            lam):
+    samples = {k: s for k, s in _strata(N=3, depth=6, density=8,
+                                        lam=lam).items() if s is not None}
+    _check_ladder_svg(tmp_path_factory.mktemp("ladder"), samples)
+
+
+def test_ladder_svg_of_single_coordinate_chains_draws_circles_only(tmp_path):
+    samples = {k: s for k, s in _strata(N=0, depth=6, density=12,
+                                        lam=0.9).items() if s is not None}
+    assert samples["0"].chains.coords.shape[1] == 1
+    _check_ladder_svg(tmp_path, {"0": samples["0"]})
+    assert "<polyline" not in (tmp_path / "new.svg").read_text()
+
+
+def _hand_stratum(rows, N=2, seed=0):
+    """A terminal sample of M_N with ``rows`` chains of N + 1 coordinates
+    in [0, 1], the edge values of the float formatter among them: both
+    zeros, adjacent doubles, a subnormal and 1.0."""
+    coords = np.random.default_rng(seed).random((rows, N + 1))
+    edge = [0.0, -0.0, 0.3, np.nextafter(0.3, 1.0), np.nextafter(0.3, 0.0),
+            5e-324, np.nextafter(0.0, 1.0) * 3, 1.0, np.nextafter(1.0, 0.0)]
+    k = min(len(edge), coords.size)
+    coords.flat[:k] = edge[:k]
+    coords.flat[-k:] = edge[::-1][:k]
+    return StratumSample(N, ChainRows(coords, True), 2 * N)
+
+
+def test_strata_json_of_edge_floats_is_json_dump():
+    strata = {"2": _hand_stratum(40), "3": None, "5": _hand_stratum(7, N=5)}
+    text = _check_strata_json(strata)
+    assert "     -0.0," in text.splitlines() and "5e-324" in text
+
+
+@pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                  2 * _BLOCK, 2 * _BLOCK + 1])
+def test_writers_across_block_boundaries(tmp_path, rows):
+    strata = {"0": _hand_stratum(rows, N=0, seed=rows),
+              "2": _hand_stratum(rows, seed=rows),
+              "7": _hand_stratum(rows, N=7, seed=rows + 1)}
+    _check_strata_json(strata)
+    _check_ladder_svg(tmp_path, strata)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_strata_json_rejects_non_finite_coordinates(bad):
+    good = _hand_stratum(3)
+    coords = good.chains.coords.copy()
+    coords[1, 2] = bad
+    strata = {"2": good,
+              "inf": StratumSample(INF, ChainRows(coords, False), 2)}
+    fh = io.StringIO()
+    with pytest.raises(ValueError, match=f"stratum 'inf'.*{bad!r}"):
+        _write_strata_json(fh, strata)
+    assert fh.getvalue() == ""
 
 
 @pytest.mark.parametrize("argv, shown", [
@@ -473,11 +537,38 @@ _PINNED = [
 ]
 
 
-@pytest.mark.parametrize("args, digests", _PINNED,
-                         ids=[" ".join(a[:3]) for a, _ in _PINNED])
-def test_outputs_match_pinned_digests(tmp_path, args, digests):
+# `extend` at the size the benchmark times it
+_BENCH = ["--N", "10", "--depth", "20", "--density", "60", "--format", "svg"]
+_PINNED_BENCH = [
+    (["extend", "--lambda", "0.95"] + _BENCH, {
+        ".json": "2563d4bfa25b9b7732c830363f41fab8"
+                 "63a62ecb6691acc99247eddcb36c5153",
+        ".svg": "2acaec0fcaca5422d55be9265213819e"
+                "85a31b8a492943f1960d3e9df136729e"}),
+    (["extend", "--lambda", "0.6"] + _BENCH, {
+        ".json": "0931135d1a20f02d8971e918d07fedb6"
+                 "1b152c58951d4dfd0f79f60aeca8ff0b",
+        ".svg": "fe5aa97ef67d4074bec99d51a3a60b93"
+                "b17c2cce9f54c40f237a68f1fe501715"}),
+]
+
+
+def _check_digests(tmp_path, args, digests):
     out = tmp_path / "out"
     assert run(args + ["-o", str(out)]) == 0
     for suffix, digest in digests.items():
         data = out.with_suffix(suffix).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, suffix
+
+
+@pytest.mark.parametrize("args, digests", _PINNED,
+                         ids=[" ".join(a[:3]) for a, _ in _PINNED])
+def test_outputs_match_pinned_digests(tmp_path, args, digests):
+    _check_digests(tmp_path, args, digests)
+
+
+@pytest.mark.parametrize("args, digests", _PINNED_BENCH,
+                         ids=[" ".join(a[:3]) for a, _ in _PINNED_BENCH])
+def test_benchmark_size_extend_matches_pinned_digests(tmp_path, args,
+                                                      digests):
+    _check_digests(tmp_path, args, digests)

@@ -345,6 +345,14 @@ def test_stock_models_match_the_scalar_oracle(name):
                                           m.coords.shape[1] - 1))
 
 
+def test_deep_rotation_model_matches_the_scalar_oracle():
+    # a ladder: each layer of the closure is one chain, 201 layers in all
+    m = om.rotation_model(depth=200)
+    assert m.dim == 201
+    _assert_same_closure(m, _oracle_model(m.spec, [Chain((0.0,), True)],
+                                          200))
+
+
 # ---------------------------------------------------------------------------
 # Dense oracle: the same identities with U as a matrix and every algebra
 # element a dim x dim matrix, so the index-map residuals are checked against
