@@ -10,6 +10,7 @@ seeds), so re-running reproduces outputs bit-identically.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -138,15 +139,16 @@ class SvgCanvas:
         self.elements.append(_text(x, y, s, size))
 
     def write(self, path: str, body=None) -> None:
-        """Write the SVG file; ``body``, an iterable of strings, stands in
-        for the elements joined by newlines."""
-        with open(path, "w") as fh:
+        """Write the SVG file; ``body``, an iterable of ASCII ``bytes``
+        chunks, stands in for the elements joined by newlines."""
+        with open(path, "wb") as fh:
             fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
                      f'width="{self.width:.0f}" height="{self.height:.0f}" '
-                     f'viewBox="0 0 {self.width:.0f} {self.height:.0f}">\n')
-            fh.writelines(["\n".join(self.elements)] if body is None
-                          else body)
-            fh.write("\n</svg>\n")
+                     f'viewBox="0 0 {self.width:.0f} {self.height:.0f}">\n'
+                     .encode())
+            fh.writelines(["\n".join(self.elements).encode()]
+                          if body is None else body)
+            fh.write(b"\n</svg>\n")
 
 
 def _text(x: float, y: float, s: str, size: int = 11) -> str:
@@ -224,7 +226,8 @@ def _ladder_svg(samples: dict, path: str) -> None:
     def body():
         for r, ((label, s), c) in enumerate(zip(samples.items(), cx)):
             y0 = margin + r * row_h
-            yield ("\n" if r else "") + _text(8.0, y0 + 4.0, f"N={label}")
+            yield (("\n" if r else "")
+                   + _text(8.0, y0 + 4.0, f"N={label}")).encode()
             n = s.chains.coords.shape[1]
             ys = [f"{y0 + 10.0 * k / n:.2f}" for k in range(c.shape[1])]
             consts = ['\n<circle cx="',
@@ -237,7 +240,7 @@ def _ladder_svg(samples: dict, path: str) -> None:
                               'stroke-width="0.5"/>')
                 cols += range(len(ys))
             for b in range(0, len(c), _BLOCK):
-                yield _block_text(xl, c[b:b + _BLOCK, cols], consts)
+                yield _block_text(xl, c[b:b + _BLOCK, cols], consts).encode()
 
     canvas.write(path, body())
 
@@ -327,12 +330,12 @@ def cmd_extend(cfg: RunConfig) -> int:
 
 
 def _sweep_chunk(lams: np.ndarray, burn_in: int, keep: int) -> np.ndarray:
-    x = np.full(lams.shape, 0.5)
+    x, l4 = np.full(lams.shape, 0.5), 4.0 * lams
     for _ in range(burn_in):
-        x = 4.0 * lams * x * (1.0 - x)
+        x = l4 * x * (1.0 - x)
     out = np.empty((keep, lams.size))
     for k in range(keep):
-        x = 4.0 * lams * x * (1.0 - x)
+        x = l4 * x * (1.0 - x)
         out[k] = x
     return out
 
@@ -343,13 +346,44 @@ def _centi(v: np.ndarray) -> np.ndarray:
     return decimal_rint(v, 2)
 
 
+def _centi_digits(c: np.ndarray) -> np.ndarray:
+    """Non-negative integer hundredths as their ``:.2f`` text, right-aligned
+    in one ``(len(c), w)`` uint8 block of ASCII bytes, with NUL bytes for
+    the leading zeros of the integer part (whose units digit is always
+    printed)."""
+    c = np.asarray(c, dtype=np.int64)
+    if c.size and c.min() < 0:
+        raise ValueError("hundredths must be non-negative")
+    w = len(str(int(c.max()) // 100 if c.size else 0)) + 3
+    digits = np.empty((len(c), w), dtype=np.uint8)
+    digits[:, -3] = ord(".")
+    for j in (w - 1, w - 2, *range(w - 4, -1, -1)):  # right to left
+        rest = c // 10
+        digits[:, j] = c - 10 * rest + ord("0")
+        if j < w - 4:  # above the units digit, c == 0 is a leading zero
+            digits[:, j] *= c > 0
+        c = rest
+    return digits
+
+
+def _byte_rows(consts: list, blocks: list) -> bytes:
+    """Per row i: consts[0], row i of blocks[0], consts[1], ...,
+    consts[-1], without the NUL bytes of the blocks; all rows as one bytes
+    string."""
+    n = len(blocks[0])
+    cols = [None] * (2 * len(blocks) + 1)
+    cols[0::2] = [np.broadcast_to(np.frombuffer(k, dtype=np.uint8),
+                                  (n, len(k))) for k in consts]
+    cols[1::2] = blocks
+    return np.hstack(cols).tobytes().replace(b"\0", b"")
+
+
 def _centi_labels(c: np.ndarray) -> list:
     """Integer hundredths as ``:.2f`` text, each distinct value formatted
     once."""
     u, inv = np.unique(c, return_inverse=True)
-    text = np.array([f"{v // 100}.{v % 100:02d}" for v in u.tolist()],
-                    dtype=object)
-    return text[inv].tolist()
+    text = _byte_rows([b"", b"\n"], [_centi_digits(u)]).decode()
+    return np.array(text.split("\n")[:-1], dtype=object)[inv].tolist()
 
 
 def cmd_bifurcate(cfg: RunConfig) -> int:
@@ -368,17 +402,20 @@ def cmd_bifurcate(cfg: RunConfig) -> int:
     cy = _centi(canvas.height - margin - pts * (canvas.height - 2 * margin))
     # Each distinct printed dot once: sort the (cx, cy) keys and keep the
     # first of each run (np.unique took about ten times as long on these
-    # keys), so the dots come column by column in ascending cy.
+    # keys), so the dots come column by column in ascending cy.  Their
+    # text is one byte matrix, a row per dot, written as one buffer.
     base = int(cy.max()) + 1
     key = np.sort((cx * base + cy).ravel())
     key = key[np.r_[True, key[1:] != key[:-1]]]
-    canvas.elements += [f'<circle cx="{x}" cy="{y}" r="0.4" fill="black"/>'
-                        for x, y in zip(_centi_labels(key // base),
-                                        _centi_labels(key % base))]
+    dots = _byte_rows([b'<circle cx="', b'" cy="',
+                       b'" r="0.4" fill="black"/>\n'],
+                      [_centi_digits(key // base),
+                       _centi_digits(key % base)])
     canvas.text(margin, canvas.height - 8.0, f"{cfg.lambda_min:.3f}")
     canvas.text(canvas.width - margin - 40.0, canvas.height - 8.0,
                 f"{cfg.lambda_max:.3f}")
-    canvas.write(cfg.output + ".svg")
+    canvas.write(cfg.output + ".svg",
+                 [dots, "\n".join(canvas.elements).encode()])
     print(f"bifurcation diagram written to {cfg.output}.svg")
     return 0
 
@@ -474,7 +511,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv", "svg", "dot"])
 
 
+@functools.lru_cache(maxsize=None)
 def make_parser() -> argparse.ArgumentParser:
+    """The ``revext`` parser, built on first use and shared after."""
     parser = argparse.ArgumentParser(
         prog="revext",
         description="Reversible extensions of partial dynamical systems: "

@@ -105,8 +105,9 @@ def extension_spec(lam: float) -> ExtensionSpec:
 
 
 def _iterate(lam: float, x: float, n: int) -> float:
+    l4 = 4.0 * lam  # exact, and the product associates left to right
     for _ in range(n):
-        x = 4.0 * lam * x * (1.0 - x)
+        x = l4 * x * (1.0 - x)
     return x
 
 
@@ -120,8 +121,9 @@ def attracting_period(lam: float, max_period: int = 64, burn_in: int = 20000,
     """
     x = _iterate(lam, 0.5, burn_in)
     window = [x]
+    l4 = 4.0 * lam
     for _ in range(iters + max_period):
-        x = 4.0 * lam * x * (1.0 - x)
+        x = l4 * x * (1.0 - x)
         window.append(x)
     for p in range(1, max_period + 1):
         if all(abs(window[k + p] - window[k]) < tol
@@ -158,10 +160,10 @@ def find_periodic_point(lam: float, p: int, settle: int = 3000) -> float:
 def orbit_multiplier(lam: float, p: int, x: float) -> float:
     """Chain-rule multiplier of the period-p orbit through x, using the
     analytic derivative 4*lambda*(1-2x)."""
-    m = 1.0
+    m, l4 = 1.0, 4.0 * lam
     for _ in range(p):
-        m *= 4.0 * lam * (1.0 - 2.0 * x)
-        x = 4.0 * lam * x * (1.0 - x)
+        m *= l4 * (1.0 - 2.0 * x)
+        x = l4 * x * (1.0 - x)
     return m
 
 

@@ -7,12 +7,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from revext import circle as ci
-from revext.cli import (_BLOCK, RunConfig, SvgCanvas, _centi, _centi_labels,
-                        _extension_spec_for, _ladder_svg, _sweep_chunk,
-                        _write_strata_json, main, read_config_file)
+from revext import cli
+from revext.cli import (_BLOCK, RunConfig, SvgCanvas, _centi, _centi_digits,
+                        _centi_labels, _extension_spec_for, _ladder_svg,
+                        _sweep_chunk, _write_strata_json, main, make_parser,
+                        read_config_file)
 from revext.extension import (INF, ChainRows, EmptyStratum, StratumSample,
                               sample_stratum, stratum_from_json,
                               stratum_to_json)
@@ -334,6 +336,31 @@ def test_centi_rounds_as_format_does():
     assert _centi_labels(_centi(v)) == [f"{x:.2f}" for x in v.tolist()]
 
 
+_EDGE_HUNDREDTHS = sorted({0, 9, 99, 100, 999, 1000, 2**53, 2**63 - 1}
+                          | {10**k + d for k in range(1, 16)
+                             for d in (-1, 0, 1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.lists(st.integers(0, 2**63 - 1)
+                  | st.sampled_from(_EDGE_HUNDREDTHS), max_size=40))
+@example(c=[])
+@example(c=_EDGE_HUNDREDTHS)
+def test_centi_digits_print_hundredths(c):
+    digits = _centi_digits(np.array(c, dtype=np.int64))
+    assert digits.shape[0] == len(c)
+    assert digits.tobytes().replace(b"\0", b"").decode() == \
+        "".join(f"{v // 100}.{v % 100:02d}" for v in c)
+
+
+@pytest.mark.parametrize("c", [[-5], [3, -1, 7], [-(2**63)]],
+                         ids=["-5", "among-others", "int64-min"])
+def test_centi_digits_reject_negative_hundredths(c):
+    # `f"{v // 100}.{v % 100:02d}"` would print -5 as "-1.95"
+    with pytest.raises(ValueError, match="non-negative"):
+        _centi_digits(np.array(c, dtype=np.int64))
+
+
 @pytest.mark.parametrize("bounds", [
     ["--lambda-min", "0.9", "--lambda-max", "0.9"],
     ["--lambda-min", "0.9", "--lambda-max", "0.8"],
@@ -470,6 +497,42 @@ def test_config_value_error_names_key(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_main_calls_share_no_values(monkeypatch):
+    seen = []
+    for command in ("extend", "bifurcate"):
+        monkeypatch.setitem(cli._DISPATCH, command,
+                            lambda cfg: seen.append(cfg) or 0)
+    assert make_parser() is make_parser()  # built once
+    assert main(["extend", "--lambda", "0.9", "--N", "3", "--format", "svg",
+                 "-o", "first"]) == 0
+    assert main(["bifurcate", "--n-max", "4", "--steps", "50"]) == 0
+    assert main(["extend"]) == 0
+    first, bif, plain = seen
+    assert (first.lam, first.N, first.format, first.output) == \
+        (0.9, 3, "svg", "first")
+    assert (bif.N_max, bif.steps, bif.lam, bif.N) == (4, 50, 0.6, 10)
+    assert plain == RunConfig(command="extend")
+
+
+@pytest.mark.parametrize("bad", [
+    ["extend", "--lambda", "x"],
+    ["extend", "--n-max", "3"],  # another subcommand's flag
+    ["no-such-command"],
+    [],
+], ids=["not-a-float", "other-command-flag", "unknown-command", "none"])
+def test_bad_arguments_between_good_calls_exit_2(monkeypatch, capsys, bad):
+    seen = []
+    monkeypatch.setitem(cli._DISPATCH, "extend",
+                        lambda cfg: seen.append(cfg) or 0)
+    assert main(["extend", "--lambda", "0.9", "--density", "8"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == 2
+    assert "usage: revext" in capsys.readouterr().err
+    assert main(["extend", "--depth", "5"]) == 0
+    assert seen[1] == RunConfig(command="extend", depth=5)
+
+
 def test_invalid_lambda_fails():
     assert run(["classify", "--lambda", "1.5", "-o", "/tmp/nope"]) == 1
 
@@ -537,7 +600,7 @@ _PINNED = [
 ]
 
 
-# `extend` at the size the benchmark times it
+# `extend` and `bifurcate` at the sizes the benchmark times them
 _BENCH = ["--N", "10", "--depth", "20", "--density", "60", "--format", "svg"]
 _PINNED_BENCH = [
     (["extend", "--lambda", "0.95"] + _BENCH, {
@@ -550,6 +613,11 @@ _PINNED_BENCH = [
                  "1b152c58951d4dfd0f79f60aeca8ff0b",
         ".svg": "fe5aa97ef67d4074bec99d51a3a60b93"
                 "b17c2cce9f54c40f237a68f1fe501715"}),
+    (["bifurcate", "--n-max", "12", "--steps", "2000", "--format", "svg"], {
+        ".csv": "c19083251c04ff91a4e71e5d2120f1f1"
+                "e5d156394a7985814c7588f18e6d4d74",
+        ".svg": "da5ef671d722175a1908a1acfa47b85d"
+                "f1760ae2e6538b0c88ee1b6f35737e4f"}),
 ]
 
 
