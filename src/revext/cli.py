@@ -386,6 +386,24 @@ def _centi_labels(c: np.ndarray) -> list:
     return np.array(text.split("\n")[:-1], dtype=object)[inv].tolist()
 
 
+# Sweep columns per group of `bifurcate` dots, cut only where the printed
+# cx changes: each group's dots are sorted, formatted and written on their
+# own, so no array of the whole diagram's dots is held.
+_COLUMN_GROUP = 128
+
+
+def _column_groups(cx: np.ndarray) -> list:
+    """Bounds [a, b) of consecutive column groups over the non-decreasing
+    ``cx``, about _COLUMN_GROUP columns each, every cut at a column whose
+    cx differs from the one before, so that the groups' cx ranges are
+    disjoint and ascending."""
+    runs = np.flatnonzero(cx[1:] != cx[:-1]) + 1  # first column of each run
+    cuts = [0]
+    while (k := np.searchsorted(runs, cuts[-1] + _COLUMN_GROUP)) < len(runs):
+        cuts.append(int(runs[k]))
+    return list(zip(cuts, cuts[1:] + [len(cx)]))
+
+
 def cmd_bifurcate(cfg: RunConfig) -> int:
     table = lg.CascadeTable.build(n_max=cfg.N_max)
     table.to_csv(cfg.output + ".csv")
@@ -397,25 +415,33 @@ def cmd_bifurcate(cfg: RunConfig) -> int:
     canvas = SvgCanvas(width=800.0, height=520.0)
     margin = 40.0
     span = cfg.lambda_max - cfg.lambda_min
+    # non-decreasing, as lams is
     cx = _centi(margin + (lams - cfg.lambda_min) / span *
                 (canvas.width - 2 * margin))
-    cy = _centi(canvas.height - margin - pts * (canvas.height - 2 * margin))
-    # Each distinct printed dot once: sort the (cx, cy) keys and keep the
-    # first of each run (np.unique took about ten times as long on these
-    # keys), so the dots come column by column in ascending cy.  Their
-    # text is one byte matrix, a row per dot, written as one buffer.
-    base = int(cy.max()) + 1
-    key = np.sort((cx * base + cy).ravel())
-    key = key[np.r_[True, key[1:] != key[:-1]]]
-    dots = _byte_rows([b'<circle cx="', b'" cy="',
-                       b'" r="0.4" fill="black"/>\n'],
-                      [_centi_digits(key // base),
-                       _centi_digits(key % base)])
+
+    def dots():
+        # Each distinct printed dot once: sort a group's (cx, cy) keys and
+        # keep the first of each run (np.unique took about ten times as
+        # long on these keys), so the dots come column by column in
+        # ascending cy; the groups' cx ranges ascend, so group by group is
+        # the order of one sort of all keys.  A group's text is one byte
+        # matrix, a row per dot, written as one buffer.
+        for a, b in _column_groups(cx):
+            cy = _centi(canvas.height - margin
+                        - pts[:, a:b] * (canvas.height - 2 * margin))
+            base = int(cy.max()) + 1
+            key = np.sort((cx[a:b] * base + cy).ravel())
+            key = key[np.r_[True, key[1:] != key[:-1]]]
+            yield _byte_rows([b'<circle cx="', b'" cy="',
+                              b'" r="0.4" fill="black"/>\n'],
+                             [_centi_digits(key // base),
+                              _centi_digits(key % base)])
+        yield "\n".join(canvas.elements).encode()
+
     canvas.text(margin, canvas.height - 8.0, f"{cfg.lambda_min:.3f}")
     canvas.text(canvas.width - margin - 40.0, canvas.height - 8.0,
                 f"{cfg.lambda_max:.3f}")
-    canvas.write(cfg.output + ".svg",
-                 [dots, "\n".join(canvas.elements).encode()])
+    canvas.write(cfg.output + ".svg", dots())
     print(f"bifurcation diagram written to {cfg.output}.svg")
     return 0
 

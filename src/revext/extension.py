@@ -397,16 +397,35 @@ def chain_distance(a: Chain, b: Chain, space=None) -> float:
     return total
 
 
-# Rows of the prefix-distance matrix held in memory at once.
-_ROW_BLOCK = 256
+# Rows of the prefix-distance matrix held in memory at once: few enough
+# that a block's sums and differences stay in cache.
+_ROW_BLOCK = 48
+# The smallest scaled coordinate |x| * w[n] (and weight w[n]) for which the
+# samples are scaled once: far above the subnormal range.
+_SCALE_FLOOR = 2.0 ** -900
 
 
 def _prefix_minima(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
                    circle: bool):
     """Row and column minima of D[i, j] = sum_n w[n] |xa[i, n] - xb[j, n]|
-    over the k shared coordinates, summed in coordinate order as
-    chain_distance does, one block of _ROW_BLOCK rows at a time."""
+    (w[n] min(d, 1 - d) for d = |xa[i, n] - xb[j, n]| on the circle) over
+    the k shared coordinates, summed in coordinate order as chain_distance
+    does, one block of _ROW_BLOCK rows at a time.
+
+    Each w[n] is a power of two, so while the scaled coordinates stay
+    normal, |a w[n] - b w[n]| = w[n] |a - b| and min(d w[n], w[n] - d w[n])
+    = w[n] min(d, 1 - d) exactly: both samples are multiplied by the
+    weights once, and each term costs a subtraction and an absolute value.
+    Samples with a nonzero coordinate that would scale below _SCALE_FLOOR
+    weigh each term as it is formed instead; the sums are the same floats
+    either way."""
     k = xa.shape[1]
+    w = w[:k]
+    least = min(np.min(np.abs(x), where=x != 0, initial=1.0)
+                for x in (xa, xb))
+    scaled = k == 0 or least * w[-1] >= _SCALE_FLOOR
+    if scaled:
+        xa, xb = xa * w, xb * w
     xbT = np.ascontiguousarray(xb.T)
     rmin = np.empty(len(xa))
     cmin = np.full(len(xb), np.inf)
@@ -418,8 +437,9 @@ def _prefix_minima(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
             np.subtract(blk[n][:, None], xbT[n][None, :], out=diff)
             np.abs(diff, out=diff)
             if circle:
-                np.minimum(diff, 1.0 - diff, out=diff)
-            diff *= w[n]
+                np.minimum(diff, (w[n] if scaled else 1.0) - diff, out=diff)
+            if not scaled:
+                diff *= w[n]
             acc += diff
         rmin[s:s + len(acc)] = acc.min(axis=1)
         np.minimum(cmin, acc.min(axis=0), out=cmin)

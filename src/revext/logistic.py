@@ -241,41 +241,51 @@ def _newton(p: int, equations, x: float, lam: float,
     return x, lam
 
 
-def _bifurcation_parameter(p: int, c: float, x: float, lam: float,
-                           bracket: tuple[float, float]) -> float:
-    """The lambda in the open ``bracket`` where a period-p orbit has
-    multiplier c (+1: saddle-node, -1: period doubling), by _newton on
-    alpha^p(x) = x, (alpha^p)'(x) = c from the seed (x, lam)."""
+def _bifurcation_point(p: int, c: float, x: float, lam: float,
+                       bracket: tuple[float, float]) -> tuple[float, float]:
+    """(x, lambda): the lambda in the open ``bracket`` where a period-p
+    orbit has multiplier c (+1: saddle-node, -1: period doubling), and the
+    point x of that orbit, by _newton on alpha^p(x) = x, (alpha^p)'(x) = c
+    from the seed (x, lam)."""
 
     def equations(x, lam):
         y, y_l, m, m_x, m_l = _orbit_pass(lam, x, 0.0, p)
         return y - x, m - c, m - 1.0, y_l, m_x, m_l
 
-    return _newton(p, equations, x, lam, bracket)[1]
+    return _newton(p, equations, x, lam, bracket)
 
 
-def _doubling_after(p: int, prev: float, prev2: float) -> float:
-    """The doubling of the period-p orbit above the doubling ``prev``.
-    Seeded at the Feigenbaum prediction prev + (prev - prev2)/delta, with x
-    on the critical orbit settled halfway there, where it is close to
-    superstable."""
+def _doubling_after(p: int, prev: float,
+                    prev2: float) -> tuple[float, float]:
+    """(x, lambda): the doubling of the period-p orbit above the doubling
+    ``prev``, and a point x of that orbit.  Seeded at the Feigenbaum
+    prediction prev + (prev - prev2)/delta, with x on the critical orbit
+    settled halfway there, where it is close to superstable."""
     pred = (prev - prev2) / FEIGENBAUM_DELTA
     x = _iterate(prev + 0.5 * pred, 0.5, 4 * p)
-    return _bifurcation_parameter(p, -1.0, x, prev + pred, (prev, 1.0))
+    return _bifurcation_point(p, -1.0, x, prev + pred, (prev, 1.0))
 
 
 @lru_cache(maxsize=None)
-def period_doubling_parameter(n: int) -> float:
-    """lambda_n: the parameter where the attracting 2^(n-1)-orbit has
-    multiplier -1 (its period-doubling bifurcation).  lambda_0 = 1/4."""
+def _doubling_point(n: int) -> tuple[float, float]:
+    """(x_n, lambda_n): lambda_n and the point x_n of the 2^(n-1)-orbit
+    that the Newton solve of lambda_n converged to, so that the orbit's
+    multiplier at lambda_n needs no second solve.  (0, 1/4) for n = 0,
+    where the fixed point 0 has multiplier +1."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return 0.25
+        return 0.0, 0.25
     # lambda_1 has no second predecessor: 0 predicts a gap of lambda_0/delta
     prev2 = period_doubling_parameter(n - 2) if n >= 2 else 0.0
     return _doubling_after(2 ** (n - 1), period_doubling_parameter(n - 1),
                            prev2)
+
+
+def period_doubling_parameter(n: int) -> float:
+    """lambda_n: the parameter where the attracting 2^(n-1)-orbit has
+    multiplier -1 (its period-doubling bifurcation).  lambda_0 = 1/4."""
+    return _doubling_point(n)[1]
 
 
 @lru_cache(maxsize=None)
@@ -395,8 +405,8 @@ def window_boundaries(n: int) -> tuple[float, float]:
         raise ValueError("n must be >= 1")
     p = 2 * n + 1
     s = _itinerary_parameter("RL" + "R" * (2 * n - 2))
-    return (_bifurcation_parameter(p, 1.0, 0.5, s, (WINDOW_FLOOR, s)),
-            _bifurcation_parameter(p, -1.0, 0.5, s, (s, 1.0)))
+    return (_bifurcation_point(p, 1.0, 0.5, s, (WINDOW_FLOOR, s))[1],
+            _bifurcation_point(p, -1.0, 0.5, s, (s, 1.0))[1])
 
 
 @lru_cache(maxsize=None)
@@ -411,7 +421,7 @@ def window_cascade_parameter(n: int, m: int) -> float:
         return window_boundaries(n)[m]
     return _doubling_after(2 ** (m - 1) * (2 * n + 1),
                            window_cascade_parameter(n, m - 1),
-                           window_cascade_parameter(n, m - 2))
+                           window_cascade_parameter(n, m - 2))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +431,8 @@ def window_cascade_parameter(n: int, m: int) -> float:
 @dataclass(frozen=True)
 class CascadeTable:
     lambda_n: tuple[float, ...]           # lambda_1 .. lambda_{n_max}
+    # a point x_n of the 2^(n-1)-orbit at each lambda_n, from its solve
+    lambda_n_points: tuple[float, ...]
     superstable_n: tuple[float, ...]      # s_0 .. s_{TABLE_SUPERSTABLE}
     lambda_inf_estimate: float
     mu_n: tuple[float, ...]               # mu_0 .. mu_{TABLE_MU}
@@ -430,7 +442,9 @@ class CascadeTable:
     @staticmethod
     def build(n_max: int = 8, n_windows: int = 0,
               cascade_m: int = 1) -> "CascadeTable":
-        lam_n = tuple(period_doubling_parameter(n) for n in range(1, n_max + 1))
+        solves = [_doubling_point(n) for n in range(1, n_max + 1)]
+        lam_n = tuple(lam for _, lam in solves)
+        x_n = tuple(x for x, _ in solves)
         sups = tuple(superstable_parameter(n)
                      for n in range(0, TABLE_SUPERSTABLE + 1))
         lam_inf = feigenbaum_limit_estimate(min(max(n_max, 3), 7))
@@ -442,15 +456,16 @@ class CascadeTable:
             wins.append((n, eta, nu))
             cascades[n] = [window_cascade_parameter(n, m)
                            for m in range(0, cascade_m + 1)]
-        return CascadeTable(lam_n, sups, lam_inf, mus, tuple(wins), cascades)
+        return CascadeTable(lam_n, x_n, sups, lam_inf, mus, tuple(wins),
+                            cascades)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["name", "n", "value", "residual"])
-            for i, lam in enumerate(self.lambda_n, start=1):
-                p = 2 ** (i - 1)
-                res = orbit_multiplier(lam, p, find_periodic_point(lam, p)) + 1
+            for i, (lam, x) in enumerate(zip(self.lambda_n,
+                                             self.lambda_n_points), start=1):
+                res = orbit_multiplier(lam, 2 ** (i - 1), x) + 1
                 w.writerow(["lambda_n", i, repr(lam), repr(abs(res))])
             for i, s in enumerate(self.superstable_n):
                 res = _iterate(s, 0.5, 2 ** i) - 0.5

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from revext import circle as ci
 from revext import cli
-from revext.cli import (_BLOCK, RunConfig, SvgCanvas, _centi, _centi_digits,
-                        _centi_labels, _extension_spec_for, _ladder_svg,
-                        _sweep_chunk, _write_strata_json, main, make_parser,
+from revext.cli import (_BLOCK, RunConfig, SvgCanvas, _byte_rows, _centi,
+                        _centi_digits, _centi_labels, _column_groups,
+                        _extension_spec_for, _ladder_svg, _sweep_chunk,
+                        _write_strata_json, main, make_parser,
                         read_config_file)
 from revext.extension import (INF, ChainRows, EmptyStratum, StratumSample,
                               sample_stratum, stratum_from_json,
@@ -328,6 +329,87 @@ def test_bifurcate_svg_draws_each_old_dot_once(tmp_path, steps):
     assert coords == sorted(coords)
 
 
+def _global_sort_svg(path, lambda_min, lambda_max, steps):
+    """The bifurcation SVG as `bifurcate` wrote it before its dots were
+    grouped by column: one sort and one byte matrix of every dot key of
+    the diagram."""
+    lams = np.linspace(lambda_min, lambda_max, steps)
+    pts = _sweep_chunk(lams, burn_in=600, keep=120)
+    canvas = SvgCanvas(width=800.0, height=520.0)
+    margin = 40.0
+    span = lambda_max - lambda_min
+    cx = _centi(margin + (lams - lambda_min) / span *
+                (canvas.width - 2 * margin))
+    cy = _centi(canvas.height - margin - pts * (canvas.height - 2 * margin))
+    base = int(cy.max()) + 1
+    key = np.sort((cx * base + cy).ravel())
+    key = key[np.r_[True, key[1:] != key[:-1]]]
+    dots = _byte_rows([b'<circle cx="', b'" cy="',
+                       b'" r="0.4" fill="black"/>\n'],
+                      [_centi_digits(key // base),
+                       _centi_digits(key % base)])
+    canvas.text(margin, canvas.height - 8.0, f"{lambda_min:.3f}")
+    canvas.text(canvas.width - margin - 40.0, canvas.height - 8.0,
+                f"{lambda_max:.3f}")
+    canvas.write(path, [dots, "\n".join(canvas.elements).encode()])
+
+
+# A range two ulp wide: linspace repeats each of its three lambdas over a
+# run of columns, so the columns at a nominal cut print equal cx and the
+# cut moves to the next run.
+_ULP_RANGE = (0.9, float(np.nextafter(np.nextafter(0.9, 1.0), 1.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(bounds=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=2,
+                       max_size=2, unique=True).map(sorted),
+       steps=st.integers(1, 3 * cli._COLUMN_GROUP + 1))
+@example(bounds=[0.74, 1.0], steps=60)  # fewer columns than one group
+@example(bounds=[0.74, 1.0], steps=cli._COLUMN_GROUP)  # exactly one group
+@example(bounds=[0.74, 1.0], steps=cli._COLUMN_GROUP + 1)
+@example(bounds=list(_ULP_RANGE), steps=3 * cli._COLUMN_GROUP)
+def test_grouped_dots_match_global_sort(tmp_path_factory, bounds, steps):
+    lo, hi = bounds
+    d = tmp_path_factory.mktemp("bif")
+    assert run(["bifurcate", "--n-max", "1", "--lambda-min", repr(lo),
+                "--lambda-max", repr(hi), "--steps", str(steps),
+                "--format", "svg", "-o", str(d / "new")]) == 0
+    _global_sort_svg(str(d / "old.svg"), lo, hi, steps)
+    assert (d / "new.svg").read_bytes() == (d / "old.svg").read_bytes()
+
+
+def test_ulp_range_cuts_a_group_inside_a_run():
+    lams = np.linspace(*_ULP_RANGE, 3 * cli._COLUMN_GROUP)
+    cx = _centi(40.0 + (lams - _ULP_RANGE[0])
+                / (_ULP_RANGE[1] - _ULP_RANGE[0]) * 720.0)
+    groups = _column_groups(cx)
+    assert len(groups) > 1
+    # the nominal first cut lies inside a run of equal cx, so it moved
+    assert cx[cli._COLUMN_GROUP - 1] == cx[cli._COLUMN_GROUP]
+    assert groups[0][1] > cli._COLUMN_GROUP
+
+
+def _column_groups_loop(cx):
+    """Column groups one column at a time: a group closes at the first
+    column, _COLUMN_GROUP or more past its start, whose cx differs from
+    the one before."""
+    cuts = [0]
+    for j in range(1, len(cx)):
+        if j - cuts[-1] >= cli._COLUMN_GROUP and cx[j] != cx[j - 1]:
+            cuts.append(j)
+    return list(zip(cuts, cuts[1:] + [len(cx)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(st.integers(1, 300), min_size=1, max_size=40))
+@example(runs=[cli._COLUMN_GROUP])
+@example(runs=[cli._COLUMN_GROUP - 1, 2, cli._COLUMN_GROUP])
+def test_column_groups_cut_between_runs(runs):
+    # cx with the given lengths of runs of equal values
+    cx = np.repeat(np.arange(len(runs), dtype=np.int64) * 7, runs)
+    assert _column_groups(cx) == _column_groups_loop(cx)
+
+
 def test_centi_rounds_as_format_does():
     # Values at and next to half a hundredth, where rounding v * 100 and
     # formatting v with `:.2f` can disagree.
@@ -588,8 +670,8 @@ _PINNED = [
         ".svg": "8337ce732e9227b205504ae72c77f055"
                 "29c810317b2bbb71984df4b21a960394"}),
     (["bifurcate", "--n-max", "2", "--steps", "60", "--format", "svg"], {
-        ".csv": "430234d3dbecf11480c9db07e88627c7"
-                "dfdc6ed9a56df54d8d191f9a3a888829",
+        ".csv": "0f80fa091d2ae5e06ea2b51ac01c5502"
+                "c40ad526177e1190ab997c5ccd50a808",
         ".svg": "8db3475b50eb734ce2c5cd78d6b00208"
                 "12c643f34a7130507825192c87998fb7"}),
 ] + [
@@ -614,8 +696,8 @@ _PINNED_BENCH = [
         ".svg": "fe5aa97ef67d4074bec99d51a3a60b93"
                 "b17c2cce9f54c40f237a68f1fe501715"}),
     (["bifurcate", "--n-max", "12", "--steps", "2000", "--format", "svg"], {
-        ".csv": "c19083251c04ff91a4e71e5d2120f1f1"
-                "e5d156394a7985814c7588f18e6d4d74",
+        ".csv": "27d94e81375a928d282a0d9fc4aaed2f"
+                "1a92c8cc57a8a2f14dc3c720e56dcbb2",
         ".svg": "da5ef671d722175a1908a1acfa47b85d"
                 "f1760ae2e6538b0c88ee1b6f35737e4f"}),
 ]

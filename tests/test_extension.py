@@ -627,6 +627,76 @@ def test_hausdorff_matches_bruteforce_on_uniform_samples(A, B, space):
                                 abs=1e-15)
 
 
+def _prefix_minima_per_term(xa, xb, w, circle):
+    """The prefix-minima kernel as it was before the samples were scaled
+    by the weights: every term weighed as it is formed, 256 rows a block."""
+    k = xa.shape[1]
+    xbT = np.ascontiguousarray(xb.T)
+    rmin = np.empty(len(xa))
+    cmin = np.full(len(xb), np.inf)
+    for s in range(0, len(xa), 256):
+        blk = xa[s:s + 256].T
+        acc = np.zeros((blk.shape[1], len(xb)))
+        diff = np.empty_like(acc)
+        for n in range(k):
+            np.subtract(blk[n][:, None], xbT[n][None, :], out=diff)
+            np.abs(diff, out=diff)
+            if circle:
+                np.minimum(diff, 1.0 - diff, out=diff)
+            diff *= w[n]
+            acc += diff
+        rmin[s:s + len(acc)] = acc.min(axis=1)
+        np.minimum(cmin, acc.min(axis=0), out=cmin)
+    return rmin, cmin
+
+
+# Coordinates where scaling by the weights could round: signed zeros,
+# subnormals, and values whose scaled copies near or cross the
+# _SCALE_FLOOR fallback, beside ordinary ones next to 0 and 1.
+_KERNEL_EDGES = [0.0, -0.0, 5e-324, 1.5e-323, 2.2250738585072014e-308,
+                 1e-300, 2.0 ** -900, 2.0 ** -860, 2.0 ** -841, 1e-250,
+                 1e-17, 0.5, 1.0 - 2.0 ** -53]
+
+
+@st.composite
+def _kernel_samples(draw):
+    """Two samples of k shared coordinates, the first with a row count
+    around the kernel's row blocks; uniform coordinates, with pairs of
+    edge values put into one column of a row of each."""
+    B = ext._ROW_BLOCK
+    k = draw(st.integers(0, 12) | st.sampled_from([40, 60]))
+    na = draw(st.sampled_from([1, B - 1, B, B + 1, 2 * B, 2 * B + 1])
+              | st.integers(1, 3 * B))
+    nb = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xa, xb = rng.random((na, k)), rng.random((nb, k))
+    if k:
+        edge = st.sampled_from(_KERNEL_EDGES)
+        for ea, eb in draw(st.lists(st.tuples(edge, edge), max_size=6)):
+            c = rng.integers(k)
+            xa[rng.integers(na), c], xb[rng.integers(nb), c] = ea, eb
+    return xa, xb
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=_kernel_samples(), circle=st.booleans())
+# halving 3 * 2^-1074 rounds up and halving 2^-1074 rounds down, so the
+# scaled difference is 2^-1073 against a true 2^-1074
+@example(samples=(np.array([[0.5, 1.5e-323]]), np.array([[0.5, 5e-324]])),
+         circle=False)
+@example(samples=(np.array([[0.5, 1.5e-323]]), np.array([[0.5, 5e-324]])),
+         circle=True)
+@example(samples=(np.array([[-0.0, 0.5]]), np.array([[0.0, 0.5]])),
+         circle=True)
+def test_prefix_minima_match_the_per_term_kernel(samples, circle):
+    xa, xb = samples
+    w = ext.WEIGHT_BASE ** np.arange(60)
+    got = ext._prefix_minima(xa, xb, w, circle)
+    want = _prefix_minima_per_term(xa, xb, w, circle)
+    for g, v in zip(got, want):
+        assert g.view(np.int64).tolist() == v.view(np.int64).tolist()
+
+
 def test_hausdorff_converges_for_logistic():
     seeds = attractor_points(0.6)
     minf = sample_stratum(SPEC06, INF, 40, depth=25, extra_seeds=seeds)

@@ -146,7 +146,7 @@ def test_period_doubling_multiplier_residual():
     (0.8654247284588019, 0.8844619863006196)],
     ids=["quarter-gap", "growing-step"])
 def test_doubling_newton_from_an_overshot_seed(x, lam):
-    got = lg._bifurcation_parameter(2, -1.0, x, lam, (0.75, 1.0))
+    got = lg._bifurcation_point(2, -1.0, x, lam, (0.75, 1.0))[1]
     assert got == pytest.approx((1.0 + math.sqrt(6.0)) / 4.0, abs=1e-12)
 
 
@@ -154,21 +154,21 @@ def test_bifurcation_newton_failures_raise():
     # no period-3 orbit exists below eta_1: the saddle-node solve leaves
     # its bracket
     with pytest.raises(lg.BifurcationNotConverged, match="left"):
-        lg._bifurcation_parameter(3, 1.0, 0.5, 0.8, (0.7, 0.9))
+        lg._bifurcation_point(3, 1.0, 0.5, 0.8, (0.7, 0.9))
     # seeded next to lambda_2, a period-6 doubling solve converges to the
     # 2-orbit, whose 6-fold multiplier (-1)^3 is also -1
     lam2 = lg.period_doubling_parameter(2)
     x = lg.find_periodic_point(lam2 - 1e-3, 2)
     with pytest.raises(lg.BifurcationNotConverged, match="period 2, not 6"):
-        lg._bifurcation_parameter(6, -1.0, x, lam2 + 1e-4, (0.8, 1.0))
+        lg._bifurcation_point(6, -1.0, x, lam2 + 1e-4, (0.8, 1.0))
     # R R is not an admissible itinerary of a superstable 3-orbit
     with pytest.raises(lg.WindowNotFound):
         lg._itinerary_parameter("RR")
     # seeded near lambda_2, a period-4 saddle-node solve meets the 2-orbit's
     # doubling, a double root: Newton creeps linearly and hits the cap
     with pytest.raises(lg.BifurcationNotConverged, match="after 32 steps"):
-        lg._bifurcation_parameter(4, 1.0, 0.4820562247461908,
-                                  0.8780914798393977, (0.75, 1.0))
+        lg._bifurcation_point(4, 1.0, 0.4820562247461908,
+                              0.8780914798393977, (0.75, 1.0))
 
 
 @pytest.mark.parametrize("n,lam_guess,lam_settle", [
@@ -179,15 +179,62 @@ def test_period_doubling_against_mpmath(n, lam_guess, lam_settle):
     assert lg.period_doubling_parameter(n) == pytest.approx(ref, abs=1e-12)
 
 
+# The lambda_n rows of the CSV print the multiplier residual through the
+# orbit point x_n of the Newton solve.  Its oracle is a second, dynamic
+# solve: the orbit find_periodic_point finds at lambda_n.  x_n lies on that
+# orbit within ORBIT_POINT_TOL (the worst distance for n <= 12 is 7.7e-13,
+# and the next level's orbit is at least 2e-5 away), and both residuals are
+# below MULTIPLIER_BOUND (worst 7.9e-9 through x_n, 6.8e-8 through the
+# dynamic point).
+ORBIT_POINT_TOL = 1e-10
+MULTIPLIER_BOUND = 1e-7
+
+
+def _on_the_doubling_orbit(n: int, x: float) -> bool:
+    lam, p = lg.period_doubling_parameter(n), 2 ** (n - 1)
+    y = lg.find_periodic_point(lam, p)
+    orbit = [y]
+    for _ in range(p - 1):
+        orbit.append(lg._iterate(lam, orbit[-1], 1))
+    near = min(abs(x - z) for z in orbit) <= ORBIT_POINT_TOL
+    return near and all(abs(lg.orbit_multiplier(lam, p, z) + 1.0)
+                        <= MULTIPLIER_BOUND for z in (x, y))
+
+
+@pytest.fixture(scope="module")
+def doubling_points():
+    table = lg.CascadeTable.build(n_max=12)
+    assert table.lambda_n == tuple(lg.period_doubling_parameter(n)
+                                   for n in range(1, 13))
+    return table.lambda_n_points
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_lambda_n_point_lies_on_the_dynamic_orbit(doubling_points, n):
+    assert _on_the_doubling_orbit(n, doubling_points[n - 1])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_previous_level_point_fails_the_orbit_oracle(doubling_points, n):
+    # the point of lambda_(n-1)'s solve (the fixed point 0 for n = 1)
+    # stands in for a wrongly stored x_n
+    wrong = doubling_points[n - 2] if n >= 2 else 0.0
+    assert not _on_the_doubling_orbit(n, wrong)
+
+
 def test_cascade_csv_residuals(tmp_path):
-    # the multiplier residual of every lambda_n row, recomputed through
-    # find_periodic_point, stays small up to the 2048-orbit
+    # the multiplier residual of every lambda_n row, through the orbit
+    # point of its Newton solve, stays small up to the 2048-orbit
     path = tmp_path / "cascade.csv"
-    lg.CascadeTable.build(n_max=12).to_csv(path)
+    table = lg.CascadeTable.build(n_max=12)
+    table.to_csv(path)
     rows = [r.split(",") for r in path.read_text().splitlines()]
     residuals = [float(r[3]) for r in rows if r[0] == "lambda_n"]
     assert len(residuals) == 12
     assert max(residuals) <= 1e-7
+    assert residuals == [
+        abs(lg.orbit_multiplier(lam, 2 ** n, x) + 1.0) for n, (lam, x)
+        in enumerate(zip(table.lambda_n, table.lambda_n_points))]
 
 
 def test_superstable_parameters():
