@@ -1,5 +1,5 @@
-"""State spaces, partial maps with enumerable preimage branches, and
-semiconjugacy checking.
+"""State spaces, partial maps with enumerable preimage branches, the
+preimage table, a bracketing root finder and exact decimal rounding.
 
 A partial dynamical system here is a compact state space M (the unit
 interval or the circle), a domain Delta given as a finite union of closed
@@ -154,22 +154,9 @@ class PartialMapSystem:
     domain: tuple[tuple[float, float], ...]
     forward_map: Callable
     branches: tuple[Branch, ...]
-    name: str = "system"
 
     def in_domain(self, x, eps: float = EPS_DOM):
         return self.space.in_intervals(self.domain, x, eps)
-
-    def forward(self, x: float) -> float:
-        return apply(self, x)
-
-
-def apply(system: PartialMapSystem, x: float) -> float:
-    """Evaluate alpha(x) as a float.  Raises OutsideDomain when x is not
-    in Delta."""
-    x = system.space.normalize(x)
-    if not system.in_domain(x):
-        raise OutsideDomain(f"{x!r} is not in the domain of {system.name}")
-    return float(system.space.normalize(system.forward_map(x)))
 
 
 def preimages(system: PartialMapSystem, ys: np.ndarray) -> np.ndarray:
@@ -218,48 +205,6 @@ def cluster_points(points: Iterable[float], space: StateSpace,
     return reps
 
 
-@dataclass(frozen=True)
-class FactorMapSample:
-    """A sampled factor map Psi together with the points it was sampled on."""
-
-    psi: Callable[[object], float]
-    points: tuple
-    tolerance: float = 10 * EPS_CHAIN
-
-
-@dataclass(frozen=True)
-class SemiconjugacyReport:
-    max_residual: float
-    domain_violations: int
-
-    def ok(self, tol: float) -> bool:
-        return self.max_residual <= tol and self.domain_violations == 0
-
-
-def check_semiconjugacy(sample: FactorMapSample, upstairs,
-                        downstairs: PartialMapSystem) -> SemiconjugacyReport:
-    """Check alpha(Psi(x)) = Psi(beta(x)) over the sampled points.
-
-    ``upstairs`` only needs ``in_domain`` and ``forward``; in particular a
-    chain-extension system qualifies.  Residuals are measured downstairs.
-    Domain correspondence (x in Delta_beta iff Psi(x) in Delta_alpha) is
-    counted, not thrown.
-    """
-    worst = 0.0
-    violations = 0
-    for x in sample.points:
-        up_in = upstairs.in_domain(x)
-        down_in = downstairs.in_domain(sample.psi(x))
-        if up_in != down_in:
-            violations += 1
-        if not up_in:
-            continue
-        lhs = apply(downstairs, sample.psi(x))
-        rhs = sample.psi(upstairs.forward(x))
-        worst = max(worst, downstairs.space.metric(lhs, rhs))
-    return SemiconjugacyReport(worst, violations)
-
-
 # ---------------------------------------------------------------------------
 # Stock systems
 
@@ -279,7 +224,6 @@ def make_rotation_system(tau: float) -> PartialMapSystem:
         domain=((0.0, 1.0),),
         forward_map=fwd,
         branches=(Branch((0.0, 1.0), inv),),
-        name=f"rotation(tau={tau})",
     )
 
 
@@ -307,5 +251,4 @@ def make_constant_system(p: float) -> PartialMapSystem:
         domain=((0.0, 1.0),),
         forward_map=fwd,
         branches=(Branch((0.0, 1.0), inv),),
-        name=f"constant(p={p})",
     )

@@ -5,7 +5,8 @@ Points of the extension are backward-orbit chains (x0, x1, ..., xd) with
 alpha(x_{n+1}) = x_n: a *terminal* chain of depth d ends in Y and represents
 an element of the stratum M_d; a non-terminal chain is a depth-d truncation
 of an infinite backward orbit (an element of M_inf).  The extended dynamics
-prepends alpha(x0); its inverse is the coordinate shift.
+``alpha_tilde`` prepends alpha(x0) to chain rows; its inverse is the
+coordinate shift.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EPS_CHAIN, EPS_DOM, FactorMapSample, OutsideDomain,
-                   PartialMapSystem, apply, decimal_rint, preimages)
+from .core import (EPS_CHAIN, EPS_DOM, PartialMapSystem, decimal_rint,
+                   preimages)
 
 INF = math.inf
 # Branch words of a backward search are enumerated exhaustively down to this
@@ -29,16 +30,8 @@ WEIGHT_BASE = 0.5
 TERMINAL_GAP = 1.0
 
 
-class NotInImage(ValueError):
-    """Raised when the shift is applied to a length-1 chain."""
-
-
 class EmptyStratum(RuntimeError):
     """Raised when a stratum contains no valid chain."""
-
-
-class InvalidLift(ValueError):
-    """Raised when a lifted semiconjugacy produces an invalid chain."""
 
 
 @dataclass(frozen=True)
@@ -172,39 +165,17 @@ def validate_chain(spec: ExtensionSpec, c: Chain,
                            c.terminal, eps)[0])
 
 
-def alpha_tilde(spec: ExtensionSpec, c: Chain) -> Chain:
-    """Extended dynamics: prepend alpha(x0).  Requires x0 in Delta."""
-    x0 = c.coords[0]
-    if not spec.system.in_domain(x0):
-        raise OutsideDomain(f"chain head {x0!r} not in Delta")
-    return Chain((apply(spec.system, x0),) + c.coords, c.terminal)
-
-
-def alpha_tilde_inv(spec: ExtensionSpec, c: Chain) -> Chain:
-    """Inverse extended dynamics: drop the zeroth coordinate."""
-    if len(c.coords) < 2:
-        raise NotInImage("length-1 chains are not in the image of the "
-                         "extended dynamics")
-    return Chain(c.coords[1:], c.terminal)
-
-
-def factor_map(c: Chain) -> float:
-    """Projection onto the zeroth coordinate (semiconjugates the extension
-    onto the base system)."""
-    return c.coords[0]
-
-
-class ChainExtensionSystem:
-    """Duck-typed 'system' over chains, for semiconjugacy checks."""
-
-    def __init__(self, spec: ExtensionSpec):
-        self.spec = spec
-
-    def in_domain(self, c: Chain) -> bool:
-        return self.spec.system.in_domain(c.coords[0])
-
-    def forward(self, c: Chain) -> Chain:
-        return alpha_tilde(self.spec, c)
+def alpha_tilde(spec: ExtensionSpec, coords: np.ndarray):
+    """The extended dynamics on chain rows: ``ok`` marks the rows of
+    ``coords`` whose head lies in Delta, and ``img`` holds those rows with
+    alpha(x0) of the normalized head prepended, normalized.  A row keeps
+    its terminal flag.  The inverse is the shift ``img[:, 1:]``, and the
+    factor map onto the base system is column 0: ``img[:, 0]`` is alpha of
+    ``coords[ok, 0]``."""
+    space = spec.system.space
+    ok = spec.system.in_domain(coords[:, 0])
+    fx = spec.system.forward_map(space.normalize(coords[ok, 0]))
+    return ok, np.column_stack([space.normalize(fx), coords[ok]])
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +265,7 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
     # target) that carry backward orbits even when the grid misses them.
     # An image joins the seeds unless it lies within 1e-12 of a seed before
     # it: a grid or extra seed, or an earlier image that joined.
-    fx = sys_.space.normalize(np.array(grid))
-    fx = sys_.space.normalize(sys_.forward_map(fx[sys_.in_domain(fx)]))
+    fx = alpha_tilde(spec, np.array(grid)[:, None])[1][:, 0]
     fx = fx[(np.abs(fx[:, None] - np.array(seeds)) > 1e-12).all(axis=1)]
     near = np.tril(~(np.abs(fx[:, None] - fx) > 1e-12), -1)
     # joined[i] depends on joined[:i] only, so each sweep settles one more
@@ -319,9 +289,7 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
     # point drops out when it lies outside Delta before a step
     rows = sys_.space.normalize(np.array(spec.y_grid(density)))[:, None]
     for _ in range(N):
-        rows = rows[sys_.in_domain(rows[:, 0])]
-        fx = sys_.space.normalize(sys_.forward_map(rows[:, 0]))
-        rows = np.column_stack([fx, rows])
+        rows = alpha_tilde(spec, rows)[1]
     # backward seeding: covers zeroth coordinates the forward push misses
     if N >= 1 and spec.Y:
         rows = np.vstack([rows, _backward_rows(spec, seeds, N, True)])
@@ -479,39 +447,6 @@ def hausdorff(A: StratumSample, B: StratumSample, space=None) -> float:
             rmin += w[n] * d
             cmin += w[n] * d
     return max(rmin.max(), cmin.max())
-
-
-# ---------------------------------------------------------------------------
-# Universality lift
-
-
-@dataclass(frozen=True)
-class InverseOrbitRecord:
-    """A point of a reversible upstairs system together with (a truncation
-    of) its backward orbit, and whether that orbit genuinely terminates."""
-
-    point: object
-    inverse_orbit: tuple
-    terminated: bool
-
-
-def lift_semiconjugacy(psi: FactorMapSample,
-                       upstairs: Sequence[InverseOrbitRecord],
-                       spec: ExtensionSpec) -> list[tuple[object, Chain]]:
-    """Lift a semiconjugacy Psi to the extension: y maps to the chain
-    (Psi(y), Psi(beta^-1 y), Psi(beta^-2 y), ...), terminal where the
-    upstairs backward orbit ends.  Every produced chain must validate."""
-    out = []
-    for rec in upstairs:
-        coords = [psi.psi(rec.point)] + [psi.psi(z) for z in rec.inverse_orbit]
-        c = Chain(tuple(spec.system.space.normalize(x) for x in coords),
-                  rec.terminated)
-        if not validate_chain(spec, c, max(EPS_CHAIN, psi.tolerance)):
-            raise InvalidLift(
-                "lifted chain fails validation; Psi is not a semiconjugacy "
-                "associated with this Y")
-        out.append((rec.point, c))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,6 @@ def make_system(lam: float) -> PartialMapSystem:
         forward_map=fwd,
         branches=(Branch((0.0, 0.5), lambda y: 0.5 * (1.0 - root(y))),
                   Branch((0.5, 1.0), lambda y: 0.5 * (1.0 + root(y)))),
-        name=f"logistic(lam={lam})",
     )
 
 
@@ -447,7 +446,7 @@ class CascadeTable:
         x_n = tuple(x for x, _ in solves)
         sups = tuple(superstable_parameter(n)
                      for n in range(0, TABLE_SUPERSTABLE + 1))
-        lam_inf = feigenbaum_limit_estimate(min(max(n_max, 3), 7))
+        lam_inf = feigenbaum_limit_estimate(min(max(n_max, 3), 13))
         mus = tuple(mu_parameter(n) for n in range(0, TABLE_MU + 1))
         wins = []
         cascades = {}

@@ -14,14 +14,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .core import (EPS_CHAIN, UNIT_INTERVAL, Branch, PartialMapSystem,
                    decimal_rint, make_constant_system, make_rotation_system,
                    preimages)
-from .extension import (Chain, ExtensionSpec, chain_keys, class_index,
+from .extension import (ExtensionSpec, alpha_tilde, chain_keys, class_index,
                         valid_rows)
 from . import logistic as _logistic
 
@@ -66,13 +66,12 @@ class FiniteModel:
 
 def _images(spec: ExtensionSpec, coords: np.ndarray, terminal: np.ndarray):
     """The rows with an image in the basis (head in Delta, and not terminal
-    at full width), and those images: alpha(x0) prepended and the last
-    column dropped, which truncates a non-terminal image."""
-    space = spec.system.space
-    has = spec.system.in_domain(coords[:, 0]) & ~(
-        terminal & ~np.isnan(coords[:, -1]))
-    fx = spec.system.forward_map(space.normalize(coords[has, 0]))
-    return has, np.column_stack([space.normalize(fx), coords[has, :-1]])
+    at full width), and those images: ``alpha_tilde`` with the last column
+    dropped, which truncates a non-terminal image."""
+    has, img = alpha_tilde(spec, coords)
+    room = ~(terminal[has] & ~np.isnan(img[:, -1]))
+    has[has] = room
+    return has, img[room, :-1]
 
 
 def _complete(system: PartialMapSystem, coords: np.ndarray,
@@ -89,10 +88,12 @@ def _complete(system: PartialMapSystem, coords: np.ndarray,
     return stuck
 
 
-def build_model(spec: ExtensionSpec, seed_chains: Sequence[Chain],
-                closure_depth: int, size_cap: int = 5000,
+def build_model(spec: ExtensionSpec, coords: np.ndarray,
+                terminal: np.ndarray, closure_depth: int,
+                size_cap: int = 5000,
                 a_funcs: Optional[dict] = None) -> FiniteModel:
-    """Close the seeds under the extension dynamics and its inverse, one
+    """Close the seed chains, the rows of ``coords`` (NaN-padded) with the
+    flags ``terminal``, under the extension dynamics and its inverse, one
     layer (the chains that joined last) at a time: a layer's images join,
     less terminal ones deeper than closure_depth, and so do its tails, the
     head dropped.  A non-terminal chain is kept at closure_depth: truncated,
@@ -101,7 +102,7 @@ def build_model(spec: ExtensionSpec, seed_chains: Sequence[Chain],
     j is the image of chain i, else -1 (finite-dimensional compression).
 
     Raises ValueError for a closure_depth that is not an integer >= 0, no
-    seeds, a seed that fails ``validate_chain``, is terminal and deeper than
+    seeds, a seed that fails ``valid_rows``, is terminal and deeper than
     closure_depth, or cannot be completed, and a basis chain that fails the
     chain condition (a map that leaves the space); ClosureOverflow past
     ``size_cap`` chains."""
@@ -109,14 +110,13 @@ def build_model(spec: ExtensionSpec, seed_chains: Sequence[Chain],
             closure_depth, (int, np.integer)) or closure_depth < 0:
         raise ValueError(f"closure_depth must be an integer >= 0, "
                          f"got {closure_depth!r}")
-    if len(seed_chains) == 0:
+    if len(coords) == 0:
         raise ValueError("build_model needs at least one seed chain")
     width = closure_depth + 1
-    lengths = np.array([len(c.coords) for c in seed_chains])
-    cand_t = np.array([c.terminal for c in seed_chains], dtype=bool)
-    cand = np.full((len(lengths), max(width, lengths.max())), np.nan)
-    cand[np.arange(cand.shape[1]) < lengths[:, None]] = [
-        x for c in seed_chains for x in c.coords]
+    lengths = np.count_nonzero(~np.isnan(coords), axis=1)
+    cand_t = np.asarray(terminal, dtype=bool)
+    cand = np.full((len(coords), max(width, coords.shape[1])), np.nan)
+    cand[:, :coords.shape[1]] = coords
     # each class's chain_keys row, as bytes, -> its basis index
     seen, layers, sources, targets = {}, [], [], []
     src = np.arange(0)
@@ -128,7 +128,7 @@ def build_model(spec: ExtensionSpec, seed_chains: Sequence[Chain],
         if bad.any():
             raise ValueError(f"invalid seed chain for closure_depth "
                              f"{closure_depth}: "
-                             f"{seed_chains[int(bad.argmax())]}")
+                             f"{coords[bad.argmax()].tolist()}")
         while len(cand):
             keys = chain_keys(cand, cand_t)
             n = len(seen)
@@ -181,9 +181,6 @@ class OperatorCheckReport:
 
     def record(self, name: str, value: float) -> None:
         self.residuals[name] = float(value)
-
-    def passes(self, name: str) -> bool:
-        return self.residuals[name] <= self.threshold
 
     def all_pass(self) -> bool:
         return all(v <= self.threshold for v in self.residuals.values())
@@ -405,16 +402,18 @@ def constant_model(p: float = 1.0 / 3.0, n_points: int = 3,
             f"grid point equals p={p!r}: the terminal chain at p and the "
             f"constant chain cannot be separated at depth {depth}")
     spec = ExtensionSpec(make_constant_system(p), ((0.0, 1.0),))
-    seeds = [Chain((y,), True) for y in grid]
-    seeds.append(Chain((p,) * (depth + 1), False))
-    return build_model(spec, seeds, depth)
+    # the grid points as terminal chains, then the constant chain
+    coords = np.full((n_points + 1, depth + 1), np.nan)
+    coords[:-1, 0] = grid
+    coords[-1] = p
+    return build_model(spec, coords, np.arange(n_points + 1) < n_points,
+                       depth)
 
 
 def rotation_model(tau: float = 1.0 / 3.0, depth: int = 6) -> FiniteModel:
     """A rigid rotation with Y a single point: a finite ladder of strata."""
     spec = ExtensionSpec(make_rotation_system(tau), ((0.0, 0.0),))
-    seeds = [Chain((0.0,), True)]
-    return build_model(spec, seeds, depth)
+    return build_model(spec, np.zeros((1, 1)), np.ones(1, dtype=bool), depth)
 
 
 def logistic_period3_model(depth: int = 6) -> FiniteModel:
@@ -439,8 +438,7 @@ def logistic_period3_model(depth: int = 6) -> FiniteModel:
         domain=((0.0, 1.0),),
         forward_map=lambda x: along(x, 1),
         branches=(Branch((0.0, 1.0), lambda y: along(y, -1)),),
-        name=f"logistic-period3(lam={lam})",
     )
     spec = ExtensionSpec(system, ())
     # each orbit point, completed backward along the orbit
-    return build_model(spec, [Chain((x,), False) for x in orbit], depth)
+    return build_model(spec, points[:, None], np.zeros(3, dtype=bool), depth)

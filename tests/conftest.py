@@ -59,6 +59,29 @@ def scalar_preimages(system, y: float) -> list:
     return [float(x) for x in merged]
 
 
+def forward(system, x: float) -> float:
+    """alpha(x) as a float, one point at a time (x normalized first): the
+    scalar oracle of the forward map on rows."""
+    space = system.space
+    return float(space.normalize(system.forward_map(space.normalize(x))))
+
+
+def scalar_alpha_tilde(spec, c):
+    """The extended dynamics on one Chain: alpha(x0) prepended."""
+    return Chain((forward(spec.system, c.coords[0]),) + c.coords,
+                 c.terminal)
+
+
+def chain_rows(chains) -> tuple:
+    """Chains as NaN-padded rows and one terminal flag per row, the seeds
+    ``build_model`` takes."""
+    width = max((len(c.coords) for c in chains), default=1)
+    coords = np.full((len(chains), width), np.nan)
+    for i, c in enumerate(chains):
+        coords[i, :len(c.coords)] = c.coords
+    return coords, np.array([c.terminal for c in chains], dtype=bool)
+
+
 def chain_key(c) -> tuple:
     """The class of a chain: its flag and its coordinates under Python's
     round(x, 9).  Chains with equal keys are one chain of a stratum sample
@@ -75,8 +98,7 @@ def model_chains(m) -> list:
 def doubling_spec():
     """x -> 2x on Delta = Y = [0, 1], a forward map that leaves [0, 1]."""
     system = PartialMapSystem(UNIT_INTERVAL, ((0.0, 1.0),), lambda x: 2.0 * x,
-                              (Branch((0.0, 0.5), lambda y: 0.5 * y),),
-                              name="doubling")
+                              (Branch((0.0, 0.5), lambda y: 0.5 * y),))
     return ExtensionSpec(system, ((0.0, 1.0),))
 
 

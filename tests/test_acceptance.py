@@ -7,15 +7,15 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from revext import circle as ci
 from revext import logistic as lg
 from revext import operator_model as om
-from revext.core import apply, make_constant_system
-from revext.extension import (INF, Chain, EmptyStratum, ExtensionSpec,
-                              alpha_tilde, alpha_tilde_inv, factor_map,
-                              hausdorff, sample_stratum, validate_chain)
+from revext.core import make_constant_system
+from revext.extension import (INF, EmptyStratum, ExtensionSpec, alpha_tilde,
+                              hausdorff, sample_stratum, valid_rows)
 
 
 def report(num, ok, detail, elapsed, budget):
@@ -77,25 +77,31 @@ def test_04_extension_axiom_property_suite():
                 coords = [y]
                 for _ in range(rng.randrange(7)):
                     coords.insert(0, lg.eval_map(lam, coords[0]))
-                chains.append(Chain(tuple(coords), True))
+                chains.append((coords, True))
             else:
                 coords = [rng.random()]
                 for _ in range(1 + rng.randrange(9)):
                     br = lg.preimage_branches(lam, coords[-1])
                     coords.append(br[rng.choice(sorted(br))])
-                chains.append(Chain(tuple(coords), False))
-        for c in chains:
-            assert validate_chain(spec, c)
-            img = alpha_tilde(spec, c)
-            # round trip is the identity (exact coordinates)
-            assert alpha_tilde_inv(spec, img) == c
-            # factor map semiconjugates
-            assert abs(factor_map(img)
-                       - apply(spec.system, factor_map(c))) <= 1e-9
-            # stratum shift M_N -> M_{N+1}
-            assert img.terminal == c.terminal
-            assert img.depth == c.depth + 1
-            assert validate_chain(spec, img)
+                chains.append((coords, False))
+        # the sample as NaN-padded rows, one flag and length per row
+        lengths = np.array([len(c) for c, _ in chains])
+        terminal = np.array([t for _, t in chains])
+        rows = np.full((len(chains), lengths.max()), np.nan)
+        rows[np.arange(rows.shape[1]) < lengths[:, None]] = [
+            x for c, _ in chains for x in c]
+        assert valid_rows(spec, rows, lengths, terminal).all()
+        ok, img = alpha_tilde(spec, rows)
+        assert ok.all()
+        # the shift undoes it, bit for bit
+        assert np.array_equal(img[:, 1:], rows, equal_nan=True)
+        # the factor map semiconjugates
+        heads = [lg.eval_map(lam, x) for x in rows[:, 0].tolist()]
+        assert np.abs(img[:, 0] - heads).max() <= 1e-9
+        # stratum shift M_N -> M_{N+1}: same flag, one coordinate more
+        assert (np.count_nonzero(~np.isnan(img), axis=1)
+                == lengths + 1).all()
+        assert valid_rows(spec, img, lengths + 1, terminal).all()
         total += len(chains)
     report(4, total == 10_000, f"{total} random chains over "
            "lambda in {0.2, 0.6, 0.8, 1.0}", time.time() - t0, 5.0)

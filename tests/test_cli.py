@@ -696,8 +696,8 @@ _PINNED_BENCH = [
         ".svg": "fe5aa97ef67d4074bec99d51a3a60b93"
                 "b17c2cce9f54c40f237a68f1fe501715"}),
     (["bifurcate", "--n-max", "12", "--steps", "2000", "--format", "svg"], {
-        ".csv": "27d94e81375a928d282a0d9fc4aaed2f"
-                "1a92c8cc57a8a2f14dc3c720e56dcbb2",
+        ".csv": "8bd4472c12f28c884c2a9a445c01640d"
+                "10d289f772f1d0b532f73504ad71e1d4",
         ".svg": "da5ef671d722175a1908a1acfa47b85d"
                 "f1760ae2e6538b0c88ee1b6f35737e4f"}),
 ]

@@ -1,7 +1,7 @@
 """Core system tests: preimages against an independent bisection oracle
 and the scalar per-point loop, the elementwise contract of the stock
-systems' maps, clustering of orbit tails, semiconjugacy checking on the
-classical tent-to-quadratic conjugacy, and the bracketing root finder."""
+systems' maps, clustering of orbit tails, the classical tent-to-quadratic
+semiconjugacy as an array residual, and the bracketing root finder."""
 
 import math
 from fractions import Fraction
@@ -10,13 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import decimal_edge_floats, scalar_preimages
+from conftest import decimal_edge_floats, forward, scalar_preimages
 from revext.core import (CIRCLE, EPS_CHAIN, EPS_DOM, Branch, BracketFailure,
-                         FactorMapSample, OutsideDomain, PartialMapSystem,
-                         UNIT_INTERVAL, apply, check_semiconjugacy,
-                         cluster_points, decimal_rint, find_root,
-                         make_constant_system, make_rotation_system,
-                         preimages)
+                         PartialMapSystem, UNIT_INTERVAL, cluster_points,
+                         decimal_rint, find_root, make_constant_system,
+                         make_rotation_system, preimages)
 from revext.logistic import make_system
 from revext.operator_model import logistic_period3_model
 
@@ -82,7 +80,7 @@ def test_preimages_merge_across_zero_on_the_circle(y):
     roof = _roof()
     x, rest = preimages(roof, np.array([y]))[0]
     assert math.isnan(rest)
-    assert CIRCLE.metric(apply(roof, x), y) <= EPS_CHAIN
+    assert CIRCLE.metric(forward(roof, x), y) <= EPS_CHAIN
     # and row by row as the scalar loop: the fold, the top 0.75 and past
     # it, values that wrap, and the merge threshold of 1.5e-8 on each side
     ys = [y, 0.0, -0.0, 0.3, 0.75, 0.75 + 1e-10, 0.8, 1.0 - 1e-12, 1.25,
@@ -138,20 +136,11 @@ def test_stock_maps_act_elementwise(system):
     _check_elementwise(system, xs)
 
 
-def test_apply_outside_domain_raises():
-    half = PartialMapSystem(
-        space=UNIT_INTERVAL, domain=((0.0, 0.5),),
-        forward_map=lambda x: 2.0 * x, branches=(), name="half")
-    assert apply(half, 0.25) == pytest.approx(0.5)
-    with pytest.raises(OutsideDomain):
-        apply(half, 0.75)
-
-
 def _orbit_tail(system, x, transient=2000, iters=512):
     """The points of the forward orbit of x after ``transient`` steps."""
     points = [system.space.normalize(x)]
     for _ in range(transient + iters):
-        points.append(apply(system, points[-1]))
+        points.append(forward(system, points[-1]))
     return points[transient:]
 
 
@@ -181,33 +170,33 @@ def test_omega_limit_matches_pairwise_clustering(system, x, count):
         assert min(system.space.metric(g, e) for e in expected) <= 1e-6
 
 
+# the tent map T and the 201 points j / 200 it is sampled on
+TENT_POINTS = np.arange(201) / 200
+
+
+def _tent_residual(psi) -> float:
+    """max |alpha_1(psi(t)) - psi(T(t))| over TENT_POINTS, alpha_1 the full
+    quadratic map: 0 when psi semiconjugates T onto alpha_1."""
+    t = TENT_POINTS
+    quadratic = make_system(1.0)
+    assert quadratic.in_domain(psi(t)).all()
+    tent = np.where(t <= 0.5, 2.0 * t, 2.0 - 2.0 * t)
+    return float(np.max(np.abs(quadratic.forward_map(psi(t)) - psi(tent))))
+
+
 def test_tent_quadratic_semiconjugacy():
     # Psi(t) = sin^2(pi t / 2) intertwines the tent map and the full
     # quadratic map: a classical exact conjugacy.
-    tent = PartialMapSystem(
-        space=UNIT_INTERVAL, domain=((0.0, 1.0),),
-        forward_map=lambda t: 2.0 * t if t <= 0.5 else 2.0 - 2.0 * t,
-        branches=(), name="tent")
-    psi = lambda t: math.sin(math.pi * t / 2.0) ** 2
-    sample = FactorMapSample(psi, tuple(j / 200 for j in range(201)))
-    report = check_semiconjugacy(sample, tent, make_system(1.0))
-    assert report.domain_violations == 0
-    assert report.max_residual < 1e-12
+    assert _tent_residual(lambda t: np.sin(np.pi * t / 2.0) ** 2) < 1e-12
 
 
 def test_semiconjugacy_detects_wrong_factor_map():
-    tent = PartialMapSystem(
-        space=UNIT_INTERVAL, domain=((0.0, 1.0),),
-        forward_map=lambda t: 2.0 * t if t <= 0.5 else 2.0 - 2.0 * t,
-        branches=(), name="tent")
-    sample = FactorMapSample(lambda t: t, tuple(j / 50 for j in range(51)))
-    report = check_semiconjugacy(sample, tent, make_system(1.0))
-    assert report.max_residual > 0.1
+    assert _tent_residual(lambda t: t) > 0.1
 
 
 def test_constant_system_preimage_is_target_only():
     system = make_constant_system(0.3)
-    assert apply(system, 0.9) == pytest.approx(0.3)
+    assert forward(system, 0.9) == pytest.approx(0.3)
     assert repr(preimages(system, np.array([0.3, 0.4])).tolist()) == \
         repr([[0.3], [math.nan]])
 
@@ -215,7 +204,7 @@ def test_constant_system_preimage_is_target_only():
 def test_circle_metric_wraps():
     rot = make_rotation_system(0.25)
     assert rot.space.metric(0.95, 0.05) == pytest.approx(0.1)
-    assert apply(rot, 0.9) == pytest.approx(0.15)
+    assert forward(rot, 0.9) == pytest.approx(0.15)
 
 
 def test_wrapped_interval_membership():

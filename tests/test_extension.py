@@ -1,6 +1,7 @@
 """Extension (chain space) tests: chain validation, the extended dynamics
-and its inverse, the factor map, stratum sampling, the chain metric with a
-brute-force Hausdorff oracle, and the semiconjugacy lift."""
+on chain rows, its inverse and the factor map as column slices, stratum
+sampling, the chain metric with a brute-force Hausdorff oracle, and the
+lift of a semiconjugacy as rows."""
 
 import json
 import math
@@ -11,19 +12,16 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import revext.extension as ext
-from conftest import (chain_key, decimal_edge_floats, doubling_spec,
-                      model_chains, scalar_preimages)
+from conftest import (chain_key, chain_rows, decimal_edge_floats,
+                      doubling_spec, forward, model_chains, scalar_preimages)
 from revext.core import (CIRCLE, EPS_CHAIN, UNIT_INTERVAL, Branch,
-                         FactorMapSample, OutsideDomain, PartialMapSystem,
-                         apply, check_semiconjugacy, make_constant_system,
+                         PartialMapSystem, make_constant_system,
                          make_rotation_system)
-from revext.extension import (INF, Chain, ChainExtensionSystem, EmptyStratum,
-                              ExtensionSpec, InvalidLift,
-                              InverseOrbitRecord, NotInImage, alpha_tilde,
-                              alpha_tilde_inv, chain_distance, factor_map,
-                              hausdorff, lift_semiconjugacy, sample_stratum,
-                              stratum_from_json, stratum_to_json,
-                              validate_chain, StratumSample)
+from revext.extension import (INF, Chain, EmptyStratum, ExtensionSpec,
+                              alpha_tilde, chain_distance, hausdorff,
+                              sample_stratum, stratum_from_json,
+                              stratum_to_json, valid_rows, validate_chain,
+                              StratumSample)
 from revext.logistic import attractor_points, eval_map, extension_spec
 from revext.operator_model import logistic_period3_model
 
@@ -61,10 +59,7 @@ def _validate_chain_loop(spec, c, eps=EPS_CHAIN):
         x_next = c.coords[n + 1]
         if not sys_.in_domain(x_next):
             return False
-        try:
-            back = apply(sys_, x_next)
-        except OutsideDomain:
-            return False
+        back = forward(sys_, x_next)
         if not sys_.space.metric(back, c.coords[n]) <= eps:
             return False
     return not c.terminal or spec.in_Y(c.coords[-1], 1e-9)
@@ -129,56 +124,119 @@ def test_validate_chain_matches_the_coordinate_loop(make):
                         _validate_chain_loop(spec, moved), (moved, delta)
 
 
+def _lengths(coords):
+    return np.count_nonzero(~np.isnan(coords), axis=1)
+
+
 def test_alpha_tilde_prepends_image():
     # alpha_0.6(0.8) = 4*0.6*0.8*0.2 = 0.384 exactly
-    c = Chain((0.8,), True)
-    img = alpha_tilde(SPEC06, c)
-    assert img.coords == pytest.approx((0.384, 0.8))
-    assert img.terminal and img.depth == 1
-    assert validate_chain(SPEC06, img)
+    ok, img = alpha_tilde(SPEC06, np.array([[0.8]]))
+    assert ok.tolist() == [True]
+    assert img[0].tolist() == pytest.approx([0.384, 0.8])
+    assert valid_rows(SPEC06, img, np.array([2]), True).all()
+
+
+def test_alpha_tilde_drops_heads_outside_the_domain():
+    half = PartialMapSystem(
+        space=UNIT_INTERVAL, domain=((0.0, 0.5),),
+        forward_map=lambda x: 2.0 * x, branches=())
+    spec = ExtensionSpec(half, ((0.0, 1.0),))
+    rows = np.array([[0.25, 0.125], [0.75, math.nan], [math.nan, math.nan]])
+    ok, img = alpha_tilde(spec, rows)
+    assert ok.tolist() == [True, False, False]
+    assert img.tolist() == [[0.5, 0.25, 0.125]]
 
 
 def test_alpha_tilde_inverse_is_shift():
-    c = Chain((0.384, 0.8), True)
-    assert alpha_tilde_inv(SPEC06, c).coords == (0.8,)
-    with pytest.raises(NotInImage):
-        alpha_tilde_inv(SPEC06, Chain((0.8,), True))
+    rows = np.array([[0.384, 0.8], [0.8, math.nan]])
+    shifted = rows[:, 1:]
+    assert shifted[0].tolist() == [0.8]
+    # a length-1 chain is not in the image: its shift has no head
+    assert valid_rows(SPEC06, shifted, _lengths(rows) - 1,
+                      True).tolist() == [True, False]
+
+
+def _random_terminal_rows(seed, count, max_extra):
+    """``count`` terminal chains of SPEC06 as NaN-padded rows: a point of
+    Y = [0.6, 1] pushed forward up to ``max_extra - 1`` steps."""
+    rng = random.Random(seed)
+    chains = []
+    for _ in range(count):
+        coords = [0.6 + 0.4 * rng.random()]
+        for _ in range(rng.randrange(max_extra)):
+            coords.insert(0, eval_map(0.6, coords[0]))
+        chains.append(Chain(tuple(coords), True))
+    return chain_rows(chains)
 
 
 def test_round_trip_identity_random_chains():
-    rng = random.Random(7)
-    for _ in range(200):
-        y = 0.6 + 0.4 * rng.random()
-        coords = [y]
-        for _ in range(rng.randrange(4)):
-            coords.insert(0, eval_map(0.6, coords[0]))
-        c = Chain(tuple(coords), True)
-        assert validate_chain(SPEC06, c)
-        assert alpha_tilde_inv(SPEC06, alpha_tilde(SPEC06, c)) == c
+    coords, terminal = _random_terminal_rows(7, 200, 4)
+    assert valid_rows(SPEC06, coords, _lengths(coords), terminal).all()
+    ok, img = alpha_tilde(SPEC06, coords)
+    assert ok.all()
+    np.testing.assert_array_equal(img[:, 1:], coords)
 
 
 def test_factor_map_semiconjugates_extension():
-    sample_pts = []
-    rng = random.Random(3)
-    for _ in range(100):
-        y = 0.6 + 0.4 * rng.random()
-        coords = [y]
-        for _ in range(rng.randrange(5)):
-            coords.insert(0, eval_map(0.6, coords[0]))
-        sample_pts.append(Chain(tuple(coords), True))
-    sample = FactorMapSample(factor_map, tuple(sample_pts))
-    report = check_semiconjugacy(sample, ChainExtensionSystem(SPEC06),
-                                 SPEC06.system)
-    assert report.domain_violations == 0
-    assert report.max_residual < 1e-12
+    # column 0 of the image is alpha of column 0, and a row has an image
+    # exactly where its head lies in Delta
+    coords, _ = _random_terminal_rows(3, 100, 5)
+    ok, img = alpha_tilde(SPEC06, coords)
+    assert ok.tolist() == SPEC06.system.in_domain(coords[:, 0]).tolist()
+    heads = [forward(SPEC06.system, x) for x in coords[ok, 0].tolist()]
+    assert np.max(np.abs(img[:, 0] - heads)) < 1e-12
 
 
 def test_stratum_shift():
     s5 = sample_stratum(SPEC06, 5, 20)
-    for c in s5.chains:
-        img = alpha_tilde(SPEC06, c)
-        assert img.terminal and img.depth == 6
-        assert validate_chain(SPEC06, img)
+    ok, img = alpha_tilde(SPEC06, s5.chains.coords)
+    assert ok.all() and img.shape == (len(s5.chains), 7)
+    assert valid_rows(SPEC06, img, np.full(len(img), 7), True).all()
+
+
+def _strata_rows(spec, N, depth):
+    """The chains of M_N and of M_inf (each if nonempty) as NaN-padded
+    rows with one flag per row."""
+    chains = []
+    for n in (N, INF):
+        try:
+            chains += list(sample_stratum(spec, n, 5, depth=depth).chains)
+        except EmptyStratum:
+            pass
+    return chain_rows(chains)
+
+
+ROW_SPECS = st.one_of(
+    st.floats(0.25, 1.0).map(extension_spec),
+    st.floats(0.0, 1.0, exclude_max=True).map(
+        lambda tau: ExtensionSpec(make_rotation_system(tau), ((0.1, 0.3),))),
+    st.floats(0.0, 1.0).map(
+        lambda p: ExtensionSpec(make_constant_system(p), ((0.0, 1.0),))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=ROW_SPECS, N=st.integers(0, 4), depth=st.integers(1, 5),
+       turns=st.integers(1, 3))
+def test_alpha_tilde_on_rows_keeps_the_chain_identities(spec, N, depth,
+                                                        turns):
+    # the chains and their images pass valid_rows, the image is the row
+    # with alpha of its head in front (bit for bit, against the scalar
+    # forward map), and flags and lengths carry over, one coordinate longer
+    coords, terminal = _strata_rows(spec, N, depth)
+    if spec.system.space is CIRCLE:
+        # a head is any real on the circle: move every other head by whole
+        # turns, which alpha_tilde must normalize away
+        coords[::2, 0] += turns
+    lengths = _lengths(coords)
+    assert valid_rows(spec, coords, lengths, terminal).all()
+    ok, img = alpha_tilde(spec, coords)
+    assert ok.tolist() == spec.system.in_domain(coords[:, 0]).tolist()
+    assert img.shape == (np.count_nonzero(ok), coords.shape[1] + 1)
+    assert np.array_equal(img[:, 1:], coords[ok], equal_nan=True)
+    heads = [forward(spec.system, x) for x in coords[ok, 0].tolist()]
+    assert repr(img[:, 0].tolist()) == repr(heads)
+    assert _lengths(img).tolist() == (lengths[ok] + 1).tolist()
+    assert valid_rows(spec, img, lengths[ok] + 1, terminal[ok]).all()
 
 
 def test_sample_stratum_M0_is_Y():
@@ -355,7 +413,7 @@ def _old_sample_stratum(spec, N, density, depth, extra_seeds=()):
     seeds = grid + [sys_.space.normalize(s) for s in extra_seeds]
     for x in grid:
         if sys_.in_domain(x):
-            fx = float(ext.apply(sys_, x))
+            fx = forward(sys_, x)
             if all(abs(fx - s) > 1e-12 for s in seeds):
                 seeds.append(fx)
     seeds = [sys_.space.normalize(x0) for x0 in seeds]
@@ -371,7 +429,7 @@ def _old_sample_stratum(spec, N, density, depth, extra_seeds=()):
         for _ in range(N):
             if not sys_.in_domain(points[-1]):
                 break
-            points.append(ext.apply(sys_, points[-1]))
+            points.append(forward(sys_, points[-1]))
         else:
             add(points[::-1], True)
     if N >= 1 and spec.Y:
@@ -457,7 +515,7 @@ def test_array_sampler_matches_old_sampler_near_extra_seeds(spec, offset, N):
     # an extra seed at or within 1e-12 of a forward image keeps the image
     # out of the seeds; one 2e-12 away lets it in.  The image of 1/3 is no
     # point of the density-7 grid.
-    image = apply(spec.system, 1.0 / 3.0)
+    image = forward(spec.system, 1.0 / 3.0)
     _check_against_old_sampler(spec, N, 7, 5, [0.77, image + offset])
 
 
@@ -711,32 +769,33 @@ def test_hausdorff_converges_for_logistic():
 
 
 # ---------------------------------------------------------------------------
-# Lift of a semiconjugacy
+# Lift of a semiconjugacy, as rows
+
+
+def _lifted_rows(psi, tau, points, depth):
+    """Psi over the backward orbits t, t - tau, ..., t - depth tau of the
+    rotation by tau upstairs, one row per point t."""
+    t = np.array(points)[:, None] - tau * np.arange(depth + 1)
+    return psi(t % 1.0)
 
 
 def test_lift_semiconjugacy_rotation():
+    # Psi(t) = t semiconjugates the rotation onto itself, so it lifts each
+    # (never terminating) upstairs backward orbit to an infinite chain
     tau = 0.25
     spec = ExtensionSpec(make_rotation_system(tau), ())
-    psi = FactorMapSample(lambda t: t % 1.0,
-                          tuple(j / 10 for j in range(10)))
-    records = []
-    for t in psi.points:
-        back = tuple((t - (k + 1) * tau) % 1.0 for k in range(6))
-        records.append(InverseOrbitRecord(t, back, False))
-    lifted = lift_semiconjugacy(psi, records, spec)
-    assert len(lifted) == len(records)
-    for src, c in lifted:
-        assert validate_chain(spec, c)
-        assert factor_map(c) == pytest.approx(src % 1.0)
+    points = [j / 10 for j in range(10)]
+    rows = _lifted_rows(lambda t: t % 1.0, tau, points, 6)
+    assert valid_rows(spec, rows, np.full(10, 7), False).all()
+    assert rows[:, 0].tolist() == pytest.approx(points)
 
 
 def test_lift_semiconjugacy_rejects_non_semiconjugacy():
     tau = 0.25
     spec = ExtensionSpec(make_rotation_system(tau), ())
-    psi = FactorMapSample(lambda t: (t * t) % 1.0, (0.3,))
-    records = [InverseOrbitRecord(0.3, ((0.3 - tau) % 1.0,), False)]
-    with pytest.raises(InvalidLift):
-        lift_semiconjugacy(psi, records, spec)
+    rows = _lifted_rows(lambda t: (t * t) % 1.0, tau, [0.3], 1)
+    assert not valid_rows(spec, rows, np.array([2]), False,
+                          10 * EPS_CHAIN).any()
 
 
 def test_stratum_json_round_trip(tmp_path):

@@ -52,14 +52,12 @@ def unreferenced_definitions(modules: dict, readers: list) -> list:
     source) that no source in ``readers`` references.  A method counts as
     referenced only by an attribute of its name (a local variable of the
     same name does not reach it); any other definition also by a name or
-    an imported name.  Dunder methods are exempt, and so are the names any
-    of ``modules`` lists in its ``__all__``."""
+    an imported name.  Dunder methods are exempt; a name listed in
+    ``__all__`` is not, since a re-export alone reaches nothing."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     defined = []
-    exempt = set()
     for label, source in modules.items():
         tree = ast.parse(source)
-        exempt |= _exported(tree)
         methods = {id(node) for cls in ast.walk(tree)
                    if isinstance(cls, ast.ClassDef)
                    for node in cls.body if isinstance(node, defs)}
@@ -76,7 +74,7 @@ def unreferenced_definitions(modules: dict, readers: list) -> list:
                 attrs.add(node.attr)
     return [f"{label} line {line}: {name}"
             for label, line, name, method in sorted(defined)
-            if name not in (attrs if method else names | attrs) | exempt
+            if name not in (attrs if method else names | attrs)
             and not (name.startswith("__") and name.endswith("__"))]
 
 
@@ -139,7 +137,8 @@ def test_scan_finds_unreferenced_definitions():
               "Canvas().draw()\n"
               "dot = None\n")
     assert unreferenced_definitions({"m": module}, [module, reader]) == [
-        "m line 5: dead", "m line 9: dot", "m line 10: Orphan"]
+        "m line 2: exported", "m line 5: dead", "m line 9: dot",
+        "m line 10: Orphan"]
 
 
 def test_every_definition_is_referenced():
@@ -177,10 +176,8 @@ def test_every_dataclass_field_is_read():
 
 # Definitions that only tests reach, each with the reason it stays.
 TEST_ONLY = {
-    "ChainExtensionSystem": "the extension as a system; callers to come",
     "stratum_to_json": "stratum serialization; callers to come",
     "stratum_from_json": "stratum serialization; callers to come",
-    "passes": "OperatorCheckReport.passes: oracle of the report checks",
 }
 
 

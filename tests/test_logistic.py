@@ -287,6 +287,18 @@ def test_feigenbaum_limit_estimate():
     assert ratio == pytest.approx(lg.FEIGENBAUM_DELTA, rel=0.05)
 
 
+# The Feigenbaum point r_inf / 4, r_inf = 3.56994567187094490... (Briggs
+# 1991)
+LAMBDA_INF = 0.892486417967736225
+
+
+def test_cascade_table_lambda_inf_is_the_published_limit():
+    # the Aitken estimate from lambda_10..lambda_12, all solved for the
+    # table; from lambda_5..lambda_7 it was 2.0e-10 high
+    table = lg.CascadeTable.build(n_max=12)
+    assert abs(table.lambda_inf_estimate - LAMBDA_INF) <= 1e-14
+
+
 def test_mu_parameters(largest_fixed_point):
     assert lg.mu_parameter(0) == 1.0
     mu1 = lg.mu_parameter(1)
