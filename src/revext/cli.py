@@ -23,7 +23,8 @@ from . import circle as ci
 from . import logistic as lg
 from . import operator_model as om
 from .core import decimal_rint, make_constant_system
-from .extension import INF, EmptyStratum, ExtensionSpec, sample_stratum
+from .extension import (INF, EmptyStratum, ExtensionSpec, backward_search,
+                        sample_stratum)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +313,16 @@ def cmd_extend(cfg: RunConfig) -> int:
         return 0
 
     spec = _extension_spec_for(cfg)
+    Ns = list(range(cfg.N + 1)) + [INF]
+    search = backward_search(spec, Ns, cfg.density, cfg.depth)
     strata = {}
-    for N in list(range(cfg.N + 1)) + ["inf"]:
+    for N in Ns:
         try:
-            strata[str(N)] = sample_stratum(spec, INF if N == "inf" else N,
-                                            cfg.density, depth=cfg.depth)
+            strata[str(N)] = sample_stratum(spec, N, cfg.density,
+                                            depth=cfg.depth, search=search)
         except EmptyStratum:
             strata[str(N)] = None
+        del search.rows[N]  # frees them before the next stratum is sampled
     with open(cfg.output + ".json", "w") as fh:
         _write_strata_json(fh, strata)
     samples = {N: s for N, s in strata.items() if s is not None}

@@ -22,8 +22,12 @@ from .core import (EPS_CHAIN, EPS_DOM, PartialMapSystem, decimal_rint,
 
 INF = math.inf
 # Branch words of a backward search are enumerated exhaustively down to this
-# depth; deeper coordinates are completed by first-found continuation.
+# depth (less for shallow targets), once for all the strata of a search;
+# deeper coordinates are completed by first-found continuation.
 PREFIX_DEPTH = 5
+# Bytes of search state (paths, children and counters) a backward search
+# holds at once: it runs its jobs in slices of this size.
+SEARCH_BYTES = 1 << 24
 # The chain metric: coordinate n weighs WEIGHT_BASE**n, and a coordinate
 # where exactly one chain has terminated contributes TERMINAL_GAP.
 WEIGHT_BASE = 0.5
@@ -182,77 +186,29 @@ def alpha_tilde(spec: ExtensionSpec, coords: np.ndarray):
 # Stratum sampling
 
 
-def _backward_rows(spec: ExtensionSpec, seeds: Sequence[float], depth: int,
-                   terminal: bool) -> np.ndarray:
-    """Backward chains from the seeds out to ``depth``, as the rows of an
-    array, in search order: seed by seed, every branch word down to the
-    prefix depth in branch order, each followed by its lexicographically
-    first and then its last valid completion.  Terminal chains end in Y.
-    A word without a completion gives no row; a chain may come twice.
+@dataclass(frozen=True)
+class BackwardSearch:
+    """The rows ``backward_search`` found for each N, as lists of arrays in
+    search order, and the ``key`` of the arguments it ran with."""
 
-    Each (word, direction) job is a depth-first search with a choice index
-    per level.  All jobs advance in lockstep, one numpy step per iteration
-    that reads the preimages of all newly entered nodes as one table."""
-    # a terminal chain always keeps its last step for the completion
-    top = min(PREFIX_DEPTH, depth - 1 if terminal else depth)
-    words = np.array(seeds, dtype=float)[:, None]
-    for _ in range(top):
-        table = preimages(spec.system, words[:, -1])
-        i, j = np.nonzero(~np.isnan(table))
-        words = np.column_stack([words[i], table[i, j]])
-    # job 2w runs word w in branch order, job 2w + 1 in reversed order
-    jobs = 2 * len(words)
-    path = np.repeat(np.pad(words, ((0, 0), (0, depth - top))), 2, axis=0)
-    kids = np.full((jobs, depth + 1, len(spec.system.branches)), np.nan)
-    tried = np.zeros((jobs, depth + 1), dtype=int)
-    level = np.full(jobs, top)
-    found = np.zeros(jobs, dtype=bool)
-    live = entered = np.arange(jobs)
-    while live.size:
-        entered = entered[level[entered] < depth]
-        if entered.size:
-            kids[entered, level[entered]] = preimages(
-                spec.system, path[entered, level[entered]])
-        lv = level[live]
-        leaf = lv == depth
-        ok = leaf.copy()
-        if terminal:
-            ok[leaf] = spec.in_Y(path[live[leaf], depth], 1e-9)
-        found[live[ok]] = True
-        # a node descends to its next child in its job's direction, or
-        # backs up when none is left; a leaf has none (kids stay NaN)
-        counts = (~np.isnan(kids[live, lv])).sum(axis=1)
-        t = tried[live, lv]
-        tried[live, lv] += 1
-        down = t < counts
-        col = np.where(live % 2 == 1, counts - 1 - t, t)[down]
-        level[live] = lv = lv + np.where(down, 1, -1)
-        entered, lvd = live[down], lv[down]
-        path[entered, lvd] = kids[entered, lvd - 1, col]
-        tried[entered, lvd] = 0
-        live = live[~ok & (lv >= top)]
-    return path[found]
+    key: tuple
+    rows: dict
 
 
-def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
-                   extra_seeds: Sequence[float] = ()) -> StratumSample:
-    """Sample the stratum M_N (integer N >= 0) or depth-truncated M_inf
-    (N=INF).
+def _search_key(spec: ExtensionSpec, density, depth, extra_seeds) -> tuple:
+    # hex tells -0.0 from 0.0, which the rows keep apart
+    return (spec, density, depth, tuple(float(s).hex() for s in extra_seeds))
 
-    Finite strata combine two seedings: the parametrizing grid on Y pushed
-    forward N steps, and backward branch enumeration from a grid of
-    ``density`` zeroth coordinates.  M_inf uses backward enumeration only.
-    ``extra_seeds`` lets callers add known dynamically relevant x0
-    values (e.g. attractor points); each must be a finite point of the
-    state space (any real on the circle), else ValueError.  ``depth`` is
-    the chain depth of M_inf and must be an integer >= 1 for every N.
-    """
-    if isinstance(N, bool) or N != INF and (N < 0 or N != int(N)):
-        raise ValueError(f"N must be a nonnegative integer or INF, got {N!r}")
-    for name, n in (("density", density), ("depth", depth)):
-        if isinstance(n, bool) or not isinstance(
-                n, (int, np.integer)) or n < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+
+def _job_bytes(depth: int, branches: int, tail: int) -> int:
+    # a job's path, children and three int8 counters per level, the
+    # ``tail`` coordinates of its rows past its word, scalars and arrays
+    return (depth + 1) * 11 + (depth * branches + tail) * 8 + 320
+
+
+def _seeds(spec: ExtensionSpec, density: int, extra_seeds) -> list:
+    """A grid of ``density`` points across Delta, the ``extra_seeds`` and
+    the grid's forward images, normalized."""
     sys_ = spec.system
     bad = [s for s in extra_seeds if not 0.0 <= sys_.space.normalize(s) <= 1.0]
     if bad:
@@ -275,27 +231,159 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
         joined = new
     # backward chains start at a seed; their other coordinates are
     # preimages, already normalized
-    seeds = [sys_.space.normalize(x0) for x0 in seeds + fx[joined].tolist()]
+    return [sys_.space.normalize(x0) for x0 in seeds + fx[joined].tolist()]
 
-    if N == INF:
-        rows = _backward_rows(spec, seeds, depth, terminal=False)
-        if not len(rows):
-            raise EmptyStratum("no infinite backward orbits found")
-        return StratumSample(INF, ChainRows(_distinct_rows(rows), False),
-                             depth)
 
-    N = int(N)
+def backward_search(spec: ExtensionSpec, Ns, density: int, depth: int = 25,
+                    extra_seeds: Sequence[float] = ()) -> BackwardSearch:
+    """The backward chains of the strata M_N, N in ``Ns`` (INF: M_inf to
+    ``depth``), from one search from the ``_seeds``.  A job runs a branch
+    word down to PREFIX_DEPTH (less for a shallow target, one less if
+    terminal) in branch order or reversed, as a depth-first search for
+    every target of its word's length: it descends while one lies deeper,
+    and records the first valid chain at each target's depth (in Y if
+    terminal).  Restricted to one depth this is that target's own search,
+    so each gets the first and last completion of each word, in job order.
+    The jobs of one word length run in lockstep, in slices of at most
+    SEARCH_BYTES of state."""
+    for name, n in (("density", density), ("depth", depth)):
+        if isinstance(n, bool) or not isinstance(
+                n, (int, np.integer)) or n < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+    for N in Ns:
+        if isinstance(N, bool) or N != INF and (N < 0 or N != int(N)):
+            raise ValueError(f"N must be a nonnegative integer or INF, got "
+                             f"{N!r}")
+    extra_seeds = tuple(extra_seeds)
+    words = [np.array(_seeds(spec, density, extra_seeds), float)[:, None]]
+    rows = {INF if N == INF else int(N): [] for N in Ns}
+    wants = {}  # word length -> depth -> target bits (1 terminal, 2 not)
+    for N in rows:
+        if N == INF or N >= 1 and spec.Y:
+            d = depth if N == INF else N
+            want = wants.setdefault(min(PREFIX_DEPTH, d - (N != INF)), {})
+            want[d] = want.get(d, 0) | (2 if N == INF else 1)
+    for _ in range(max(wants, default=0)):
+        table = preimages(spec.system, words[-1][:, -1])
+        i, j = np.nonzero(~np.isnan(table))
+        words.append(np.column_stack([words[-1][i], table[i, j]]))
+    for top, want in sorted(wants.items()):
+        bits = np.zeros(max(want) + 1, dtype=np.int8)
+        bits[list(want)] = list(want.values())
+        width = max(1, SEARCH_BYTES // _job_bytes(
+            len(bits) - 1, len(spec.system.branches),
+            sum((d - top) * (1 + (v == 3)) for d, v in want.items())))
+        # job 2w runs word w in branch order, job 2w + 1 reversed
+        for s in range(0, 2 * len(words[top]), width):
+            jobs = np.arange(s, min(s + width, 2 * len(words[top])))
+            for (bit, d), got in _lockstep(spec, words[top][jobs // 2], jobs,
+                                           bits).items():
+                rows[INF if bit == 2 else d].append(got)
+    return BackwardSearch(_search_key(spec, density, depth, extra_seeds),
+                          rows)
+
+
+def _lockstep(spec: ExtensionSpec, words: np.ndarray, jobs: np.ndarray,
+              bits: np.ndarray) -> dict:
+    """The rows, in job order, that the ``jobs`` of ``backward_search`` (odd
+    ones reversed) record from their ``words`` for each target of ``bits``."""
+    top, depth, n = words.shape[1] - 1, len(bits) - 1, len(jobs)
+    path = np.zeros((depth + 1, n))  # level-major, one column per job
+    path[:top + 1] = words.T
+    kids = np.empty((depth, n, len(spec.system.branches)))
+    # per level, the children left to visit and the column of the next,
+    # |base - left| with base = count in branch order and 1 reversed
+    left = np.empty((depth + 1, n), dtype=np.int8)
+    base = np.empty((depth + 1, n), dtype=np.int8)
+    want = np.repeat(bits, n).reshape(depth + 1, n)
+    # each target's coordinates past the word, written when recorded
+    tails = {(bit, d): np.empty((n, d - top)) for d in np.flatnonzero(bits)
+             for bit in (1, 2) if bits[d] & bit}
+    deep = np.full(n, depth)  # each job's deepest unfound target
+    level = lv = np.full(n, top)
+    rev = jobs % 2 == 1
+    live = entered = np.arange(n)
+    while live.size:
+        # an entered node records the unfound targets of its depth
+        w = want[lv, entered]
+        hit = w & 2
+        if (t := np.flatnonzero(w & 1)).size:
+            hit[t] |= spec.in_Y(path[lv[t], entered[t]], 1e-9)
+        if (h := np.flatnonzero(hit)).size:
+            j, lj, b = entered[h], lv[h], hit[h]
+            want[lj, j] = w[h] & ~b
+            for bit in (1, 2):
+                for d in np.flatnonzero(np.bincount(lj, b & bit)):
+                    jb = j[(lj == d) & (b & bit > 0)]
+                    tails[bit, d][jb] = path[top + 1:d + 1, jb].T
+            j = j[lj == deep[j]]
+            more = want[::-1, j] != 0
+            deep[j] = np.where(more.any(axis=0), depth - more.argmax(axis=0),
+                               -1)
+        # the preimages of all newly entered nodes, as one table
+        if (g := lv < deep[entered]).any():
+            grow, lg = entered[g], lv[g]
+            kids[lg, grow] = table = preimages(spec.system, path[lg, grow])
+            left[lg, grow] = c = (~np.isnan(table)).sum(axis=1)
+            base[lg, grow] = np.where(rev[grow], 1, c)
+        # a node descends to its next child while an unfound target lies
+        # deeper, or else backs up; a job with no target left stops
+        lv, dl = level[live], deep[live]
+        c = left[lv, live]
+        down = (lv < dl) & (c > 0)
+        entered, le, c = live[down], lv[down], c[down]
+        left[le, entered] = c - 1
+        path[le + 1, entered] = kids[le, entered,
+                                     np.abs(base[le, entered] - c)]
+        level[live] = lv = lv + 2 * down - 1
+        live = live[(lv >= top) & (dl >= 0)]
+        lv = le + 1
+    out = {}
+    for (bit, d), tail in tails.items():
+        got = want[d] & bit == 0
+        out[bit, d] = rows = np.empty((got.sum(), d + 1))
+        rows[:, :top + 1], rows[:, top + 1:] = words[got], tail[got]
+    return out
+
+
+def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
+                   extra_seeds: Sequence[float] = (), *,
+                   search: BackwardSearch | None = None) -> StratumSample:
+    """Sample the stratum M_N (integer N >= 0) or depth-truncated M_inf
+    (N=INF).
+
+    Finite strata combine two seedings: the parametrizing grid on Y pushed
+    forward N steps, and the terminal chains of ``backward_search`` from a
+    grid of ``density`` zeroth coordinates; M_inf uses the search only.
+    ``extra_seeds`` lets callers add known dynamically relevant x0 values
+    (e.g. attractor points); each must be a finite point of the state
+    space (any real on the circle), else ValueError.  ``depth`` is the
+    chain depth of M_inf and must be an integer >= 1 for every N.
+    ``search``, one search for the strata of a run, must have run for these
+    arguments and N, else ValueError; without it one runs for N alone.
+    """
+    if search is None:
+        search = backward_search(spec, [N], density, depth, extra_seeds)
+    elif search.key != _search_key(spec, density, depth, extra_seeds):
+        raise ValueError("the search ran for another spec, density, depth "
+                         "or extra seeds")
+    if isinstance(N, bool) or N not in search.rows:
+        raise ValueError(f"the search did not run for M_{N}")
+    N = N if N == INF else int(N)
     # forward seeding: M_N is parametrized by its last coordinate in Y; a
     # point drops out when it lies outside Delta before a step
-    rows = sys_.space.normalize(np.array(spec.y_grid(density)))[:, None]
-    for _ in range(N):
-        rows = alpha_tilde(spec, rows)[1]
+    rows = np.empty((0, depth + 1))
+    if N != INF:
+        rows = spec.system.space.normalize(
+            np.array(spec.y_grid(density)))[:, None]
+        for _ in range(N):
+            rows = alpha_tilde(spec, rows)[1]
     # backward seeding: covers zeroth coordinates the forward push misses
-    if N >= 1 and spec.Y:
-        rows = np.vstack([rows, _backward_rows(spec, seeds, N, True)])
+    rows = np.vstack([rows] + search.rows[N])
     if not len(rows):
-        raise EmptyStratum(f"stratum M_{N} is empty")
-    return StratumSample(N, ChainRows(_distinct_rows(rows), True), depth)
+        raise EmptyStratum("no infinite backward orbits found" if N == INF
+                           else f"stratum M_{N} is empty")
+    return StratumSample(N, ChainRows(_distinct_rows(rows), N != INF), depth)
 
 
 def chain_keys(coords: np.ndarray, terminal: np.ndarray) -> np.ndarray:

@@ -6,12 +6,14 @@ lift of a semiconjugacy as rows."""
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import revext.extension as ext
+from revext import cli
 from conftest import (chain_key, chain_rows, decimal_edge_floats,
                       doubling_spec, forward, model_chains, scalar_preimages)
 from revext.core import (CIRCLE, EPS_CHAIN, UNIT_INTERVAL, Branch,
@@ -396,9 +398,9 @@ def _old_sample_stratum(spec, N, density, depth, extra_seeds=()):
     the recursive search from each seed, and a Chain per yield, normalized
     coordinate by coordinate to a float and kept when its ``chain_key`` is
     new.
-    Returns the chains and the seeds searched."""
+    Returns the chains and the seeds every search starts from."""
     sys_ = spec.system
-    chains, seen, searched = [], set(), []
+    chains, seen = [], set()
 
     def add(coords, terminal):
         c = Chain(tuple(float(sys_.space.normalize(x)) for x in coords),
@@ -419,10 +421,9 @@ def _old_sample_stratum(spec, N, density, depth, extra_seeds=()):
     seeds = [sys_.space.normalize(x0) for x0 in seeds]
     if N == INF:
         for x0 in seeds:
-            searched.append(x0)
             for coords in _recursive_search(spec, x0, depth, False):
                 add(coords, False)
-        return chains, searched
+        return chains, seeds
     for y in spec.y_grid(density):
         # a point drops out when it lies outside Delta before a step
         points = [sys_.space.normalize(y)]
@@ -434,31 +435,30 @@ def _old_sample_stratum(spec, N, density, depth, extra_seeds=()):
             add(points[::-1], True)
     if N >= 1 and spec.Y:
         for x0 in seeds:
-            searched.append(x0)
             for coords in _recursive_search(spec, x0, N, True):
                 add(coords, True)
-    return chains, searched
+    return chains, seeds
 
 
 def _check_against_old_sampler(spec, N, density, depth, extra_seeds=()):
     old, old_seeds = _old_sample_stratum(spec, N, density, depth,
                                          extra_seeds)
     # both samplers must search from the same seeds, in the same order
-    real = ext._backward_rows
+    real = ext._seeds
     seeds = []
 
-    def recording(spec, x0s, depth, terminal):
-        seeds.extend(x0s)
-        return real(spec, x0s, depth, terminal)
+    def recording(*args):
+        seeds.extend(real(*args))
+        return seeds
 
-    ext._backward_rows = recording
+    ext._seeds = recording
     try:
         s = sample_stratum(spec, N, density, depth=depth,
                            extra_seeds=extra_seeds)
     except EmptyStratum:
         s = None
     finally:
-        ext._backward_rows = real
+        ext._seeds = real
     assert repr(seeds) == repr(old_seeds)
     if s is None:
         assert old == []
@@ -540,6 +540,150 @@ def test_forward_push_drops_points_that_leave_the_domain(N):
         (Branch((0.0, 0.25), lambda y: 0.5 * y),
          Branch((0.5, 0.75), lambda y: 0.5 * (y + 1.0))))
     _check_against_old_sampler(ExtensionSpec(system, ((0.5, 1.0),)), N, 20, 4)
+
+
+@st.composite
+def _whole_runs(draw):
+    """A system with its Y, then N_max, depth, density and extra seeds of
+    one `extend`-like run."""
+    kind = draw(st.sampled_from(["logistic", "constant", "rotation"]))
+    if kind == "logistic":
+        spec = extension_spec(draw(st.floats(0.25, 1.0)))
+    elif kind == "constant":
+        spec = ExtensionSpec(make_constant_system(draw(st.floats(0.0, 1.0))),
+                             ((0.0, 1.0),))
+    else:
+        spec = ExtensionSpec(
+            make_rotation_system(draw(st.floats(0.0, 1.0, exclude_max=True))),
+            draw(st.sampled_from([((0.1, 0.3),), ((0.9, 0.05),)])))
+    return (spec, draw(st.integers(0, 8)), draw(st.integers(1, 10)),
+            draw(st.integers(2, 12)),
+            draw(st.lists(st.floats(0.0, 1.0), max_size=3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=_whole_runs())
+@example(run=(extension_spec(1.0), 8, 3, 12, []))  # Y is empty
+@example(run=(extension_spec(0.95), 8, 3, 12, [0.5]))  # N_max > depth
+@example(run=(extension_spec(0.25), 4, 10, 2, []))
+@example(run=(extension_spec(0.9), 8, 7, 6, []))  # M_7 and M_inf share depth
+def test_one_search_serves_every_stratum_of_a_run(run):
+    # every stratum sampled from one shared search is the old sampler's
+    spec, n_max, depth, density, extra = run
+    Ns = list(range(n_max + 1)) + [INF]
+    search = ext.backward_search(spec, Ns, density, depth, extra)
+    for N in Ns:
+        old, _ = _old_sample_stratum(spec, N, density, depth, extra)
+        try:
+            s = sample_stratum(spec, N, density, depth, extra, search=search)
+        except EmptyStratum:
+            assert old == []
+            continue
+        assert repr(s.chains.coords.tolist()) == repr([list(c.coords)
+                                                       for c in old])
+        assert s.chains.terminal == (N != INF)
+
+
+@settings(max_examples=25, deadline=None)
+@given(run=_whole_runs())
+@example(run=(extension_spec(0.95), 8, 10, 12, [0.5]))
+@example(run=(extension_spec(0.9), 8, 7, 6, []))
+def test_search_slices_give_the_same_rows(run):
+    # a budget of one job, and of seven, cuts every lockstep into slices
+    # of that many jobs; the rows come out the same, in the same order
+    spec, n_max, depth, density, extra = run
+    Ns = list(range(n_max + 1)) + [INF]
+    whole = ext.backward_search(spec, Ns, density, depth, extra)
+    real = ext._lockstep
+    for jobs in (1, 7):
+        sizes = []
+
+        def recording(spec, words, numbers, bits):
+            sizes.append(len(numbers))
+            return real(spec, words, numbers, bits)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ext, "_lockstep", recording)
+            mp.setattr(ext, "_job_bytes", lambda *args: 1)
+            mp.setattr(ext, "SEARCH_BYTES", jobs)
+            sliced = ext.backward_search(spec, Ns, density, depth, extra)
+        assert set(sizes) <= set(range(1, jobs + 1))
+        for N in Ns:
+            assert repr(np.vstack([np.empty((0, 1 + (
+                depth if N == INF else N)))] + sliced.rows[N]).tolist()) \
+                == repr(np.vstack([np.empty((0, 1 + (
+                    depth if N == INF else N)))] + whole.rows[N]).tolist())
+
+
+def test_search_state_stays_within_its_budget():
+    # density 400 to depth 60 would hold several times SEARCH_BYTES of
+    # state at once; in slices the peak is the budget, the rows found and
+    # the prefix words (about 1.2 MiB here)
+    spec = extension_spec(0.95)
+    Ns = [4, 8, 12, INF]
+    ext.backward_search(spec, Ns, 10, 12)  # first calls import lazily
+    real, slices = ext._lockstep, []
+
+    def recording(spec, words, jobs, bits):
+        slices.append(len(bits) - 1)
+        return real(spec, words, jobs, bits)
+
+    ext._lockstep = recording
+    tracemalloc.start()
+    try:
+        search = ext.backward_search(spec, Ns, 400, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        ext._lockstep = real
+    rows = sum(r.nbytes for got in search.rows.values() for r in got)
+    assert slices.count(60) >= 3
+    assert peak <= ext.SEARCH_BYTES + rows + 2 ** 21
+
+
+def test_search_keyword_takes_only_its_own_run():
+    search = ext.backward_search(SPEC06, [0, 3, INF], 10, 6, [0.3])
+    for N in (0, 3, INF):
+        assert sample_stratum(SPEC06, N, 10, 6, [0.3], search=search) == \
+            sample_stratum(SPEC06, N, 10, 6, [0.3])
+    for args in [(extension_spec(0.7), 3, 10, 6, [0.3]),
+                 (SPEC06, 3, 11, 6, [0.3]), (SPEC06, 3, 10, 7, [0.3]),
+                 (SPEC06, 3, 10, 6, [0.4]), (SPEC06, 3, 10, 6, []),
+                 (SPEC06, 3, 10, 6, [0.3, 0.3])]:
+        with pytest.raises(ValueError, match="another"):
+            sample_stratum(*args, search=search)
+    # -0.0 and 0.0 are one float, but not one seed list: the rows keep
+    # the sign of their seed
+    zero = ext.backward_search(SPEC06, [INF], 10, 6, [0.0])
+    with pytest.raises(ValueError, match="another"):
+        sample_stratum(SPEC06, INF, 10, 6, [-0.0], search=zero)
+    for N in (1, 4, 2.5, True):
+        with pytest.raises(ValueError, match="did not run"):
+            sample_stratum(SPEC06, N, 10, 6, [0.3], search=search)
+
+
+def test_one_extend_run_sends_half_the_preimage_points(monkeypatch,
+                                                        tmp_path):
+    # at the README size the strata sampled one at a time send 116,095
+    # points to preimages; one shared search sends at most half of them
+    points = []
+    real = ext.preimages
+
+    def counting(system, y):
+        points.append(len(y))
+        return real(system, y)
+
+    monkeypatch.setattr(ext, "preimages", counting)
+    assert cli.main(["extend", "--system", "logistic", "--lambda", "0.95",
+                     "--N", "10", "--depth", "20", "--density", "60",
+                     "--format", "json", "-o", str(tmp_path / "x")]) == 0
+    shared = sum(points)
+    points.clear()
+    spec = extension_spec(0.95)
+    for N in list(range(11)) + [INF]:
+        sample_stratum(spec, N, 60, depth=20)
+    assert sum(points) == 116_095
+    assert 2 * shared <= sum(points)
 
 
 def test_distinct_rows_rounds_as_python_round():
