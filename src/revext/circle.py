@@ -12,6 +12,7 @@ algebra has, hence the shape of the reversible extension.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -104,16 +105,24 @@ def perturbed_rotation(tau: float, a: float, offset: int = 0) -> CircleHomeo:
 
 def grid_homeo(values: Sequence[float], label: str = "grid") -> CircleHomeo:
     """Monotone piecewise-linear lift through values at knots j/K, j=0..K
-    (values[-1] must equal values[0] + 1)."""
+    (values[-1] must equal values[0] + 1); equal consecutive values make a
+    flat piece, where the map is not injective.  ``base`` gives the floats
+    of np.interp on the knots, with no numpy call per step."""
     v = np.asarray(values, dtype=float)
     if len(v) < 2 or abs((v[-1] - v[0]) - 1.0) > 1e-9:
         raise ValueError("grid lift must satisfy gamma(1) = gamma(0) + 1")
-    if np.any(np.diff(v) < 0):
+    if not np.all(np.diff(v) >= 0):  # NaN too
         raise ValueError("grid lift must be monotone")
     knots = np.linspace(0.0, 1.0, len(v))
+    xs, ys = knots.tolist(), v.tolist()
+    slopes = ((v[1:] - v[:-1]) / (knots[1:] - knots[:-1])).tolist()
 
     def base(f: float) -> float:
-        return float(np.interp(f, knots, v))
+        if not 0.0 < f < 1.0:
+            return ys[-1] if f >= 1.0 else ys[0]
+        j = bisect_right(xs, f) - 1  # xs[j] <= f < xs[j + 1]
+        x = xs[j]
+        return ys[j] if f == x else slopes[j] * (f - x) + ys[j]
 
     return CircleHomeo(base, label=label, grid=(knots, v))
 
@@ -156,18 +165,20 @@ def sampled_conjugate(h: CircleHomeo, phi: CircleHomeo,
 class RotationNumber(float):
     """A rotation number in [0, 1) with the orbit that produced it.
 
+    The lift's rotation number is the value plus the integer ``turns``.
     ``steps`` is the orbit length.  ``interval`` holds tau for certain (up
-    to the rounding of the orbit), shifted by the same integer as the
-    value: the displacement sum S = gamma^n(seed) - seed satisfies
+    to the rounding of the orbit), less ``turns`` like the value: the
+    displacement sum S = gamma^n(seed) - seed satisfies
     |S - n tau| < 1, so tau lies in ((S - 1)/n, (S + 1)/n).  ``weighted``
     says whether the value is the converged weighted Birkhoff average
     rather than S/n.
     """
 
-    def __new__(cls, value: float, steps: int,
+    def __new__(cls, value: float, turns: int, steps: int,
                 interval: tuple[float, float], weighted: bool):
         self = super().__new__(cls, value)
-        self.steps, self.interval, self.weighted = steps, interval, weighted
+        self.turns, self.steps = turns, steps
+        self.interval, self.weighted = interval, weighted
         return self
 
 
@@ -214,7 +225,7 @@ def rotation_number(h: CircleHomeo, n_iter: int = 100_000,
     value -= k
     if value >= 1.0:  # value was a tiny negative number
         value, k = 0.0, k + 1
-    return RotationNumber(value, n, (lo - k, hi - k), weighted)
+    return RotationNumber(value, k, n, (lo - k, hi - k), weighted)
 
 
 @dataclass(frozen=True)
@@ -328,16 +339,22 @@ class RotationClassification:
     evidence: dict = field(default_factory=dict)
 
 
-def classify(h: CircleHomeo, n_iter: int = 100_000, max_den: int = 64,
-             orbit_sample: int = 4096) -> RotationClassification:
+def classify(h: CircleHomeo, n_iter: int = 100_000,
+             max_den: int = 64) -> RotationClassification:
     """Rational rotation number (confirmed by a genuine periodic point)
-    versus irrational; irrational transitivity decided by a gap statistic
-    on the sampled orbit (heuristic evidence, not proof).
+    versus irrational: no periodic orbit of period <= max_den was found.
 
     The rational candidates are the convergents m/n (n <= max_den) of the
     estimate that lie in its certified interval or, when the weighted
     average converged, within 1e-12 of it.  ``evidence`` records the orbit
-    behind the estimate: ``steps``, ``interval`` and ``weighted``."""
+    behind the estimate: ``steps``, ``interval`` and ``weighted``.
+
+    Irrational transitivity follows from the lift (Denjoy): with log Df of
+    bounded variation, as for rigid and perturbed rotations, strictly
+    increasing grid lifts and, by assumption, a hand-built CircleHomeo,
+    the map is conjugate to the rotation.  A grid lift with a flat piece
+    is not transitive: a dense orbit would enter the open plateau twice,
+    so its image point would be periodic."""
     tau = rotation_number(h, n_iter)
     orbit = {"steps": tau.steps, "interval": tau.interval,
              "weighted": tau.weighted}
@@ -345,29 +362,16 @@ def classify(h: CircleHomeo, n_iter: int = 100_000, max_den: int = 64,
               else tau.interval)
     for m, n in _convergents(tau, max_den):
         if lo <= m / n <= hi:
-            pt = _find_periodic_point(h, n, m)
+            # the lift turns m + n * turns times in n steps
+            pt = _find_periodic_point(h, n, m + n * tau.turns)
             if pt is not None:
-                g = math.gcd(m, n) if m else 1
+                # convergents are in lowest terms
                 return RotationClassification(
-                    float(tau), "RationalPeriodic", m=m // g, n=n // g,
+                    float(tau), "RationalPeriodic", m=m, n=n,
                     evidence={"periodic_point": pt, **orbit})
-    # irrational: gap statistic of the orbit closure sample
-    pts = []
-    t = 0.0
-    for _ in range(orbit_sample):
-        t = h.lift(t)
-        pts.append(_frac(t))
-    pts.sort()
-    gaps = [pts[j + 1] - pts[j] for j in range(len(pts) - 1)]
-    gaps.append(1.0 - pts[-1] + pts[0])
-    max_gap = max(gaps)
-    threshold = 10.0 / math.sqrt(orbit_sample)
-    kind = ("IrrationalTransitive" if max_gap < threshold
-            else "IrrationalNonTransitive")
-    return RotationClassification(float(tau), kind,
-                                  evidence={"max_gap": max_gap,
-                                            "gap_threshold": threshold,
-                                            **orbit})
+    flat = h.grid is not None and not np.all(np.diff(h.grid[1]) > 0.0)
+    kind = "IrrationalNonTransitive" if flat else "IrrationalTransitive"
+    return RotationClassification(float(tau), kind, evidence=orbit)
 
 
 @dataclass(frozen=True)

@@ -141,15 +141,18 @@ def build_model(spec: ExtensionSpec, coords: np.ndarray,
             # new classes are numbered in order of first occurrence, so a
             # row is the first of a new class iff its class is above all
             # before it
-            new = np.flatnonzero(
-                index > np.maximum.accumulate(np.r_[n - 1, index[:-1]]))
+            new = np.flatnonzero(index > np.maximum.accumulate(
+                np.concatenate(([n - 1], index[:-1]))))
             if len(seen) > size_cap:
                 raise ClosureOverflow(f"basis exceeded size cap {size_cap}")
             c, t = cand[new], cand_t[new]
             layers.append((c, t))
             has, img = _images(spec, c, t)
-            tails = np.column_stack([c[:, 1:], np.full(len(c), np.nan)])
-            keep = ~_complete(spec.system, tails, t) & ~np.isnan(tails[:, 0])
+            tails = np.empty_like(c)
+            tails[:, :-1], tails[:, -1] = c[:, 1:], np.nan
+            keep = ~np.isnan(tails[:, 0])
+            if not t.all():
+                keep &= ~_complete(spec.system, tails, t)
             cand = np.vstack([img, tails[keep]])
             cand_t = np.concatenate([t[has], t[keep]])
             src = n + np.flatnonzero(has)

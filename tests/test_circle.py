@@ -3,6 +3,8 @@ compression trichotomy, extension shapes, classification with genuine
 periodic points, and conjugation invariance of the rotation number."""
 
 import math
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -260,11 +262,137 @@ def test_classify_irrational():
     assert cls.kind == "IrrationalTransitive"
 
 
+@pytest.mark.parametrize("h,m,n", [
+    (ci.rigid_rotation(0.4, offset=1), 2, 5),
+    (ci.rigid_rotation(1.4), 2, 5),
+    (ci.rigid_rotation(2.0 / 7.0, offset=-2), 2, 7),
+    (ci.perturbed_rotation(0.01, 0.5, offset=2), 0, 1),
+    (ci.perturbed_rotation(0.99, 0.5), 0, 1)])
+def test_classify_rational_whatever_the_lift_turns(h, m, n):
+    # the lift of a rotation number m/n mod 1 turns m + n * turns times in
+    # n steps: a periodic point solves gamma^n(t) = t + m + n * turns
+    cls = ci.classify(h)
+    assert cls.kind == "RationalPeriodic" and (cls.m, cls.n) == (m, n)
+    pt = cls.evidence["periodic_point"]
+    turns = ci.rotation_number(h).turns
+    assert turns != 0
+    assert h.lift_iter(pt, n) == pytest.approx(pt + m + n * turns, abs=1e-8)
+
+
+def _gap_statistic_fires(h, orbit_sample=4096):
+    """The transitivity test classify ran before it read the verdict off
+    the lift: the largest gap between the first ``orbit_sample`` points of
+    the orbit of 0 on the circle reaches 10/sqrt(orbit_sample)."""
+    pts = []
+    t = 0.0
+    for _ in range(orbit_sample):
+        t = h.lift(t)
+        pts.append(ci._frac(t))
+    pts.sort()
+    gaps = [pts[j + 1] - pts[j] for j in range(len(pts) - 1)]
+    gaps.append(1.0 - pts[-1] + pts[0])
+    return max(gaps) >= 10.0 / math.sqrt(orbit_sample)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tau=st.floats(0.0, 1.0, exclude_max=True), a=st.floats(-0.9, 0.9),
+       offset=st.integers(-2, 2))
+@example(tau=0.381966, a=0.05, offset=0)
+@example(tau=math.sqrt(2.0) - 1.0, a=0.0, offset=-1)
+def test_irrational_verdict_is_denjoys_on_one_orbit(tau, a, offset):
+    h = ci.perturbed_rotation(tau, a, offset)
+    calls, searching = [0], [False]
+
+    def base(f):
+        calls[0] += not searching[0]
+        return h.base(f)
+
+    def search(*args):
+        searching[0] = True
+        try:
+            return find_periodic_point(*args)
+        finally:
+            searching[0] = False
+
+    find_periodic_point = ci._find_periodic_point
+    with mock.patch.object(ci, "_find_periodic_point", search):
+        cls = ci.classify(ci.CircleHomeo(base), n_iter=20_000)
+    if cls.kind != "RationalPeriodic":
+        assert cls.kind == "IrrationalTransitive"
+        assert set(cls.evidence) == {"steps", "interval", "weighted"}
+        # the rotation-number orbit, and no other outside the searches
+        # for periodic points of the candidates
+        assert calls[0] == cls.evidence["steps"]
+
+
+def test_gap_statistic_never_fired_on_an_irrational_verdict():
+    # 200 maps of the family above from a fixed generator.  The statistic
+    # is only a reference: it does fire on slow rotations (4096 steps of
+    # the rotation by 1e-5 cover 4% of the circle), so it is not drawn
+    # against hypothesis's examples
+    rng = random.Random(23)
+    irrational = 0
+    for _ in range(200):
+        h = ci.perturbed_rotation(rng.random(), rng.uniform(-0.9, 0.9),
+                                  rng.randint(-2, 2))
+        if ci.classify(h, n_iter=20_000).kind != "RationalPeriodic":
+            irrational += 1
+            assert not _gap_statistic_fires(h)
+    assert irrational > 100
+
+
+def _plateau_lift(c):
+    """Slope 9/10 of the circle, flat on the last tenth, shifted by c."""
+    return ci.grid_homeo([c + j / 9 for j in range(10)] + [c + 1.0])
+
+
+def test_flat_piece_grid_lift_is_not_transitive():
+    # rotation number 34/89: every periodic orbit has period 89 > max_den,
+    # so no convergent yields a periodic point, and the orbits fall into
+    # the plateau's image, a periodic point, instead of filling the circle.
+    # The gap statistic took its 89 points for a dense orbit
+    h = _plateau_lift(0.3323176)
+    cls = ci.classify(h)
+    assert cls.tau == pytest.approx(34 / 89, abs=1e-12)
+    assert cls.kind == "IrrationalNonTransitive" and cls.m is None
+    assert set(cls.evidence) == {"steps", "interval", "weighted"}
+    assert not _gap_statistic_fires(h)
+    wide = ci.classify(h, max_den=89)
+    assert wide.kind == "RationalPeriodic" and (wide.m, wide.n) == (34, 89)
+
+
 def test_classify_perturbed_locked():
     # Arnold tongue: strong perturbation of tau=0 locks onto a fixed point
     h = ci.perturbed_rotation(0.01, 0.5)
     cls = ci.classify(h)
     assert cls.kind == "RationalPeriodic" and cls.n == 1
+
+
+def _knot_neighbours(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@given(h=st.builds(_grid, st.floats(-1.5, 1.5),
+                   st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40)),
+       x=st.floats(-0.5, 1.5), knot=st.integers(0, 40),
+       ulps=st.integers(-3, 3))
+def test_grid_lift_is_np_interp(h, x, knot, ulps):
+    knots, values = h.grid
+    near = _knot_neighbours(float(knots[knot % len(knots)]), ulps)
+    for f in (x, near):
+        assert h.base(f) == float(np.interp(f, knots, values))
+
+
+@pytest.mark.parametrize("size", [4, 1001, 4097])
+def test_grid_lift_is_np_interp_at_every_knot(size):
+    rng = np.random.default_rng(size)
+    h = _grid(0.3, rng.random(size - 2))
+    knots, values = h.grid
+    xs = [_knot_neighbours(float(k), u) for k in knots for u in range(-2, 3)]
+    xs += rng.random(1000).tolist() + [-0.0, 5e-324, 1.0, 2.0, -1.0]
+    assert [h.base(x) for x in xs] == np.interp(xs, knots, values).tolist()
 
 
 def test_sampled_conjugate_preserves_rotation_number():
@@ -306,3 +434,5 @@ def test_grid_homeo_validation():
         ci.grid_homeo([0.0, 0.5, 0.9])   # endpoint mismatch
     with pytest.raises(ValueError):
         ci.grid_homeo([0.0, 0.7, 0.4, 1.0])  # not monotone
+    with pytest.raises(ValueError):
+        ci.grid_homeo([0.0, math.nan, 1.0])
