@@ -11,6 +11,7 @@ algebra has, hence the shape of the reversible extension.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -25,6 +26,8 @@ GRID_KNOTS = 2 ** 12
 # weighted averages that ends the doubling
 WEIGHTED_START = 1000
 WEIGHTED_AGREE = 1e-13
+# _find_periodic_point: midpoints it may add to its grid of 513 points
+REFINE_EVALS = 2048
 
 
 class NotCoisometry(ValueError):
@@ -314,19 +317,53 @@ def _convergents(x: float, max_den: int):
 
 def _find_periodic_point(h: CircleHomeo, n: int, m: int,
                          tol: float = 1e-9) -> Optional[float]:
-    """A root of gamma^n(t) - t - m in [0,1), or None.  Residuals below
-    ``tol`` count as zero: for a rational rigid rotation the residual is
-    rounding noise that can keep one sign on the whole circle."""
+    """A root of F(t) = gamma^n(t) - t - m in [0,1), or None.  Residuals
+    below ``tol`` count as zero: for a rational rigid rotation the residual
+    is rounding noise that can keep one sign on the whole circle.
+
+    The first sign change along a grid of 513 points is bisected.  With
+    none, the lift being nondecreasing gives F a slope >= -1, so on a cell
+    [a, a + w] F >= F(a) - w and F <= F(a + w) + w: where F > 0 at the
+    ends, a cell with F(a) > w holds no root, and where F < 0, one with
+    F(a + w) < -w.  The other cells are halved, the one F may reach
+    farthest past zero first, until a midpoint shows a sign change, every
+    cell is excluded (None), or REFINE_EVALS midpoints gave neither (None,
+    unproven: an irrational rotation number close to m/n keeps |F| small
+    on a wide set of cells)."""
+    seen = []  # (t, F(t)) in order of evaluation
 
     def F(t: float) -> float:
         r = h.lift_iter(t, n) - t - m
-        return 0.0 if abs(r) < tol else r
+        r = 0.0 if abs(r) < tol else r
+        seen.append((t, r))
+        return r
 
-    grid = 512
+    def push(a, fa, b, fb):
+        # how far F stays from zero on [a, b] at least
+        gap = (fa if fa > 0.0 else -fb) - (b - a)
+        if gap <= 0.0 and a < 0.5 * (a + b) < b:
+            heapq.heappush(cells, (gap, a, fa, b, fb))
+
     try:
-        return _frac(find_root(F, (j / grid for j in range(grid + 1)), tol))
+        return _frac(find_root(F, (j / 512 for j in range(513)), tol))
     except BracketFailure:
-        return None
+        pass
+    cells = []
+    for (a, fa), (b, fb) in zip(seen, seen[1:]):  # F has one sign on them
+        push(a, fa, b, fb)
+    for _ in range(REFINE_EVALS):
+        if not cells:
+            break
+        _, a, fa, b, fb = heapq.heappop(cells)
+        mid = 0.5 * (a + b)
+        fm = F(mid)
+        if fm == 0.0:
+            return _frac(mid)
+        if (fm < 0.0) != (fa < 0.0):
+            return _frac(find_root(F, (a, mid), tol))
+        push(a, fa, mid, fm)
+        push(mid, fm, b, fb)
+    return None
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,14 @@ from .extension import (INF, EmptyStratum, ExtensionSpec, backward_search,
 # Config
 
 
+class ArgumentTooLarge(ValueError):
+    """An argument above the cap past which its command cannot finish or
+    its output means nothing."""
+
+    def __init__(self, flag: str, value, cap, why: str):
+        super().__init__(f"{flag} {value} is above its cap {cap}: {why}")
+
+
 @dataclass
 class RunConfig:
     command: str
@@ -66,6 +74,11 @@ class RunConfig:
             raise ValueError("need 0 < lambda_min < lambda_max <= 1, got "
                              f"lambda_min={self.lambda_min}, "
                              f"lambda_max={self.lambda_max}")
+        if self.N_max > lg.N_RESOLVABLE:
+            raise ArgumentTooLarge(
+                "--n-max", self.N_max, lg.N_RESOLVABLE,
+                f"lambda_n past n = {lg.N_RESOLVABLE} is not resolvable "
+                "in float64")
         if self.format not in ("json", "csv", "svg", "dot"):
             raise ValueError(f"unknown format {self.format!r}")
 
@@ -167,34 +180,69 @@ def _indexed(parts: list, fmt):
     """Each distinct value of the int64 arrays ``parts`` formatted once:
     ``fmt`` maps the sorted distinct values to their labels.  Returns the
     labels as an object array and, per part, the int32 indices of its
-    entries among them, in its shape.  (``np.unique`` with
-    ``return_inverse`` gives the same with about twice the temporary
-    arrays.)"""
+    entries among them, in its shape.  Values all in [0, 2**20), such as
+    pixel hundredths, are numbered through a table of the values seen;
+    others by a sort, whose temporaries are freed before ``fmt`` runs
+    (``np.unique`` with ``return_inverse`` takes about twice the temporary
+    arrays)."""
     flat = np.concatenate([np.empty(0, np.int64)]
                           + [p.ravel() for p in parts])
-    perm = np.argsort(flat)
-    flat = flat[perm]
-    new = np.empty(len(flat), dtype=bool)
-    new[:1] = True
-    np.not_equal(flat[1:], flat[:-1], out=new[1:])
-    inv = np.empty(len(flat), dtype=np.int32)
-    inv[perm] = np.cumsum(new, dtype=np.int32) - 1
+    if flat.size and flat.min() >= 0 and flat.max() < 1 << 20:
+        seen = np.zeros(flat.max() + 1, dtype=bool)
+        seen[flat] = True
+        distinct = np.flatnonzero(seen)
+        rank = np.zeros(len(seen), dtype=np.int32)
+        rank[distinct] = np.arange(len(distinct), dtype=np.int32)
+        inv = rank[flat]
+    else:
+        perm = np.argsort(flat)
+        flat = flat[perm]
+        new = np.empty(len(flat), dtype=bool)
+        new[:1] = True
+        np.not_equal(flat[1:], flat[:-1], out=new[1:])
+        inv = np.empty(len(flat), dtype=np.int32)
+        inv[perm] = np.cumsum(new, dtype=np.int32) - 1
+        distinct = flat[new]
+        del perm, flat, new
     ends = np.cumsum([p.size for p in parts])
-    return (np.array(fmt(flat[new]), dtype=object),
+    return (np.array(fmt(distinct), dtype=object),
             [inv[e - p.size:e].reshape(p.shape) for p, e in zip(parts, ends)])
 
 
-def _block_text(labels: np.ndarray, idx: np.ndarray, consts: list,
-                first: Optional[str] = None) -> str:
-    """Per row of ``idx``: consts[0], labels[idx[i, 0]], consts[1], ...,
-    labels[idx[i, -1]], consts[-1], all rows joined into one string;
-    ``first``, if given, replaces consts[0] in the first row."""
-    tok = np.empty((len(idx), 2 * idx.shape[1] + 1), dtype=object)
-    tok[:, 0::2] = np.array(consts, dtype=object)
-    tok[:, 1::2] = labels[idx]
-    if first is not None:
-        tok[0, 0] = first
-    return "".join(tok.ravel().tolist())
+def _last_copies(parts: list, labels: int) -> list:
+    """For each int32 array of ``parts``, whose entries lie in [0, labels):
+    True at the last row of each set of its rows with equal first entries,
+    and at the last of each set of its equal rows, as two bool arrays."""
+    sizes = [len(p) for p in parts]
+    # part number, then the part's row, zero-padded to one width
+    rows = np.zeros((sum(sizes), 1 + max([p.shape[1] for p in parts],
+                                         default=1)), dtype=np.int32)
+    rows[:, 0] = np.repeat(np.arange(len(parts)), sizes)
+    for p, end in zip(parts, np.cumsum(sizes)):
+        rows[end - len(p):end, 1:1 + p.shape[1]] = p
+    # One int64 key per row, the row's entries as the digits of a number
+    # (so keys order as rows do); when the next digit does not fit, the
+    # distinct keys so far are numbered first.
+    bases = [len(parts)] + [labels] * (rows.shape[1] - 1)
+    key, bound = np.zeros(len(rows), dtype=np.int64), 1
+    for col, base in zip(rows.T, bases):
+        if bound * base > 1 << 63:
+            distinct, key = np.unique(key, return_inverse=True)
+            key, bound = key.reshape(-1), len(distinct)
+        key = key * base + col
+        bound *= base
+    # In one sort (np.unique's stable one took five times as long), rows
+    # with equal first entries and equal rows each make a run, whose last
+    # row is the largest index in it.
+    first = rows[:, 0].astype(np.int64) * labels + rows[:, 1]
+    perm = np.argsort(key)
+    out = []
+    for ordered in (first[perm], key[perm]):
+        starts = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
+        keep = np.zeros(len(rows), dtype=bool)
+        keep[np.maximum.reduceat(perm, starts)] = True
+        out.append(np.split(keep, np.cumsum(sizes)[:-1]))
+    return list(zip(*out))
 
 
 # ---------------------------------------------------------------------------
@@ -216,32 +264,60 @@ def _ladder_svg(samples: dict, path: str) -> None:
     The x labels are the ``_centi`` values of the first six columns, each
     distinct one formatted once by ``_centi_labels``, and the y labels are
     formatted once per row (a sampled stratum's chains share one length).
-    The elements go to the file a block of chains at a time."""
+
+    Each distinct circle and polyline of a row is drawn once, at the place
+    of its last copy.  Elements of different rows never coincide (their y
+    differ), and two of one row coincide exactly when their label indices
+    do: column 0 for a circle, every plotted column for a polyline.  The
+    drawing is the same: every pixel an earlier copy paints is painted
+    again, by the same shape in the same colour, by the last copy, after
+    everything drawn in between.  Only anti-aliased edges differ: a shape
+    drawn once instead of k times has lighter edge pixels, which is how
+    every chain without a copy is drawn anyway.  Circles leave out
+    ``fill="black"``, SVG's initial fill.  The kept elements go to the file
+    a block of chains at a time, and the dropped ones are never joined."""
     canvas = SvgCanvas()
     margin, row_h = 50.0, 36.0
     scale = canvas.width - 2 * margin
     canvas.height = max(140.0, margin + row_h * (len(samples) + 1))
     xl, cx = _indexed([_centi(margin + s.chains.coords[:, :6] * scale)
                        for s in samples.values()], _centi_labels)
+    last = _last_copies(cx, len(xl))
 
     def body():
-        for r, ((label, s), c) in enumerate(zip(samples.items(), cx)):
+        for r, ((label, s), c, (circle, poly)) in enumerate(
+                zip(samples.items(), cx, last)):
             y0 = margin + r * row_h
             yield (("\n" if r else "")
                    + _text(8.0, y0 + 4.0, f"N={label}")).encode()
             n = s.chains.coords.shape[1]
             ys = [f"{y0 + 10.0 * k / n:.2f}" for k in range(c.shape[1])]
-            consts = ['\n<circle cx="',
-                      f'" cy="{ys[0]}" r="1.2" fill="black"/>']
-            cols = [0]
+            # a chain's tokens, None where a label goes: the circle's three,
+            # then the polyline's opening and its labels, each followed by y
+            chain = ['\n<circle cx="', None, f'" cy="{ys[0]}" r="1.2"/>']
             if n > 1:
-                consts[1] += '\n<polyline points="'
-                consts += [f",{y} " for y in ys]
-                consts[-1] = (f',{ys[-1]}" fill="none" stroke="#888" '
-                              'stroke-width="0.5"/>')
-                cols += range(len(ys))
+                chain.append('\n<polyline points="')
+                for y in ys:
+                    chain += [None, f",{y} "]
+                chain[-1] = (f',{ys[-1]}" fill="none" stroke="#888" '
+                             'stroke-width="0.5"/>')
+            chain = np.array(chain, dtype=object)
+            # with one coordinate, poly is circle and marks no tokens
+            rows = np.flatnonzero(circle | poly)
+            keep = np.empty((len(rows), len(chain)), dtype=bool)
+            keep[:, :3] = circle[rows, None]
+            keep[:, 3:] = poly[rows, None]
+            c = c[rows]
             for b in range(0, len(c), _BLOCK):
-                yield _block_text(xl, c[b:b + _BLOCK, cols], consts).encode()
+                blk = c[b:b + _BLOCK]
+                tok = np.empty((len(blk), len(chain)), dtype=object)
+                tok[:] = chain
+                if n > 1:
+                    tok[:, 4::2] = xl[blk]
+                    tok[:, 1] = tok[:, 4]
+                else:
+                    tok[:, 1] = xl[blk[:, 0]]
+                yield "".join(tok[keep[b:b + _BLOCK]].tolist()).encode()
 
     canvas.write(path, body())
 
@@ -251,8 +327,10 @@ def _write_strata_json(fh, strata: dict) -> None:
     where the sample is None, exactly as ``json.dump(doc, fh, indent=1)``
     writes it, stratum by stratum and a block of chains at a time.  Each
     distinct coordinate bit pattern of the strata (so 0.0 and -0.0 apart)
-    is formatted once.  Raises ValueError, before writing, for a
-    coordinate that is not finite: JSON has no NaN or infinity."""
+    is formatted once, and once more behind the separator that precedes
+    every coordinate but a chain's first, so a block joins one token per
+    coordinate.  Raises ValueError, before writing, for a coordinate that
+    is not finite: JSON has no NaN or infinity."""
     coords = {k: s.chains.coords for k, s in strata.items() if s is not None}
     for key, c in coords.items():
         bad = ~np.isfinite(c)
@@ -262,6 +340,7 @@ def _write_strata_json(fh, strata: dict) -> None:
     text, rows = _indexed(
         [c.view(np.int64) for c in coords.values()],
         lambda bits: list(map(float.__repr__, bits.view(float).tolist())))
+    after = ",\n     " + text
     rows = dict(zip(coords, rows))
     sep = "{\n "
     for key, sample in strata.items():
@@ -273,14 +352,19 @@ def _write_strata_json(fh, strata: dict) -> None:
         N = '"inf"' if sample.N == INF else int(sample.N)
         fh.write(f'"N": {N},\n  "depth": {sample.depth},\n  "chains": [')
         c = rows[key]
-        consts = ([',\n   {\n    "coords": [\n     ']
-                  + [",\n     "] * (c.shape[1] - 1)
-                  + ['\n    ],\n    "terminal": true\n   }'
-                     if sample.chains.terminal else
-                     '\n    ],\n    "terminal": false\n   }'])
+        close = ('\n    ],\n    "terminal": true\n   }'
+                 if sample.chains.terminal else
+                 '\n    ],\n    "terminal": false\n   }')
         for b in range(0, len(c), _BLOCK):
-            fh.write(_block_text(text, c[b:b + _BLOCK], consts,
-                                 consts[0][1:] if b == 0 else None))
+            blk = c[b:b + _BLOCK]
+            tok = np.empty((len(blk), blk.shape[1] + 2), dtype=object)
+            tok[:, 0] = ',\n   {\n    "coords": [\n     '
+            tok[:, 1] = text[blk[:, 0]]
+            tok[:, 2:-1] = after[blk[:, 1:]]
+            tok[:, -1] = close
+            if b == 0:
+                tok[0, 0] = tok[0, 0][1:]
+            fh.write("".join(tok.ravel().tolist()))
         fh.write("\n  ]\n }")
     fh.write("\n}")
 
@@ -429,15 +513,15 @@ def cmd_bifurcate(cfg: RunConfig) -> int:
         # long on these keys), so the dots come column by column in
         # ascending cy; the groups' cx ranges ascend, so group by group is
         # the order of one sort of all keys.  A group's text is one byte
-        # matrix, a row per dot, written as one buffer.
+        # matrix, a row per dot, written as one buffer.  A dot takes SVG's
+        # initial fill, black.
         for a, b in _column_groups(cx):
             cy = _centi(canvas.height - margin
                         - pts[:, a:b] * (canvas.height - 2 * margin))
             base = int(cy.max()) + 1
             key = np.sort((cx[a:b] * base + cy).ravel())
             key = key[np.r_[True, key[1:] != key[:-1]]]
-            yield _byte_rows([b'<circle cx="', b'" cy="',
-                              b'" r="0.4" fill="black"/>\n'],
+            yield _byte_rows([b'<circle cx="', b'" cy="', b'" r="0.4"/>\n'],
                              [_centi_digits(key // base),
                               _centi_digits(key % base)])
         yield "\n".join(canvas.elements).encode()

@@ -29,6 +29,7 @@ WINDOW_FLOOR = 0.915  # windows accumulate above the first band-merging point
 TABLE_SUPERSTABLE = 5  # a CascadeTable holds s_0 .. s_5
 TABLE_MU = 2           # and mu_0 .. mu_2
 REGIME_N_MAX = 8       # classify_regime checks cascade stages n <= 8
+N_RESOLVABLE = 13      # the last lambda_n that float64 resolves
 MU_POINT_TOL = 1e-6    # and calls lambda a MuPoint within 1e-6 of mu_n
 
 
@@ -446,7 +447,8 @@ class CascadeTable:
         x_n = tuple(x for x, _ in solves)
         sups = tuple(superstable_parameter(n)
                      for n in range(0, TABLE_SUPERSTABLE + 1))
-        lam_inf = feigenbaum_limit_estimate(min(max(n_max, 3), 13))
+        lam_inf = feigenbaum_limit_estimate(min(max(n_max, 3),
+                                                N_RESOLVABLE))
         mus = tuple(mu_parameter(n) for n in range(0, TABLE_MU + 1))
         wins = []
         cascades = {}

@@ -361,6 +361,46 @@ def test_flat_piece_grid_lift_is_not_transitive():
     assert wide.kind == "RationalPeriodic" and (wide.m, wide.n) == (34, 89)
 
 
+def test_narrow_sign_change_off_the_grid_is_found():
+    # rotation number 3/8: gamma^8(t) - t - 3 is positive on all 513 grid
+    # points and dips below zero only on intervals under 3.3e-4 wide
+    h = ci.grid_homeo([0.3868, 0.8868, 0.8868, 1.3868])
+
+    def F(t):
+        return h.lift_iter(t, 8) - t - 3
+
+    assert min(F(j / 512) for j in range(513)) > 0.0
+    cls = ci.classify(h)
+    assert cls.kind == "RationalPeriodic" and (cls.m, cls.n) == (3, 8)
+    assert abs(F(cls.evidence["periodic_point"])) < 1e-9
+
+
+def _counting(h):
+    """h with a counter of its base calls."""
+    calls = [0]
+
+    def base(f):
+        calls[0] += 1
+        return h.base(f)
+
+    return ci.CircleHomeo(base), calls
+
+
+@pytest.mark.parametrize("delta, evals", [
+    (2e-3, 513),          # F = 5 * delta beyond every grid cell's reach
+    (2e-4, 1025),         # one halving of every cell excludes them all
+    (-2e-4, 1025),        # the same below zero
+    (2e-9, 513 + ci.REFINE_EVALS),  # |F| = 1e-8: the refinement gives up
+])
+def test_periodic_point_search_excludes_cells_by_the_slope_bound(delta,
+                                                                  evals):
+    # rotation by 0.4 + delta has no orbit of type 2/5, and
+    # gamma^5(t) - t - 2 = 5 * delta everywhere
+    h, calls = _counting(ci.rigid_rotation(0.4 + delta))
+    assert ci._find_periodic_point(h, 5, 2) is None
+    assert calls[0] == 5 * evals
+
+
 def test_classify_perturbed_locked():
     # Arnold tongue: strong perturbation of tau=0 locks onto a fixed point
     h = ci.perturbed_rotation(0.01, 0.5)

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from revext import circle as ci
 from revext import cli
-from revext.cli import (_BLOCK, RunConfig, SvgCanvas, _byte_rows, _centi,
-                        _centi_digits, _centi_labels, _column_groups,
-                        _extension_spec_for, _ladder_svg, _sweep_chunk,
+from revext.cli import (_BLOCK, ArgumentTooLarge, RunConfig, SvgCanvas,
+                        _byte_rows, _centi, _centi_digits, _centi_labels,
+                        _column_groups, _extension_spec_for, _indexed,
+                        _ladder_svg, _last_copies, _sweep_chunk,
                         _write_strata_json, main, make_parser,
                         read_config_file)
 from revext.extension import (INF, ChainRows, EmptyStratum, StratumSample,
@@ -187,11 +188,25 @@ def _old_ladder_svg(samples, path):
     canvas.write(path)
 
 
+def _drawn_once(svg: str) -> str:
+    """``svg`` with every circle and polyline line removed but the last
+    copy of each, and ``fill="black"`` deleted from the circles."""
+    lines = svg.split("\n")
+    last = {line: i for i, line in enumerate(lines)}
+    return "\n".join(
+        line.replace(' fill="black"', "") if line.startswith("<circle")
+        else line for i, line in enumerate(lines)
+        if not line.startswith(("<circle", "<polyline")) or last[line] == i)
+
+
 def _check_ladder_svg(tmp_path, samples):
+    """The ladder SVG is the per-chain emitter's, each element drawn once
+    at its last copy; returns both texts."""
     _ladder_svg(samples, str(tmp_path / "new.svg"))
     _old_ladder_svg(samples, str(tmp_path / "old.svg"))
-    assert (tmp_path / "new.svg").read_text() == \
-        (tmp_path / "old.svg").read_text()
+    new, old = ((tmp_path / f"{k}.svg").read_text() for k in ("new", "old"))
+    assert new == _drawn_once(old)
+    return new, old
 
 
 @pytest.mark.parametrize("system", [
@@ -205,12 +220,38 @@ def test_ladder_svg_matches_per_chain_emitter(tmp_path, system):
 
 
 @settings(max_examples=20, deadline=None)
-@given(lam=st.floats(0.5, 1.0))
+@given(lam=st.floats(0.5, 1.0, exclude_min=True), N=st.integers(0, 4),
+       depth=st.integers(1, 8), density=st.integers(1, 16))
 def test_ladder_svg_matches_per_chain_emitter_across_lambda(tmp_path_factory,
-                                                            lam):
-    samples = {k: s for k, s in _strata(N=3, depth=6, density=8,
+                                                            lam, N, depth,
+                                                            density):
+    samples = {k: s for k, s in _strata(N=N, depth=depth, density=density,
                                         lam=lam).items() if s is not None}
     _check_ladder_svg(tmp_path_factory.mktemp("ladder"), samples)
+
+
+@pytest.mark.parametrize("lam, drawn", [(0.95, 8778), (0.6, 2575)])
+def test_ladder_svg_at_benchmark_size_draws_each_element_once(tmp_path, lam,
+                                                              drawn):
+    samples = {k: s for k, s in _strata(N=10, depth=20, density=60,
+                                        lam=lam).items() if s is not None}
+    new, old = _check_ladder_svg(tmp_path, samples)
+    elements = [line for line in new.splitlines()
+                if line.startswith(("<circle", "<polyline"))]
+    assert len(elements) == len(set(elements)) == drawn
+    assert len(elements) < sum(line.startswith(("<circle", "<polyline"))
+                               for line in old.splitlines())
+
+
+def test_ladder_svg_keeps_last_copies_across_blocks(tmp_path):
+    # 2 * _BLOCK + 3 chains drawn from five rows: copies fall in one block
+    # and across blocks, and two rows share a head but not a polyline
+    pool = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.4], [0.5, 0.6, 0.7],
+                     [0.9, 0.0, 0.1], [0.25, 0.5, 0.75]])
+    pick = np.random.default_rng(7).integers(0, len(pool), 2 * _BLOCK + 3)
+    strata = {"2": StratumSample(2, ChainRows(pool[pick], True), 4)}
+    new, _ = _check_ladder_svg(tmp_path, strata)
+    assert new.count("<circle") == 4 and new.count("<polyline") == 5
 
 
 def test_ladder_svg_of_single_coordinate_chains_draws_circles_only(tmp_path):
@@ -219,6 +260,58 @@ def test_ladder_svg_of_single_coordinate_chains_draws_circles_only(tmp_path):
     assert samples["0"].chains.coords.shape[1] == 1
     _check_ladder_svg(tmp_path, {"0": samples["0"]})
     assert "<polyline" not in (tmp_path / "new.svg").read_text()
+
+
+def _last_copies_loop(part):
+    """The last copy of each first entry and of each row, one row at a
+    time."""
+    rows = [tuple(r) for r in part.tolist()]
+    last_first = {r[0]: i for i, r in enumerate(rows)}
+    last_row = {r: i for i, r in enumerate(rows)}
+    return ([last_first[r[0]] == i for i, r in enumerate(rows)],
+            [last_row[r] == i for i, r in enumerate(rows)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels=st.sampled_from([1, 2, 3, 700, 2**20, 2**31 - 1]),
+       shapes=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 6)),
+                       min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_last_copies_match_a_loop(labels, shapes, seed):
+    # few distinct values per column, so that rows repeat; labels of 2**20
+    # and more take two or more numberings of the keys
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, labels, 3)
+    parts = [pool[rng.integers(0, 3, shape)].astype(np.int32)
+             for shape in shapes]
+    got = _last_copies(parts, labels)
+    assert len(got) == len(parts)
+    for part, (first, row) in zip(parts, got):
+        assert (first.tolist(), row.tolist()) == _last_copies_loop(part)
+
+
+def test_last_copies_keep_parts_apart():
+    # equal rows of two parts are each the last copy in their own part
+    part = np.array([[1, 2], [1, 2]], dtype=np.int32)
+    got = _last_copies([part, part.copy()], 3)
+    assert [(f.tolist(), r.tolist()) for f, r in got] == \
+        [([False, True], [False, True])] * 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(st.integers(-2**63, 2**63 - 1)
+                       | st.integers(0, 2**20 + 1), max_size=60),
+       cut=st.integers(0, 60))
+def test_indexed_numbers_values_as_unique_does(values, cut):
+    # values in [0, 2**20) go through a table, the others through a sort
+    flat = np.array(values, dtype=np.int64)
+    parts = [flat[:cut], flat[cut:].reshape(-1, 1)]
+    labels, idx = _indexed(parts, lambda v: [str(x) for x in v.tolist()])
+    distinct = np.unique(flat)
+    assert labels.tolist() == [str(x) for x in distinct.tolist()]
+    for part, ix in zip(parts, idx):
+        assert ix.dtype == np.int32 and ix.shape == part.shape
+        assert (distinct[ix] == part).all()
 
 
 def _hand_stratum(rows, N=2, seed=0):
@@ -322,7 +415,9 @@ def test_bifurcate_svg_draws_each_old_dot_once(tmp_path, steps):
         'font-family="monospace">1.000</text>' in svg
     dots = [line for line in svg.splitlines() if line.startswith("<circle")]
     assert len(dots) == len(set(dots))
-    assert set(dots) == set(_old_bifurcation_dots(steps=steps))
+    # the same dots, less the fill they now take from SVG's initial value
+    assert set(dots) == {dot.replace(' fill="black"', "")
+                         for dot in _old_bifurcation_dots(steps=steps)}
     # column by column, and within a column in ascending cy
     coords = [tuple(float(line.split('"')[k]) for k in (1, 3))
               for line in dots]
@@ -332,7 +427,8 @@ def test_bifurcate_svg_draws_each_old_dot_once(tmp_path, steps):
 def _global_sort_svg(path, lambda_min, lambda_max, steps):
     """The bifurcation SVG as `bifurcate` wrote it before its dots were
     grouped by column: one sort and one byte matrix of every dot key of
-    the diagram."""
+    the diagram (and with the dots' fill left to its initial value, as
+    they are now)."""
     lams = np.linspace(lambda_min, lambda_max, steps)
     pts = _sweep_chunk(lams, burn_in=600, keep=120)
     canvas = SvgCanvas(width=800.0, height=520.0)
@@ -344,8 +440,7 @@ def _global_sort_svg(path, lambda_min, lambda_max, steps):
     base = int(cy.max()) + 1
     key = np.sort((cx * base + cy).ravel())
     key = key[np.r_[True, key[1:] != key[:-1]]]
-    dots = _byte_rows([b'<circle cx="', b'" cy="',
-                       b'" r="0.4" fill="black"/>\n'],
+    dots = _byte_rows([b'<circle cx="', b'" cy="', b'" r="0.4"/>\n'],
                       [_centi_digits(key // base),
                        _centi_digits(key % base)])
     canvas.text(margin, canvas.height - 8.0, f"{lambda_min:.3f}")
@@ -455,6 +550,27 @@ def test_bifurcate_rejects_bad_range(tmp_path, capsys, bounds):
     err = capsys.readouterr().err
     assert "lambda_min" in err and "lambda_max" in err
     assert not list(tmp_path.iterdir())  # no .svg, and no .csv either
+
+
+def test_bifurcate_n_max_above_the_last_resolvable_stage_fails_at_once(
+        tmp_path, capsys, monkeypatch):
+    # --n-max 30 would run Newton solves over orbits of 2**29 points
+    monkeypatch.setattr(cli.lg.CascadeTable, "build", None)  # never reached
+    out = str(tmp_path / "bif")
+    assert run(["bifurcate", "--n-max", "30", "--format", "svg",
+                "-o", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n-max 30 is above its cap 13")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("N_max", [14, 15, 30, 10**9])
+def test_n_max_cap_is_a_named_value_error(N_max):
+    assert cli.lg.N_RESOLVABLE == 13
+    RunConfig("bifurcate", N_max=13).validate()
+    with pytest.raises(ArgumentTooLarge, match=f"--n-max {N_max} .* 13"):
+        RunConfig("bifurcate", N_max=N_max).validate()
+    assert issubclass(ArgumentTooLarge, ValueError)
 
 
 def test_classify(tmp_path):
@@ -637,32 +753,32 @@ _PINNED = [
     (["extend", "--lambda", "0.95"] + _SMALL, {
         ".json": "193c9840de1f00a7b9c82af1c9579fb8"
                  "f850e1af77038de7122b0de096075a01",
-        ".svg": "2a0d46c3c0105e525b7c776ab6b044ae"
-                "d9b5213895afc17eea5b1f50f70be7fb"}),
+        ".svg": "494cbbda7524160f142c9fdc6bb2d3ad"
+                "d28fa3d82f78b6934b056404b6c6f605"}),
     (["extend", "--lambda", "0.6"] + _SMALL, {
         ".json": "4853a701b93d104e9c5b39ab3a26d070"
                  "7f406ae48b616d6546b2e2ad7a38c043",
-        ".svg": "cce41ae2ec84c9da8281500bc191c2ae"
-                "83a1c67e3115014f68f0599218ed4a03"}),
+        ".svg": "aa2dcaa5ee34b16c5635b54ea875c174"
+                "92bec6e9a4dba1d8e38b23ce4b40e64b"}),
     (["extend", "--system", "constant", "--N", "3", "--depth", "8",
       "--density", "12", "--format", "svg"], {
         ".json": "b57318afc46172d733ee5db162240501"
                  "0a6983840744fb9a50a82d7bda762ea7",
-        ".svg": "27f1cb812daa61271750bc3480ecd94e"
-                "6a0571b28b964d740ac1c9314ec7ca54"}),
+        ".svg": "fc61549144da250e8379f9ef1bf2399c"
+                "508e8207422f963b70e95cdfdd352f75"}),
     # every finite stratum empty
     (["extend", "--lambda", "1.0"] + _SMALL, {
         ".json": "80f7b8632385bd273f8b366fdfbb99b1"
                  "e0463061ac9ef4f59bf574d0137c232c",
-        ".svg": "84861ce20656b363e71c7d771206802f"
-                "5b63c8e3441a29b79e3ce073967675ac"}),
+        ".svg": "3192320e5ffd92dbb7b5a86fc041f73f"
+                "6cafc027199ba0b150d71d277f9d5e44"}),
     # a signed zero in every chain
     (["extend", "--p", "-0.0", "--system", "constant", "--N", "3",
       "--depth", "8", "--density", "12", "--format", "svg"], {
         ".json": "32584dcec7f2d65745aaf89733c8089a"
                  "a1a5005255be12a63fc98d0630b26f00",
-        ".svg": "2caf525aff21a205fb2c79b43d0c7057"
-                "b9dfae10ee73b902e8c2c33d290cf0fc"}),
+        ".svg": "8d31c8d6df5a516486928916836259a6"
+                "ad45ed4362c18219b44c1c4cb453a506"}),
     (["extend", "--system", "rotation", "--tau", "0.25", "--gamma0", "0.25",
       "--N", "6", "--format", "svg"], {
         ".json": "03b19c90a2006d9a8bc19eaa4fa20129"
@@ -672,8 +788,8 @@ _PINNED = [
     (["bifurcate", "--n-max", "2", "--steps", "60", "--format", "svg"], {
         ".csv": "0f80fa091d2ae5e06ea2b51ac01c5502"
                 "c40ad526177e1190ab997c5ccd50a808",
-        ".svg": "8db3475b50eb734ce2c5cd78d6b00208"
-                "12c643f34a7130507825192c87998fb7"}),
+        ".svg": "cd9bf9a0cd1b618c8dca48eec28c1840"
+                "1090f9d502e598827c2e9f5580ba2b84"}),
 ] + [
     (["operator-check", "--system", system, "--depth", "6"], {
         ".json": "9d6bd9a45ee4a4276106de0c77c67057"
@@ -688,18 +804,18 @@ _PINNED_BENCH = [
     (["extend", "--lambda", "0.95"] + _BENCH, {
         ".json": "2563d4bfa25b9b7732c830363f41fab8"
                  "63a62ecb6691acc99247eddcb36c5153",
-        ".svg": "2acaec0fcaca5422d55be9265213819e"
-                "85a31b8a492943f1960d3e9df136729e"}),
+        ".svg": "b683bd3248b0e61d18e541b3f2dbbf4d"
+                "2dc7deb94edd01dfb187b6c532e0d235"}),
     (["extend", "--lambda", "0.6"] + _BENCH, {
         ".json": "0931135d1a20f02d8971e918d07fedb6"
                  "1b152c58951d4dfd0f79f60aeca8ff0b",
-        ".svg": "fe5aa97ef67d4074bec99d51a3a60b93"
-                "b17c2cce9f54c40f237a68f1fe501715"}),
+        ".svg": "c56aa5a36f1e71f9912bdef636d5d787"
+                "08e9dba31b16dd14f43ed594a12c48bf"}),
     (["bifurcate", "--n-max", "12", "--steps", "2000", "--format", "svg"], {
         ".csv": "8bd4472c12f28c884c2a9a445c01640d"
                 "10d289f772f1d0b532f73504ad71e1d4",
-        ".svg": "da5ef671d722175a1908a1acfa47b85d"
-                "f1760ae2e6538b0c88ee1b6f35737e4f"}),
+        ".svg": "e3cf37d3a829ea8e2c005768a9269317"
+                "67c89907e2043854d1b631fbc336ec5b"}),
 ]
 
 
@@ -708,7 +824,8 @@ def _check_digests(tmp_path, args, digests):
     assert run(args + ["-o", str(out)]) == 0
     for suffix, digest in digests.items():
         data = out.with_suffix(suffix).read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest, suffix
+        got = hashlib.sha256(data).hexdigest()
+        assert got == digest, f"{suffix}: sha256 {got}"
 
 
 @pytest.mark.parametrize("args, digests", _PINNED,
