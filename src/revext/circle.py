@@ -38,13 +38,6 @@ class InvalidConjugacy(ValueError):
     """The sampled conjugacy does not intertwine the two maps."""
 
 
-def _frac(t: float) -> float:
-    f = t - math.floor(t)
-    if f >= 1.0:
-        f = 0.0
-    return f
-
-
 @dataclass(frozen=True)
 class CircleHomeo:
     """A circle homeomorphism given by the restriction of its lift to [0,1].
@@ -54,7 +47,6 @@ class CircleHomeo:
     """
 
     base: Callable[[float], float]
-    label: str = "homeo"
     # (knots, values) when the lift is a grid_homeo
     grid: Optional[tuple[np.ndarray, np.ndarray]] = field(
         default=None, compare=False, repr=False)
@@ -74,23 +66,19 @@ class CircleHomeo:
     def gamma0(self) -> float:
         return self.base(0.0)
 
-    def inverse_lift(self, y: float, tol: float = 1e-14) -> float:
+    def inverse_lift(self, y: float) -> float:
         """Solve gamma(t) = y (gamma is strictly increasing).  gamma(t) - t
         is 1-periodic with values in [gamma(0) - 1, gamma(0) + 1], so the
         root lies within one unit of y - gamma(0)."""
         t0 = y - self.gamma0()
         return find_root(lambda t: self.lift(t) - y, (t0 - 1.0, t0 + 1.0),
-                         tol)
+                         1e-14)
 
 
 def rigid_rotation(tau: float, offset: int = 0) -> CircleHomeo:
     """Lift t -> t + tau (+ integer offset; lifts are determined only up to
     integer translation)."""
-
-    def base(f: float) -> float:
-        return f + tau + offset
-
-    return CircleHomeo(base, label=f"rotation(tau={tau})")
+    return CircleHomeo(lambda f: f + tau + offset)
 
 
 def perturbed_rotation(tau: float, a: float, offset: int = 0) -> CircleHomeo:
@@ -99,14 +87,11 @@ def perturbed_rotation(tau: float, a: float, offset: int = 0) -> CircleHomeo:
         raise ValueError(f"the perturbation a must satisfy |a| < 1 for "
                          f"monotonicity, got a={a!r}")
     twopi = 2.0 * math.pi
-
-    def base(f: float) -> float:
-        return f + tau + a * math.sin(twopi * f) / twopi + offset
-
-    return CircleHomeo(base, label=f"perturbed(tau={tau},a={a})")
+    return CircleHomeo(
+        lambda f: f + tau + a * math.sin(twopi * f) / twopi + offset)
 
 
-def grid_homeo(values: Sequence[float], label: str = "grid") -> CircleHomeo:
+def grid_homeo(values: Sequence[float]) -> CircleHomeo:
     """Monotone piecewise-linear lift through values at knots j/K, j=0..K
     (values[-1] must equal values[0] + 1); equal consecutive values make a
     flat piece, where the map is not injective.  ``base`` gives the floats
@@ -127,7 +112,7 @@ def grid_homeo(values: Sequence[float], label: str = "grid") -> CircleHomeo:
         x = xs[j]
         return ys[j] if f == x else slopes[j] * (f - x) + ys[j]
 
-    return CircleHomeo(base, label=label, grid=(knots, v))
+    return CircleHomeo(base, grid=(knots, v))
 
 
 def _grid_inverse(phi: CircleHomeo, ys: np.ndarray) -> Optional[np.ndarray]:
@@ -146,11 +131,10 @@ def _grid_inverse(phi: CircleHomeo, ys: np.ndarray) -> Optional[np.ndarray]:
     return np.interp(ys + k, vs, xs) - k
 
 
-def sampled_conjugate(h: CircleHomeo, phi: CircleHomeo,
-                      knots: int = GRID_KNOTS) -> CircleHomeo:
-    """The conjugated homeomorphism phi o h o phi^-1 as a grid lift
-    (sampling once keeps long-orbit computations cheap)."""
-    ts = np.linspace(0.0, 1.0, knots + 1)
+def sampled_conjugate(h: CircleHomeo, phi: CircleHomeo) -> CircleHomeo:
+    """The conjugated homeomorphism phi o h o phi^-1 as a grid lift on
+    GRID_KNOTS cells (sampling once keeps long-orbit computations cheap)."""
+    ts = np.linspace(0.0, 1.0, GRID_KNOTS + 1)
     inv = _grid_inverse(phi, ts)
     if inv is None:
         inv = [phi.inverse_lift(float(t)) for t in ts]
@@ -158,7 +142,7 @@ def sampled_conjugate(h: CircleHomeo, phi: CircleHomeo,
     # re-anchor so the base is exactly periodic at the endpoints
     vals[-1] = vals[0] + 1.0
     vals = np.maximum.accumulate(vals)  # clip tiny monotonicity violations
-    return grid_homeo(vals, label=f"conj({h.label})")
+    return grid_homeo(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +268,11 @@ def extension_shape(h: CircleHomeo, N_max: int = 50,
     ends = [0.0]
     for _ in range(max(N_max + 1, limit_iters)):
         ends.append(h.lift(ends[-1]))
-    arcs = tuple((N, _frac(ends[N]), _frac(ends[N + 1]))
+    frac = CIRCLE.normalize
+    arcs = tuple((N, frac(ends[N]), frac(ends[N + 1]))
                  for N in range(N_max + 1))
-    reps = cluster_points((_frac(e) for e in ends[limit_iters // 2:]),
-                          CIRCLE, cluster_eps)
+    reps = cluster_points(map(frac, ends[limit_iters // 2:]), CIRCLE,
+                          cluster_eps)
     return CircleExtensionShape("ArcLadder", arcs, tuple(reps))
 
 
@@ -315,10 +300,10 @@ def _convergents(x: float, max_den: int):
     return out
 
 
-def _find_periodic_point(h: CircleHomeo, n: int, m: int,
-                         tol: float = 1e-9) -> Optional[float]:
+def _find_periodic_point(h: CircleHomeo, n: int,
+                         m: int) -> Optional[float]:
     """A root of F(t) = gamma^n(t) - t - m in [0,1), or None.  Residuals
-    below ``tol`` count as zero: for a rational rigid rotation the residual
+    below 1e-9 count as zero: for a rational rigid rotation the residual
     is rounding noise that can keep one sign on the whole circle.
 
     The first sign change along a grid of 513 points is bisected.  With
@@ -334,7 +319,7 @@ def _find_periodic_point(h: CircleHomeo, n: int, m: int,
 
     def F(t: float) -> float:
         r = h.lift_iter(t, n) - t - m
-        r = 0.0 if abs(r) < tol else r
+        r = 0.0 if abs(r) < 1e-9 else r
         seen.append((t, r))
         return r
 
@@ -345,7 +330,8 @@ def _find_periodic_point(h: CircleHomeo, n: int, m: int,
             heapq.heappush(cells, (gap, a, fa, b, fb))
 
     try:
-        return _frac(find_root(F, (j / 512 for j in range(513)), tol))
+        return CIRCLE.normalize(find_root(F, (j / 512 for j in range(513)),
+                                          1e-9))
     except BracketFailure:
         pass
     cells = []
@@ -358,9 +344,9 @@ def _find_periodic_point(h: CircleHomeo, n: int, m: int,
         mid = 0.5 * (a + b)
         fm = F(mid)
         if fm == 0.0:
-            return _frac(mid)
+            return CIRCLE.normalize(mid)
         if (fm < 0.0) != (fa < 0.0):
-            return _frac(find_root(F, (a, mid), tol))
+            return CIRCLE.normalize(find_root(F, (a, mid), 1e-9))
         push(a, fa, mid, fm)
         push(mid, fm, b, fb)
     return None
@@ -423,24 +409,21 @@ class RotationInvariantReport:
 
 def check_rotation_invariant(h1: CircleHomeo, h2: CircleHomeo,
                              conj: Optional[CircleHomeo] = None,
-                             n_iter: int = 100_000,
-                             tol: float = 1e-4) -> RotationInvariantReport:
+                             n_iter: int = 100_000) -> RotationInvariantReport:
     """Compare rotation numbers of two homeomorphisms; when a sampled
     conjugacy phi with phi o alpha = beta o phi is supplied, its
-    intertwining residual is verified first and the rotation numbers must
-    then agree within the estimator bound 2/n_iter."""
+    intertwining residual must be at most 1e-4, and the rotation numbers
+    must then agree within the estimator bound 2/n_iter."""
     residual = None
     if conj is not None:
-        worst = 0.0
+        residual = 0.0
         for j in range(257):
-            t = j / 256
-            lhs = conj.lift(h1.lift(t))
-            rhs = h2.lift(conj.lift(t))
-            d = abs(lhs - rhs)
-            worst = max(worst, min(d - math.floor(d), 1.0 - (d - math.floor(d))))
-        residual = worst
-        if worst > tol:
-            raise InvalidConjugacy(f"intertwining residual {worst} > {tol}")
+            d = abs(conj.lift(h1.lift(j / 256)) - h2.lift(conj.lift(j / 256)))
+            d -= math.floor(d)
+            residual = max(residual, min(d, 1.0 - d))
+        if residual > 1e-4:
+            raise InvalidConjugacy(f"intertwining residual {residual} > "
+                                   f"0.0001")
     t1 = rotation_number(h1, n_iter)
     t2 = rotation_number(h2, n_iter)
     d = abs(t1 - t2)

@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -135,38 +135,25 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 # Minimal SVG emitter
 
 
-@dataclass
-class SvgCanvas:
-    width: float = 640.0
-    height: float = 480.0
-    elements: list = field(default_factory=list)
-
-    def polyline(self, pts, width=1.0) -> None:
-        if len(pts) < 2:
-            return
-        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
-        self.elements.append(
-            f'<polyline points="{coords}" fill="none" '
-            f'stroke="black" stroke-width="{width}"/>')
-
-    def text(self, x: float, y: float, s: str, size: int = 11) -> None:
-        self.elements.append(_text(x, y, s, size))
-
-    def write(self, path: str, body=None) -> None:
-        """Write the SVG file; ``body``, an iterable of ASCII ``bytes``
-        chunks, stands in for the elements joined by newlines."""
-        with open(path, "wb") as fh:
-            fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
-                     f'width="{self.width:.0f}" height="{self.height:.0f}" '
-                     f'viewBox="0 0 {self.width:.0f} {self.height:.0f}">\n'
-                     .encode())
-            fh.writelines(["\n".join(self.elements).encode()]
-                          if body is None else body)
-            fh.write(b"\n</svg>\n")
+def _write_svg(path: str, width: float, height: float, body) -> None:
+    """Write an SVG file, its elements the iterable ``body`` of ASCII
+    ``bytes`` chunks, one element per line."""
+    with open(path, "wb") as fh:
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
+                 f'width="{width:.0f}" height="{height:.0f}" '
+                 f'viewBox="0 0 {width:.0f} {height:.0f}">\n'.encode())
+        fh.writelines(body)
+        fh.write(b"\n</svg>\n")
 
 
-def _text(x: float, y: float, s: str, size: int = 11) -> str:
-    return (f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
+def _polyline(pts, width: float) -> str:
+    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
+    return (f'<polyline points="{coords}" fill="none" stroke="black" '
+            f'stroke-width="{width}"/>')
+
+
+def _text(x: float, y: float, s: str) -> str:
+    return (f'<text x="{x:.2f}" y="{y:.2f}" font-size="11" '
             f'font-family="monospace">{s}</text>')
 
 
@@ -261,9 +248,10 @@ def _ladder_svg(samples: dict, path: str) -> None:
     """Rows of strata (finite N top to bottom, infinite part last), each
     chain drawn as its head coordinate; successive coordinates of the same
     chain are offset into a short spring to hint at the backward orbit.
-    The x labels are the ``_centi`` values of the first six columns, each
-    distinct one formatted once by ``_centi_labels``, and the y labels are
-    formatted once per row (a sampled stratum's chains share one length).
+    The x labels are the first six columns in hundredths of a pixel
+    (``decimal_rint`` to 2 digits), each distinct one formatted once by
+    ``_centi_labels``, and the y labels are formatted once per row (a
+    sampled stratum's chains share one length).
 
     Each distinct circle and polyline of a row is drawn once, at the place
     of its last copy.  Elements of different rows never coincide (their y
@@ -276,12 +264,11 @@ def _ladder_svg(samples: dict, path: str) -> None:
     every chain without a copy is drawn anyway.  Circles leave out
     ``fill="black"``, SVG's initial fill.  The kept elements go to the file
     a block of chains at a time, and the dropped ones are never joined."""
-    canvas = SvgCanvas()
     margin, row_h = 50.0, 36.0
-    scale = canvas.width - 2 * margin
-    canvas.height = max(140.0, margin + row_h * (len(samples) + 1))
-    xl, cx = _indexed([_centi(margin + s.chains.coords[:, :6] * scale)
-                       for s in samples.values()], _centi_labels)
+    scale = 640.0 - 2 * margin
+    xl, cx = _indexed([decimal_rint(margin + s.chains.coords[:, :6] * scale,
+                                    2) for s in samples.values()],
+                      _centi_labels)
     last = _last_copies(cx, len(xl))
 
     def body():
@@ -319,7 +306,8 @@ def _ladder_svg(samples: dict, path: str) -> None:
                     tok[:, 1] = xl[blk[:, 0]]
                 yield "".join(tok[keep[b:b + _BLOCK]].tolist()).encode()
 
-    canvas.write(path, body())
+    _write_svg(path, 640.0, max(140.0, margin + row_h * (len(samples) + 1)),
+               body())
 
 
 def _write_strata_json(fh, strata: dict) -> None:
@@ -382,17 +370,18 @@ def cmd_extend(cfg: RunConfig) -> int:
         with open(cfg.output + ".json", "w") as fh:
             json.dump(shape.to_json(), fh, indent=1)
         if cfg.format == "svg":
-            canvas = SvgCanvas()
             margin, row_h = 50.0, 24.0
-            canvas.height = max(140.0, margin + row_h * (cfg.N + 2))
+            scale = 640.0 - 2 * margin
+            elements = []
             for N, o, e in shape.arcs:
                 y = margin + N * row_h
-                x0 = margin + o * (canvas.width - 2 * margin)
-                x1 = margin + (e if e > o else e + 1.0) * \
-                    (canvas.width - 2 * margin)
-                canvas.polyline([(x0, y), (x1, y)], width=2.0)
-                canvas.text(8.0, y + 4.0, f"N={N}")
-            canvas.write(cfg.output + ".svg")
+                x0, x1 = (margin + o * scale,
+                          margin + (e if e > o else e + 1.0) * scale)
+                elements += [_polyline([(x0, y), (x1, y)], 2.0),
+                             _text(8.0, y + 4.0, f"N={N}")]
+            _write_svg(cfg.output + ".svg", 640.0,
+                       max(140.0, margin + row_h * (cfg.N + 2)),
+                       ["\n".join(elements).encode()])
         print(f"extension shape: {shape.kind}, {len(shape.arcs)} arcs")
         return 0
 
@@ -428,12 +417,6 @@ def _sweep_chunk(lams: np.ndarray, burn_in: int, keep: int) -> np.ndarray:
     return out
 
 
-def _centi(v: np.ndarray) -> np.ndarray:
-    """Non-negative coordinates in integer hundredths, rounded as
-    ``f"{v:.2f}"`` rounds them."""
-    return decimal_rint(v, 2)
-
-
 def _centi_digits(c: np.ndarray) -> np.ndarray:
     """Non-negative integer hundredths as their ``:.2f`` text, right-aligned
     in one ``(len(c), w)`` uint8 block of ASCII bytes, with NUL bytes for
@@ -467,11 +450,9 @@ def _byte_rows(consts: list, blocks: list) -> bytes:
 
 
 def _centi_labels(c: np.ndarray) -> list:
-    """Integer hundredths as ``:.2f`` text, each distinct value formatted
-    once."""
-    u, inv = np.unique(c, return_inverse=True)
-    text = _byte_rows([b"", b"\n"], [_centi_digits(u)]).decode()
-    return np.array(text.split("\n")[:-1], dtype=object)[inv].tolist()
+    """Non-negative integer hundredths as their ``:.2f`` text."""
+    return _byte_rows([b"", b"\n"], [_centi_digits(c)]).decode().split(
+        "\n")[:-1]
 
 
 # Sweep columns per group of `bifurcate` dots, cut only where the printed
@@ -500,12 +481,11 @@ def cmd_bifurcate(cfg: RunConfig) -> int:
         return 0
     lams = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.steps)
     pts = _sweep_chunk(lams, burn_in=600, keep=120)
-    canvas = SvgCanvas(width=800.0, height=520.0)
-    margin = 40.0
+    width, height, margin = 800.0, 520.0, 40.0
     span = cfg.lambda_max - cfg.lambda_min
     # non-decreasing, as lams is
-    cx = _centi(margin + (lams - cfg.lambda_min) / span *
-                (canvas.width - 2 * margin))
+    cx = decimal_rint(margin + (lams - cfg.lambda_min) / span
+                      * (width - 2 * margin), 2)
 
     def dots():
         # Each distinct printed dot once: sort a group's (cx, cy) keys and
@@ -516,20 +496,19 @@ def cmd_bifurcate(cfg: RunConfig) -> int:
         # matrix, a row per dot, written as one buffer.  A dot takes SVG's
         # initial fill, black.
         for a, b in _column_groups(cx):
-            cy = _centi(canvas.height - margin
-                        - pts[:, a:b] * (canvas.height - 2 * margin))
+            cy = decimal_rint(height - margin - pts[:, a:b]
+                              * (height - 2 * margin), 2)
             base = int(cy.max()) + 1
             key = np.sort((cx[a:b] * base + cy).ravel())
             key = key[np.r_[True, key[1:] != key[:-1]]]
             yield _byte_rows([b'<circle cx="', b'" cy="', b'" r="0.4"/>\n'],
                              [_centi_digits(key // base),
                               _centi_digits(key % base)])
-        yield "\n".join(canvas.elements).encode()
+        yield (_text(margin, height - 8.0, f"{cfg.lambda_min:.3f}") + "\n"
+               + _text(width - margin - 40.0, height - 8.0,
+                       f"{cfg.lambda_max:.3f}")).encode()
 
-    canvas.text(margin, canvas.height - 8.0, f"{cfg.lambda_min:.3f}")
-    canvas.text(canvas.width - margin - 40.0, canvas.height - 8.0,
-                f"{cfg.lambda_max:.3f}")
-    canvas.write(cfg.output + ".svg", dots())
+    _write_svg(cfg.output + ".svg", width, height, dots())
     print(f"bifurcation diagram written to {cfg.output}.svg")
     return 0
 
@@ -553,6 +532,45 @@ def cmd_classify(cfg: RunConfig) -> int:
     return 0
 
 
+# Nodes a continuum graph may have.  The count doubles with each step of
+# --n (of --m in a window), and so do time and memory: the cascade graph
+# of 98,303 nodes (--n 16) takes 1.2 s and 200 MB of RSS.
+GRAPH_NODE_CAP = 1 << 17
+
+
+def _graph_nodes(regime: str, n: int, m: int) -> int:
+    """The node count of the regime's continuum graph: 3 * 2**(k-1) - 1
+    for the cascade stage k = n, 2 + (2n + 1) times that for the doubling
+    stage k = m >= 1 of a window, 2 for a window and 2**(n+1) - 1 for a mu
+    point.  Exponents are clamped at 64, where every count is far above
+    the cap."""
+    if regime == "mu":
+        return 2 ** (min(n, 64) + 1) - 1
+    if regime == "cascade":
+        return 3 * 2 ** min(n, 64) // 2 - 1
+    if regime == "window" or m == 0:
+        return 2
+    return 2 + (3 * 2 ** min(m, 64) // 2 - 1) * (2 * n + 1)
+
+
+def _check_graph_size(cfg: RunConfig) -> None:
+    """Raise ArgumentTooLarge when the graph would have more than
+    GRAPH_NODE_CAP nodes: for --m if it would at --n 1, else for --n, with
+    the largest value that fits as the cap."""
+    for flag, value, nodes in (
+            ("--m", cfg.m, lambda k: _graph_nodes(cfg.regime, 1, k)),
+            ("--n", cfg.n, lambda k: _graph_nodes(cfg.regime, k, cfg.m))):
+        if nodes(value) > GRAPH_NODE_CAP:
+            lo, hi = 0, value  # the largest value that fits is in [lo, hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = ((mid, hi) if nodes(mid) <= GRAPH_NODE_CAP
+                          else (lo, mid))
+            raise ArgumentTooLarge(
+                flag, value, lo, f"the {cfg.regime} graph would have more "
+                f"than {GRAPH_NODE_CAP} nodes")
+
+
 def cmd_continuum_graph(cfg: RunConfig) -> int:
     builders = {
         "cascade": lambda: lg.Regime.cascade_stage(cfg.n),
@@ -563,6 +581,7 @@ def cmd_continuum_graph(cfg: RunConfig) -> int:
     if cfg.regime not in builders:
         raise ValueError(f"unknown regime {cfg.regime!r}; choose from "
                          f"{sorted(builders)}")
+    _check_graph_size(cfg)
     graph = lg.continuum_graph(builders[cfg.regime]())
     if cfg.format == "dot":
         with open(cfg.output + ".dot", "w") as fh:
@@ -571,11 +590,10 @@ def cmd_continuum_graph(cfg: RunConfig) -> int:
         with open(cfg.output + ".json", "w") as fh:
             json.dump(graph.to_json(), fh, indent=1)
     if cfg.format == "svg":
-        canvas = SvgCanvas()
-        for poly in lg.bjk_embedding(resolution=max(2, min(cfg.n, 6))):
-            pts = [(40.0 + x * 560.0, 440.0 - y * 400.0) for x, y in poly]
-            canvas.polyline(pts, width=0.8)
-        canvas.write(cfg.output + ".svg")
+        arcs = lg.bjk_embedding(resolution=max(2, min(cfg.n, 6)))
+        _write_svg(cfg.output + ".svg", 640.0, 480.0, ["\n".join(
+            _polyline([(40.0 + x * 560.0, 440.0 - y * 400.0)
+                       for x, y in poly], 0.8) for poly in arcs).encode()])
     print(f"{cfg.regime} graph: {len(graph.nodes)} nodes, "
           f"{len(graph.intersections)} intersections")
     return 0

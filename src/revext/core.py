@@ -155,8 +155,8 @@ class PartialMapSystem:
     forward_map: Callable
     branches: tuple[Branch, ...]
 
-    def in_domain(self, x, eps: float = EPS_DOM):
-        return self.space.in_intervals(self.domain, x, eps)
+    def in_domain(self, x):
+        return self.space.in_intervals(self.domain, x, EPS_DOM)
 
 
 def preimages(system: PartialMapSystem, ys: np.ndarray) -> np.ndarray:

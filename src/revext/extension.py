@@ -12,12 +12,13 @@ coordinate shift.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (EPS_CHAIN, EPS_DOM, PartialMapSystem, decimal_rint,
+from .core import (EPS_CHAIN, UNIT_INTERVAL, PartialMapSystem, decimal_rint,
                    preimages)
 
 INF = math.inf
@@ -62,13 +63,11 @@ class ExtensionSpec:
     system: PartialMapSystem
     Y: tuple[tuple[float, float], ...]
 
-    def in_Y(self, x, eps: float = EPS_DOM):
-        return self.system.space.in_intervals(self.Y, x, eps)
+    def in_Y(self, x):
+        return self.system.space.in_intervals(self.Y, x, EPS_CHAIN)
 
     def y_grid(self, density: int) -> list[float]:
         """Evenly spaced points across the intervals of Y."""
-        if not self.Y:
-            return []
         spans = []
         for lo, hi in self.Y:
             length = hi - lo if hi >= lo else (1.0 - lo) + hi
@@ -76,16 +75,10 @@ class ExtensionSpec:
         total = sum(s[2] for s in spans)
         pts: list[float] = []
         for lo, hi, length in spans:
-            if total > 0:
-                k = max(1, round(density * length / total))
-            else:
-                k = 1
-            if k == 1:
-                pts.append(self.system.space.normalize(lo))
-                continue
-            for j in range(k):
-                t = lo + length * j / (k - 1)
-                pts.append(self.system.space.normalize(t))
+            k = max(1, round(density * length / total)) if total > 0 else 1
+            ts = ([lo + length * j / (k - 1) for j in range(k)] if k > 1
+                  else [lo])
+            pts += [self.system.space.normalize(t) for t in ts]
         return pts
 
 
@@ -141,32 +134,31 @@ class StratumSample:
 
 
 def valid_rows(spec: ExtensionSpec, coords: np.ndarray, lengths: np.ndarray,
-               terminal, eps: float = EPS_CHAIN) -> np.ndarray:
+               terminal) -> np.ndarray:
     """Per row i, whether the chain coords[i, :lengths[i]] (lengths >= 1),
     terminal where ``terminal`` is, has a head in the space (on the circle
     any finite real), every later coordinate in Delta and mapped to within
-    eps of the one before it, and, if terminal, its last coordinate in Y.
-    Entries past a row's length do not count."""
+    EPS_CHAIN of the one before it, and, if terminal, its last coordinate
+    in Y.  Entries past a row's length do not count."""
     sys_, space = spec.system, spec.system.space
     with np.errstate(invalid="ignore"):  # NaN and inf fail every test
         x = space.normalize(coords[:, 1:])
         ok = sys_.in_domain(x)
         back = space.normalize(sys_.forward_map(x[ok]))
-        ok[ok] = space.metric(back, coords[:, :-1][ok]) <= eps
+        ok[ok] = space.metric(back, coords[:, :-1][ok]) <= EPS_CHAIN
         ok |= np.arange(1, coords.shape[1]) >= lengths[:, None]
         head = space.normalize(coords[:, 0])
         last = coords[np.arange(len(coords)), lengths - 1]
         return ((0.0 <= head) & (head <= 1.0) & ok.all(axis=1)
-                & ~(terminal & ~spec.in_Y(last, 1e-9)))
+                & ~(terminal & ~spec.in_Y(last)))
 
 
-def validate_chain(spec: ExtensionSpec, c: Chain,
-                   eps: float = EPS_CHAIN) -> bool:
+def validate_chain(spec: ExtensionSpec, c: Chain) -> bool:
     """True iff c satisfies the chain condition of ``valid_rows`` (a chain
     of no coordinates has no head in the space)."""
     coords = np.array([c.coords or (math.nan,)], dtype=float)
     return bool(valid_rows(spec, coords, np.array([coords.shape[1]]),
-                           c.terminal, eps)[0])
+                           c.terminal)[0])
 
 
 def alpha_tilde(spec: ExtensionSpec, coords: np.ndarray):
@@ -219,19 +211,20 @@ def _seeds(spec: ExtensionSpec, density: int, extra_seeds) -> list:
     seeds = grid + [sys_.space.normalize(s) for s in extra_seeds]
     # forward images of grid points reach values (e.g. a constant map's
     # target) that carry backward orbits even when the grid misses them.
-    # An image joins the seeds unless it lies within 1e-12 of a seed before
-    # it: a grid or extra seed, or an earlier image that joined.
-    fx = alpha_tilde(spec, np.array(grid)[:, None])[1][:, 0]
-    fx = fx[(np.abs(fx[:, None] - np.array(seeds)) > 1e-12).all(axis=1)]
-    near = np.tril(~(np.abs(fx[:, None] - fx) > 1e-12), -1)
-    # joined[i] depends on joined[:i] only, so each sweep settles one more
-    # image at least, and usually all of them
-    joined = np.ones(len(fx), dtype=bool)
-    while (joined != (new := ~(near & joined).any(axis=1))).any():
-        joined = new
+    # In order, an image joins the seeds unless its nearest neighbour among
+    # the seeds so far (grid and extra seeds, and the images that joined)
+    # lies within 1e-12: |x - y| only grows away from x.  A NaN image never
+    # joins, nor an infinite one after one of its sign: a NaN distance is
+    # not above 1e-12.
+    known = sorted(seeds)
+    for x in alpha_tilde(spec, np.array(grid)[:, None])[1][:, 0].tolist():
+        i = bisect_left(known, x)
+        if all(abs(x - y) > 1e-12 for y in known[max(i - 1, 0):i + 1]):
+            known.insert(i, x)
+            seeds.append(x)
     # backward chains start at a seed; their other coordinates are
     # preimages, already normalized
-    return [sys_.space.normalize(x0) for x0 in seeds + fx[joined].tolist()]
+    return [sys_.space.normalize(x0) for x0 in seeds]
 
 
 def backward_search(spec: ExtensionSpec, Ns, density: int, depth: int = 25,
@@ -308,7 +301,7 @@ def _lockstep(spec: ExtensionSpec, words: np.ndarray, jobs: np.ndarray,
         w = want[lv, entered]
         hit = w & 2
         if (t := np.flatnonzero(w & 1)).size:
-            hit[t] |= spec.in_Y(path[lv[t], entered[t]], 1e-9)
+            hit[t] |= spec.in_Y(path[lv[t], entered[t]])
         if (h := np.flatnonzero(hit)).size:
             j, lj, b = entered[h], lv[h], hit[h]
             want[lj, j] = w[h] & ~b
@@ -429,10 +422,7 @@ def chain_distance(a: Chain, b: Chain, space=None) -> float:
     *terminated* (terminal, past its depth) the contribution is the
     terminal gap; missing coordinates of non-terminal truncations cost
     nothing (they are unknown, not absent)."""
-    if space is None:
-        metric = lambda x, y: abs(x - y)
-    else:
-        metric = space.metric
+    metric = (space or UNIT_INTERVAL).metric
     total = 0.0
     la, lb = len(a.coords), len(b.coords)
     horizon = max(la, lb)

@@ -111,38 +111,35 @@ def _iterate(lam: float, x: float, n: int) -> float:
     return x
 
 
-def attracting_period(lam: float, max_period: int = 64, burn_in: int = 20000,
-                      iters: int = 256, tol: float = 1e-7) -> Optional[int]:
-    """Least period of the settled critical orbit, or None.
+def attracting_period(lam: float) -> Optional[int]:
+    """Least period p <= 64 of the settled critical orbit, or None.
 
-    Iterates the critical orbit ``burn_in`` steps, then looks for the
-    smallest p with |x_{k+p} - x_k| < tol along a window of ``iters``
-    points.
+    Iterates the critical orbit 20,000 steps, then looks for the smallest
+    p with |x_{k+p} - x_k| < 1e-7 along a window of 256 points.
     """
-    x = _iterate(lam, 0.5, burn_in)
+    x = _iterate(lam, 0.5, 20000)
     window = [x]
     l4 = 4.0 * lam
-    for _ in range(iters + max_period):
+    for _ in range(256 + 64):
         x = l4 * x * (1.0 - x)
         window.append(x)
-    for p in range(1, max_period + 1):
-        if all(abs(window[k + p] - window[k]) < tol
+    for p in range(1, 64 + 1):
+        if all(abs(window[k + p] - window[k]) < 1e-7
                for k in range(len(window) - p)):
             return p
     return None
 
 
-def find_periodic_point(lam: float, p: int, settle: int = 3000) -> float:
+def find_periodic_point(lam: float, p: int) -> float:
     """A fixed point of the p-fold map near the settled critical orbit.
 
     Bisection on g(x) = alpha^p(x) - x, bracketed along one walk xt + k*s,
-    k = 0, 1, 2, 4, ..., clipped to [0, 1], from the settled orbit point xt
-    with s = alpha^p(xt) - xt: an oscillatory approach brackets at k = 1, a
-    monotone one a few steps later.  Raises BracketFailure when g keeps
-    its sign up to the end of the interval.
+    k = 0, 1, 2, 4, ..., clipped to [0, 1], from the orbit point xt after
+    max(3000, 50 p) steps, with s = alpha^p(xt) - xt: an oscillatory
+    approach brackets at k = 1, a monotone one a few steps later.  Raises
+    BracketFailure when g keeps its sign up to the end of the interval.
     """
-    settle = max(settle, 50 * p)
-    xt = _iterate(lam, 0.5, settle)
+    xt = _iterate(lam, 0.5, max(3000, 50 * p))
     s = _iterate(lam, xt, p) - xt
 
     def walk():
@@ -167,17 +164,15 @@ def orbit_multiplier(lam: float, p: int, x: float) -> float:
     return m
 
 
-def attractor_points(lam: float, max_period: int = 64) -> list[float]:
+def attractor_points(lam: float) -> list[float]:
     """The attracting periodic orbit of lambda, polished by root-finding
     (empty when no attracting period is detected)."""
-    p = attracting_period(lam, max_period=max_period)
+    p = attracting_period(lam)
     if p is None:
         return []
-    x = find_periodic_point(lam, p)
-    pts = []
-    for _ in range(p):
-        pts.append(x)
-        x = 4.0 * lam * x * (1.0 - x)
+    pts = [find_periodic_point(lam, p)]
+    while len(pts) < p:
+        pts.append(4.0 * lam * pts[-1] * (1.0 - pts[-1]))
     return pts
 
 
@@ -308,8 +303,7 @@ def feigenbaum_limit_estimate(k: int) -> float:
     """Aitken-accelerated estimate of the cascade limit from lambda_1..k."""
     if k < 3:
         raise ValueError("need at least three cascade parameters")
-    lams = [period_doubling_parameter(n) for n in range(1, k + 1)]
-    x0, x1, x2 = lams[-3], lams[-2], lams[-1]
+    x0, x1, x2 = (period_doubling_parameter(n) for n in (k - 2, k - 1, k))
     d1, d2 = x1 - x0, x2 - x1
     denom = d2 - d1
     if denom == 0.0:
@@ -450,15 +444,12 @@ class CascadeTable:
         lam_inf = feigenbaum_limit_estimate(min(max(n_max, 3),
                                                 N_RESOLVABLE))
         mus = tuple(mu_parameter(n) for n in range(0, TABLE_MU + 1))
-        wins = []
-        cascades = {}
-        for n in range(1, n_windows + 1):
-            eta, nu = window_boundaries(n)
-            wins.append((n, eta, nu))
-            cascades[n] = [window_cascade_parameter(n, m)
-                           for m in range(0, cascade_m + 1)]
-        return CascadeTable(lam_n, x_n, sups, lam_inf, mus, tuple(wins),
-                            cascades)
+        wins = tuple((n, *window_boundaries(n))
+                     for n in range(1, n_windows + 1))
+        cascades = {n: [window_cascade_parameter(n, m)
+                        for m in range(0, cascade_m + 1)]
+                    for n in range(1, n_windows + 1)}
+        return CascadeTable(lam_n, x_n, sups, lam_inf, mus, wins, cascades)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -515,20 +506,27 @@ class Regime:
                       irreducible_continuum=True)
 
 
+@lru_cache(maxsize=None)
+def _default_table() -> CascadeTable:
+    return CascadeTable.build()
+
+
 def classify_regime(lam: float,
                     table: Optional[CascadeTable] = None) -> Regime:
-    """Classify lambda against the computed parameter sequences.
+    """Classify lambda against the parameter sequences of ``table``, by
+    default ``CascadeTable.build()``, built once per process.
 
     Stability windows and their internal cascades are classified only
-    against a ``table`` built with windows; without one, a lambda inside a
-    window beyond the cascade limit is ChaoticUnclassified."""
+    against a table built with windows (the default has none); without
+    one, a lambda inside a window beyond the cascade limit is
+    ChaoticUnclassified."""
     if not (0.0 < lam <= 1.0):
         raise ValueError("lambda must be in (0,1]")
     if lam >= 1.0 - EPS_DOM:
         return Regime("Full", irreducible_continuum=True,
                       params={"lambda": lam})
-    lam_inf = (table.lambda_inf_estimate if table is not None
-               else feigenbaum_limit_estimate(7))
+    table = table or _default_table()
+    lam_inf = table.lambda_inf_estimate
     if abs(lam - lam_inf) <= 1e-3:
         return Regime("FeigenbaumLimit", params={"lambda_inf": lam_inf})
     if lam < lam_inf:
@@ -543,24 +541,21 @@ def classify_regime(lam: float,
             lo = hi
         return Regime("FeigenbaumLimit", params={"lambda_inf": lam_inf})
     # beyond the cascade limit
-    n_mu = len(table.mu_n) - 1 if table is not None else TABLE_MU
-    for n in range(1, n_mu + 1):
-        mu = table.mu_n[n] if table is not None else mu_parameter(n)
+    for n, mu in enumerate(table.mu_n[1:], start=1):
         if abs(lam - mu) < MU_POINT_TOL:
             return Regime("MuPoint", n=n, irreducible_continuum=True,
                           params={"mu": mu})
-    if table is not None:
-        for (n, eta, nu) in table.windows:
-            cascade = table.window_cascades.get(n, [eta, nu])
-            if eta < lam <= nu:
-                return Regime("Window", n=n, irreducible_continuum=True,
-                              params={"window": (eta, nu)})
-            for m in range(1, len(cascade) - 1):
-                if cascade[m] < lam <= cascade[m + 1]:
-                    return Regime("WindowCascadeStage", n=n, m=m,
-                                  irreducible_continuum=True,
-                                  params={"interval": (cascade[m],
-                                                       cascade[m + 1])})
+    for (n, eta, nu) in table.windows:
+        cascade = table.window_cascades.get(n, [eta, nu])
+        if eta < lam <= nu:
+            return Regime("Window", n=n, irreducible_continuum=True,
+                          params={"window": (eta, nu)})
+        for m in range(1, len(cascade) - 1):
+            if cascade[m] < lam <= cascade[m + 1]:
+                return Regime("WindowCascadeStage", n=n, m=m,
+                              irreducible_continuum=True,
+                              params={"interval": (cascade[m],
+                                                   cascade[m + 1])})
     return Regime("ChaoticUnclassified", irreducible_continuum=True,
                   params={"lambda": lam, "lambda_inf": lam_inf})
 
@@ -718,22 +713,18 @@ def continuum_graph(regime: Regime) -> ContinuumGraph:
 
 
 def _cantor_endpoints(depth: int) -> list[float]:
-    intervals = [(0.0, 1.0)]
+    ends = [(0.0, 1.0)]
     for _ in range(depth):
-        nxt = []
-        for lo, hi in intervals:
-            third = (hi - lo) / 3.0
-            nxt.append((lo, lo + third))
-            nxt.append((hi - third, hi))
-        intervals = nxt
-    pts = sorted({e for iv in intervals for e in iv})
-    return pts
+        thirds = [(lo, hi, (hi - lo) / 3.0) for lo, hi in ends]
+        ends = [iv for lo, hi, t in thirds
+                for iv in ((lo, lo + t), (hi - t, hi))]
+    return sorted({e for iv in ends for e in iv})
 
 
-def _semicircle(cx: float, r: float, upper: bool, samples: int = 24):
+def _semicircle(cx: float, r: float, upper: bool):
     pts = []
-    for j in range(samples + 1):
-        th = math.pi * j / samples
+    for j in range(24 + 1):
+        th = math.pi * j / 24
         y = r * math.sin(th)
         pts.append((cx + r * math.cos(th), y if upper else -y))
     return pts

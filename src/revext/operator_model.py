@@ -180,16 +180,15 @@ def build_model(spec: ExtensionSpec, coords: np.ndarray,
 @dataclass
 class OperatorCheckReport:
     residuals: dict = field(default_factory=dict)
-    threshold: float = THRESHOLD
 
     def record(self, name: str, value: float) -> None:
         self.residuals[name] = float(value)
 
     def all_pass(self) -> bool:
-        return all(v <= self.threshold for v in self.residuals.values())
+        return all(v <= THRESHOLD for v in self.residuals.values())
 
     def to_json(self) -> dict:
-        return {name: {"residual": res, "pass": res <= self.threshold}
+        return {name: {"residual": res, "pass": res <= THRESHOLD}
                 for name, res in self.residuals.items()}
 
     def dump(self, path) -> None:
@@ -373,12 +372,11 @@ def spectrum_matches_extension(m: FiniteModel, B: BAlgebra) -> OperatorCheckRepo
     return rep
 
 
-def full_report(m: FiniteModel, n_max: Optional[int] = None) -> OperatorCheckReport:
-    """All registered checks on one model."""
-    if n_max is None:
-        n_max = int(m.depths.max())
+def full_report(m: FiniteModel) -> OperatorCheckReport:
+    """All registered checks on one model, B generated up to the model's
+    greatest depth."""
     rep = verify_coefficient_relations(m)
-    B = build_B(m, n_max)
+    B = build_B(m, int(m.depths.max()))
     for part in (verify_reversibility(m, B), kernel_annihilator_check(m)[1],
                  spectrum_matches_extension(m, B)):
         rep.residuals.update(part.residuals)

@@ -202,7 +202,7 @@ def _pairwise_limit_set(h, limit_iters, cluster_eps, N_max=50):
     ends = [0.0]
     for _ in range(max(N_max + 1, limit_iters)):
         ends.append(h.lift(ends[-1]))
-    tail = sorted(ci._frac(e) for e in ends[limit_iters // 2:])
+    tail = sorted(ci.CIRCLE.normalize(e) for e in ends[limit_iters // 2:])
     reps, wrap_merges = [], 0
     for p in tail:
         if all(min(abs(p - r), 1.0 - abs(p - r)) > cluster_eps for r in reps):
@@ -287,7 +287,7 @@ def _gap_statistic_fires(h, orbit_sample=4096):
     t = 0.0
     for _ in range(orbit_sample):
         t = h.lift(t)
-        pts.append(ci._frac(t))
+        pts.append(ci.CIRCLE.normalize(t))
     pts.sort()
     gaps = [pts[j + 1] - pts[j] for j in range(len(pts) - 1)]
     gaps.append(1.0 - pts[-1] + pts[0])

@@ -4,19 +4,22 @@ with flag overrides, outputs are deterministic, and failures exit nonzero."""
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from revext import circle as ci
 from revext import cli
-from revext.cli import (_BLOCK, ArgumentTooLarge, RunConfig, SvgCanvas,
-                        _byte_rows, _centi, _centi_digits, _centi_labels,
+from revext import logistic as lg
+from revext.cli import (_BLOCK, ArgumentTooLarge, RunConfig,
+                        _byte_rows, _centi_digits, _centi_labels,
                         _column_groups, _extension_spec_for, _indexed,
                         _ladder_svg, _last_copies, _sweep_chunk,
                         _write_strata_json, main, make_parser,
                         read_config_file)
+from revext.core import decimal_rint
 from revext.extension import (INF, ChainRows, EmptyStratum, StratumSample,
                               sample_stratum, stratum_from_json,
                               stratum_to_json)
@@ -162,30 +165,44 @@ def test_strata_json_is_json_dump_across_lambda(lam):
     _check_strata_json(_strata(N=3, depth=6, density=8, lam=lam))
 
 
+def _old_svg(path, width, height, body: bytes) -> None:
+    """An SVG file as the canvas with an element list wrote it: the
+    header, ``body`` (the elements joined by newlines) and the end tag."""
+    with open(path, "wb") as fh:
+        fh.write(f'<svg xmlns="http://www.w3.org/2000/svg" '
+                 f'width="{width:.0f}" height="{height:.0f}" '
+                 f'viewBox="0 0 {width:.0f} {height:.0f}">\n'.encode()
+                 + body + b"\n</svg>\n")
+
+
+def _old_text(x, y, s):
+    return (f'<text x="{x:.2f}" y="{y:.2f}" font-size="11" '
+            f'font-family="monospace">{s}</text>')
+
+
 def _old_ladder_svg(samples, path):
     """The per-chain emitter the ladder SVG used before its labels were
     memoized: every point of every chain formatted with `:.2f`."""
-    canvas = SvgCanvas()
-    margin, row_h = 50.0, 36.0
+    width, margin, row_h = 640.0, 50.0, 36.0
     rows = list(samples.items())
-    canvas.height = max(140.0, margin + row_h * (len(rows) + 1))
+    elements = []
     for r, (label, sample) in enumerate(rows):
         y0 = margin + r * row_h
-        canvas.text(8.0, y0 + 4.0, f"N={label}")
+        elements.append(_old_text(8.0, y0 + 4.0, f"N={label}"))
         for chain in sample.chains:
-            xs = [margin + c * (canvas.width - 2 * margin)
-                  for c in chain.coords]
+            xs = [margin + c * (width - 2 * margin) for c in chain.coords]
             pts = [(x, y0 + 10.0 * k / (len(xs) or 1))
                    for k, x in enumerate(xs[:6])]
-            canvas.elements.append(f'<circle cx="{pts[0][0]:.2f}" '
-                                   f'cy="{pts[0][1]:.2f}" r="1.2" '
-                                   f'fill="black"/>')
+            elements.append(f'<circle cx="{pts[0][0]:.2f}" '
+                            f'cy="{pts[0][1]:.2f}" r="1.2" '
+                            f'fill="black"/>')
             if len(pts) > 1:
                 coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
-                canvas.elements.append(
+                elements.append(
                     f'<polyline points="{coords}" fill="none" '
                     f'stroke="#888" stroke-width="0.5"/>')
-    canvas.write(path)
+    _old_svg(path, width, max(140.0, margin + row_h * (len(rows) + 1)),
+             "\n".join(elements).encode())
 
 
 def _drawn_once(svg: str) -> str:
@@ -431,22 +448,21 @@ def _global_sort_svg(path, lambda_min, lambda_max, steps):
     they are now)."""
     lams = np.linspace(lambda_min, lambda_max, steps)
     pts = _sweep_chunk(lams, burn_in=600, keep=120)
-    canvas = SvgCanvas(width=800.0, height=520.0)
-    margin = 40.0
+    width, height, margin = 800.0, 520.0, 40.0
     span = lambda_max - lambda_min
-    cx = _centi(margin + (lams - lambda_min) / span *
-                (canvas.width - 2 * margin))
-    cy = _centi(canvas.height - margin - pts * (canvas.height - 2 * margin))
+    cx = decimal_rint(margin + (lams - lambda_min) / span *
+                      (width - 2 * margin), 2)
+    cy = decimal_rint(height - margin - pts * (height - 2 * margin), 2)
     base = int(cy.max()) + 1
     key = np.sort((cx * base + cy).ravel())
     key = key[np.r_[True, key[1:] != key[:-1]]]
     dots = _byte_rows([b'<circle cx="', b'" cy="', b'" r="0.4"/>\n'],
                       [_centi_digits(key // base),
                        _centi_digits(key % base)])
-    canvas.text(margin, canvas.height - 8.0, f"{lambda_min:.3f}")
-    canvas.text(canvas.width - margin - 40.0, canvas.height - 8.0,
-                f"{lambda_max:.3f}")
-    canvas.write(path, [dots, "\n".join(canvas.elements).encode()])
+    labels = [_old_text(margin, height - 8.0, f"{lambda_min:.3f}"),
+              _old_text(width - margin - 40.0, height - 8.0,
+                        f"{lambda_max:.3f}")]
+    _old_svg(path, width, height, dots + "\n".join(labels).encode())
 
 
 # A range two ulp wide: linspace repeats each of its three lambdas over a
@@ -475,8 +491,8 @@ def test_grouped_dots_match_global_sort(tmp_path_factory, bounds, steps):
 
 def test_ulp_range_cuts_a_group_inside_a_run():
     lams = np.linspace(*_ULP_RANGE, 3 * cli._COLUMN_GROUP)
-    cx = _centi(40.0 + (lams - _ULP_RANGE[0])
-                / (_ULP_RANGE[1] - _ULP_RANGE[0]) * 720.0)
+    cx = decimal_rint(40.0 + (lams - _ULP_RANGE[0])
+                      / (_ULP_RANGE[1] - _ULP_RANGE[0]) * 720.0, 2)
     groups = _column_groups(cx)
     assert len(groups) > 1
     # the nominal first cut lies inside a run of equal cx, so it moved
@@ -510,7 +526,9 @@ def test_centi_rounds_as_format_does():
     # formatting v with `:.2f` can disagree.
     v = (np.arange(48_000) + 0.5) / 100.0
     v = np.concatenate([v, np.nextafter(v, 0.0), np.nextafter(v, 1e9)])
-    assert _centi_labels(_centi(v)) == [f"{x:.2f}" for x in v.tolist()]
+    u, inv = np.unique(decimal_rint(v, 2), return_inverse=True)
+    labels = np.array(_centi_labels(u), dtype=object)
+    assert labels[inv].tolist() == [f"{x:.2f}" for x in v.tolist()]
 
 
 _EDGE_HUNDREDTHS = sorted({0, 9, 99, 100, 999, 1000, 2**53, 2**63 - 1}
@@ -593,6 +611,42 @@ def test_classify_reports_windows(tmp_path, lam, tag, n, m):
     assert (doc["tag"], doc["n"], doc["m"]) == (tag, n, m)
 
 
+def _classify_doc(lam, d) -> dict:
+    out = d / "cls"
+    assert run(["classify", "--lambda", repr(lam), "-o", str(out)]) == 0
+    return json.loads(out.with_suffix(".json").read_text())
+
+
+def test_classify_regime_and_command_share_lambda_inf(tmp_path):
+    # 1e-10 past the command's lambda_inf band, and 1.9e-10 inside the one
+    # a lambda_1..7 estimate would give
+    lam = 0.8934864180801935
+    doc = _classify_doc(lam, tmp_path)
+    assert lg.classify_regime(lam).tag == doc["tag"] == "ChaoticUnclassified"
+    assert doc["params"]["lambda_inf"] == \
+        lg.classify_regime(lam).params["lambda_inf"]
+
+
+def _in_a_command_window(lam) -> bool:
+    """Whether lam lies in a window `classify` checks, or in one of the
+    doublings it checks inside it."""
+    table = lg.CascadeTable.build(n_windows=cli.CLASSIFY_WINDOWS,
+                                  cascade_m=cli.CLASSIFY_WINDOW_CASCADE)
+    return any(c[0] < lam <= c[-1] for c in table.window_cascades.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(0.25, 1.0, exclude_min=True))
+@example(lam=0.8934864180801935)
+@example(lam=0.8924864179801935 - 1e-3)
+@example(lam=1.0)
+def test_classify_regime_agrees_with_the_command(tmp_path_factory, lam):
+    assume(not _in_a_command_window(lam))
+    doc = _classify_doc(lam, tmp_path_factory.mktemp("cls"))
+    regime = lg.classify_regime(lam)
+    assert (regime.tag, regime.n) == (doc["tag"], doc["n"])
+
+
 def test_continuum_graph_dot_and_json(tmp_path):
     out = str(tmp_path / "mu")
     assert run(["continuum-graph", "--regime", "mu", "--n", "1",
@@ -610,6 +664,75 @@ def test_continuum_graph_rejects_negative_m(tmp_path):
     assert run(["continuum-graph", "--regime", "window-cascade", "--n", "1",
                 "--m", "-1", "-o", str(out)]) == 1
     assert not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
+@pytest.mark.parametrize("regime", ["cascade", "mu"])
+def test_bucket_handle_svg_is_the_polyline_canvas(tmp_path, regime, n):
+    # the figure as the canvas's polyline method drew it, one element per
+    # arc of the embedding (sin and cos make a pinned digest
+    # platform-dependent)
+    out = tmp_path / "g"
+    assert run(["continuum-graph", "--regime", regime, "--n", str(n),
+                "--format", "svg", "-o", str(out)]) == 0
+    lines = []
+    for poly in lg.bjk_embedding(resolution=max(2, min(n, 6))):
+        pts = [(40.0 + x * 560.0, 440.0 - y * 400.0) for x, y in poly]
+        if len(pts) >= 2:
+            coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
+            lines.append(f'<polyline points="{coords}" fill="none" '
+                         f'stroke="black" stroke-width="0.8"/>')
+    _old_svg(tmp_path / "old.svg", 640.0, 480.0, "\n".join(lines).encode())
+    assert out.with_suffix(".svg").read_bytes() == \
+        (tmp_path / "old.svg").read_bytes()
+
+
+def test_graph_node_counts_match_the_graphs():
+    for n in range(1, 9):
+        for regime, m, r in [("cascade", 0, lg.Regime.cascade_stage(n)),
+                             ("mu", 0, lg.Regime.mu_point(n)),
+                             ("window", 0, lg.Regime.window(n))] + [
+                ("window-cascade", m, lg.Regime.window_cascade_stage(n, m))
+                for m in range(6)]:
+            assert cli._graph_nodes(regime, n, m) == \
+                len(lg.continuum_graph(r).nodes), (regime, n, m)
+
+
+@pytest.mark.parametrize("args, flag, value, cap", [
+    (["cascade", "--n", "40"], "--n", 40, 16),
+    (["mu", "--n", "40"], "--n", 40, 16),
+    (["cascade", "--n", "17"], "--n", 17, 16),
+    (["window-cascade", "--n", "1", "--m", "40"], "--m", 40, 14),
+    (["window-cascade", "--n", "1000000000", "--m", "1"], "--n",
+     1000000000, 32767),
+])
+def test_continuum_graph_refuses_graphs_past_the_cap(tmp_path, capsys, args,
+                                                     flag, value, cap):
+    out = tmp_path / "g"
+    tracemalloc.start()
+    try:
+        code = run(["continuum-graph", "--regime"] + args
+                   + ["--format", "dot", "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and not out.with_suffix(".dot").exists()
+    assert f"error: {flag} {value} is above its cap {cap}: " \
+        f"the {args[0]} graph would have more than {cli.GRAPH_NODE_CAP} " \
+        f"nodes" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_graph_cap_admits_a_graph_of_exactly_the_cap(tmp_path):
+    assert cli._graph_nodes("window-cascade", 32767, 1) == cli.GRAPH_NODE_CAP
+    cli._check_graph_size(RunConfig("continuum-graph",
+                                    regime="window-cascade", n=32767, m=1))
+    with pytest.raises(ArgumentTooLarge, match="--n 32768 .* cap 32767"):
+        cli._check_graph_size(RunConfig(
+            "continuum-graph", regime="window-cascade", n=32768, m=1))
+    # a window's graph has two nodes whatever --n is
+    assert run(["continuum-graph", "--regime", "window", "--n", str(10**30),
+                "--format", "dot", "-o", str(tmp_path / "w")]) == 0
 
 
 def test_rotation_command(tmp_path):
@@ -795,6 +918,38 @@ _PINNED = [
         ".json": "9d6bd9a45ee4a4276106de0c77c67057"
                  "8f1ca417231573ababcb78d1714f93f6"})
     for system in ("constant", "rotation", "period3")
+] + [
+    # a cascade stage, a window, the lambda_inf band and a chaotic lambda
+    (["classify", "--lambda", lam], {".json": digest})
+    for lam, digest in (
+        ("0.8", "3ff841d5e7c14b1d1a3460a1bdec3e02"
+                "18dc1cae07dba8bed6c5c83c15688593"),
+        ("0.958", "915922a29e2e43305367759bbd6d2282"
+                  "44105e39fbc6aceb8a7091f19f1c0a52"),
+        ("0.8925", "2fe9e562c87b1cafc5b04a61d25aff9e"
+                   "ffbff4e4c74502382b2abd7f1a8b168e"),
+        ("0.97", "2ff72ec8e3fcd853a27819887d9d1805"
+                 "994d746d91cc091b9589e4041e29f71a"))
+] + [
+    (["continuum-graph", "--regime"] + args + ["--format", fmt],
+     {"." + fmt: digest})
+    for args, fmt, digest in (
+        (["cascade", "--n", "3"], "dot",
+         "122907936d811b41b244684d3583115518d3160022ab2d03f45bd6c598e3fc34"),
+        (["cascade", "--n", "3"], "json",
+         "bd4fdef6f7afe1529a52e8cf8ad5b5bac9e75a738af1203eea65ad5d9fc6f864"),
+        (["mu", "--n", "2"], "dot",
+         "6a2c3294a2a0f8dd257b3d292d9f384bca766085660f7a170db8c0eb6a634ccb"),
+        (["mu", "--n", "2"], "json",
+         "5acce8620f239e0928a6c0b305778553fb635c66c61828960f69a85d42286df1"),
+        (["window", "--n", "1"], "dot",
+         "ff72b3febd1a8670e2c29c0785092d602880ad50f3bf77cf2d812669e3a4b810"),
+        (["window", "--n", "1"], "json",
+         "ee783744a58fcb094bdc789616df25adaceae3d509cc322b438ab1684a4b1756"),
+        (["window-cascade", "--n", "1", "--m", "2"], "dot",
+         "4c65a6be4521fbde4964b36779754cc1e65deaba410d59594f360482377943de"),
+        (["window-cascade", "--n", "1", "--m", "2"], "json",
+         "672ac399f08bb2807584478b4864b5aac75f8291da099fe58c7ef5c04c593761"))
 ]
 
 

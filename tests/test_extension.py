@@ -64,7 +64,7 @@ def _validate_chain_loop(spec, c, eps=EPS_CHAIN):
         back = forward(sys_, x_next)
         if not sys_.space.metric(back, c.coords[n]) <= eps:
             return False
-    return not c.terminal or spec.in_Y(c.coords[-1], 1e-9)
+    return not c.terminal or spec.in_Y(c.coords[-1])
 
 
 @pytest.mark.parametrize("coords", [(math.nan, 0.5), (math.nan,),
@@ -244,7 +244,7 @@ def test_alpha_tilde_on_rows_keeps_the_chain_identities(spec, N, depth,
 def test_sample_stratum_M0_is_Y():
     s0 = sample_stratum(SPEC06, 0, 10)
     for c in s0.chains:
-        assert c.depth == 0 and SPEC06.in_Y(c.coords[0], 1e-9)
+        assert c.depth == 0 and SPEC06.in_Y(c.coords[0])
     heads = sorted(c.coords[0] for c in s0.chains)
     assert heads[0] == pytest.approx(0.6) and heads[-1] == pytest.approx(1.0)
 
@@ -365,7 +365,7 @@ def _recursive_search(spec, x0, depth, terminal):
 
     def complete(path, reverse):
         if len(path) - 1 == depth:
-            if terminal and not spec.in_Y(path[-1], 1e-9):
+            if terminal and not spec.in_Y(path[-1]):
                 return None
             return tuple(path)
         xs = scalar_preimages(spec.system, path[-1])
@@ -528,6 +528,78 @@ def test_forward_images_join_the_seeds_in_order(N):
         UNIT_INTERVAL, ((0.0, 1.0),), lambda x: 0.5 + step * x,
         (Branch((0.0, 1.0), lambda y: (y - 0.5) / step),))
     _check_against_old_sampler(ExtensionSpec(system, ((0.0, 1.0),)), N, 7, 3)
+
+
+def _broadcast_seeds(spec, density, extra_seeds) -> list:
+    """The seeds as the sampler joined the forward images through two
+    density-squared broadcasts: each image against every seed, then
+    against every earlier image, swept until no image changes."""
+    sys_ = spec.system
+    lo = min(iv[0] for iv in sys_.domain)
+    hi = max(iv[1] for iv in sys_.domain)
+    grid = [lo + (hi - lo) * j / max(density - 1, 1) for j in range(density)]
+    seeds = grid + [sys_.space.normalize(s) for s in extra_seeds]
+    fx = alpha_tilde(spec, np.array(grid)[:, None])[1][:, 0]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        fx = fx[(np.abs(fx[:, None] - np.array(seeds)) > 1e-12).all(axis=1)]
+        near = np.tril(~(np.abs(fx[:, None] - fx) > 1e-12), -1)
+    joined = np.ones(len(fx), dtype=bool)
+    while (joined != (new := ~(near & joined).any(axis=1))).any():
+        joined = new
+    return [sys_.space.normalize(x0) for x0 in seeds + fx[joined].tolist()]
+
+
+def _hex(xs) -> list:
+    return [float(x).hex() for x in xs]
+
+
+_SEED_SPECS = (
+    [extension_spec(lam) for lam in (0.3, 0.6, 0.9, 0.95, 1.0)]
+    + [ExtensionSpec(make_constant_system(p), ((0.0, 1.0),))
+       for p in (0.0, -0.0, 1.0 / 3.0, 1.0)]
+    + [ExtensionSpec(make_rotation_system(t), ((0.0, 0.0),))
+       for t in (0.0, 0.3, 0.5)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=st.sampled_from(_SEED_SPECS), density=st.integers(1, 400),
+       extra=st.lists(st.floats(0.0, 1.0), max_size=3),
+       near=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from(
+           [0.0, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12])), max_size=3))
+@example(spec=_SEED_SPECS[5], density=4, extra=[], near=[])  # p = -0.0
+@example(spec=_SEED_SPECS[0], density=400, extra=[0.0, 1e-13], near=[])
+def test_seed_join_matches_the_broadcasts(spec, density, extra, near):
+    # extra seeds at and near forward images of arbitrary points
+    extra = extra + [min(max(forward(spec.system, x) + d, 0.0), 1.0)
+                     for x, d in near]
+    assert _hex(ext._seeds(spec, density, extra)) == \
+        _hex(_broadcast_seeds(spec, density, extra))
+
+
+def test_seed_join_matches_the_broadcasts_on_non_finite_images():
+    # images +inf, -inf and NaN: NaN never joins, and each infinity once
+    def alpha(x):
+        return np.select([x < 0.2, x < 0.4, x < 0.6], [np.inf, -np.inf,
+                                                       np.nan], 0.5 * x)
+
+    system = PartialMapSystem(UNIT_INTERVAL, ((0.0, 1.0),), alpha,
+                              (Branch((0.0, 1.0), lambda y: 2.0 * y),))
+    spec = ExtensionSpec(system, ((0.0, 1.0),))
+    for density in (1, 2, 5, 11, 40):
+        seeds = ext._seeds(spec, density, (0.25,))
+        assert _hex(seeds) == _hex(_broadcast_seeds(spec, density, (0.25,)))
+    assert seeds.count(math.inf) == seeds.count(-math.inf) == 1
+
+
+def test_seed_join_memory_is_linear_in_density():
+    # the broadcasts held density**2 comparisons: gigabytes at this density
+    tracemalloc.start()
+    try:
+        seeds = ext._seeds(extension_spec(0.95), 20_000, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seeds) > 20_000 and peak < 10e6
 
 
 @pytest.mark.parametrize("N", [1, 3, 6, INF])
@@ -938,8 +1010,10 @@ def test_lift_semiconjugacy_rejects_non_semiconjugacy():
     tau = 0.25
     spec = ExtensionSpec(make_rotation_system(tau), ())
     rows = _lifted_rows(lambda t: (t * t) % 1.0, tau, [0.3], 1)
-    assert not valid_rows(spec, rows, np.array([2]), False,
-                          10 * EPS_CHAIN).any()
+    # the link misses by far more than the chain tolerance
+    space, alpha = spec.system.space, spec.system.forward_map
+    assert space.metric(alpha(rows[0, 1]), rows[0, 0]) > 10 * EPS_CHAIN
+    assert not valid_rows(spec, rows, np.array([2]), False).any()
 
 
 def test_stratum_json_round_trip(tmp_path):

@@ -1,11 +1,12 @@
 """Source hygiene: no module in the package or the tests imports a name it
 never uses, every function, class and method of the package is referenced
-somewhere, only a named few are referenced by tests alone, and every field
-of a package dataclass is read somewhere.  Plain AST scans, so no linter is
-needed.  Also: the suite's warning filters let a
+somewhere, only a named few are referenced by tests alone, every field
+of a package dataclass is read somewhere, and every defaulted parameter is
+passed by some call.  Plain AST scans, so no linter is needed.  Also: the suite's warning filters let a
 failing property test fail alone."""
 
 import ast
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -172,6 +173,91 @@ def test_scan_finds_unread_dataclass_fields():
 def test_every_dataclass_field_is_read():
     modules = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
     assert unread_fields(modules, [p.read_text() for p in READERS]) == []
+
+
+def _called(func: ast.expr):
+    """The name a call reaches: a plain name or an attribute's."""
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def _calls(readers: list) -> dict:
+    """Per called name (a plain name or an attribute), the most positional
+    arguments any call passes and the set of keywords any call names; a
+    ``*args`` call passes every position and a ``**kwargs`` call every
+    keyword (None).  ``partial(f, ...)`` counts as a call of f."""
+    calls = {}
+    for source in readers:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = _called(node.func), node.args
+            if name == "partial" and args:
+                name, args = _called(args[0]), args[1:]
+            if name is None:
+                continue
+            npos, kws = calls.get(name, (0, set()))
+            npos = max(npos, math.inf if any(
+                isinstance(a, ast.Starred) for a in args) else len(args))
+            if kws is not None:
+                names = [k.arg for k in node.keywords]
+                kws = None if None in names else kws | set(names)
+            calls[name] = (npos, kws)
+    return calls
+
+
+def uncalled_defaults(modules: dict, readers: list) -> list:
+    """Defaulted parameters of the functions and methods defined in
+    ``modules`` (label -> source) that no call in ``readers`` passes, by
+    position or by keyword: each is a setting no caller varies.  A call
+    reaches every definition of its name; a method's positions start after
+    ``self`` (a staticmethod's at its first parameter)."""
+    calls = _calls(readers)
+    found = []
+    for label, source in modules.items():
+        tree = ast.parse(source)
+        bound = {id(node) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for node in cls.body
+                 if isinstance(node, ast.FunctionDef) and not any(
+                     getattr(d, "id", "") == "staticmethod"
+                     for d in node.decorator_list)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            pos = [p.arg for p in a.posonlyargs + a.args]
+            skip = 1 if id(node) in bound else 0
+            npos, kws = calls.get(node.name, (0, set()))
+            defaulted = [(pos.index(p), p) for p in
+                         pos[len(pos) - len(a.defaults):]]
+            defaulted += [(math.inf, p.arg) for p, d in
+                          zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            found += [f"{label} line {node.lineno}: {node.name}({p})"
+                      for i, p in defaulted
+                      if not (i - skip < npos or kws is None or p in kws)]
+    return sorted(found)
+
+
+def test_scan_finds_uncalled_defaults():
+    module = ("def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+              "def g(x=0): pass\n"
+              "def h(y=0): pass\n"
+              "class C:\n"
+              "    def m(self, u=1, v=2): pass\n"
+              "    @staticmethod\n"
+              "    def s(u=1, v=2): pass\n")
+    reader = ("f(0, 5, d=6)\n"
+              "g(*[1])\n"
+              "C().m(1)\n"
+              "C.s(1)\n"
+              "partial(h, 1)\n")
+    assert uncalled_defaults({"m": module}, [module, reader]) == [
+        "m line 1: f(c)", "m line 1: f(e)", "m line 5: m(v)",
+        "m line 7: s(v)"]
+
+
+def test_every_default_has_a_caller():
+    modules = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    assert uncalled_defaults(modules, [p.read_text() for p in READERS]) == []
 
 
 # Definitions that only tests reach, each with the reason it stays.

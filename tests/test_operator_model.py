@@ -533,5 +533,5 @@ def test_full_report_matches_dense_oracle(name):
 def test_non_injective_sigma_fails_partial_isometry():
     m = _non_injective_ladder()
     rep = om.full_report(m)
-    assert rep.residuals["partial_isometry_UU*U=U"] > rep.threshold
+    assert rep.residuals["partial_isometry_UU*U=U"] > om.THRESHOLD
     assert _dense_report(m)["partial_isometry_UU*U=U"] > 1e-12
