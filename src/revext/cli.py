@@ -315,20 +315,20 @@ def _write_strata_json(fh, strata: dict) -> None:
     where the sample is None, exactly as ``json.dump(doc, fh, indent=1)``
     writes it, stratum by stratum and a block of chains at a time.  Each
     distinct coordinate bit pattern of the strata (so 0.0 and -0.0 apart)
-    is formatted once, and once more behind the separator that precedes
-    every coordinate but a chain's first, so a block joins one token per
-    coordinate.  Raises ValueError, before writing, for a coordinate that
-    is not finite: JSON has no NaN or infinity."""
+    is formatted once, behind the separator that precedes every coordinate
+    but a chain's first, which a chain's first token slices off, so a block
+    joins one token per coordinate.  Raises ValueError, before writing, for
+    a coordinate that is not finite: JSON has no NaN or infinity."""
     coords = {k: s.chains.coords for k, s in strata.items() if s is not None}
     for key, c in coords.items():
         bad = ~np.isfinite(c)
         if bad.any():
             raise ValueError(f"stratum {key!r} has the coordinate "
-                             f"{c[bad][0]!r}, which JSON cannot hold")
-    text, rows = _indexed(
+                             f"{float(c[bad][0])!r}, which JSON cannot hold")
+    gap = ",\n     "  # before every coordinate but a chain's first
+    after, rows = _indexed(
         [c.view(np.int64) for c in coords.values()],
-        lambda bits: list(map(float.__repr__, bits.view(float).tolist())))
-    after = ",\n     " + text
+        lambda bits: [gap + repr(x) for x in bits.view(float).tolist()])
     rows = dict(zip(coords, rows))
     sep = "{\n "
     for key, sample in strata.items():
@@ -347,7 +347,7 @@ def _write_strata_json(fh, strata: dict) -> None:
             blk = c[b:b + _BLOCK]
             tok = np.empty((len(blk), blk.shape[1] + 2), dtype=object)
             tok[:, 0] = ',\n   {\n    "coords": [\n     '
-            tok[:, 1] = text[blk[:, 0]]
+            tok[:, 1] = [t[len(gap):] for t in after[blk[:, 0]].tolist()]
             tok[:, 2:-1] = after[blk[:, 1:]]
             tok[:, -1] = close
             if b == 0:

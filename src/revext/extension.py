@@ -211,17 +211,38 @@ def _seeds(spec: ExtensionSpec, density: int, extra_seeds) -> list:
     seeds = grid + [sys_.space.normalize(s) for s in extra_seeds]
     # forward images of grid points reach values (e.g. a constant map's
     # target) that carry backward orbits even when the grid misses them.
-    # In order, an image joins the seeds unless its nearest neighbour among
-    # the seeds so far (grid and extra seeds, and the images that joined)
-    # lies within 1e-12: |x - y| only grows away from x.  A NaN image never
-    # joins, nor an infinite one after one of its sign: a NaN distance is
-    # not above 1e-12.
-    known = sorted(seeds)
-    for x in alpha_tilde(spec, np.array(grid)[:, None])[1][:, 0].tolist():
-        i = bisect_left(known, x)
-        if all(abs(x - y) > 1e-12 for y in known[max(i - 1, 0):i + 1]):
-            known.insert(i, x)
-            seeds.append(x)
+    # In order, an image joins the seeds unless one of the seeds so far
+    # (grid and extra seeds, and the images that joined) lies within 1e-12.
+    # A NaN image never joins, nor an infinite one after one of its sign: a
+    # NaN distance is not above 1e-12.  |x - y| only grows away from x, so
+    # an image within 1e-12 of a seed never joins, and the others, sorted,
+    # fall into runs split where two neighbours lie more than 1e-12 apart:
+    # only an image of its own run can keep one out.  The first image of a
+    # run joins, and in runs of three or more the rule runs in order.
+    fx = alpha_tilde(spec, np.array(grid)[:, None])[1][:, 0]
+    known = np.sort(seeds)
+    i = np.searchsorted(known, fx)
+    far = ((np.abs(fx - known[np.maximum(i - 1, 0)]) > 1e-12)
+           & (np.abs(fx - known[np.minimum(i, len(known) - 1)]) > 1e-12))
+    order = np.flatnonzero(far)
+    order = order[np.argsort(fx[order], kind="stable")]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        split = np.diff(fx[order]) > 1e-12
+    start = np.flatnonzero(np.concatenate([[True], split]))[:len(order)]
+    end = np.append(start[1:], len(order))
+    joined = np.zeros(len(fx), dtype=bool)
+    if len(order):
+        joined[np.minimum.reduceat(order, start)] = True
+    for a, b in zip(start[end - start > 2], end[end - start > 2]):
+        run = []
+        for j in np.sort(order[a:b]).tolist():
+            x = float(fx[j])
+            r = bisect_left(run, x)
+            joined[j] = all(abs(x - y) > 1e-12
+                            for y in run[max(r - 1, 0):r + 1])
+            if joined[j]:
+                run.insert(r, x)
+    seeds += fx[joined].tolist()
     # backward chains start at a seed; their other coordinates are
     # preimages, already normalized
     return [sys_.space.normalize(x0) for x0 in seeds]
@@ -449,6 +470,10 @@ _ROW_BLOCK = 48
 # The smallest scaled coordinate |x| * w[n] (and weight w[n]) for which the
 # samples are scaled once: far above the subnormal range.
 _SCALE_FLOOR = 2.0 ** -900
+# hausdorff bounds a row's nearest-neighbour distance by its distances to
+# the rows of the other sample among the 2 _BOUND_RANK rows of both samples
+# nearest it in the order of the rows' scaled coordinate sums.
+_BOUND_RANK = 8
 
 
 def _prefix_minima(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
@@ -492,19 +517,130 @@ def _prefix_minima(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
     return rmin, cmin
 
 
+def _term_sums(a: np.ndarray, b: np.ndarray, w: np.ndarray, circle: bool):
+    """D between the scaled rows held along the first axis of ``a`` and
+    ``b`` (coordinate n in a[n] and b[n], broadcast against each other),
+    summed in _prefix_minima's operation order, so it is the float the
+    kernel forms."""
+    acc = 0.0
+    for n in range(len(a)):
+        diff = np.abs(a[n] - b[n])
+        if circle:
+            np.minimum(diff, w[n] - diff, out=diff)
+        acc += diff
+    return acc
+
+
+def _order_bounds(sa: np.ndarray, sb: np.ndarray, w: np.ndarray,
+                  circle: bool) -> list:
+    """For the rows of the samples xa and xb scaled by the weights, ``sa``
+    and ``sb``: per row of each, an upper bound on its minimum, the least D
+    to a row of the other sample among the 2 _BOUND_RANK rows of both
+    nearest it in the order of the rows' coordinate sums, or if there is
+    none, to the nearest row of the other sample on each side in that
+    order.  Each pair of rows up to 2 _BOUND_RANK places apart is formed
+    once, for both of its rows."""
+    z = np.concatenate([sa, sb])
+    size = len(z)
+    order = np.argsort(z.sum(axis=1), kind="stable")
+    side = (order >= len(sa)).astype(np.int8)
+    zT = np.ascontiguousarray(z[order].T)
+    bound = np.full(size, INF)
+    for t in range(1, min(2 * _BOUND_RANK, size - 1) + 1):
+        # the rows t places apart in that order
+        acc = _term_sums(zT[:, :-t], zT[:, t:], w, circle)
+        acc[side[:-t] == side[t:]] = INF
+        np.minimum(bound[:-t], acc, out=bound[:-t])
+        np.minimum(bound[t:], acc, out=bound[t:])
+    # a row with none: the nearest rows of the other sample, before and
+    # after it (position -1 or size where there is none)
+    far = np.flatnonzero(bound == INF)
+    at = np.where(side[:, None] == [0, 1], np.arange(size)[:, None], -1)
+    before = np.maximum.accumulate(at, axis=0)[far, 1 - side[far]]
+    at[at < 0] = size
+    after = np.minimum.accumulate(at[::-1], axis=0)[::-1][far, 1 - side[far]]
+    for q in (before, after):
+        ok = (0 <= q) & (q < size)
+        p, q = far[ok], q[ok]
+        bound[p] = np.minimum(bound[p], _term_sums(zT[:, p], zT[:, q], w,
+                                                   circle))
+    bound[order] = bound.copy()
+    return [bound[:len(sa)], bound[len(sa):]]
+
+
+def _largest_minimum(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
+                     circle: bool):
+    """The largest row or column minimum of D over the samples xa and xb,
+    which _prefix_minima scales.  Each row of either sample carries an
+    upper bound on its minimum: its _order_bounds, tightened to its least D
+    to the rows of the other sample taken so far.  While a bound exceeds
+    the largest exact minimum so far, the rows of largest bound of the
+    sample holding the largest one are taken: they go through
+    _prefix_minima against the other sample's rows not taken yet, so no
+    pair is formed twice.  A row's bound is at least its minimum and at
+    most its least D to the taken rows, so with those kernel minima it
+    gives the row's exact minimum.  The first block holds _ROW_BLOCK rows,
+    to set the bar cheaply; later ones hold more as the rows not taken on
+    the other side thin out, so that each call forms about as many pairs
+    as a block of the dense pass, and the kernel runs over the smaller of
+    its two sets.  Once a sample is taken whole, the bounds of the other
+    are its exact minima."""
+    x, k = (xa, xb), xa.shape[1]
+    bound = _order_bounds(xa * w[:k], xb * w[:k], w, circle)
+    free = (np.ones(len(xa), dtype=bool), np.ones(len(xb), dtype=bool))
+    top = -INF
+    while True:
+        head = [np.max(b, where=f, initial=-INF) for b, f in zip(bound, free)]
+        s = int(head[1] > head[0])
+        o = 1 - s
+        if head[s] <= top or not free[o].any():
+            return max(top, head[s])
+        rows = np.flatnonzero(free[s] & (bound[s] > top))
+        cols = np.flatnonzero(free[o])
+        take = (_ROW_BLOCK if top == -INF else
+                max(_ROW_BLOCK, _ROW_BLOCK * max(map(len, x)) // len(cols)))
+        if len(rows) > take:
+            rows = rows[np.argpartition(-bound[s][rows], take - 1)[:take]]
+        if len(rows) <= len(cols):
+            rmin, cmin = _prefix_minima(x[s][rows], x[o][cols], w, circle)
+        else:
+            cmin, rmin = _prefix_minima(x[o][cols], x[s][rows], w, circle)
+        top = max(top, np.minimum(rmin, bound[s][rows]).max())
+        free[s][rows] = False
+        bound[o][cols] = np.minimum(bound[o][cols], cmin)
+
+
 def hausdorff(A: StratumSample, B: StratumSample, space=None) -> float:
     """Hausdorff distance between two stratum samples under chain_distance.
 
     Exact, and equal to the max-min over the full pairwise matrix summed
     over a horizon of max(lengths, 60) terms.  The chains of a sample share
     one length and one terminal flag, so every distance is the weighted l1
-    prefix distance over the k = min(la, lb) shared coordinates followed by
-    the same tail terms (terminal gaps).  Each step x -> fl(x + t) of the
-    tail is monotone, so adding it to the prefix row and column minima
-    gives the same floats as adding it to every entry before taking minima.
-    """
+    prefix distance D over the k = min(la, lb) shared coordinates followed
+    by the same tail terms (terminal gaps).  Each step x -> fl(x + t) of the
+    tail is monotone, so adding it to the largest prefix row or column
+    minimum gives the same float as adding it to every entry before taking
+    minima and maxima.
+
+    That largest minimum L is found by pruning.  Every row of either sample
+    gets an upper bound on its minimum, a D float it attains
+    (_order_bounds), and blocks of the rows of largest bound go through
+    _prefix_minima, from the sample holding the largest bound, until no
+    bound exceeds the largest exact minimum so far (_largest_minimum).  A
+    row left out has a minimum at most its bound, so at most a minimum that
+    a taken row attains: it cannot change the maximum, and the result is
+    the float of the full matrix.  At worst every pair goes through the
+    kernel once, after the bounds.  Samples that _prefix_minima would not
+    scale are taken whole.  Raises ValueError for a coordinate that is not
+    finite."""
     if not A.chains or not B.chains:
         raise EmptyStratum("hausdorff requires nonempty samples")
+    for s in (A, B):
+        x = s.chains.coords[~np.isfinite(s.chains.coords)]
+        if x.size:
+            raise ValueError(f"stratum M_{'inf' if s.N == INF else s.N} has "
+                             f"the coordinate {float(x[0])!r}, which has no "
+                             f"distance")
     circle = space is not None and getattr(space, "kind", "") == "circle"
     xa, xb = A.chains.coords, B.chains.coords
     ta, tb = A.chains.terminal, B.chains.terminal
@@ -513,7 +649,14 @@ def hausdorff(A: StratumSample, B: StratumSample, space=None) -> float:
     w = WEIGHT_BASE ** np.arange(horizon)
 
     k = min(la, lb)
-    rmin, cmin = _prefix_minima(xa[:, :k], xb[:, :k], w, circle)
+    xa, xb = xa[:, :k], xb[:, :k]
+    least = min(np.min(np.abs(x), where=x != 0, initial=1.0)
+                for x in (xa, xb))
+    if k == 0 or least * w[k - 1] < _SCALE_FLOOR:
+        rmin, cmin = _prefix_minima(xa, xb, w, circle)
+        top = max(rmin.max(), cmin.max())
+    else:
+        top = _largest_minimum(xa, xb, w, circle)
     for n in range(k, horizon):
         if n < la:  # b has run out
             d = TERMINAL_GAP if tb else 0.0
@@ -522,9 +665,8 @@ def hausdorff(A: StratumSample, B: StratumSample, space=None) -> float:
         else:
             d = TERMINAL_GAP if ta != tb else 0.0
         if d:
-            rmin += w[n] * d
-            cmin += w[n] * d
-    return max(rmin.max(), cmin.max())
+            top += w[n] * d
+    return top
 
 
 # ---------------------------------------------------------------------------

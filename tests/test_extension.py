@@ -7,6 +7,7 @@ import json
 import math
 import random
 import tracemalloc
+from bisect import bisect_left
 
 import pytest
 import numpy as np
@@ -591,6 +592,76 @@ def test_seed_join_matches_the_broadcasts_on_non_finite_images():
     assert seeds.count(math.inf) == seeds.count(-math.inf) == 1
 
 
+def _insertion_seeds(spec, density, extra_seeds) -> list:
+    """The seeds as the sampler joined the forward images one at a time,
+    each checked against its neighbours in a sorted list of the seeds so
+    far and inserted there if it joined."""
+    sys_ = spec.system
+    lo = min(iv[0] for iv in sys_.domain)
+    hi = max(iv[1] for iv in sys_.domain)
+    grid = [lo + (hi - lo) * j / max(density - 1, 1) for j in range(density)]
+    seeds = grid + [sys_.space.normalize(s) for s in extra_seeds]
+    known = sorted(seeds)
+    for x in alpha_tilde(spec, np.array(grid)[:, None])[1][:, 0].tolist():
+        i = bisect_left(known, x)
+        if all(abs(x - y) > 1e-12 for y in known[max(i - 1, 0):i + 1]):
+            known.insert(i, x)
+            seeds.append(x)
+    return [sys_.space.normalize(x0) for x0 in seeds]
+
+
+def _table_spec(images) -> ExtensionSpec:
+    """A system on [0, 1] whose map sends point j of the grid of
+    len(images) points to images[j]."""
+    table = np.array(images, dtype=float)
+    step = max(len(table) - 1, 1)
+
+    def alpha(x):
+        return table[np.rint(np.asarray(x) * step).astype(int)]
+
+    system = PartialMapSystem(UNIT_INTERVAL, ((0.0, 1.0),), alpha,
+                              (Branch((0.0, 1.0), lambda y: y),))
+    return ExtensionSpec(system, ((0.0, 1.0),))
+
+
+# images next to each other: runs of any length under the 1e-12 rule
+_CLUSTERED = st.builds(lambda b, k: b + k * 4e-13,
+                       st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                       st.integers(-4, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(images=st.lists(st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                        0.0, 0.5])
+                       | st.floats(-1.0, 2.0) | _CLUSTERED,
+                       min_size=1, max_size=60),
+       extra=st.lists(st.floats(0.0, 1.0)
+                      | _CLUSTERED.map(lambda x: min(max(x, 0.0), 1.0)),
+                      max_size=3))
+@example(images=[0.5, 0.5 + 6e-13, 0.5 + 1.2e-12, 0.5 + 1.8e-12], extra=[])
+# two images exactly 1e-12 apart: the second stays out
+@example(images=[2.5000000000000003e-12, 1.5000000000000003e-12], extra=[])
+@example(images=[math.inf, math.nan, -math.inf, math.inf, -0.0, 0.0],
+         extra=[0.0])
+def test_seed_runs_match_the_insertion_join(images, extra):
+    # NaN, infinite and signed-zero images, and chains of images each
+    # within 1e-12 of the next, around extra seeds at and near them
+    spec = _table_spec(images)
+    assert _hex(ext._seeds(spec, len(images), extra)) == \
+        _hex(_insertion_seeds(spec, len(images), extra))
+
+
+@pytest.mark.parametrize("spec", [extension_spec(0.95),
+                                  ExtensionSpec(make_constant_system(0.3),
+                                                ((0.0, 1.0),))],
+                         ids=["logistic", "constant"])
+def test_seed_runs_match_the_insertion_join_at_density(spec):
+    # the logistic images of x and 1 - x pair up within 1e-12, and the
+    # constant map's images are one run of the whole grid
+    assert _hex(ext._seeds(spec, 20_000, (0.3,))) == \
+        _hex(_insertion_seeds(spec, 20_000, (0.3,)))
+
+
 def test_seed_join_memory_is_linear_in_density():
     # the broadcasts held density**2 comparisons: gigabytes at this density
     tracemalloc.start()
@@ -969,6 +1040,166 @@ def test_prefix_minima_match_the_per_term_kernel(samples, circle):
     want = _prefix_minima_per_term(xa, xb, w, circle)
     for g, v in zip(got, want):
         assert g.view(np.int64).tolist() == v.view(np.int64).tolist()
+
+
+def _dense_hausdorff(A, B, space=None):
+    """Hausdorff distance as hausdorff computed it before it pruned: the
+    prefix minima of every row and column in one _prefix_minima call, each
+    tail term added to all of them."""
+    circle = space is not None and getattr(space, "kind", "") == "circle"
+    xa, xb = A.chains.coords, B.chains.coords
+    ta, tb = A.chains.terminal, B.chains.terminal
+    la, lb = xa.shape[1], xb.shape[1]
+    horizon = max(la, lb, 60)
+    w = ext.WEIGHT_BASE ** np.arange(horizon)
+
+    k = min(la, lb)
+    rmin, cmin = ext._prefix_minima(xa[:, :k], xb[:, :k], w, circle)
+    for n in range(k, horizon):
+        if n < la:  # b has run out
+            d = ext.TERMINAL_GAP if tb else 0.0
+        elif n < lb:  # a has run out
+            d = ext.TERMINAL_GAP if ta else 0.0
+        else:
+            d = ext.TERMINAL_GAP if ta != tb else 0.0
+        if d:
+            rmin += w[n] * d
+            cmin += w[n] * d
+    return max(rmin.max(), cmin.max())
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def _check_bounds(A, B, space=None):
+    """Every bound _order_bounds gives is at least its row's kernel
+    minimum, for the samples hausdorff prunes (those it scales)."""
+    circle = space is not None and getattr(space, "kind", "") == "circle"
+    k = min(A.chains.coords.shape[1], B.chains.coords.shape[1])
+    xa, xb = A.chains.coords[:, :k], B.chains.coords[:, :k]
+    w = ext.WEIGHT_BASE ** np.arange(60)
+    least = min(np.min(np.abs(x), where=x != 0, initial=1.0)
+                for x in (xa, xb))
+    if k == 0 or least * w[k - 1] < ext._SCALE_FLOOR:
+        return
+    bounds = ext._order_bounds(xa * w[:k], xb * w[:k], w, circle)
+    for bound, minimum in zip(bounds, ext._prefix_minima(xa, xb, w,
+                                                          circle)):
+        assert (bound >= minimum).all()
+
+
+@st.composite
+def _pruned_samples(draw):
+    """A sample of 1 to 3 _ROW_BLOCK + 1 chains of one length (1 to 8) and
+    one flag: uniform coordinates, some rows repeated, some heads shared
+    with other rows, and a few edge values (subnormals among them)."""
+    B = ext._ROW_BLOCK
+    length = draw(st.integers(1, 8))
+    n = draw(st.sampled_from([1, 2, B, B + 1, 2 * B + 1, 3 * B + 1])
+             | st.integers(1, 3 * B + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.random((n, length))
+    share = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    x[share, 0] = x[rng.integers(n, size=share.sum()), 0]
+    dup = rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+    x[dup] = x[rng.integers(n, size=dup.sum())]
+    for e in draw(st.lists(st.sampled_from(_KERNEL_EDGES), max_size=3)):
+        x[rng.integers(n), rng.integers(length)] = e
+    terminal = draw(st.booleans())
+    return StratumSample(length - 1 if terminal else INF,
+                         ext.ChainRows(x, terminal), length - 1)
+
+
+@st.composite
+def _pruned_pairs(draw):
+    """Two samples of _pruned_samples, the second either drawn alone or,
+    as a stratum lies near M_inf, from rows of the first moved by noise of
+    one scale, padded with uniform columns to its own length."""
+    A = draw(_pruned_samples())
+    if draw(st.booleans()):
+        return A, draw(_pruned_samples())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = A.chains.coords
+    n = draw(st.integers(1, 3 * ext._ROW_BLOCK + 1))
+    length = draw(st.integers(1, 8))
+    y = rng.random((n, length))
+    k = min(length, x.shape[1])
+    y[:, :k] = x[rng.integers(len(x), size=n), :k] + rng.normal(
+        scale=draw(st.sampled_from([1e-9, 1e-4, 1e-2])), size=(n, k))
+    terminal = draw(st.booleans())
+    B = StratumSample(length - 1 if terminal else INF,
+                      ext.ChainRows(np.clip(y, 0.0, 1.0), terminal),
+                      length - 1)
+    return (A, B) if draw(st.booleans()) else (B, A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(AB=_pruned_pairs(), space=st.sampled_from([None, CIRCLE]))
+def test_pruned_hausdorff_is_the_dense_float(AB, space):
+    A, B = AB
+    assert _bits(hausdorff(A, B, space=space)) == \
+        _bits(_dense_hausdorff(A, B, space))
+    _check_bounds(A, B, space)
+
+
+@pytest.fixture(scope="module")
+def study_strata():
+    """M_4, M_8, M_12 and M_inf at density 40, depth 20, around lambda
+    0.9, as the chains study samples them."""
+    out = []
+    for lam in (0.899, 0.9, 0.901):
+        spec = extension_spec(lam)
+        out.append([sample_stratum(spec, N, 40, depth=20)
+                    for N in (4, 8, 12, INF)])
+    return out
+
+
+def test_pruned_hausdorff_on_the_study_strata(study_strata):
+    for *finite, minf in study_strata:
+        for mn in finite:
+            assert _bits(hausdorff(mn, minf)) == \
+                _bits(_dense_hausdorff(mn, minf))
+            _check_bounds(mn, minf)
+
+
+def test_pruned_hausdorff_work_on_the_study_strata(study_strata,
+                                                   monkeypatch):
+    # the pairs the kernel sums and the pairs the bounds sum (through
+    # _term_sums) are at most 35% of the pairs of the dense pass
+    kernel, term_sums = ext._prefix_minima, ext._term_sums
+    pairs = []
+
+    def counted_kernel(xa, xb, w, circle):
+        pairs.append(len(xa) * len(xb))
+        return kernel(xa, xb, w, circle)
+
+    def counted_term_sums(a, b, w, circle):
+        d = term_sums(a, b, w, circle)
+        pairs.append(np.size(d))
+        return d
+
+    monkeypatch.setattr(ext, "_prefix_minima", counted_kernel)
+    monkeypatch.setattr(ext, "_term_sums", counted_term_sums)
+    dense = 0
+    for *finite, minf in study_strata:
+        for mn in finite:
+            hausdorff(mn, minf)
+            dense += len(mn.chains) * len(minf.chains)
+    assert sum(pairs) <= 0.35 * dense
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", [0, 1])
+def test_hausdorff_refuses_a_coordinate_that_is_not_finite(bad, which):
+    x = [np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([[0.5, 0.6],
+                                                       [0.7, 0.8]])]
+    x[which][1, 1] = bad
+    A = StratumSample(1, ext.ChainRows(x[0], True), 1)
+    B = StratumSample(INF, ext.ChainRows(x[1], False), 1)
+    with pytest.raises(ValueError, match=f"M_{('1', 'inf')[which]} has the "
+                                         f"coordinate {bad!r}, "):
+        hausdorff(A, B)
 
 
 def test_hausdorff_converges_for_logistic():
