@@ -146,6 +146,12 @@ def _write_svg(path: str, width: float, height: float, body) -> None:
         fh.write(b"\n</svg>\n")
 
 
+# The style of a path of zero-length subpaths, each painted as a black disk
+# whose diameter is the stroke width.
+_ROUND_MARKS = ('fill="none" stroke="black" stroke-width="{}" '
+                'stroke-linecap="round"')
+
+
 def _polyline(pts, width: float) -> str:
     coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
     return (f'<polyline points="{coords}" fill="none" stroke="black" '
@@ -157,9 +163,9 @@ def _text(x: float, y: float, s: str) -> str:
             f'font-family="monospace">{s}</text>')
 
 
-# Chains per block of the `extend` writers: each block's text is one join,
-# written at once, so neither holds a stratum, let alone a file, as one
-# string.
+# Chains (marks, in the ladder) per block of the `extend` writers: each
+# block's text is one join, written at once, so neither holds a stratum,
+# let alone a file, as one string.
 _BLOCK = 512
 
 
@@ -196,40 +202,12 @@ def _indexed(parts: list, fmt):
             [inv[e - p.size:e].reshape(p.shape) for p, e in zip(parts, ends)])
 
 
-def _last_copies(parts: list, labels: int) -> list:
-    """For each int32 array of ``parts``, whose entries lie in [0, labels):
-    True at the last row of each set of its rows with equal first entries,
-    and at the last of each set of its equal rows, as two bool arrays."""
-    sizes = [len(p) for p in parts]
-    # part number, then the part's row, zero-padded to one width
-    rows = np.zeros((sum(sizes), 1 + max([p.shape[1] for p in parts],
-                                         default=1)), dtype=np.int32)
-    rows[:, 0] = np.repeat(np.arange(len(parts)), sizes)
-    for p, end in zip(parts, np.cumsum(sizes)):
-        rows[end - len(p):end, 1:1 + p.shape[1]] = p
-    # One int64 key per row, the row's entries as the digits of a number
-    # (so keys order as rows do); when the next digit does not fit, the
-    # distinct keys so far are numbered first.
-    bases = [len(parts)] + [labels] * (rows.shape[1] - 1)
-    key, bound = np.zeros(len(rows), dtype=np.int64), 1
-    for col, base in zip(rows.T, bases):
-        if bound * base > 1 << 63:
-            distinct, key = np.unique(key, return_inverse=True)
-            key, bound = key.reshape(-1), len(distinct)
-        key = key * base + col
-        bound *= base
-    # In one sort (np.unique's stable one took five times as long), rows
-    # with equal first entries and equal rows each make a run, whose last
-    # row is the largest index in it.
-    first = rows[:, 0].astype(np.int64) * labels + rows[:, 1]
-    perm = np.argsort(key)
-    out = []
-    for ordered in (first[perm], key[perm]):
-        starts = np.flatnonzero(np.diff(ordered, prepend=ordered[:1] - 1))
-        keep = np.zeros(len(rows), dtype=bool)
-        keep[np.maximum.reduceat(perm, starts)] = True
-        out.append(np.split(keep, np.cumsum(sizes)[:-1]))
-    return list(zip(*out))
+def _sorted_distinct_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of the 2-D int array ``a``, in ascending
+    lexicographic order (``np.unique``'s first call in a process imports
+    ``numpy.ma``: 12 ms with numpy 2.4)."""
+    a = a[np.lexsort(a.T[::-1])]
+    return a[np.r_[True, (a[1:] != a[:-1]).any(axis=1)]]
 
 
 # ---------------------------------------------------------------------------
@@ -253,58 +231,46 @@ def _ladder_svg(samples: dict, path: str) -> None:
     ``_centi_labels``, and the y labels are formatted once per row (a
     sampled stratum's chains share one length).
 
-    Each distinct circle and polyline of a row is drawn once, at the place
-    of its last copy.  Elements of different rows never coincide (their y
-    differ), and two of one row coincide exactly when their label indices
-    do: column 0 for a circle, every plotted column for a polyline.  The
-    drawing is the same: every pixel an earlier copy paints is painted
-    again, by the same shape in the same colour, by the last copy, after
-    everything drawn in between.  Only anti-aliased edges differ: a shape
-    drawn once instead of k times has lighter edge pixels, which is how
-    every chain without a copy is drawn anyway.  Circles leave out
-    ``fill="black"``, SVG's initial fill.  The kept elements go to the file
-    a block of chains at a time, and the dropped ones are never joined."""
+    A row is one grey path of springs, then one black path of heads above
+    them; a head is a zero-length subpath ``Mx yh0``, which a round cap
+    paints as a disk of diameter stroke-width 2.4.  Two marks of one row
+    coincide exactly when their label indices do (column 0 for a head,
+    every plotted column for a spring), and the order of the subpaths of a
+    one-colour path does not change its picture, so each path holds its
+    distinct marks once, in ascending order of their label indices.  A
+    path's text goes to the file a block of marks at a time."""
     margin, row_h = 50.0, 36.0
     scale = 640.0 - 2 * margin
     xl, cx = _indexed([decimal_rint(margin + s.chains.coords[:, :6] * scale,
                                     2) for s in samples.values()],
                       _centi_labels)
-    last = _last_copies(cx, len(xl))
+
+    def one_path(marks, seps, style):
+        # one subpath per row of marks: "M", then each label and its sep
+        yield b'\n<path d="'
+        for b in range(0, len(marks), _BLOCK):
+            blk = marks[b:b + _BLOCK]
+            tok = np.empty((len(blk), 1 + 2 * blk.shape[1]), dtype=object)
+            tok[:, 0] = "M"
+            tok[:, 1::2] = xl[blk]
+            tok[:, 2::2] = seps
+            yield "".join(tok.ravel().tolist()).encode()
+        yield f'" {style}/>'.encode()
 
     def body():
-        for r, ((label, s), c, (circle, poly)) in enumerate(
-                zip(samples.items(), cx, last)):
+        for r, (label, c) in enumerate(zip(samples, cx)):
             y0 = margin + r * row_h
             yield (("\n" if r else "")
                    + _text(8.0, y0 + 4.0, f"N={label}")).encode()
-            n = s.chains.coords.shape[1]
+            n = samples[label].chains.coords.shape[1]
             ys = [f"{y0 + 10.0 * k / n:.2f}" for k in range(c.shape[1])]
-            # a chain's tokens, None where a label goes: the circle's three,
-            # then the polyline's opening and its labels, each followed by y
-            chain = ['\n<circle cx="', None, f'" cy="{ys[0]}" r="1.2"/>']
             if n > 1:
-                chain.append('\n<polyline points="')
-                for y in ys:
-                    chain += [None, f",{y} "]
-                chain[-1] = (f',{ys[-1]}" fill="none" stroke="#888" '
-                             'stroke-width="0.5"/>')
-            chain = np.array(chain, dtype=object)
-            # with one coordinate, poly is circle and marks no tokens
-            rows = np.flatnonzero(circle | poly)
-            keep = np.empty((len(rows), len(chain)), dtype=bool)
-            keep[:, :3] = circle[rows, None]
-            keep[:, 3:] = poly[rows, None]
-            c = c[rows]
-            for b in range(0, len(c), _BLOCK):
-                blk = c[b:b + _BLOCK]
-                tok = np.empty((len(blk), len(chain)), dtype=object)
-                tok[:] = chain
-                if n > 1:
-                    tok[:, 4::2] = xl[blk]
-                    tok[:, 1] = tok[:, 4]
-                else:
-                    tok[:, 1] = xl[blk[:, 0]]
-                yield "".join(tok[keep[b:b + _BLOCK]].tolist()).encode()
+                yield from one_path(
+                    _sorted_distinct_rows(c),
+                    [f",{y} " for y in ys[:-1]] + [f",{ys[-1]}"],
+                    'fill="none" stroke="#888" stroke-width="0.5"')
+            yield from one_path(_sorted_distinct_rows(c[:, :1]),
+                                [f" {ys[0]}h0"], _ROUND_MARKS.format(2.4))
 
     _write_svg(path, 640.0, max(140.0, margin + row_h * (len(samples) + 1)),
                body())
@@ -459,6 +425,10 @@ def _centi_labels(c: np.ndarray) -> list:
 # cx changes: each group's dots are sorted, formatted and written on their
 # own, so no array of the whole diagram's dots is held.
 _COLUMN_GROUP = 128
+# Bytes of orbit state `bifurcate` holds at once: it sweeps a block of
+# consecutive column groups at a time, at 8 * (keep + 4) bytes a column
+# (the kept rows, the state and the update's temporaries).
+SWEEP_BYTES = 1 << 24
 
 
 def _column_groups(cx: np.ndarray) -> list:
@@ -480,30 +450,44 @@ def cmd_bifurcate(cfg: RunConfig) -> int:
     if cfg.format != "svg":
         return 0
     lams = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.steps)
-    pts = _sweep_chunk(lams, burn_in=600, keep=120)
+    burn_in, keep = 600, 120
     width, height, margin = 800.0, 520.0, 40.0
     span = cfg.lambda_max - cfg.lambda_min
     # non-decreasing, as lams is
     cx = decimal_rint(margin + (lams - cfg.lambda_min) / span
                       * (width - 2 * margin), 2)
+    # consecutive groups, as many to a block as fit SWEEP_BYTES (at least
+    # one); each column's orbit is its own, so blocks change no value
+    blocks = [[]]
+    for a, b in _column_groups(cx):
+        if blocks[-1] and (b - blocks[-1][0][0]) * 8 * (keep + 4) \
+                > SWEEP_BYTES:
+            blocks.append([])
+        blocks[-1].append((a, b))
 
     def dots():
         # Each distinct printed dot once: sort a group's (cx, cy) keys and
         # keep the first of each run (np.unique took about ten times as
         # long on these keys), so the dots come column by column in
         # ascending cy; the groups' cx ranges ascend, so group by group is
-        # the order of one sort of all keys.  A group's text is one byte
-        # matrix, a row per dot, written as one buffer.  A dot takes SVG's
-        # initial fill, black.
-        for a, b in _column_groups(cx):
-            cy = decimal_rint(height - margin - pts[:, a:b]
-                              * (height - 2 * margin), 2)
-            base = int(cy.max()) + 1
-            key = np.sort((cx[a:b] * base + cy).ravel())
-            key = key[np.r_[True, key[1:] != key[:-1]]]
-            yield _byte_rows([b'<circle cx="', b'" cy="', b'" r="0.4"/>\n'],
-                             [_centi_digits(key // base),
-                              _centi_digits(key % base)])
+        # the order of one sort of all keys.  A group is one path of
+        # zero-length subpaths, disks of diameter 0.8, its text one byte
+        # matrix with a row per dot, written as one buffer.
+        for block in blocks:
+            s = block[0][0]
+            pts = _sweep_chunk(lams[s:block[-1][1]], burn_in, keep)
+            for a, b in block:
+                cy = decimal_rint(height - margin - pts[:, a - s:b - s]
+                                  * (height - 2 * margin), 2)
+                base = int(cy.max()) + 1
+                key = np.sort((cx[a:b] * base + cy).ravel())
+                key = key[np.r_[True, key[1:] != key[:-1]]]
+                yield b'<path d="'
+                yield _byte_rows([b"M", b" ", b"h0"],
+                                 [_centi_digits(key // base),
+                                  _centi_digits(key % base)])
+                yield f'" {_ROUND_MARKS.format(0.8)}/>\n'.encode()
+            del pts  # before the next block is swept
         yield (_text(margin, height - 8.0, f"{cfg.lambda_min:.3f}") + "\n"
                + _text(width - margin - 40.0, height - 8.0,
                        f"{cfg.lambda_max:.3f}")).encode()

@@ -4,7 +4,9 @@ with flag overrides, outputs are deterministic, and failures exit nonzero."""
 import hashlib
 import io
 import json
+import re
 import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -13,12 +15,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 from revext import circle as ci
 from revext import cli
 from revext import logistic as lg
-from revext.cli import (_BLOCK, ArgumentTooLarge, RunConfig,
+from revext.cli import (_BLOCK, _ROUND_MARKS, ArgumentTooLarge, RunConfig,
                         _byte_rows, _centi_digits, _centi_labels,
                         _column_groups, _extension_spec_for, _indexed,
-                        _ladder_svg, _last_copies, _sweep_chunk,
-                        _write_strata_json, main, make_parser,
-                        read_config_file)
+                        _ladder_svg, _sweep_chunk, _write_strata_json, main,
+                        make_parser, read_config_file)
 from revext.core import decimal_rint
 from revext.extension import (INF, ChainRows, EmptyStratum, StratumSample,
                               sample_stratum, stratum_from_json,
@@ -39,7 +40,7 @@ def test_extend_logistic_json_and_svg(tmp_path):
     assert set(doc) == {"0", "1", "2", "3", "4", "inf"}
     assert doc["0"]["chains"]
     svg = (tmp_path / "ext.svg").read_text()
-    assert svg.startswith("<svg") and "circle" in svg
+    assert svg.startswith("<svg") and "<path" in svg
 
 
 def test_extend_constant_has_singleton_infinity(tmp_path):
@@ -205,25 +206,83 @@ def _old_ladder_svg(samples, path):
              "\n".join(elements).encode())
 
 
-def _drawn_once(svg: str) -> str:
-    """``svg`` with every circle and polyline line removed but the last
-    copy of each, and ``fill="black"`` deleted from the circles."""
-    lines = svg.split("\n")
-    last = {line: i for i, line in enumerate(lines)}
-    return "\n".join(
-        line.replace(' fill="black"', "") if line.startswith("<circle")
-        else line for i, line in enumerate(lines)
-        if not line.startswith(("<circle", "<polyline")) or last[line] == i)
+_SVG = "{http://www.w3.org/2000/svg}"
+_NUM = r"\d+\.\d\d"
+# the grammar of each kind of path the writers emit: dots and heads, each a
+# zero-length subpath, and springs
+_DOTS = re.compile(rf"(M{_NUM} {_NUM}h0)+")
+_SPRINGS = re.compile(rf"(M{_NUM},{_NUM}( {_NUM},{_NUM})+)+")
+_POINTS = re.compile(rf"{_NUM},{_NUM}( {_NUM},{_NUM})+")
+_SPRING_STYLE = {"fill": "none", "stroke": "#888", "stroke-width": "0.5"}
 
 
-def _check_ladder_svg(tmp_path, samples):
-    """The ladder SVG is the per-chain emitter's, each element drawn once
-    at its last copy; returns both texts."""
+def _svg_elements(path, width, height) -> list:
+    """The elements of the SVG file at ``path``, parsed, once its root is
+    checked: SVG's svg element, with the given size and viewBox."""
+    root = ET.parse(path).getroot()
+    w, h = f"{width:.0f}", f"{height:.0f}"
+    assert root.tag == _SVG + "svg"
+    assert root.attrib == {"width": w, "height": h, "viewBox": f"0 0 {w} {h}"}
+    return list(root)
+
+
+def _subpaths(el, grammar, width=None) -> list:
+    """The subpaths of the path element ``el``, whose d must match
+    ``grammar`` whole: (x, y) text pairs for dots, tuples of them for
+    springs.  Checks the style too: a round-capped black dot of diameter
+    ``width`` (the old circles' 2r), or a grey spring."""
+    style = dict(el.attrib)
+    d = style.pop("d")
+    assert el.tag == _SVG + "path" and grammar.fullmatch(d), d[:80]
+    if grammar is _SPRINGS:
+        assert style == _SPRING_STYLE
+        return [tuple(tuple(xy.split(",")) for xy in sub.split(" "))
+                for sub in d.split("M")[1:]]
+    assert float(style.pop("stroke-width")) == width
+    assert style == {"fill": "none", "stroke": "black",
+                     "stroke-linecap": "round"}
+    return [tuple(sub[:-2].split(" ")) for sub in d.split("M")[1:]]
+
+
+def _numeric(marks) -> list:
+    """Each decoded mark's coordinates as one tuple of floats."""
+    return [tuple(map(float, re.findall(_NUM, repr(m)))) for m in marks]
+
+
+def _check_ladder_svg(tmp_path, samples) -> list:
+    """Row by row, the ladder SVG draws the per-chain emitter's distinct
+    marks once each: the row's label, a grey path of its springs (none for
+    chains of one coordinate), then a path of its heads, disks of the old
+    circles' diameter, each path in ascending order of x.  Returns the
+    decoded (heads, springs) of each row."""
     _ladder_svg(samples, str(tmp_path / "new.svg"))
     _old_ladder_svg(samples, str(tmp_path / "old.svg"))
-    new, old = ((tmp_path / f"{k}.svg").read_text() for k in ("new", "old"))
-    assert new == _drawn_once(old)
-    return new, old
+    height = max(140.0, 50.0 + 36.0 * (len(samples) + 1))
+    old = _svg_elements(tmp_path / "old.svg", 640.0, height)
+    new = iter(_svg_elements(tmp_path / "new.svg", 640.0, height))
+    rows = []
+    for el in old:
+        if el.tag == _SVG + "text":
+            rows.append((el, set(), set(), set()))
+        elif el.tag == _SVG + "circle":
+            rows[-1][1].add((el.get("cx"), el.get("cy")))
+            rows[-1][3].add(2 * float(el.get("r")))
+        else:
+            rows[-1][2].add(tuple(tuple(xy.split(","))
+                                  for xy in el.get("points").split(" ")))
+    drawn = []
+    for text, heads, springs, (diameter,) in rows:
+        got = next(new)
+        assert (got.tag, got.attrib, got.text) == \
+            (text.tag, text.attrib, text.text)
+        got_springs = _subpaths(next(new), _SPRINGS) if springs else []
+        got_heads = _subpaths(next(new), _DOTS, diameter)
+        for got, want in ((got_heads, heads), (got_springs, springs)):
+            assert len(got) == len(set(got)) and set(got) == want
+            assert _numeric(got) == sorted(_numeric(got))
+        drawn.append((got_heads, got_springs))
+    assert next(new, None) is None
+    return drawn
 
 
 @pytest.mark.parametrize("system", [
@@ -252,67 +311,31 @@ def test_ladder_svg_at_benchmark_size_draws_each_element_once(tmp_path, lam,
                                                               drawn):
     samples = {k: s for k, s in _strata(N=10, depth=20, density=60,
                                         lam=lam).items() if s is not None}
-    new, old = _check_ladder_svg(tmp_path, samples)
-    elements = [line for line in new.splitlines()
-                if line.startswith(("<circle", "<polyline"))]
-    assert len(elements) == len(set(elements)) == drawn
-    assert len(elements) < sum(line.startswith(("<circle", "<polyline"))
-                               for line in old.splitlines())
+    rows = _check_ladder_svg(tmp_path, samples)
+    assert sum(len(h) + len(s) for h, s in rows) == drawn
+    old = (tmp_path / "old.svg").read_text().splitlines()
+    assert drawn < sum(line.startswith(("<circle", "<polyline"))
+                       for line in old)
 
 
-def test_ladder_svg_keeps_last_copies_across_blocks(tmp_path):
+def test_ladder_svg_keeps_distinct_marks_across_blocks(tmp_path):
     # 2 * _BLOCK + 3 chains drawn from five rows: copies fall in one block
-    # and across blocks, and two rows share a head but not a polyline
+    # and across blocks, and two rows share a head but not a spring
     pool = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.4], [0.5, 0.6, 0.7],
                      [0.9, 0.0, 0.1], [0.25, 0.5, 0.75]])
     pick = np.random.default_rng(7).integers(0, len(pool), 2 * _BLOCK + 3)
     strata = {"2": StratumSample(2, ChainRows(pool[pick], True), 4)}
-    new, _ = _check_ladder_svg(tmp_path, strata)
-    assert new.count("<circle") == 4 and new.count("<polyline") == 5
+    [(heads, springs)] = _check_ladder_svg(tmp_path, strata)
+    assert len(heads) == 4 and len(springs) == 5
 
 
 def test_ladder_svg_of_single_coordinate_chains_draws_circles_only(tmp_path):
     samples = {k: s for k, s in _strata(N=0, depth=6, density=12,
                                         lam=0.9).items() if s is not None}
     assert samples["0"].chains.coords.shape[1] == 1
-    _check_ladder_svg(tmp_path, {"0": samples["0"]})
-    assert "<polyline" not in (tmp_path / "new.svg").read_text()
-
-
-def _last_copies_loop(part):
-    """The last copy of each first entry and of each row, one row at a
-    time."""
-    rows = [tuple(r) for r in part.tolist()]
-    last_first = {r[0]: i for i, r in enumerate(rows)}
-    last_row = {r: i for i, r in enumerate(rows)}
-    return ([last_first[r[0]] == i for i, r in enumerate(rows)],
-            [last_row[r] == i for i, r in enumerate(rows)])
-
-
-@settings(max_examples=100, deadline=None)
-@given(labels=st.sampled_from([1, 2, 3, 700, 2**20, 2**31 - 1]),
-       shapes=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 6)),
-                       min_size=1, max_size=4),
-       seed=st.integers(0, 2**32 - 1))
-def test_last_copies_match_a_loop(labels, shapes, seed):
-    # few distinct values per column, so that rows repeat; labels of 2**20
-    # and more take two or more numberings of the keys
-    rng = np.random.default_rng(seed)
-    pool = rng.integers(0, labels, 3)
-    parts = [pool[rng.integers(0, 3, shape)].astype(np.int32)
-             for shape in shapes]
-    got = _last_copies(parts, labels)
-    assert len(got) == len(parts)
-    for part, (first, row) in zip(parts, got):
-        assert (first.tolist(), row.tolist()) == _last_copies_loop(part)
-
-
-def test_last_copies_keep_parts_apart():
-    # equal rows of two parts are each the last copy in their own part
-    part = np.array([[1, 2], [1, 2]], dtype=np.int32)
-    got = _last_copies([part, part.copy()], 3)
-    assert [(f.tolist(), r.tolist()) for f, r in got] == \
-        [([False, True], [False, True])] * 2
+    [(heads, springs)] = _check_ladder_svg(tmp_path, {"0": samples["0"]})
+    assert heads and not springs
+    assert "#888" not in (tmp_path / "new.svg").read_text()
 
 
 @settings(max_examples=100, deadline=None)
@@ -418,6 +441,26 @@ def _old_bifurcation_dots(lambda_min=0.74, lambda_max=1.0, steps=2000):
     return out
 
 
+def _check_bifurcation_svg(path, lambda_min=0.74, lambda_max=1.0,
+                           steps=2000) -> None:
+    """The bifurcation SVG at ``path`` draws each dot of the per-dot
+    emitter once: its paths' subpaths are the old circles' (cx, cy), none
+    twice, in ascending (cx, cy) order, each a disk of the old diameter
+    2r; then come the two axis labels."""
+    *paths, left, right = _svg_elements(path, 800.0, 520.0)
+    old = [dot.split('"') for dot in _old_bifurcation_dots(
+        lambda_min, lambda_max, steps)]
+    (diameter,) = {2 * float(dot[5]) for dot in old}
+    dots = [d for el in paths for d in _subpaths(el, _DOTS, diameter)]
+    assert len(dots) == len(set(dots))
+    assert set(dots) == {(dot[1], dot[3]) for dot in old}
+    assert _numeric(dots) == sorted(_numeric(dots))
+    for el, x, s in ((left, "40.00", lambda_min), (right, "720.00",
+                                                   lambda_max)):
+        assert (el.tag, el.text) == (_SVG + "text", f"{s:.3f}")
+        assert (el.get("x"), el.get("y")) == (x, "512.00")
+
+
 @pytest.mark.parametrize("steps", [60, 2000])
 def test_bifurcate_svg_draws_each_old_dot_once(tmp_path, steps):
     out = str(tmp_path / "bif")
@@ -427,26 +470,28 @@ def test_bifurcate_svg_draws_each_old_dot_once(tmp_path, steps):
     assert run(args) == 0
     svg = (tmp_path / "bif.svg").read_text()
     assert svg.startswith("<svg") and svg.endswith("</svg>\n")
-    assert '<text x="40.00" y="512.00" font-size="11" ' \
-        'font-family="monospace">0.740</text>' in svg
-    assert '<text x="720.00" y="512.00" font-size="11" ' \
-        'font-family="monospace">1.000</text>' in svg
-    dots = [line for line in svg.splitlines() if line.startswith("<circle")]
-    assert len(dots) == len(set(dots))
-    # the same dots, less the fill they now take from SVG's initial value
-    assert set(dots) == {dot.replace(' fill="black"', "")
-                         for dot in _old_bifurcation_dots(steps=steps)}
-    # column by column, and within a column in ascending cy
-    coords = [tuple(float(line.split('"')[k]) for k in (1, 3))
-              for line in dots]
-    assert coords == sorted(coords)
+    _check_bifurcation_svg(tmp_path / "bif.svg", steps=steps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bounds=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=2,
+                       max_size=2, unique=True).map(sorted),
+       steps=st.integers(1, 200))
+@example(bounds=[0.74, 1.0], steps=1)
+def test_bifurcate_svg_draws_each_old_dot_once_across_ranges(
+        tmp_path_factory, bounds, steps):
+    lo, hi = bounds
+    out = tmp_path_factory.mktemp("bif") / "bif"
+    assert run(["bifurcate", "--n-max", "1", "--lambda-min", repr(lo),
+                "--lambda-max", repr(hi), "--steps", str(steps),
+                "--format", "svg", "-o", str(out)]) == 0
+    _check_bifurcation_svg(out.with_suffix(".svg"), lo, hi, steps)
 
 
 def _global_sort_svg(path, lambda_min, lambda_max, steps):
-    """The bifurcation SVG as `bifurcate` wrote it before its dots were
+    """The bifurcation SVG as `bifurcate` would write it with its dots not
     grouped by column: one sort and one byte matrix of every dot key of
-    the diagram (and with the dots' fill left to its initial value, as
-    they are now)."""
+    the diagram, written as one path."""
     lams = np.linspace(lambda_min, lambda_max, steps)
     pts = _sweep_chunk(lams, burn_in=600, keep=120)
     width, height, margin = 800.0, 520.0, 40.0
@@ -457,13 +502,14 @@ def _global_sort_svg(path, lambda_min, lambda_max, steps):
     base = int(cy.max()) + 1
     key = np.sort((cx * base + cy).ravel())
     key = key[np.r_[True, key[1:] != key[:-1]]]
-    dots = _byte_rows([b'<circle cx="', b'" cy="', b'" r="0.4"/>\n'],
-                      [_centi_digits(key // base),
-                       _centi_digits(key % base)])
+    dots = _byte_rows([b"M", b" ", b"h0"], [_centi_digits(key // base),
+                                            _centi_digits(key % base)])
     labels = [_old_text(margin, height - 8.0, f"{lambda_min:.3f}"),
               _old_text(width - margin - 40.0, height - 8.0,
                         f"{lambda_max:.3f}")]
-    _old_svg(path, width, height, dots + "\n".join(labels).encode())
+    _old_svg(path, width, height, b'<path d="' + dots + b'" '
+             + _ROUND_MARKS.format(0.8).encode() + b"/>\n"
+             + "\n".join(labels).encode())
 
 
 # A range two ulp wide: linspace repeats each of its three lambdas over a
@@ -481,13 +527,90 @@ _ULP_RANGE = (0.9, float(np.nextafter(np.nextafter(0.9, 1.0), 1.0)))
 @example(bounds=[0.74, 1.0], steps=cli._COLUMN_GROUP + 1)
 @example(bounds=list(_ULP_RANGE), steps=3 * cli._COLUMN_GROUP)
 def test_grouped_dots_match_global_sort(tmp_path_factory, bounds, steps):
+    # a path per group, which joined make the one path of a global sort
     lo, hi = bounds
     d = tmp_path_factory.mktemp("bif")
     assert run(["bifurcate", "--n-max", "1", "--lambda-min", repr(lo),
                 "--lambda-max", repr(hi), "--steps", str(steps),
                 "--format", "svg", "-o", str(d / "new")]) == 0
     _global_sort_svg(str(d / "old.svg"), lo, hi, steps)
-    assert (d / "new.svg").read_bytes() == (d / "old.svg").read_bytes()
+    cut = f'" {_ROUND_MARKS.format(0.8)}/>\n<path d="'.encode()
+    new = (d / "new.svg").read_bytes()
+    assert new.replace(cut, b"") == (d / "old.svg").read_bytes()
+    cx = decimal_rint(40.0 + (np.linspace(lo, hi, steps) - lo) / (hi - lo)
+                      * 720.0, 2)
+    assert new.count(b"<path ") == len(_column_groups(cx))
+
+
+def _count_sweeps(monkeypatch) -> list:
+    """The column counts of the `_sweep_chunk` calls made from now on."""
+    calls, sweep = [], cli._sweep_chunk
+    monkeypatch.setattr(cli, "_sweep_chunk", lambda lams, *args: (
+        calls.append(lams.size), sweep(lams, *args))[1])
+    return calls
+
+
+@pytest.mark.parametrize("steps", [60, 2000])
+def test_pinned_and_benchmark_sweeps_are_one_block(tmp_path, monkeypatch,
+                                                   steps):
+    calls = _count_sweeps(monkeypatch)
+    assert run(["bifurcate", "--n-max", "1", "--steps", str(steps),
+                "--format", "svg", "-o", str(tmp_path / "bif")]) == 0
+    assert calls == [steps]
+
+
+def test_bifurcate_sweeps_blocks_within_sweep_bytes(tmp_path, monkeypatch):
+    # 10,000 columns hold 9.6 MB of kept orbit points at once by default;
+    # a 256 kB cap sweeps them in blocks of two groups and gives the same
+    # bytes, holding the block and a few copies of one group's text (its
+    # digit matrix, its joined rows and those without NUL bytes)
+    args = ["bifurcate", "--n-max", "1", "--steps", "10000", "--format",
+            "svg", "-o"]
+    peaks, calls = [], _count_sweeps(monkeypatch)
+    for cap, out in ((cli.SWEEP_BYTES, "one"), (1 << 18, "blocks")):
+        monkeypatch.setattr(cli, "SWEEP_BYTES", cap)
+        tracemalloc.start()
+        try:
+            assert run(args + [str(tmp_path / out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    svg = (tmp_path / "blocks.svg").read_bytes()
+    assert svg == (tmp_path / "one.svg").read_bytes()
+    assert calls[0] == 10000 and sum(calls[1:]) == 10000
+    assert len(calls) > 10 and max(calls[1:]) * 8 * (120 + 4) <= 1 << 18
+    group = max(len(line) for line in svg.splitlines())
+    assert peaks[0] > 120 * 10000 * 8
+    assert peaks[1] < (1 << 18) + 5 * group
+
+
+@pytest.mark.parametrize("argv, height", [
+    (["extend", "--lambda", "0.9", "--N", "4", "--format", "svg"], 302.0),
+    (["extend", "--system", "constant", "--N", "4", "--format", "svg"],
+     302.0),
+    (["extend", "--system", "rotation", "--tau", "0.3", "--N", "6",
+      "--format", "svg"], 242.0),
+    (["bifurcate", "--n-max", "1", "--steps", "300", "--format", "svg"],
+     520.0),
+    (["continuum-graph", "--regime", "cascade", "--n", "3", "--format",
+      "svg"], 480.0),
+    (["continuum-graph", "--regime", "mu", "--n", "2", "--format", "svg"],
+     480.0),
+], ids=["extend-logistic", "extend-constant", "extend-rotation", "bifurcate",
+        "continuum-graph-cascade", "continuum-graph-mu"])
+def test_svg_outputs_are_well_formed(tmp_path, argv, height):
+    # each writer's file parses as XML, with the root it wrote and every
+    # path and polyline in the exact grammar it emits
+    assert run(argv + ["-o", str(tmp_path / "fig")]) == 0
+    width = 800.0 if argv[0] == "bifurcate" else 640.0
+    for el in _svg_elements(tmp_path / "fig.svg", width, height):
+        if el.tag == _SVG + "path":
+            assert (_SPRINGS if el.get("stroke") == "#888"
+                    else _DOTS).fullmatch(el.get("d"))
+        elif el.tag == _SVG + "polyline":
+            assert _POINTS.fullmatch(el.get("points"))
+        else:
+            assert el.tag == _SVG + "text"
 
 
 def test_ulp_range_cuts_a_group_inside_a_run():
@@ -877,32 +1000,32 @@ _PINNED = [
     (["extend", "--lambda", "0.95"] + _SMALL, {
         ".json": "193c9840de1f00a7b9c82af1c9579fb8"
                  "f850e1af77038de7122b0de096075a01",
-        ".svg": "494cbbda7524160f142c9fdc6bb2d3ad"
-                "d28fa3d82f78b6934b056404b6c6f605"}),
+        ".svg": "de8abdddea5cdfea36a35f636d749861"
+                "9804892e4c992a47f1ffa149c09faddc"}),
     (["extend", "--lambda", "0.6"] + _SMALL, {
         ".json": "4853a701b93d104e9c5b39ab3a26d070"
                  "7f406ae48b616d6546b2e2ad7a38c043",
-        ".svg": "aa2dcaa5ee34b16c5635b54ea875c174"
-                "92bec6e9a4dba1d8e38b23ce4b40e64b"}),
+        ".svg": "359c338834490d9713d0e25b621cc302"
+                "80482c339a20c2591037e98eac201751"}),
     (["extend", "--system", "constant", "--N", "3", "--depth", "8",
       "--density", "12", "--format", "svg"], {
         ".json": "b57318afc46172d733ee5db162240501"
                  "0a6983840744fb9a50a82d7bda762ea7",
-        ".svg": "fc61549144da250e8379f9ef1bf2399c"
-                "508e8207422f963b70e95cdfdd352f75"}),
+        ".svg": "15978f7b055c9e94a0aea5c9904697f7"
+                "03e30d0ac99d7badec00d124cbd6c7b1"}),
     # every finite stratum empty
     (["extend", "--lambda", "1.0"] + _SMALL, {
         ".json": "80f7b8632385bd273f8b366fdfbb99b1"
                  "e0463061ac9ef4f59bf574d0137c232c",
-        ".svg": "3192320e5ffd92dbb7b5a86fc041f73f"
-                "6cafc027199ba0b150d71d277f9d5e44"}),
+        ".svg": "6c26a549dc62c17e8d42331a09e98b85"
+                "1e7f03561a105733d76050e4af2b4ab4"}),
     # a signed zero in every chain
     (["extend", "--p", "-0.0", "--system", "constant", "--N", "3",
       "--depth", "8", "--density", "12", "--format", "svg"], {
         ".json": "32584dcec7f2d65745aaf89733c8089a"
                  "a1a5005255be12a63fc98d0630b26f00",
-        ".svg": "8d31c8d6df5a516486928916836259a6"
-                "ad45ed4362c18219b44c1c4cb453a506"}),
+        ".svg": "465e77df6643e94e65dd585794f7c6f1"
+                "073a0caa13c872616d692cd574b4fb4c"}),
     (["extend", "--system", "rotation", "--tau", "0.25", "--gamma0", "0.25",
       "--N", "6", "--format", "svg"], {
         ".json": "03b19c90a2006d9a8bc19eaa4fa20129"
@@ -912,8 +1035,8 @@ _PINNED = [
     (["bifurcate", "--n-max", "2", "--steps", "60", "--format", "svg"], {
         ".csv": "0f80fa091d2ae5e06ea2b51ac01c5502"
                 "c40ad526177e1190ab997c5ccd50a808",
-        ".svg": "cd9bf9a0cd1b618c8dca48eec28c1840"
-                "1090f9d502e598827c2e9f5580ba2b84"}),
+        ".svg": "7ab4e4638c06f3d716155538cac4b0d4"
+                "79227207647d8640c206652f612edacb"}),
 ] + [
     (["operator-check", "--system", system, "--depth", "6"], {
         ".json": "9d6bd9a45ee4a4276106de0c77c67057"
@@ -960,18 +1083,18 @@ _PINNED_BENCH = [
     (["extend", "--lambda", "0.95"] + _BENCH, {
         ".json": "2563d4bfa25b9b7732c830363f41fab8"
                  "63a62ecb6691acc99247eddcb36c5153",
-        ".svg": "b683bd3248b0e61d18e541b3f2dbbf4d"
-                "2dc7deb94edd01dfb187b6c532e0d235"}),
+        ".svg": "45fdb37879c567c77a0b5e8237135440"
+                "7d7ee38a6f2cf4e09196e1cb0b8d91f6"}),
     (["extend", "--lambda", "0.6"] + _BENCH, {
         ".json": "0931135d1a20f02d8971e918d07fedb6"
                  "1b152c58951d4dfd0f79f60aeca8ff0b",
-        ".svg": "c56aa5a36f1e71f9912bdef636d5d787"
-                "08e9dba31b16dd14f43ed594a12c48bf"}),
+        ".svg": "dc0d6ebeca7efcd4109fe20db342de2e"
+                "d32c073951dbae9d6eeecdd51c4a9d0c"}),
     (["bifurcate", "--n-max", "12", "--steps", "2000", "--format", "svg"], {
         ".csv": "8bd4472c12f28c884c2a9a445c01640d"
                 "10d289f772f1d0b532f73504ad71e1d4",
-        ".svg": "e3cf37d3a829ea8e2c005768a9269317"
-                "67c89907e2043854d1b631fbc336ec5b"}),
+        ".svg": "4f8f9f7a21964ce34b52caa2d24fbb40"
+                "28e1f32c1ee6aecee231685fe9186dbf"}),
 ]
 
 
