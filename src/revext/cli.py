@@ -456,10 +456,14 @@ def cmd_bifurcate(cfg: RunConfig) -> int:
     # non-decreasing, as lams is
     cx = decimal_rint(margin + (lams - cfg.lambda_min) / span
                       * (width - 2 * margin), 2)
+    # equal λ give equal orbits and cx: sweep and key each distinct λ once
+    new = np.r_[True, lams[1:] != lams[:-1]]
+    groups = np.cumsum(np.r_[0, new])[np.array(_column_groups(cx))]
+    lams, cx = lams[new], cx[new]
     # consecutive groups, as many to a block as fit SWEEP_BYTES (at least
     # one); each column's orbit is its own, so blocks change no value
     blocks = [[]]
-    for a, b in _column_groups(cx):
+    for a, b in groups:
         if blocks[-1] and (b - blocks[-1][0][0]) * 8 * (keep + 4) \
                 > SWEEP_BYTES:
             blocks.append([])

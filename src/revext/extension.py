@@ -23,8 +23,9 @@ from .core import (EPS_CHAIN, UNIT_INTERVAL, PartialMapSystem, decimal_rint,
 
 INF = math.inf
 # Branch words of a backward search are enumerated exhaustively down to this
-# depth (less for shallow targets), once for all the strata of a search;
-# deeper coordinates are completed by first-found continuation.
+# depth (less if every target is shallower), once for all the strata of a
+# search; a target no deeper is read off them, and deeper coordinates are
+# completed by first-found continuation.
 PREFIX_DEPTH = 5
 # Bytes of search state (paths, children and counters) a backward search
 # holds at once: it runs its jobs in slices of this size.
@@ -251,15 +252,14 @@ def _seeds(spec: ExtensionSpec, density: int, extra_seeds) -> list:
 def backward_search(spec: ExtensionSpec, Ns, density: int, depth: int = 25,
                     extra_seeds: Sequence[float] = ()) -> BackwardSearch:
     """The backward chains of the strata M_N, N in ``Ns`` (INF: M_inf to
-    ``depth``), from one search from the ``_seeds``.  A job runs a branch
-    word down to PREFIX_DEPTH (less for a shallow target, one less if
-    terminal) in branch order or reversed, as a depth-first search for
-    every target of its word's length: it descends while one lies deeper,
-    and records the first valid chain at each target's depth (in Y if
-    terminal).  Restricted to one depth this is that target's own search,
-    so each gets the first and last completion of each word, in job order.
-    The jobs of one word length run in lockstep, in slices of at most
-    SEARCH_BYTES of state."""
+    ``depth``) from the ``_seeds``: each branch word's first and last
+    completion, in word order.  A target no deeper than PREFIX_DEPTH is
+    read off the words: M_inf takes each word of its depth twice, M_N each
+    word's first and last child in Y.  For the deeper ones, job 2w runs
+    word w of length PREFIX_DEPTH in branch order and job 2w + 1 reversed:
+    one depth-first search, restricted to each target's depth its own,
+    that records the first valid chain there (in Y if terminal).  The jobs
+    run in lockstep, in slices of at most SEARCH_BYTES of state."""
     for name, n in (("density", density), ("depth", depth)):
         if isinstance(n, bool) or not isinstance(
                 n, (int, np.integer)) or n < 1:
@@ -269,25 +269,36 @@ def backward_search(spec: ExtensionSpec, Ns, density: int, depth: int = 25,
             raise ValueError(f"N must be a nonnegative integer or INF, got "
                              f"{N!r}")
     extra_seeds = tuple(extra_seeds)
-    words = [np.array(_seeds(spec, density, extra_seeds), float)[:, None]]
     rows = {INF if N == INF else int(N): [] for N in Ns}
-    wants = {}  # word length -> depth -> target bits (1 terminal, 2 not)
+    want = {}  # target depth -> bits (1 terminal, 2 not)
     for N in rows:
         if N == INF or N >= 1 and spec.Y:
             d = depth if N == INF else N
-            want = wants.setdefault(min(PREFIX_DEPTH, d - (N != INF)), {})
             want[d] = want.get(d, 0) | (2 if N == INF else 1)
-    for _ in range(max(wants, default=0)):
+    # the branch words of each length, and each word's parent one shorter
+    words = [np.array(_seeds(spec, density, extra_seeds), float)[:, None]]
+    parent = [None]
+    for _ in range(min(max(want, default=0), PREFIX_DEPTH)):
         table = preimages(spec.system, words[-1][:, -1])
         i, j = np.nonzero(~np.isnan(table))
         words.append(np.column_stack([words[-1][i], table[i, j]]))
-    for top, want in sorted(wants.items()):
-        bits = np.zeros(max(want) + 1, dtype=np.int8)
-        bits[list(want)] = list(want.values())
+        parent.append(i)
+    for d, v in want.items():
+        if d <= PREFIX_DEPTH and v & 2:
+            rows[INF].append(np.repeat(words[d], 2, axis=0))
+        if d <= PREFIX_DEPTH and v & 1:
+            k = np.flatnonzero(spec.in_Y(words[d][:, -1]))
+            p = parent[d][k]  # a word's children are consecutive
+            pick = np.column_stack([k[np.diff(p, prepend=-1) != 0],
+                                    k[np.diff(p, append=-1) != 0]])
+            rows[d].append(words[d][pick.ravel()])
+    top = PREFIX_DEPTH
+    if deep := {d: v for d, v in want.items() if d > top}:
+        bits = np.zeros(max(deep) + 1, dtype=np.int8)
+        bits[list(deep)] = list(deep.values())
         width = max(1, SEARCH_BYTES // _job_bytes(
             len(bits) - 1, len(spec.system.branches),
-            sum((d - top) * (1 + (v == 3)) for d, v in want.items())))
-        # job 2w runs word w in branch order, job 2w + 1 reversed
+            sum((d - top) * (1 + (v == 3)) for d, v in deep.items())))
         for s in range(0, 2 * len(words[top]), width):
             jobs = np.arange(s, min(s + width, 2 * len(words[top])))
             for (bit, d), got in _lockstep(spec, words[top][jobs // 2], jobs,
@@ -300,16 +311,19 @@ def backward_search(spec: ExtensionSpec, Ns, density: int, depth: int = 25,
 def _lockstep(spec: ExtensionSpec, words: np.ndarray, jobs: np.ndarray,
               bits: np.ndarray) -> dict:
     """The rows, in job order, that the ``jobs`` of ``backward_search`` (odd
-    ones reversed) record from their ``words`` for each target of ``bits``."""
+    ones reversed) record from their ``words`` for each target of ``bits``.
+    The state of job j at level l is entry l * n + j of a flat view."""
     top, depth, n = words.shape[1] - 1, len(bits) - 1, len(jobs)
     path = np.zeros((depth + 1, n))  # level-major, one column per job
     path[:top + 1] = words.T
-    kids = np.empty((depth, n, len(spec.system.branches)))
+    kids = np.empty((depth * n, len(spec.system.branches)))
     # per level, the children left to visit and the column of the next,
     # |base - left| with base = count in branch order and 1 reversed
     left = np.empty((depth + 1, n), dtype=np.int8)
     base = np.empty((depth + 1, n), dtype=np.int8)
     want = np.repeat(bits, n).reshape(depth + 1, n)
+    at_path, at_kids, at_left, at_base, at_want = (
+        a.ravel() for a in (path, kids, left, base, want))
     # each target's coordinates past the word, written when recorded
     tails = {(bit, d): np.empty((n, d - top)) for d in np.flatnonzero(bits)
              for bit in (1, 2) if bits[d] & bit}
@@ -319,13 +333,14 @@ def _lockstep(spec: ExtensionSpec, words: np.ndarray, jobs: np.ndarray,
     live = entered = np.arange(n)
     while live.size:
         # an entered node records the unfound targets of its depth
-        w = want[lv, entered]
+        at = lv * n + entered
+        w = at_want[at]
         hit = w & 2
         if (t := np.flatnonzero(w & 1)).size:
-            hit[t] |= spec.in_Y(path[lv[t], entered[t]])
+            hit[t] |= spec.in_Y(at_path[at[t]])
         if (h := np.flatnonzero(hit)).size:
             j, lj, b = entered[h], lv[h], hit[h]
-            want[lj, j] = w[h] & ~b
+            at_want[at[h]] = w[h] & ~b
             for bit in (1, 2):
                 for d in np.flatnonzero(np.bincount(lj, b & bit)):
                     jb = j[(lj == d) & (b & bit > 0)]
@@ -336,19 +351,20 @@ def _lockstep(spec: ExtensionSpec, words: np.ndarray, jobs: np.ndarray,
                                -1)
         # the preimages of all newly entered nodes, as one table
         if (g := lv < deep[entered]).any():
-            grow, lg = entered[g], lv[g]
-            kids[lg, grow] = table = preimages(spec.system, path[lg, grow])
-            left[lg, grow] = c = (~np.isnan(table)).sum(axis=1)
-            base[lg, grow] = np.where(rev[grow], 1, c)
+            ag = at[g]
+            kids[ag] = table = preimages(spec.system, at_path[ag])
+            at_left[ag] = c = (~np.isnan(table)).sum(axis=1)
+            at_base[ag] = np.where(rev[entered[g]], 1, c)
         # a node descends to its next child while an unfound target lies
         # deeper, or else backs up; a job with no target left stops
         lv, dl = level[live], deep[live]
-        c = left[lv, live]
+        at = lv * n + live
+        c = at_left[at]
         down = (lv < dl) & (c > 0)
-        entered, le, c = live[down], lv[down], c[down]
-        left[le, entered] = c - 1
-        path[le + 1, entered] = kids[le, entered,
-                                     np.abs(base[le, entered] - c)]
+        entered, le, c, at = live[down], lv[down], c[down], at[down]
+        at_left[at] = c - 1
+        at_path[at + n] = at_kids[at * kids.shape[1]
+                                  + np.abs(at_base[at] - c)]
         level[live] = lv = lv + 2 * down - 1
         live = live[(lv >= top) & (dl >= 0)]
         lv = le + 1

@@ -584,6 +584,41 @@ def test_bifurcate_sweeps_blocks_within_sweep_bytes(tmp_path, monkeypatch):
     assert peaks[1] < (1 << 18) + 5 * group
 
 
+def test_bifurcate_sweeps_each_distinct_lambda_once(tmp_path, monkeypatch):
+    # 30,000 columns on a range two ulp wide share three lambdas and three
+    # groups; a group of 10,000 columns held 94 MB of orbit points.  Swept
+    # once per lambda, the peak is what the columns' cx take to compute
+    # (lambda, cx and decimal_rint's temporaries), the cap and one group's
+    # text
+    steps, (lo, hi) = 30000, _ULP_RANGE
+    calls = _count_sweeps(monkeypatch)
+    monkeypatch.setattr(cli, "SWEEP_BYTES", 1 << 18)
+    run(["bifurcate", "--n-max", "1", "--steps", "10", "--format", "svg",
+         "-o", str(tmp_path / "warm")])  # first calls import lazily
+    calls.clear()
+    tracemalloc.start()
+    try:
+        lams = np.linspace(lo, hi, steps)
+        decimal_rint(40.0 + (lams - lo) / (hi - lo) * 720.0, 2)
+        columns = tracemalloc.get_traced_memory()[1]
+        del lams
+        tracemalloc.reset_peak()
+        assert run(["bifurcate", "--n-max", "1", "--lambda-min", repr(lo),
+                    "--lambda-max", repr(hi), "--steps", str(steps),
+                    "--format", "svg", "-o", str(tmp_path / "bif")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [3]
+    svg = (tmp_path / "bif.svg").read_bytes()
+    assert svg.count(b"<path ") == 3
+    group = max(len(line) for line in svg.splitlines())
+    assert peak < columns + (1 << 18) + group
+    _global_sort_svg(str(tmp_path / "old.svg"), lo, hi, steps)
+    cut = f'" {_ROUND_MARKS.format(0.8)}/>\n<path d="'.encode()
+    assert svg.replace(cut, b"") == (tmp_path / "old.svg").read_bytes()
+
+
 @pytest.mark.parametrize("argv, height", [
     (["extend", "--lambda", "0.9", "--N", "4", "--format", "svg"], 302.0),
     (["extend", "--system", "constant", "--N", "4", "--format", "svg"],

@@ -685,22 +685,36 @@ def test_forward_push_drops_points_that_leave_the_domain(N):
     _check_against_old_sampler(ExtensionSpec(system, ((0.5, 1.0),)), N, 20, 4)
 
 
+def _logistic_in_all_Y(lam) -> ExtensionSpec:
+    # Y = [0, 1] holds both preimages of a point, so the first and the last
+    # child in Y of a word differ
+    return ExtensionSpec(extension_spec(lam).system, ((0.0, 1.0),))
+
+
+@st.composite
+def _run_specs(draw):
+    """A logistic system with Y = [lambda, 1] or [0, 1], a constant one or
+    a rotation with its Y (two of the rotation's Y wrap through 0 = 1)."""
+    kind = draw(st.sampled_from(["logistic", "all-Y logistic", "constant",
+                                 "rotation"]))
+    if kind == "logistic":
+        return extension_spec(draw(st.floats(0.25, 1.0)))
+    if kind == "all-Y logistic":
+        return _logistic_in_all_Y(draw(st.floats(0.25, 1.0)))
+    if kind == "constant":
+        return ExtensionSpec(make_constant_system(draw(st.floats(0.0, 1.0))),
+                             ((0.0, 1.0),))
+    return ExtensionSpec(
+        make_rotation_system(draw(st.floats(0.0, 1.0, exclude_max=True))),
+        draw(st.sampled_from([((0.1, 0.3),), ((0.9, 0.05),)])))
+
+
 @st.composite
 def _whole_runs(draw):
     """A system with its Y, then N_max, depth, density and extra seeds of
     one `extend`-like run."""
-    kind = draw(st.sampled_from(["logistic", "constant", "rotation"]))
-    if kind == "logistic":
-        spec = extension_spec(draw(st.floats(0.25, 1.0)))
-    elif kind == "constant":
-        spec = ExtensionSpec(make_constant_system(draw(st.floats(0.0, 1.0))),
-                             ((0.0, 1.0),))
-    else:
-        spec = ExtensionSpec(
-            make_rotation_system(draw(st.floats(0.0, 1.0, exclude_max=True))),
-            draw(st.sampled_from([((0.1, 0.3),), ((0.9, 0.05),)])))
-    return (spec, draw(st.integers(0, 8)), draw(st.integers(1, 10)),
-            draw(st.integers(2, 12)),
+    return (draw(_run_specs()), draw(st.integers(0, 8)),
+            draw(st.integers(1, 10)), draw(st.integers(2, 12)),
             draw(st.lists(st.floats(0.0, 1.0), max_size=3)))
 
 
@@ -725,6 +739,59 @@ def test_one_search_serves_every_stratum_of_a_run(run):
         assert repr(s.chains.coords.tolist()) == repr([list(c.coords)
                                                        for c in old])
         assert s.chains.terminal == (N != INF)
+
+
+PREFIX = ext.PREFIX_DEPTH
+CONSTANT_NEG_ZERO = ExtensionSpec(make_constant_system(-0.0), ((0.0, 1.0),))
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=st.tuples(
+    _run_specs(),
+    st.lists(st.integers(0, PREFIX + 1) | st.just(INF), min_size=1, max_size=4,
+             unique=True),
+    st.integers(1, PREFIX + 1), st.integers(2, 12),
+    st.lists(st.floats(0.0, 1.0), max_size=3)))
+@example(run=(extension_spec(0.9), [PREFIX], 8, 12, []))
+@example(run=(extension_spec(0.9), [PREFIX + 1], 8, 12, [0.5]))
+@example(run=(extension_spec(1.0), [2, PREFIX, INF], 4, 12, []))  # Y is empty
+@example(run=(extension_spec(0.95), [1, INF], PREFIX, 20, []))
+@example(run=(CONSTANT_NEG_ZERO, [0, 3, INF], 4, 4, []))
+@example(run=(_logistic_in_all_Y(0.9), [1, PREFIX], 4, 8, []))
+def test_shallow_targets_are_read_off_the_prefix_words(run):
+    # a target no deeper than PREFIX_DEPTH takes its rows from the prefix
+    # words without a lockstep; each stratum is still the old sampler's
+    spec, Ns, depth, density, extra = run
+    calls, real = [], ext._lockstep
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ext, "_lockstep", counting)
+        search = ext.backward_search(spec, Ns, density, depth, extra)
+    deep = [N for N in Ns if (depth if N == INF else N) > PREFIX
+            and (N == INF or spec.Y)]
+    assert bool(calls) == bool(deep)
+    # the rows read off, in order: the recursive search's first and last
+    # completion of each word, seed by seed
+    seeds = ext._seeds(spec, density, tuple(extra))
+    for N in set(Ns) - set(deep) - {0}:
+        d = depth if N == INF else N
+        got = np.vstack([np.empty((0, d + 1))] + search.rows[N])
+        assert repr(got.tolist()) == repr([
+            list(c) for x0 in seeds if N == INF or spec.Y
+            for c in _recursive_search(spec, x0, d, N != INF)])
+    for N in Ns:
+        old, _ = _old_sample_stratum(spec, N, density, depth, extra)
+        try:
+            s = sample_stratum(spec, N, density, depth, extra, search=search)
+        except EmptyStratum:
+            assert old == []
+            continue
+        assert repr(s.chains.coords.tolist()) == repr([list(c.coords)
+                                                       for c in old])
 
 
 @settings(max_examples=25, deadline=None)
@@ -807,8 +874,9 @@ def test_search_keyword_takes_only_its_own_run():
 
 def test_one_extend_run_sends_half_the_preimage_points(monkeypatch,
                                                         tmp_path):
-    # at the README size the strata sampled one at a time send 116,095
-    # points to preimages; one shared search sends at most half of them
+    # at the README size the strata sampled one at a time send 114,054
+    # points to preimages in 121 calls; one shared search sends 53,504 in
+    # 53 calls, at most half of them
     points = []
     real = ext.preimages
 
@@ -820,12 +888,13 @@ def test_one_extend_run_sends_half_the_preimage_points(monkeypatch,
     assert cli.main(["extend", "--system", "logistic", "--lambda", "0.95",
                      "--N", "10", "--depth", "20", "--density", "60",
                      "--format", "json", "-o", str(tmp_path / "x")]) == 0
-    shared = sum(points)
+    shared, calls = sum(points), len(points)
     points.clear()
     spec = extension_spec(0.95)
     for N in list(range(11)) + [INF]:
         sample_stratum(spec, N, 60, depth=20)
-    assert sum(points) == 116_095
+    assert (shared, calls) == (53_504, 53)
+    assert (sum(points), len(points)) == (114_054, 121)
     assert 2 * shared <= sum(points)
 
 
