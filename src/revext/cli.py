@@ -79,6 +79,11 @@ class RunConfig:
                 "--n-max", self.N_max, lg.N_RESOLVABLE,
                 f"lambda_n past n = {lg.N_RESOLVABLE} is not resolvable "
                 "in float64")
+        if self.steps > STEPS_CAP:
+            raise ArgumentTooLarge(
+                "--steps", self.steps, STEPS_CAP,
+                f"the columns would take more than {SWEEP_BYTES} bytes "
+                "before the sweep")
         if self.format not in ("json", "csv", "svg", "dot"):
             raise ValueError(f"unknown format {self.format!r}")
 
@@ -278,11 +283,22 @@ def _ladder_svg(samples: dict, path: str) -> None:
 
 def _write_strata_json(fh, strata: dict) -> None:
     """Write ``{key: stratum_to_json(sample)}``, with ``{"empty": true}``
-    where the sample is None, exactly as ``json.dump(doc, fh, indent=1)``
-    writes it, stratum by stratum and a block of chains at a time.  Each
+    where the sample is None, in compact separators (``,`` and ``:``) with
+    one line per stratum header and per chain, stratum by stratum and a
+    block of chains at a time:
+
+        {"0":{"N":0,"depth":20,"chains":[
+        {"coords":[0.6],"terminal":true},
+        ...]},
+        "7":{"empty":true},
+        "inf":{...}}
+
+    Lines are joined by ``,\\n`` (a header ends in ``[`` and its first
+    chain follows on the next line), and the file ends with ``}}\\n``.
+    ``json.loads`` reads the document ``json.dump`` would write.  Each
     distinct coordinate bit pattern of the strata (so 0.0 and -0.0 apart)
-    is formatted once, behind the separator that precedes every coordinate
-    but a chain's first, which a chain's first token slices off, so a block
+    is formatted once, behind the comma that precedes every coordinate but
+    a chain's first, which a chain's first token slices off, so a block
     joins one token per coordinate.  Raises ValueError, before writing, for
     a coordinate that is not finite: JSON has no NaN or infinity."""
     coords = {k: s.chains.coords for k, s in strata.items() if s is not None}
@@ -291,36 +307,35 @@ def _write_strata_json(fh, strata: dict) -> None:
         if bad.any():
             raise ValueError(f"stratum {key!r} has the coordinate "
                              f"{float(c[bad][0])!r}, which JSON cannot hold")
-    gap = ",\n     "  # before every coordinate but a chain's first
     after, rows = _indexed(
         [c.view(np.int64) for c in coords.values()],
-        lambda bits: [gap + repr(x) for x in bits.view(float).tolist()])
+        lambda bits: ["," + repr(x) for x in bits.view(float).tolist()])
     rows = dict(zip(coords, rows))
-    sep = "{\n "
+    fh.write("{")
+    sep = ""
     for key, sample in strata.items():
-        fh.write(f"{sep}{json.dumps(key)}: {{\n  ")
-        sep = ",\n "
+        fh.write(f"{sep}{json.dumps(key)}:")
+        sep = ",\n"
         if sample is None:
-            fh.write('"empty": true\n }')
+            fh.write('{"empty":true}')
             continue
         N = '"inf"' if sample.N == INF else int(sample.N)
-        fh.write(f'"N": {N},\n  "depth": {sample.depth},\n  "chains": [')
+        fh.write(f'{{"N":{N},"depth":{sample.depth},"chains":[')
         c = rows[key]
-        close = ('\n    ],\n    "terminal": true\n   }'
-                 if sample.chains.terminal else
-                 '\n    ],\n    "terminal": false\n   }')
+        close = ('],"terminal":true}' if sample.chains.terminal else
+                 '],"terminal":false}')
         for b in range(0, len(c), _BLOCK):
             blk = c[b:b + _BLOCK]
             tok = np.empty((len(blk), blk.shape[1] + 2), dtype=object)
-            tok[:, 0] = ',\n   {\n    "coords": [\n     '
-            tok[:, 1] = [t[len(gap):] for t in after[blk[:, 0]].tolist()]
+            tok[:, 0] = ',\n{"coords":['
+            tok[:, 1] = [t[1:] for t in after[blk[:, 0]].tolist()]
             tok[:, 2:-1] = after[blk[:, 1:]]
             tok[:, -1] = close
             if b == 0:
                 tok[0, 0] = tok[0, 0][1:]
             fh.write("".join(tok.ravel().tolist()))
-        fh.write("\n  ]\n }")
-    fh.write("\n}")
+        fh.write("]}")
+    fh.write("}\n")
 
 
 def cmd_extend(cfg: RunConfig) -> int:
@@ -429,6 +444,10 @@ _COLUMN_GROUP = 128
 # consecutive column groups at a time, at 8 * (keep + 4) bytes a column
 # (the kept rows, the state and the update's temporaries).
 SWEEP_BYTES = 1 << 24
+# `bifurcate` holds every column's lambda and cx, and decimal_rint's
+# temporaries, at once before it sweeps: 48 bytes a column (tracemalloc,
+# numpy 2.4), so --steps is capped where they would pass SWEEP_BYTES.
+STEPS_CAP = SWEEP_BYTES // 48
 
 
 def _column_groups(cx: np.ndarray) -> list:

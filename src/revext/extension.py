@@ -253,13 +253,15 @@ def backward_search(spec: ExtensionSpec, Ns, density: int, depth: int = 25,
                     extra_seeds: Sequence[float] = ()) -> BackwardSearch:
     """The backward chains of the strata M_N, N in ``Ns`` (INF: M_inf to
     ``depth``) from the ``_seeds``: each branch word's first and last
-    completion, in word order.  A target no deeper than PREFIX_DEPTH is
-    read off the words: M_inf takes each word of its depth twice, M_N each
-    word's first and last child in Y.  For the deeper ones, job 2w runs
-    word w of length PREFIX_DEPTH in branch order and job 2w + 1 reversed:
-    one depth-first search, restricted to each target's depth its own,
-    that records the first valid chain there (in Y if terminal).  The jobs
-    run in lockstep, in slices of at most SEARCH_BYTES of state."""
+    completion, in word order, without a row whose bits are those of the
+    row before it of its target (so a word's single completion is one
+    row).  A target no deeper than PREFIX_DEPTH is read off the words:
+    M_inf takes each word of its depth, M_N each word's first and last
+    child in Y.  For the deeper ones, job 2w runs word w of length
+    PREFIX_DEPTH in branch order and job 2w + 1 reversed: one depth-first
+    search, restricted to each target's depth its own, that records the
+    first valid chain there (in Y if terminal).  The jobs run in
+    lockstep, in slices of at most SEARCH_BYTES of state."""
     for name, n in (("density", density), ("depth", depth)):
         if isinstance(n, bool) or not isinstance(
                 n, (int, np.integer)) or n < 1:
@@ -283,15 +285,27 @@ def backward_search(spec: ExtensionSpec, Ns, density: int, depth: int = 25,
         i, j = np.nonzero(~np.isnan(table))
         words.append(np.column_stack([words[-1][i], table[i, j]]))
         parent.append(i)
+
+    def record(N, got):
+        # a row is kept unless its bits are those of the target's last row
+        # (a word's first and last completion may be one row)
+        bits = got.view(np.int64)
+        new = np.empty(len(got), dtype=bool)
+        new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+        new[:1] = not rows[N] or (bits[:1] != rows[N][-1][-1:].view(
+            np.int64)).any()
+        if new.any():
+            rows[N].append(got if new.all() else got[new])
+
     for d, v in want.items():
         if d <= PREFIX_DEPTH and v & 2:
-            rows[INF].append(np.repeat(words[d], 2, axis=0))
+            record(INF, words[d])
         if d <= PREFIX_DEPTH and v & 1:
             k = np.flatnonzero(spec.in_Y(words[d][:, -1]))
             p = parent[d][k]  # a word's children are consecutive
             pick = np.column_stack([k[np.diff(p, prepend=-1) != 0],
                                     k[np.diff(p, append=-1) != 0]])
-            rows[d].append(words[d][pick.ravel()])
+            record(d, words[d][pick.ravel()])
     top = PREFIX_DEPTH
     if deep := {d: v for d, v in want.items() if d > top}:
         bits = np.zeros(max(deep) + 1, dtype=np.int8)
@@ -303,7 +317,7 @@ def backward_search(spec: ExtensionSpec, Ns, density: int, depth: int = 25,
             jobs = np.arange(s, min(s + width, 2 * len(words[top])))
             for (bit, d), got in _lockstep(spec, words[top][jobs // 2], jobs,
                                            bits).items():
-                rows[INF if bit == 2 else d].append(got)
+                record(INF if bit == 2 else d, got)
     return BackwardSearch(_search_key(spec, density, depth, extra_seeds),
                           rows)
 

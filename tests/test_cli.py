@@ -114,13 +114,39 @@ def _strata(N=4, depth=8, density=12, **system):
     return strata
 
 
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _strata_layout(doc: dict) -> str:
+    """The strata JSON layout, built entry by entry: a stratum header per
+    line, then one compact chain per line, lines joined by ",\n"."""
+    entries = []
+    for key, entry in doc.items():
+        if "chains" not in entry:
+            entries.append(f"{_compact(key)}:{_compact(entry)}")
+            continue
+        chains = ",\n".join(map(_compact, entry["chains"]))
+        entries.append(f'{_compact(key)}:{{"N":{_compact(entry["N"])},'
+                       f'"depth":{entry["depth"]},"chains":[\n{chains}]}}')
+    return "{" + ",\n".join(entries) + "}\n"
+
+
+def _coord_tokens(text: str) -> list:
+    """The coordinate tokens of every chain line, as written."""
+    return [t for line in text.splitlines() if line.startswith('{"coords"')
+            for t in line[len('{"coords":['):line.index("]")].split(",")]
+
+
 def _check_strata_json(strata):
     doc = {k: {"empty": True} if s is None else stratum_to_json(s)
            for k, s in strata.items()}
     fh = io.StringIO()
     _write_strata_json(fh, strata)
-    assert fh.getvalue() == json.dumps(doc, indent=1)
-    return fh.getvalue()
+    text = fh.getvalue()
+    assert text == _strata_layout(doc)
+    assert json.loads(text) == json.loads(json.dumps(doc, indent=1))
+    return text
 
 
 @pytest.mark.parametrize("system", [
@@ -156,8 +182,7 @@ def test_strata_json_at_lambda_one_reads_back(tmp_path):
 
 def test_strata_json_keeps_signed_zero():
     text = _check_strata_json(_strata(system="constant", p=-0.0))
-    lines = text.splitlines()
-    assert "     -0.0," in lines and "     0.0," in lines
+    assert {"-0.0", "0.0"} <= set(_coord_tokens(text))
 
 
 @settings(max_examples=25, deadline=None)
@@ -370,7 +395,7 @@ def _hand_stratum(rows, N=2, seed=0):
 def test_strata_json_of_edge_floats_is_json_dump():
     strata = {"2": _hand_stratum(40), "3": None, "5": _hand_stratum(7, N=5)}
     text = _check_strata_json(strata)
-    assert "     -0.0," in text.splitlines() and "5e-324" in text
+    assert {"-0.0", "0.0", "5e-324"} <= set(_coord_tokens(text))
 
 
 @pytest.mark.parametrize("rows", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
@@ -750,6 +775,53 @@ def test_n_max_cap_is_a_named_value_error(N_max):
     assert issubclass(ArgumentTooLarge, ValueError)
 
 
+def test_bifurcate_steps_above_the_cap_fail_before_any_allocation(
+        tmp_path, capsys, monkeypatch):
+    # --steps 10**8 would hold about 4.8 GB of columns before any sweep
+    monkeypatch.setattr(cli.lg.CascadeTable, "build", None)  # never reached
+    tracemalloc.start()
+    try:
+        code = run(["bifurcate", "--steps", str(10**8), "--format", "svg",
+                    "-o", str(tmp_path / "bif")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and peak < 1 << 18
+    assert capsys.readouterr().err.startswith(
+        f"error: --steps 100000000 is above its cap {cli.STEPS_CAP}")
+    assert not list(tmp_path.iterdir())
+    RunConfig("bifurcate", steps=cli.STEPS_CAP).validate()
+    with pytest.raises(ArgumentTooLarge, match="--steps 349526 .* 349525"):
+        RunConfig("bifurcate", steps=cli.STEPS_CAP + 1).validate()
+
+
+def test_steps_cap_keeps_the_columns_within_sweep_bytes(tmp_path,
+                                                        monkeypatch):
+    # at the cap, what bifurcate holds before its first sweep is the
+    # columns' SWEEP_BYTES (within 1%: the 48 bytes a column were measured
+    # with one numpy) and what it holds at 10 steps
+    class Swept(Exception):
+        pass
+
+    def first_sweep(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        raise Swept
+
+    peaks = []
+    monkeypatch.setattr(cli, "_sweep_chunk", first_sweep)
+    tracemalloc.start()
+    try:
+        for steps in (10, cli.STEPS_CAP):
+            with pytest.raises(Swept):
+                cli.cmd_bifurcate(RunConfig(
+                    "bifurcate", N_max=1, steps=steps, format="svg",
+                    output=str(tmp_path / "bif")))
+    finally:
+        tracemalloc.stop()
+    assert cli.STEPS_CAP * 48 <= cli.SWEEP_BYTES < (cli.STEPS_CAP + 1) * 48
+    assert peaks[1] - peaks[0] <= 1.01 * cli.SWEEP_BYTES
+
+
 def test_classify(tmp_path):
     out = str(tmp_path / "cls")
     assert run(["classify", "--lambda", "0.8", "-o", out]) == 0
@@ -1033,32 +1105,32 @@ def test_deterministic_output(tmp_path):
 _SMALL = ["--N", "4", "--depth", "8", "--density", "12", "--format", "svg"]
 _PINNED = [
     (["extend", "--lambda", "0.95"] + _SMALL, {
-        ".json": "193c9840de1f00a7b9c82af1c9579fb8"
-                 "f850e1af77038de7122b0de096075a01",
+        ".json": "e912b46f3dede2e78b3703f487440372"
+                 "8a1798742f2ceb2d62f004f2bf17a6fc",
         ".svg": "de8abdddea5cdfea36a35f636d749861"
                 "9804892e4c992a47f1ffa149c09faddc"}),
     (["extend", "--lambda", "0.6"] + _SMALL, {
-        ".json": "4853a701b93d104e9c5b39ab3a26d070"
-                 "7f406ae48b616d6546b2e2ad7a38c043",
+        ".json": "629ddd8b54cadcdc8ca7897fe94fdf35"
+                 "b2fe5aa01da03236ec997e773c5332b1",
         ".svg": "359c338834490d9713d0e25b621cc302"
                 "80482c339a20c2591037e98eac201751"}),
     (["extend", "--system", "constant", "--N", "3", "--depth", "8",
       "--density", "12", "--format", "svg"], {
-        ".json": "b57318afc46172d733ee5db162240501"
-                 "0a6983840744fb9a50a82d7bda762ea7",
+        ".json": "1f80398e2ab2dabc7c8be1b162c3dcab"
+                 "e2233a20475faab19ff939e8af26f928",
         ".svg": "15978f7b055c9e94a0aea5c9904697f7"
                 "03e30d0ac99d7badec00d124cbd6c7b1"}),
     # every finite stratum empty
     (["extend", "--lambda", "1.0"] + _SMALL, {
-        ".json": "80f7b8632385bd273f8b366fdfbb99b1"
-                 "e0463061ac9ef4f59bf574d0137c232c",
+        ".json": "dcbef43c1ae3b6de742a9c1a7eae9386"
+                 "2b9ed15961970efa8af0f8f04f2a70d5",
         ".svg": "6c26a549dc62c17e8d42331a09e98b85"
                 "1e7f03561a105733d76050e4af2b4ab4"}),
     # a signed zero in every chain
     (["extend", "--p", "-0.0", "--system", "constant", "--N", "3",
       "--depth", "8", "--density", "12", "--format", "svg"], {
-        ".json": "32584dcec7f2d65745aaf89733c8089a"
-                 "a1a5005255be12a63fc98d0630b26f00",
+        ".json": "ca8c5e52f03065f51b0faaa3dda09272"
+                 "d2b0661ce032ce572895da0b0830be2e",
         ".svg": "465e77df6643e94e65dd585794f7c6f1"
                 "073a0caa13c872616d692cd574b4fb4c"}),
     (["extend", "--system", "rotation", "--tau", "0.25", "--gamma0", "0.25",
@@ -1116,13 +1188,13 @@ _PINNED = [
 _BENCH = ["--N", "10", "--depth", "20", "--density", "60", "--format", "svg"]
 _PINNED_BENCH = [
     (["extend", "--lambda", "0.95"] + _BENCH, {
-        ".json": "2563d4bfa25b9b7732c830363f41fab8"
-                 "63a62ecb6691acc99247eddcb36c5153",
+        ".json": "b956d3bc4d9aab541e0d5bbc3f6eb507"
+                 "26167ee2575fa7af525eaab5eccf2854",
         ".svg": "45fdb37879c567c77a0b5e8237135440"
                 "7d7ee38a6f2cf4e09196e1cb0b8d91f6"}),
     (["extend", "--lambda", "0.6"] + _BENCH, {
-        ".json": "0931135d1a20f02d8971e918d07fedb6"
-                 "1b152c58951d4dfd0f79f60aeca8ff0b",
+        ".json": "c8d0ed54733241247ae44fb35f090591"
+                 "f648a778b5afeb12b067a74235fb90ec",
         ".svg": "dc0d6ebeca7efcd4109fe20db342de2e"
                 "d32c073951dbae9d6eeecdd51c4a9d0c"}),
     (["bifurcate", "--n-max", "12", "--steps", "2000", "--format", "svg"], {

@@ -745,6 +745,21 @@ PREFIX = ext.PREFIX_DEPTH
 CONSTANT_NEG_ZERO = ExtensionSpec(make_constant_system(-0.0), ((0.0, 1.0),))
 
 
+def _drop_adjacent_copies(rows: list) -> list:
+    """``rows`` without each row whose repr (so bits: -0.0 is not 0.0) is
+    the one before it."""
+    return [r for i, r in enumerate(rows)
+            if i == 0 or repr(r) != repr(rows[i - 1])]
+
+
+def _check_no_adjacent_copies(search, Ns, depth):
+    # no two consecutive rows of a target have the same bits
+    for N in Ns:
+        got = np.vstack([np.empty((0, 1 + (depth if N == INF else N)))]
+                        + search.rows[N]).view(np.int64)
+        assert not (got[1:] == got[:-1]).all(axis=1).any()
+
+
 @settings(max_examples=40, deadline=None)
 @given(run=st.tuples(
     _run_specs(),
@@ -775,14 +790,16 @@ def test_shallow_targets_are_read_off_the_prefix_words(run):
             and (N == INF or spec.Y)]
     assert bool(calls) == bool(deep)
     # the rows read off, in order: the recursive search's first and last
-    # completion of each word, seed by seed
+    # completion of each word, seed by seed, a row that repeats the one
+    # before it dropped
     seeds = ext._seeds(spec, density, tuple(extra))
     for N in set(Ns) - set(deep) - {0}:
         d = depth if N == INF else N
         got = np.vstack([np.empty((0, d + 1))] + search.rows[N])
-        assert repr(got.tolist()) == repr([
+        assert repr(got.tolist()) == repr(_drop_adjacent_copies([
             list(c) for x0 in seeds if N == INF or spec.Y
-            for c in _recursive_search(spec, x0, d, N != INF)])
+            for c in _recursive_search(spec, x0, d, N != INF)]))
+    _check_no_adjacent_copies(search, Ns, depth)
     for N in Ns:
         old, _ = _old_sample_stratum(spec, N, density, depth, extra)
         try:
@@ -823,6 +840,17 @@ def test_search_slices_give_the_same_rows(run):
                 depth if N == INF else N)))] + sliced.rows[N]).tolist()) \
                 == repr(np.vstack([np.empty((0, 1 + (
                     depth if N == INF else N)))] + whole.rows[N]).tolist())
+        _check_no_adjacent_copies(sliced, Ns, depth)
+
+
+def test_benchmark_size_search_records_a_single_completion_once():
+    # at lambda 0.95 no word has two children in Y = [lambda, 1], so each
+    # completion of M_1 ... M_7 came twice: 13,426 rows, 3,959 of them
+    # copies of the row before
+    Ns = list(range(11)) + [INF]
+    search = ext.backward_search(extension_spec(0.95), Ns, 60, 20)
+    assert sum(len(r) for got in search.rows.values() for r in got) == 9467
+    _check_no_adjacent_copies(search, Ns, 20)
 
 
 def test_search_state_stays_within_its_budget():
