@@ -115,30 +115,11 @@ def grid_homeo(values: Sequence[float]) -> CircleHomeo:
     return CircleHomeo(base, grid=(knots, v))
 
 
-def _grid_inverse(phi: CircleHomeo, ys: np.ndarray) -> Optional[np.ndarray]:
-    """phi^-1 at ys in [0, 1] by one np.interp with the axes swapped, when
-    phi is a grid lift whose values, extended by -1 and +1 over the
-    neighbouring periods, increase strictly; None otherwise."""
-    if phi.grid is None:
-        return None
-    x, v = phi.grid
-    xs = np.concatenate((x[:-1] - 1.0, x[:-1], x + 1.0))
-    vs = np.concatenate((v[:-1] - 1.0, v[:-1], v + 1.0))
-    if np.any(np.diff(vs) <= 0.0):
-        return None
-    # phi^-1(y) = phi^-1(y + k) - k, and y + k lies in [v0 - 1, v0 + 2]
-    k = math.floor(v[0])
-    return np.interp(ys + k, vs, xs) - k
-
-
 def sampled_conjugate(h: CircleHomeo, phi: CircleHomeo) -> CircleHomeo:
     """The conjugated homeomorphism phi o h o phi^-1 as a grid lift on
     GRID_KNOTS cells (sampling once keeps long-orbit computations cheap)."""
-    ts = np.linspace(0.0, 1.0, GRID_KNOTS + 1)
-    inv = _grid_inverse(phi, ts)
-    if inv is None:
-        inv = [phi.inverse_lift(float(t)) for t in ts]
-    vals = np.asarray([phi.lift(h.lift(float(s))) for s in inv])
+    ts = np.linspace(0.0, 1.0, GRID_KNOTS + 1).tolist()
+    vals = np.asarray([phi.lift(h.lift(phi.inverse_lift(t))) for t in ts])
     # re-anchor so the base is exactly periodic at the endpoints
     vals[-1] = vals[0] + 1.0
     vals = np.maximum.accumulate(vals)  # clip tiny monotonicity violations

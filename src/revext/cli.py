@@ -60,7 +60,7 @@ class RunConfig:
     lambda_max: float = 1.0
     steps: int = 2000
     output: str = "out"
-    format: str = "json"
+    format: Optional[str] = None
 
     def validate(self) -> None:
         for name in ("N", "N_max", "depth", "density", "n_iter", "steps"):
@@ -84,8 +84,9 @@ class RunConfig:
                 "--steps", self.steps, STEPS_CAP,
                 f"the columns would take more than {SWEEP_BYTES} bytes "
                 "before the sweep")
-        if self.format not in ("json", "csv", "svg", "dot"):
-            raise ValueError(f"unknown format {self.format!r}")
+        if self.format not in (None, *FORMATS.get(self.command, ())):
+            raise ValueError(f"{self.command} does not write the format "
+                             f"{self.format!r}")
 
 
 def read_config_file(path: str) -> dict:
@@ -105,6 +106,10 @@ def read_config_file(path: str) -> dict:
 
 _FIELD_TYPES = {f: t for f, t in RunConfig.__annotations__.items()}
 _PARSERS = {"int": int, "float": float, "Optional[float]": float}
+# --format values per command (the others write JSON only): the first is
+# always written, but dot writes the DOT graph in place of the JSON.
+FORMATS = {"extend": ("json", "svg"), "bifurcate": ("csv", "svg"),
+           "continuum-graph": ("json", "dot", "svg")}
 
 
 def _coerce(name: str, value: str):
@@ -568,13 +573,11 @@ def _check_graph_size(cfg: RunConfig) -> None:
             ("--m", cfg.m, lambda k: _graph_nodes(cfg.regime, 1, k)),
             ("--n", cfg.n, lambda k: _graph_nodes(cfg.regime, k, cfg.m))):
         if nodes(value) > GRAPH_NODE_CAP:
-            lo, hi = 0, value  # the largest value that fits is in [lo, hi)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = ((mid, hi) if nodes(mid) <= GRAPH_NODE_CAP
-                          else (lo, mid))
+            # the counts grow with k
+            cap = next(k for k in range(value)
+                       if nodes(k + 1) > GRAPH_NODE_CAP)
             raise ArgumentTooLarge(
-                flag, value, lo, f"the {cfg.regime} graph would have more "
+                flag, value, cap, f"the {cfg.regime} graph would have more "
                 f"than {GRAPH_NODE_CAP} nodes")
 
 
@@ -647,7 +650,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--output", "-o", dest="output",
                    help="output path stem (extension added per format)")
-    p.add_argument("--format", choices=["json", "csv", "svg", "dot"])
 
 
 @functools.lru_cache(maxsize=None)
@@ -703,6 +705,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float)
     _add_common(p)
 
+    for command, formats in FORMATS.items():
+        sub.choices[command].add_argument("--format", choices=formats)
     return parser
 
 

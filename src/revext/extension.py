@@ -382,6 +382,8 @@ def _lockstep(spec: ExtensionSpec, words: np.ndarray, jobs: np.ndarray,
         level[live] = lv = lv + 2 * down - 1
         live = live[(lv >= top) & (dl >= 0)]
         lv = le + 1
+    # the search state is freed before the rows are built
+    del path, kids, left, base, at_path, at_kids, at_left, at_base
     out = {}
     for (bit, d), tail in tails.items():
         got = want[d] & bit == 0

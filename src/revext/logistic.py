@@ -471,12 +471,6 @@ class CascadeTable:
                     x = _iterate(mu, mu, 2 ** i)
                     res = _iterate(mu, x, 2 ** (i - 1)) - x
                     w.writerow(["mu_n", i, repr(mu), repr(abs(res))])
-            for (n, eta, nu) in self.windows:
-                w.writerow(["eta_n", n, repr(eta), ""])
-                w.writerow(["nu_n", n, repr(nu), ""])
-            for n, lams in self.window_cascades.items():
-                for m, lam in enumerate(lams):
-                    w.writerow([f"window_cascade_{n}", m, repr(lam), ""])
 
 
 @dataclass(frozen=True)

@@ -444,24 +444,6 @@ def test_sampled_conjugate_preserves_rotation_number():
     assert report.conjugacy_residual < 1e-4
 
 
-@pytest.mark.parametrize("values", [
-    [0.0, 0.35, 0.8, 1.0], [-1.3, -1.0, -0.9, -0.3],
-    [2.7, 2.9, 3.6, 3.7], [0.999, 1.5, 1.999]])
-def test_grid_inverse_matches_inverse_lift(values):
-    phi = ci.grid_homeo(values)
-    ts = np.linspace(0.0, 1.0, 513)
-    fast = ci._grid_inverse(phi, ts)
-    slow = np.array([phi.inverse_lift(float(t)) for t in ts])
-    assert np.max(np.abs(fast - slow)) <= 1e-14
-
-
-def test_grid_inverse_needs_strictly_increasing_values():
-    assert ci._grid_inverse(ci.grid_homeo([0.0, 0.5, 0.5, 1.0]),
-                            np.linspace(0.0, 1.0, 5)) is None
-    assert ci._grid_inverse(ci.rigid_rotation(0.3),
-                            np.linspace(0.0, 1.0, 5)) is None
-
-
 def test_check_rotation_invariant_rejects_fake_conjugacy():
     h1 = ci.rigid_rotation(0.3)
     h2 = ci.rigid_rotation(0.31)

@@ -4,6 +4,7 @@ with flag overrides, outputs are deterministic, and failures exit nonzero."""
 import hashlib
 import io
 import json
+import os
 import re
 import tracemalloc
 import xml.etree.ElementTree as ET
@@ -138,14 +139,25 @@ def _coord_tokens(text: str) -> list:
             for t in line[len('{"coords":['):line.index("]")].split(",")]
 
 
+def _first_difference(got: str, want: str) -> str:
+    """Where two texts first differ: the offset and that line of each.
+    pytest's own diff of two texts of 150 kB takes minutes."""
+    at = len(os.path.commonprefix([got, want]))
+    n = got.count("\n", 0, at)
+    return (f"texts differ at offset {at}, line {n + 1}: "
+            f"{got.splitlines()[n:n + 1]} != {want.splitlines()[n:n + 1]}")
+
+
 def _check_strata_json(strata):
     doc = {k: {"empty": True} if s is None else stratum_to_json(s)
            for k, s in strata.items()}
     fh = io.StringIO()
     _write_strata_json(fh, strata)
-    text = fh.getvalue()
-    assert text == _strata_layout(doc)
-    assert json.loads(text) == json.loads(json.dumps(doc, indent=1))
+    text, want = fh.getvalue(), _strata_layout(doc)
+    if text != want:
+        pytest.fail(_first_difference(text, want), pytrace=False)
+    if json.loads(text) != json.loads(json.dumps(doc, indent=1)):
+        pytest.fail("json.loads reads another document", pytrace=False)
     return text
 
 
@@ -1049,6 +1061,53 @@ def test_config_value_error_names_key(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("command, line, message", [
+    ("extend", "N = 0", "N must be >= 1"),
+    ("extend", "format = pdf", "extend does not write the format 'pdf'"),
+    ("extend", "system = period3", "unknown interval system 'period3'"),
+    ("continuum-graph", "regime = nope", "unknown regime 'nope'; choose "
+     "from ['cascade', 'mu', 'window', 'window-cascade']"),
+    ("operator-check", "system = nope", "unknown model system 'nope'; "
+     "choose from ['constant', 'period3', 'rotation']"),
+])
+def test_config_file_errors_name_themselves_and_write_nothing(
+        tmp_path, capsys, command, line, message):
+    # the string keys pass _coerce as they are and fail where they are used
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert run([command, "--config", str(cfg),
+                "-o", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_each_command_takes_its_formats():
+    for command, formats in cli.FORMATS.items():
+        for fmt in formats:
+            args = make_parser().parse_args([command, "--format", fmt])
+            assert args.format == fmt
+            RunConfig(command, format=fmt).validate()
+
+
+@pytest.mark.parametrize("command, fmt", [
+    (command, fmt) for command in ("classify", "rotation", "operator-check")
+    for fmt in ("json", "csv", "svg", "dot")] + [
+    ("extend", "csv"), ("extend", "dot"), ("bifurcate", "json"),
+    ("bifurcate", "dot"), ("continuum-graph", "csv")])
+def test_a_format_the_command_ignores_is_refused(tmp_path, capsys, command,
+                                                 fmt):
+    out = str(tmp_path / "x")
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--format", fmt, "-o", out])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"format = {fmt}\n")
+    assert run([command, "--config", str(cfg), "-o", out]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: {command} does not write the format {fmt!r}\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_main_calls_share_no_values(monkeypatch):
     seen = []
     for command in ("extend", "bifurcate"):
@@ -1146,8 +1205,8 @@ _PINNED = [
                 "79227207647d8640c206652f612edacb"}),
 ] + [
     (["operator-check", "--system", system, "--depth", "6"], {
-        ".json": "9d6bd9a45ee4a4276106de0c77c67057"
-                 "8f1ca417231573ababcb78d1714f93f6"})
+        ".json": "0bd41421638eab5899969ac1109c9f90"
+                 "dd55f558718152ab35235ec782312714"})
     for system in ("constant", "rotation", "period3")
 ] + [
     # a cascade stage, a window, the lambda_inf band and a chaotic lambda

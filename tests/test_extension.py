@@ -856,26 +856,34 @@ def test_benchmark_size_search_records_a_single_completion_once():
 def test_search_state_stays_within_its_budget():
     # density 400 to depth 60 would hold several times SEARCH_BYTES of
     # state at once; in slices the peak is the budget, the rows found and
-    # the prefix words (about 1.2 MiB here)
+    # the prefix words (about 1.2 MiB here), and a slice frees its state
+    # before it builds its rows, so it peaks within the budget and 1 MiB
+    # above what was held at its call
     spec = extension_spec(0.95)
     Ns = [4, 8, 12, INF]
     ext.backward_search(spec, Ns, 10, 12)  # first calls import lazily
-    real, slices = ext._lockstep, []
+    real, slices, highs = ext._lockstep, [], []
 
     def recording(spec, words, jobs, bits):
-        slices.append(len(bits) - 1)
-        return real(spec, words, jobs, bits)
+        held, high = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = real(spec, words, jobs, bits)
+        top = tracemalloc.get_traced_memory()[1]
+        slices.append((len(bits) - 1, top - held))
+        highs.extend((high, top))
+        return out
 
     ext._lockstep = recording
     tracemalloc.start()
     try:
         search = ext.backward_search(spec, Ns, 400, 60)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = max(highs + [tracemalloc.get_traced_memory()[1]])
     finally:
         tracemalloc.stop()
         ext._lockstep = real
     rows = sum(r.nbytes for got in search.rows.values() for r in got)
-    assert slices.count(60) >= 3
+    assert [d for d, _ in slices].count(60) >= 3
+    assert max(p for _, p in slices) <= ext.SEARCH_BYTES + 2 ** 20, slices
     assert peak <= ext.SEARCH_BYTES + rows + 2 ** 21
 
 
