@@ -1,5 +1,5 @@
 """State spaces, partial maps with enumerable preimage branches, the
-preimage table, a bracketing root finder and exact decimal rounding.
+preimage table, forward images, a root finder and exact decimal rounding.
 
 A partial dynamical system here is a compact state space M (the unit
 interval or the circle), a domain Delta given as a finite union of closed
@@ -20,6 +20,11 @@ import numpy as np
 EPS_CHAIN = 1e-9
 # Tolerance for domain-boundary membership.
 EPS_DOM = 1e-12
+# How far outside its branch's domain a branch inverse may lie and count.
+BRANCH_SLACK = 1e-9
+# The outward pad of an image's pieces: EPS_CHAIN, the forward residual that
+# preimages accepts, plus 2**-40 (thousands of ulps) for the map's rounding.
+IMAGE_PAD = EPS_CHAIN + 2.0 ** -40
 
 
 class OutsideDomain(ValueError):
@@ -164,11 +169,11 @@ def preimages(system: PartialMapSystem, ys: np.ndarray) -> np.ndarray:
     ``ys``: row i holds those of ys[i] in branch order, NaN-padded to
     ``len(system.branches)``; a row of NaN means ys[i] has no preimage.
 
-    A branch inverse counts where it lies within 1e-9 of the branch's
-    domain, in Delta, and maps back to within EPS_CHAIN of y (which drops
-    clamped inverses of values above a critical value).  One within
-    10 * EPS_CHAIN of an earlier preimage (two branches meeting at a
-    critical value) merges with it into their midpoint, in its place.
+    A branch inverse counts where it lies within BRANCH_SLACK of the
+    branch's domain, in Delta, and maps back to within EPS_CHAIN of y
+    (which drops clamped inverses of values above a critical value).  One
+    within 10 * EPS_CHAIN of an earlier preimage (two branches meeting at
+    a critical value) merges with it into their midpoint, in its place.
     """
     space = system.space
     ys = space.normalize(ys)
@@ -178,7 +183,8 @@ def preimages(system: PartialMapSystem, ys: np.ndarray) -> np.ndarray:
         for b, br in enumerate(system.branches):
             x = space.normalize(br.inverse(ys))
             lo, hi = br.domain
-            ok = (lo - 1e-9 <= x) & (x <= hi + 1e-9) & system.in_domain(x)
+            ok = ((lo - BRANCH_SLACK <= x) & (x <= hi + BRANCH_SLACK)
+                  & system.in_domain(x))
             back = space.normalize(system.forward_map(x[ok]))
             ok[ok] = ~(space.metric(back, ys[ok]) > EPS_CHAIN)
             for k in range(b):
@@ -188,6 +194,48 @@ def preimages(system: PartialMapSystem, ys: np.ndarray) -> np.ndarray:
             table[ok, count[ok]] = x[ok]
             count += ok
     return table
+
+
+def image(system: PartialMapSystem, pieces) -> tuple:
+    """The image of the closed ``pieces`` (lo, hi; hi < lo wraps on the
+    circle) as sorted pieces padded by IMAGE_PAD.  Cut at each branch
+    domain's ends and BRANCH_SLACK out, a part, where the map is monotone,
+    goes to the hull of its end images: on the circle the arc that holds
+    its midpoint's image (the shorter if it is under 2**-20 long).
+    ValueError where an end image is not finite."""
+    circle, s = system.space.kind == "circle", BRANCH_SLACK
+    parts = []
+    for lo, hi in pieces:
+        if circle:  # unrolled upward from lo, at most once round
+            hi = lo + min(hi - lo + (hi < lo), 1.0)
+        for c, d in (br.domain for br in system.branches):
+            for k in (-1.0, 0.0, 1.0, 2.0) if circle else (0.0,):
+                cuts = (k + c - s, k + c, k + d, k + d + s)
+                parts += [(max(lo, e), min(hi, f)) for e, f in
+                          zip(cuts, cuts[1:]) if max(lo, e) <= min(hi, f)]
+    a, b = np.reshape(parts, (-1, 2)).T
+    fa, fb, fm = (system.space.normalize(system.forward_map(
+        system.space.normalize(x))) for x in (a, b, 0.5 * (a + b)))
+    if not np.isfinite(fa + fb + fm).all():
+        raise ValueError("the forward map is not finite on the pieces")
+    if circle:  # flip: the arc runs from fb up to fa
+        up = (fb - fa) % 1.0
+        flip = np.where(b - a > 2.0 ** -20, (fm - fa) % 1.0 > up, up > 0.5)
+        lo = system.space.normalize(np.where(flip, fb, fa) - IMAGE_PAD)
+        up = np.where(flip, 1.0 - up, up)
+    else:
+        lo, up = np.minimum(fa, fb) - IMAGE_PAD, np.abs(fb - fa)
+    merged = []
+    for lo, hi in sorted(zip(lo.tolist(), (lo + up + 2 * IMAGE_PAD).tolist())):
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    while circle and len(merged) > 1 and merged[-1][1] - 1.0 >= merged[0][0]:
+        merged[-1][1] = max(merged[-1][1], merged.pop(0)[1] + 1.0)
+    if circle and any(hi - lo >= 1.0 for lo, hi in merged):
+        return ((0.0, 1.0),)
+    return tuple((lo, hi - (circle and hi >= 1.0)) for lo, hi in merged)
 
 
 def cluster_points(points: Iterable[float], space: StateSpace,

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from revext.core import (EPS_CHAIN, UNIT_INTERVAL, Branch, PartialMapSystem,
-                         find_root)
+from revext.core import (CIRCLE, EPS_CHAIN, UNIT_INTERVAL, Branch,
+                         PartialMapSystem, find_root)
 from revext.extension import Chain, ExtensionSpec
 
 
@@ -100,6 +100,32 @@ def doubling_spec():
     system = PartialMapSystem(UNIT_INTERVAL, ((0.0, 1.0),), lambda x: 2.0 * x,
                               (Branch((0.0, 0.5), lambda y: 0.5 * y),))
     return ExtensionSpec(system, ((0.0, 1.0),))
+
+
+def roof_system():
+    """x -> 1.5 min(x, 1 - x) on the circle, which folds at 0 = 1."""
+    return PartialMapSystem(
+        space=CIRCLE, domain=((0.0, 1.0),),
+        forward_map=lambda x: 1.5 * np.minimum(x, 1.0 - x),
+        branches=(Branch((0.0, 0.5), lambda y: y / 1.5),
+                  Branch((0.5, 1.0), lambda y: 1.0 - y / 1.5)))
+
+
+def circle_doubling_system():
+    """x -> 2x on the circle, its branches the two halves."""
+    return PartialMapSystem(
+        space=CIRCLE, domain=((0.0, 1.0),), forward_map=lambda x: 2.0 * x,
+        branches=(Branch((0.0, 0.5), lambda y: 0.5 * y),
+                  Branch((0.5, 1.0), lambda y: 0.5 * y + 0.5)))
+
+
+def tent_system(slope: float):
+    """x -> slope * min(x, 1 - x) on [0, 1], folded at 1/2."""
+    return PartialMapSystem(
+        space=UNIT_INTERVAL, domain=((0.0, 1.0),),
+        forward_map=lambda x: slope * np.minimum(x, 1.0 - x),
+        branches=(Branch((0.0, 0.5), lambda y: y / slope),
+                  Branch((0.5, 1.0), lambda y: 1.0 - y / slope)))
 
 
 def _decimal_half(k_steps_digits):

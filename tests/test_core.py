@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import decimal_edge_floats, forward, scalar_preimages
-from revext.core import (CIRCLE, EPS_CHAIN, EPS_DOM, Branch, BracketFailure,
-                         PartialMapSystem, UNIT_INTERVAL, cluster_points,
-                         decimal_rint, find_root, make_constant_system,
-                         make_rotation_system, preimages)
+from conftest import (circle_doubling_system, decimal_edge_floats, forward,
+                      roof_system, scalar_preimages, tent_system)
+from revext.core import (CIRCLE, EPS_CHAIN, EPS_DOM, IMAGE_PAD, Branch,
+                         BracketFailure, PartialMapSystem, UNIT_INTERVAL,
+                         cluster_points, decimal_rint, find_root, image,
+                         make_constant_system, make_rotation_system,
+                         preimages)
 from revext.logistic import make_system
 from revext.operator_model import logistic_period3_model
 
@@ -63,21 +65,12 @@ def test_preimages_at_critical_value_merge_to_C():
     assert x == pytest.approx(0.5, abs=1e-8) and math.isnan(rest)
 
 
-def _roof():
-    """x -> 1.5 min(x, 1 - x) on the circle, which folds at 0 = 1."""
-    return PartialMapSystem(
-        space=CIRCLE, domain=((0.0, 1.0),),
-        forward_map=lambda x: 1.5 * np.minimum(x, 1.0 - x),
-        branches=(Branch((0.0, 0.5), lambda y: y / 1.5),
-                  Branch((0.5, 1.0), lambda y: 1.0 - y / 1.5)))
-
-
 @pytest.mark.parametrize("y", [1e-9, 3e-10, 1e-12])
 def test_preimages_merge_across_zero_on_the_circle(y):
     # the preimages y/1.5 and 1 - y/1.5 of a small y are near-coincident
     # at 0 = 1; their plain average is near the antipode 1/2, which maps to
     # 0.75, not to y
-    roof = _roof()
+    roof = roof_system()
     x, rest = preimages(roof, np.array([y]))[0]
     assert math.isnan(rest)
     assert CIRCLE.metric(forward(roof, x), y) <= EPS_CHAIN
@@ -199,6 +192,142 @@ def test_constant_system_preimage_is_target_only():
     assert forward(system, 0.9) == pytest.approx(0.3)
     assert repr(preimages(system, np.array([0.3, 0.4])).tolist()) == \
         repr([[0.3], [math.nan]])
+
+
+def _forward_samples(system, lo, hi, k=2001):
+    """The forward images of k evenly spaced points of the piece (lo, hi),
+    its ends among them; on the circle the piece runs up from lo, through
+    0 = 1 where hi < lo."""
+    length = hi - lo + (system.space.kind == "circle" and hi < lo)
+    xs = np.append(system.space.normalize(lo + length * np.linspace(
+        0.0, 1.0, k)), system.space.normalize(hi))
+    return system.space.normalize(system.forward_map(xs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lam=st.floats(0.25, 1.0), lo=st.floats(0.0, 0.5, exclude_max=True),
+       hi=st.floats(0.5, 1.0, exclude_min=True),
+       more=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.2)),
+                     max_size=3))
+@example(lam=1.0, lo=0.0, hi=1.0, more=[])
+def test_logistic_image_holds_the_forward_samples(lam, lo, hi, more):
+    # a piece that straddles the critical point 1/2 goes to one hull,
+    # [min of its ends' images, lambda], padded, and no wider
+    system = make_system(lam)
+    img = image(system, [(lo, hi)])
+    fx = _forward_samples(system, lo, hi)
+    assert UNIT_INTERVAL.in_intervals(img, fx, 0.0).all()
+    low = min(forward(system, lo), forward(system, hi))
+    assert len(img) == 1
+    assert abs(img[0][0] - (low - IMAGE_PAD)) <= 1e-15
+    assert abs(img[0][1] - (lam + IMAGE_PAD)) <= 1e-15
+    pieces = [(a, min(a + w, 1.0)) for a, w in more] + [(lo, hi)]
+    img = image(system, pieces)
+    assert all(a <= b for a, b in img)
+    assert all(b < c for (_, b), (c, _) in zip(img, img[1:]))  # disjoint
+    for a, b in pieces:
+        fx = _forward_samples(system, a, b)
+        assert UNIT_INTERVAL.in_intervals(img, fx, 0.0).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(tau=st.floats(0.0, 1.0, exclude_max=True),
+       lo=st.floats(0.0, 1.0, exclude_max=True), length=st.floats(0.0, 0.99))
+@example(tau=0.3, lo=0.9, length=0.15)
+@example(tau=0.7, lo=0.95, length=0.05)  # hi = 0.0
+def test_rotation_image_is_the_rotated_arc(tau, lo, length):
+    # an arc that wraps through 0 = 1 stays one arc, of its length padded
+    system = make_rotation_system(tau)
+    hi = (lo + length) % 1.0
+    img = image(system, [(lo, hi)])
+    fx = _forward_samples(system, lo, hi)
+    assert CIRCLE.in_intervals(img, fx, 0.0).all()
+    assert len(img) == 1
+    a, b = img[0]
+    assert abs((b - a) % 1.0 - (length + 2 * IMAGE_PAD)) <= 1e-12
+    assert CIRCLE.metric(a, (lo + tau) % 1.0 - IMAGE_PAD) <= 1e-12
+
+
+@pytest.mark.parametrize("pieces", [((0.0, 1.0),), ((0.3, 0.3 - 1e-12),),
+                                    ((0.6, 0.2), (0.1, 0.7))])
+def test_rotation_image_of_the_whole_circle_is_whole(pieces):
+    assert image(make_rotation_system(0.3), pieces) == ((0.0, 1.0),)
+
+
+@pytest.mark.parametrize("p", [-0.0, 0.0, 0.4, 1.0])
+def test_constant_image_is_its_point(p):
+    img = image(make_constant_system(p), [(0.0, 0.25), (0.5, 1.0)])
+    (a, b), = img
+    assert abs(a - (p - IMAGE_PAD)) <= 4e-16 >= abs(b - (p + IMAGE_PAD))
+    assert UNIT_INTERVAL.in_intervals(img, np.array([p]), 0.0).all()
+
+
+def test_an_image_that_is_not_finite_raises():
+    # a piece the map sends to NaN has no image set that holds its image
+    # and no more, so image refuses it rather than give the whole space
+    system = PartialMapSystem(
+        UNIT_INTERVAL, ((0.0, 1.0),),
+        lambda x: np.where(x > 0.75, math.nan, x)[()],
+        (Branch((0.0, 1.0), lambda y: y),))
+    (a, b), = image(system, [(0.1, 0.2)])
+    assert abs(a - (0.1 - IMAGE_PAD)) <= 1e-16 >= abs(b - (0.2 + IMAGE_PAD))
+    with pytest.raises(ValueError, match="not finite"):
+        image(system, [(0.1, 0.2), (0.5, 0.9)])
+    assert image(system, []) == ()
+
+
+@pytest.mark.parametrize("make, pieces, want", [
+    (roof_system, [(0.1, 0.2)], ((0.15, 0.3),)),
+    (roof_system, [(0.4, 0.6)], ((0.6, 0.75),)),  # folds at 1/2
+    (roof_system, [(0.9, 0.1)], ((0.0, 0.15),)),  # folds at 0 = 1
+    (circle_doubling_system, [(0.3, 0.4)], ((0.6, 0.8),)),
+    (circle_doubling_system, [(0.2, 0.6)], ((0.4, 1.2),)),  # wraps
+    (circle_doubling_system, [(0.45, 0.55)], ((0.9, 1.1),)),
+    (circle_doubling_system, [(0.0, 0.05), (0.95, 1.0)], ((0.9, 1.1),)),
+])
+def test_circle_image_cuts_at_the_branch_domains(make, pieces, want):
+    # branches that each cover part of the circle: every part between the
+    # domains' ends goes to its own arc, so the image is exact up to the pad
+    img = image(make(), pieces)
+    assert len(img) == len(want)
+    for (a, b), (lo, hi) in zip(img, want):
+        assert CIRCLE.metric(a, lo - IMAGE_PAD) <= 1e-15
+        assert CIRCLE.metric(b, hi + IMAGE_PAD) <= 1e-15
+
+
+@settings(max_examples=80, deadline=None)
+@given(make=st.sampled_from([roof_system, circle_doubling_system]),
+       lo=st.floats(0.0, 1.0, exclude_max=True), length=st.floats(0.0, 1.0))
+@example(make=circle_doubling_system, lo=0.25, length=0.5)  # the whole circle
+@example(make=roof_system, lo=0.5, length=1.0)
+def test_circle_image_holds_its_samples_and_no_more(make, lo, length):
+    # dense forward samples lie inside, and each end of an image piece
+    # lies within the pad and a sample spacing of a sample
+    system = make()
+    hi = (lo + length) % 1.0 if length < 1.0 else lo + 1.0
+    img = image(system, [(lo, hi)])
+    fx = _forward_samples(system, lo, hi, k=20001)
+    assert CIRCLE.in_intervals(img, fx, 0.0).all()
+    for end in (x for piece in img for x in piece):
+        assert CIRCLE.metric(fx, end).min() <= IMAGE_PAD + 2e-4, img
+
+
+def test_interval_image_reaches_a_sharp_fold():
+    # the tent folds at 1/2 with slope 2: the part cut at the branch
+    # domain's end reaches the top 1, which the hull of the ends of
+    # [0.4, 1/2 + BRANCH_SLACK] misses by twice the slack
+    (a, b), = image(tent_system(2.0), [(0.4, 0.6)])
+    assert abs(a - (0.8 - IMAGE_PAD)) <= 1e-15
+    assert b == 1.0 + IMAGE_PAD
+
+
+def test_image_keeps_to_the_branch_domains():
+    # x -> 2x with its one branch on [0, 1/2]: only points there can be
+    # preimages, so the image of [0, 1] is [0, 1], not [0, 2]
+    system = PartialMapSystem(UNIT_INTERVAL, ((0.0, 1.0),), lambda x: 2.0 * x,
+                              (Branch((0.0, 0.5), lambda y: 0.5 * y),))
+    (a, b), = image(system, [(0.0, 1.0)])
+    assert a == -IMAGE_PAD and abs(b - (1.0 + 2e-9 + IMAGE_PAD)) <= 1e-15
 
 
 def test_circle_metric_wraps():

@@ -15,11 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import revext.extension as ext
 from revext import cli
-from conftest import (chain_key, chain_rows, decimal_edge_floats,
-                      doubling_spec, forward, model_chains, scalar_preimages)
+from conftest import (chain_key, chain_rows, circle_doubling_system,
+                      decimal_edge_floats, doubling_spec, forward,
+                      model_chains, roof_system, scalar_preimages,
+                      tent_system)
 from revext.core import (CIRCLE, EPS_CHAIN, UNIT_INTERVAL, Branch,
                          PartialMapSystem, make_constant_system,
-                         make_rotation_system)
+                         image, make_rotation_system, preimages)
 from revext.extension import (INF, Chain, EmptyStratum, ExtensionSpec,
                               alpha_tilde, chain_distance, hausdorff,
                               sample_stratum, stratum_from_json,
@@ -745,6 +747,141 @@ PREFIX = ext.PREFIX_DEPTH
 CONSTANT_NEG_ZERO = ExtensionSpec(make_constant_system(-0.0), ((0.0, 1.0),))
 
 
+def _check_against_recursive_search(spec, Ns, density, depth, extra):
+    # the rows of every target are the recursive search's first and last
+    # completion of each word, seed by seed, a row that repeats the one
+    # before it dropped; each stratum is the old sampler's
+    search = ext.backward_search(spec, Ns, density, depth, extra)
+    seeds = ext._seeds(spec, density, tuple(extra))
+    for N in Ns:
+        d = depth if N == INF else N
+        got = np.vstack([np.empty((0, d + 1))] + search.rows[N])
+        assert repr(got.tolist()) == repr(_drop_adjacent_copies([
+            list(c) for x0 in seeds if N == INF or spec.Y
+            for c in _recursive_search(spec, x0, d, N != INF)]))
+        old, _ = _old_sample_stratum(spec, N, density, depth, extra)
+        try:
+            s = sample_stratum(spec, N, density, depth, extra, search=search)
+        except EmptyStratum:
+            assert old == []
+            continue
+        assert repr(s.chains.coords.tolist()) == repr([list(c.coords)
+                                                       for c in old])
+
+
+@st.composite
+def _deep_runs(draw):
+    """A system whose targets descend far: logistic with Y = [0, 1], a
+    constant map (p = -0.0 among them) or a rotation with a Y that wraps
+    through 0 = 1; then N, depth, density and extra seeds."""
+    kind = draw(st.sampled_from(["all-Y logistic", "constant", "rotation"]))
+    if kind == "all-Y logistic":
+        spec = _logistic_in_all_Y(draw(st.floats(0.25, 1.0)))
+    elif kind == "constant":
+        spec = ExtensionSpec(make_constant_system(draw(
+            st.just(-0.0) | st.floats(0.0, 1.0))), ((0.0, 1.0),))
+    else:
+        tau = draw(st.floats(0.0, 1.0, exclude_max=True))
+        spec = ExtensionSpec(make_rotation_system(tau), draw(st.sampled_from(
+            [((0.9, 0.05),), ((0.2, 0.25), (0.95, 0.0))])))
+    return (spec, draw(st.integers(PREFIX + 1, 12)),
+            draw(st.integers(PREFIX + 1, 20)), draw(st.integers(2, 6)),
+            draw(st.lists(st.floats(0.0, 1.0), max_size=2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_deep_runs())
+@example(run=(_logistic_in_all_Y(1.0), 12, 20, 6, [0.5]))
+@example(run=(_logistic_in_all_Y(0.3), 12, 20, 6, []))  # images shrink
+@example(run=(CONSTANT_NEG_ZERO, 12, 20, 4, [0.0]))
+@example(run=(ExtensionSpec(make_rotation_system(0.3), ((0.9, 0.05),)), 12,
+              20, 6, [0.95]))
+def test_descent_matches_the_recursive_search_at_benchmark_depths(run):
+    spec, N, depth, density, extra = run
+    _check_against_recursive_search(spec, [N, INF], density, depth, extra)
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.6, 0.95])
+def test_descent_matches_the_recursive_search_where_Y_is_not_all(lam):
+    # Y = [lambda, 1]: the image sets are all that keeps a job off words
+    # with no completion in Y
+    _check_against_recursive_search(extension_spec(lam), [6, 9, INF], 6, 12,
+                                     [])
+
+
+@pytest.mark.parametrize("system, Y, N, depth", [
+    (circle_doubling_system, ((0.3, 0.4), (0.8, 0.9)), 7, 12),
+    (circle_doubling_system, ((0.95, 0.05),), 12, 20),
+    (roof_system, ((0.3, 0.4),), 12, 20),
+    (roof_system, ((0.7, 0.1),), 9, 16),
+    (lambda: tent_system(2.0), ((0.3, 0.4),), 16, 20),
+    (lambda: tent_system(1.9), ((0.9, 0.95),), 15, 18),
+    (lambda: extension_spec(1.0).system, ((0.3, 0.4),), 15, 20),
+], ids=["doubling", "doubling-wrapping-Y", "roof", "roof-wrapping-Y",
+        "tent-2", "tent-1.9", "logistic-1"])
+def test_descent_matches_the_recursive_search_on_expanding_maps(system, Y, N,
+                                                                 depth):
+    # maps that expand, with branches that each cover part of the space
+    # and a Y that covers little of it: an image set that held more than
+    # the image would let a job take a child with no completion where the
+    # recursive search backtracks
+    _check_against_recursive_search(ExtensionSpec(system(), Y), [N, INF], 6,
+                                     depth, [])
+
+
+def test_descent_reaches_a_leaf_that_in_Y_admits_below_lambda():
+    # in_Y admits a leaf 5e-10 below lambda = 0.95; its parent lies 1.7e-9
+    # above alpha(lambda), outside the image of Y = [lambda, 1] padded by
+    # IMAGE_PAD alone, so the image sets start from Y widened by EPS_CHAIN
+    spec = extension_spec(0.95)
+    x0 = 0.95 - 5e-10
+    for _ in range(7):
+        x0 = forward(spec.system, x0)
+    search = ext.backward_search(spec, [7], 1, 7, [x0])
+    assert any((r[:, -1] < 0.95).any() for r in search.rows[7])
+    _check_against_recursive_search(spec, [7], 1, 7, [x0])
+
+
+@pytest.mark.parametrize("spec", [
+    extension_spec(0.3), extension_spec(0.6), extension_spec(0.95),
+    _logistic_in_all_Y(0.4), CONSTANT_NEG_ZERO,
+    ExtensionSpec(make_rotation_system(0.3), ((0.9, 0.05),)),
+    ExtensionSpec(circle_doubling_system(), ((0.3, 0.4), (0.8, 0.9))),
+    ExtensionSpec(roof_system(), ((0.7, 0.1),)),
+    ExtensionSpec(tent_system(2.0), ((0.3, 0.4),))],
+    ids=["logistic-0.3", "logistic-0.6", "logistic-0.95", "all-Y-0.4",
+         "constant--0.0", "rotation", "doubling", "roof", "tent-2"])
+def test_every_child_the_search_completes_lies_in_its_image_set(spec):
+    # coordinate n of a chain of depth d has d - n steps left: it lies in
+    # image^(d - n) of Y widened by EPS_CHAIN (terminal), or of Delta
+    depth = 12
+    for N, base in ((depth, [(lo - EPS_CHAIN, hi + EPS_CHAIN + (hi < lo))
+                             for lo, hi in spec.Y]),
+                    (INF, spec.system.domain)):
+        sets = [tuple(base)]
+        for _ in range(depth):
+            sets.append(image(spec.system, sets[-1]))
+        rows = [c for x0 in ext._seeds(spec, 8, ())
+                for c in _recursive_search(spec, x0, depth, N != INF)]
+        assert rows
+        for row in rows:
+            for n, x in enumerate(row[1:-1], start=1):
+                assert spec.system.space.in_intervals(sets[depth - n], x,
+                                                      0.0), (row, n)
+
+
+@pytest.mark.xfail(strict=True, reason="a depth-truncated M_inf row may end "
+                   "in a point with no preimage: no infinite backward orbit "
+                   "runs through it")
+@pytest.mark.parametrize("lam, density", [(0.95, 60), (0.6, 60), (0.9, 40)])
+def test_every_M_inf_row_continues_backward(lam, density):
+    # the last coordinate of a truncation of an infinite backward orbit
+    # has a preimage; ending the rows in the eventual image would mend it
+    spec = extension_spec(lam)
+    last = sample_stratum(spec, INF, density, depth=20).chains.coords[:, -1]
+    assert not np.isnan(preimages(spec.system, last)).all(axis=1).any()
+
+
 def _drop_adjacent_copies(rows: list) -> list:
     """``rows`` without each row whose repr (so bits: -0.0 is not 0.0) is
     the one before it."""
@@ -775,16 +912,16 @@ def _check_no_adjacent_copies(search, Ns, depth):
 @example(run=(_logistic_in_all_Y(0.9), [1, PREFIX], 4, 8, []))
 def test_shallow_targets_are_read_off_the_prefix_words(run):
     # a target no deeper than PREFIX_DEPTH takes its rows from the prefix
-    # words without a lockstep; each stratum is still the old sampler's
+    # words without a descent; each stratum is still the old sampler's
     spec, Ns, depth, density, extra = run
-    calls, real = [], ext._lockstep
+    calls, real = [], ext._descend
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ext, "_lockstep", counting)
+        mp.setattr(ext, "_descend", counting)
         search = ext.backward_search(spec, Ns, density, depth, extra)
     deep = [N for N in Ns if (depth if N == INF else N) > PREFIX
             and (N == INF or spec.Y)]
@@ -816,22 +953,22 @@ def test_shallow_targets_are_read_off_the_prefix_words(run):
 @example(run=(extension_spec(0.95), 8, 10, 12, [0.5]))
 @example(run=(extension_spec(0.9), 8, 7, 6, []))
 def test_search_slices_give_the_same_rows(run):
-    # a budget of one job, and of seven, cuts every lockstep into slices
+    # a budget of one job, and of seven, cuts every descent into slices
     # of that many jobs; the rows come out the same, in the same order
     spec, n_max, depth, density, extra = run
     Ns = list(range(n_max + 1)) + [INF]
     whole = ext.backward_search(spec, Ns, density, depth, extra)
-    real = ext._lockstep
+    real = ext._descend
     for jobs in (1, 7):
         sizes = []
 
-        def recording(spec, words, numbers, bits):
-            sizes.append(len(numbers))
-            return real(spec, words, numbers, bits)
+        def recording(spec, words, rev, deep):
+            sizes.append(len(rev))
+            return real(spec, words, rev, deep)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ext, "_lockstep", recording)
-            mp.setattr(ext, "_job_bytes", lambda *args: 1)
+            mp.setattr(ext, "_descend", recording)
+            mp.setattr(ext, "_descent_bytes", lambda *args: 1)
             mp.setattr(ext, "SEARCH_BYTES", jobs)
             sliced = ext.backward_search(spec, Ns, density, depth, extra)
         assert set(sizes) <= set(range(1, jobs + 1))
@@ -856,31 +993,32 @@ def test_benchmark_size_search_records_a_single_completion_once():
 def test_search_state_stays_within_its_budget():
     # density 400 to depth 60 would hold several times SEARCH_BYTES of
     # state at once; in slices the peak is the budget, the rows found and
-    # the prefix words (about 1.2 MiB here), and a slice frees its state
-    # before it builds its rows, so it peaks within the budget and 1 MiB
-    # above what was held at its call
+    # the prefix words (about 1.2 MiB here), so a slice, with the rows it
+    # returns, peaks within the budget and 1 MiB above what was held at
+    # its call
     spec = extension_spec(0.95)
     Ns = [4, 8, 12, INF]
     ext.backward_search(spec, Ns, 10, 12)  # first calls import lazily
-    real, slices, highs = ext._lockstep, [], []
+    real, slices, highs = ext._descend, [], []
 
-    def recording(spec, words, jobs, bits):
+    def recording(spec, words, rev, deep):
         held, high = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        out = real(spec, words, jobs, bits)
+        out = real(spec, words, rev, deep)
         top = tracemalloc.get_traced_memory()[1]
-        slices.append((len(bits) - 1, top - held))
+        slices.append((words.shape[1] - 1 + max(map(len, deep.values())),
+                       top - held))
         highs.extend((high, top))
         return out
 
-    ext._lockstep = recording
+    ext._descend = recording
     tracemalloc.start()
     try:
         search = ext.backward_search(spec, Ns, 400, 60)
         peak = max(highs + [tracemalloc.get_traced_memory()[1]])
     finally:
         tracemalloc.stop()
-        ext._lockstep = real
+        ext._descend = real
     rows = sum(r.nbytes for got in search.rows.values() for r in got)
     assert [d for d, _ in slices].count(60) >= 3
     assert max(p for _, p in slices) <= ext.SEARCH_BYTES + 2 ** 20, slices
@@ -910,9 +1048,9 @@ def test_search_keyword_takes_only_its_own_run():
 
 def test_one_extend_run_sends_half_the_preimage_points(monkeypatch,
                                                         tmp_path):
-    # at the README size the strata sampled one at a time send 114,054
-    # points to preimages in 121 calls; one shared search sends 53,504 in
-    # 53 calls, at most half of them
+    # at the README size the strata sampled one at a time send 69,986
+    # points to preimages in 75 calls; one shared search sends 33,995 in
+    # 20 calls, at most half of them
     points = []
     real = ext.preimages
 
@@ -929,8 +1067,8 @@ def test_one_extend_run_sends_half_the_preimage_points(monkeypatch,
     spec = extension_spec(0.95)
     for N in list(range(11)) + [INF]:
         sample_stratum(spec, N, 60, depth=20)
-    assert (shared, calls) == (53_504, 53)
-    assert (sum(points), len(points)) == (114_054, 121)
+    assert (shared, calls) == (33_995, 20)
+    assert (sum(points), len(points)) == (69_986, 75)
     assert 2 * shared <= sum(points)
 
 
