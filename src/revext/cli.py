@@ -214,8 +214,9 @@ def _indexed(parts: list, fmt):
 
 def _sorted_distinct_rows(a: np.ndarray) -> np.ndarray:
     """The distinct rows of the 2-D int array ``a``, in ascending
-    lexicographic order (``np.unique``'s first call in a process imports
-    ``numpy.ma``: 12 ms with numpy 2.4)."""
+    lexicographic order, as ``np.unique(a, axis=0)`` gives them but about
+    four times faster (its 23 calls in the SVG of the README's ``extend
+    --lambda 0.6`` run: 0.34 ms against 1.5 ms with numpy 2.4)."""
     a = a[np.lexsort(a.T[::-1])]
     return a[np.r_[True, (a[1:] != a[:-1]).any(axis=1)]]
 

@@ -205,37 +205,16 @@ def _seeds(spec: ExtensionSpec, density: int, extra_seeds) -> list:
     # forward images of grid points reach values (e.g. a constant map's
     # target) that carry backward orbits even when the grid misses them.
     # In order, an image joins the seeds unless one of the seeds so far
-    # (grid and extra seeds, and the images that joined) lies within 1e-12.
-    # A NaN image never joins, nor an infinite one after one of its sign: a
-    # NaN distance is not above 1e-12.  |x - y| only grows away from x, so
-    # an image within 1e-12 of a seed never joins, and the others, sorted,
-    # fall into runs split where two neighbours lie more than 1e-12 apart:
-    # only an image of its own run can keep one out.  The first image of a
-    # run joins, and in runs of three or more the rule runs in order.
-    fx = alpha_tilde(spec, np.array(grid)[:, None])[1][:, 0]
-    known = np.sort(seeds)
-    i = np.searchsorted(known, fx)
-    far = ((np.abs(fx - known[np.maximum(i - 1, 0)]) > 1e-12)
-           & (np.abs(fx - known[np.minimum(i, len(known) - 1)]) > 1e-12))
-    order = np.flatnonzero(far)
-    order = order[np.argsort(fx[order], kind="stable")]
-    with np.errstate(invalid="ignore"):  # inf - inf
-        split = np.diff(fx[order]) > 1e-12
-    start = np.flatnonzero(np.concatenate([[True], split]))[:len(order)]
-    end = np.append(start[1:], len(order))
-    joined = np.zeros(len(fx), dtype=bool)
-    if len(order):
-        joined[np.minimum.reduceat(order, start)] = True
-    for a, b in zip(start[end - start > 2], end[end - start > 2]):
-        run = []
-        for j in np.sort(order[a:b]).tolist():
-            x = float(fx[j])
-            r = bisect_left(run, x)
-            joined[j] = all(abs(x - y) > 1e-12
-                            for y in run[max(r - 1, 0):r + 1])
-            if joined[j]:
-                run.insert(r, x)
-    seeds += fx[joined].tolist()
+    # (grid and extra seeds, and the images that joined) lies within 1e-12:
+    # its neighbours in the sorted seeds are the nearest.  A NaN image never
+    # joins, nor an infinite one after one of its sign: a NaN distance is
+    # not above 1e-12.
+    known = sorted(seeds)
+    for x in alpha_tilde(spec, np.array(grid)[:, None])[1][:, 0].tolist():
+        i = bisect_left(known, x)
+        if all(abs(x - y) > 1e-12 for y in known[max(i - 1, 0):i + 1]):
+            known.insert(i, x)
+            seeds.append(x)
     # backward chains start at a seed; their other coordinates are
     # preimages, already normalized
     return [sys_.space.normalize(x0) for x0 in seeds]
@@ -335,8 +314,8 @@ def _descend(spec: ExtensionSpec, words: np.ndarray, rev: np.ndarray,
     """Per target of ``deep`` (N -> its sets), in job order, the rows that
     the ``backward_search`` jobs on ``words`` (reversed where ``rev``)
     complete, len(sets) levels deeper; a job that finds none gives none.
-    A level sends each distinct end (by its bits) of the live jobs of all
-    targets to preimages once."""
+    A level sends the ends of the live jobs of all targets to preimages in
+    one call."""
     top, targets = words.shape[1], list(deep.items())
     live = [np.arange(len(words))] * len(targets)
     cols = [[] for _ in targets]  # per level: (live jobs going on, children)
@@ -344,8 +323,7 @@ def _descend(spec: ExtensionSpec, words: np.ndarray, rev: np.ndarray,
         on = [t for t, (_, sets) in enumerate(targets) if len(sets) > level]
         ends = np.concatenate([cols[t][-1][1] if level else words[:, -1]
                                for t in on])
-        bits, inv = np.unique(ends.view(np.int64), return_inverse=True)
-        kids = np.split(preimages(spec.system, bits.view(float))[inv],
+        kids = np.split(preimages(spec.system, ends),
                         np.cumsum([len(live[t]) for t in on])[:-1])
         for t, k in zip(on, kids):
             N, sets = targets[t]
@@ -383,7 +361,7 @@ def sample_stratum(spec: ExtensionSpec, N, density: int, depth: int = 25,
     ``search``, one search for the strata of a run, must have run for these
     arguments and N, else ValueError; without it one runs for N alone (at
     lambda 0.95, N <= 10 and INF, depth 20, density 60: 75 preimages calls
-    on 69,986 points in all, against 20 on 33,995 for one shared search).
+    on 91,989 points in all, against 20 on 77,687 for one shared search).
     """
     if search is None:
         search = backward_search(spec, [N], density, depth, extra_seeds)
@@ -476,12 +454,9 @@ def chain_distance(a: Chain, b: Chain, space=None) -> float:
 # Rows of the prefix-distance matrix held in memory at once: few enough
 # that a block's sums and differences stay in cache.
 _ROW_BLOCK = 48
-# The smallest scaled coordinate |x| * w[n] (and weight w[n]) for which the
-# samples are scaled once: far above the subnormal range.
-_SCALE_FLOOR = 2.0 ** -900
 # hausdorff bounds a row's nearest-neighbour distance by its distances to
 # the rows of the other sample among the 2 _BOUND_RANK rows of both samples
-# nearest it in the order of the rows' scaled coordinate sums.
+# nearest it in the order of the rows' weighted coordinate sums.
 _BOUND_RANK = 8
 
 
@@ -490,22 +465,10 @@ def _prefix_minima(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
     """Row and column minima of D[i, j] = sum_n w[n] |xa[i, n] - xb[j, n]|
     (w[n] min(d, 1 - d) for d = |xa[i, n] - xb[j, n]| on the circle) over
     the k shared coordinates, summed in coordinate order as chain_distance
-    does, one block of _ROW_BLOCK rows at a time.
-
-    Each w[n] is a power of two, so while the scaled coordinates stay
-    normal, |a w[n] - b w[n]| = w[n] |a - b| and min(d w[n], w[n] - d w[n])
-    = w[n] min(d, 1 - d) exactly: both samples are multiplied by the
-    weights once, and each term costs a subtraction and an absolute value.
-    Samples with a nonzero coordinate that would scale below _SCALE_FLOOR
-    weigh each term as it is formed instead; the sums are the same floats
-    either way."""
+    does, one block of _ROW_BLOCK rows at a time.  Each term is weighed as
+    it is formed, as chain_distance weighs it, so subnormal terms round
+    alike."""
     k = xa.shape[1]
-    w = w[:k]
-    least = min(np.min(np.abs(x), where=x != 0, initial=1.0)
-                for x in (xa, xb))
-    scaled = k == 0 or least * w[-1] >= _SCALE_FLOOR
-    if scaled:
-        xa, xb = xa * w, xb * w
     xbT = np.ascontiguousarray(xb.T)
     rmin = np.empty(len(xa))
     cmin = np.full(len(xb), np.inf)
@@ -517,9 +480,8 @@ def _prefix_minima(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
             np.subtract(blk[n][:, None], xbT[n][None, :], out=diff)
             np.abs(diff, out=diff)
             if circle:
-                np.minimum(diff, (w[n] if scaled else 1.0) - diff, out=diff)
-            if not scaled:
-                diff *= w[n]
+                np.minimum(diff, 1.0 - diff, out=diff)
+            diff *= w[n]
             acc += diff
         rmin[s:s + len(acc)] = acc.min(axis=1)
         np.minimum(cmin, acc.min(axis=0), out=cmin)
@@ -527,75 +489,58 @@ def _prefix_minima(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
 
 
 def _term_sums(a: np.ndarray, b: np.ndarray, w: np.ndarray, circle: bool):
-    """D between the scaled rows held along the first axis of ``a`` and
-    ``b`` (coordinate n in a[n] and b[n], broadcast against each other),
-    summed in _prefix_minima's operation order, so it is the float the
-    kernel forms."""
-    acc = 0.0
+    """D between the rows held along the first axis of ``a`` and ``b``
+    (coordinate n in a[n] and b[n]), summed in _prefix_minima's operation
+    order, so it is the float the kernel forms."""
+    acc = np.zeros(a.shape[1:])
     for n in range(len(a)):
         diff = np.abs(a[n] - b[n])
         if circle:
-            np.minimum(diff, w[n] - diff, out=diff)
+            np.minimum(diff, 1.0 - diff, out=diff)
+        diff *= w[n]
         acc += diff
     return acc
 
 
-def _order_bounds(sa: np.ndarray, sb: np.ndarray, w: np.ndarray,
+def _order_bounds(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
                   circle: bool) -> list:
-    """For the rows of the samples xa and xb scaled by the weights, ``sa``
-    and ``sb``: per row of each, an upper bound on its minimum, the least D
-    to a row of the other sample among the 2 _BOUND_RANK rows of both
-    nearest it in the order of the rows' coordinate sums, or if there is
-    none, to the nearest row of the other sample on each side in that
-    order.  Each pair of rows up to 2 _BOUND_RANK places apart is formed
-    once, for both of its rows."""
-    z = np.concatenate([sa, sb])
-    size = len(z)
-    order = np.argsort(z.sum(axis=1), kind="stable")
-    side = (order >= len(sa)).astype(np.int8)
+    """Per row of the samples xa and xb, an upper bound on its minimum:
+    the least D to a row of the other sample among the 2 _BOUND_RANK rows
+    of both nearest it in the order of the rows' weighted sums z @ w, or
+    inf if there is none.  Each pair of rows up to 2 _BOUND_RANK places
+    apart is formed once, for both of its rows."""
+    z = np.concatenate([xa, xb])
+    order = np.argsort(z @ w[:z.shape[1]], kind="stable")
+    side = order >= len(xa)
     zT = np.ascontiguousarray(z[order].T)
-    bound = np.full(size, INF)
-    for t in range(1, min(2 * _BOUND_RANK, size - 1) + 1):
+    bound = np.full(len(z), INF)
+    for t in range(1, min(2 * _BOUND_RANK, len(z) - 1) + 1):
         # the rows t places apart in that order
         acc = _term_sums(zT[:, :-t], zT[:, t:], w, circle)
         acc[side[:-t] == side[t:]] = INF
         np.minimum(bound[:-t], acc, out=bound[:-t])
         np.minimum(bound[t:], acc, out=bound[t:])
-    # a row with none: the nearest rows of the other sample, before and
-    # after it (position -1 or size where there is none)
-    far = np.flatnonzero(bound == INF)
-    at = np.where(side[:, None] == [0, 1], np.arange(size)[:, None], -1)
-    before = np.maximum.accumulate(at, axis=0)[far, 1 - side[far]]
-    at[at < 0] = size
-    after = np.minimum.accumulate(at[::-1], axis=0)[::-1][far, 1 - side[far]]
-    for q in (before, after):
-        ok = (0 <= q) & (q < size)
-        p, q = far[ok], q[ok]
-        bound[p] = np.minimum(bound[p], _term_sums(zT[:, p], zT[:, q], w,
-                                                   circle))
     bound[order] = bound.copy()
-    return [bound[:len(sa)], bound[len(sa):]]
+    return [bound[:len(xa)], bound[len(xa):]]
 
 
 def _largest_minimum(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
                      circle: bool):
-    """The largest row or column minimum of D over the samples xa and xb,
-    which _prefix_minima scales.  Each row of either sample carries an
-    upper bound on its minimum: its _order_bounds, tightened to its least D
-    to the rows of the other sample taken so far.  While a bound exceeds
-    the largest exact minimum so far, the rows of largest bound of the
-    sample holding the largest one are taken: they go through
-    _prefix_minima against the other sample's rows not taken yet, so no
-    pair is formed twice.  A row's bound is at least its minimum and at
-    most its least D to the taken rows, so with those kernel minima it
-    gives the row's exact minimum.  The first block holds _ROW_BLOCK rows,
-    to set the bar cheaply; later ones hold more as the rows not taken on
-    the other side thin out, so that each call forms about as many pairs
-    as a block of the dense pass, and the kernel runs over the smaller of
-    its two sets.  Once a sample is taken whole, the bounds of the other
-    are its exact minima."""
-    x, k = (xa, xb), xa.shape[1]
-    bound = _order_bounds(xa * w[:k], xb * w[:k], w, circle)
+    """The largest row or column minimum of D over the samples xa and xb.
+    Each row of either sample carries an upper bound on its minimum: its
+    _order_bounds, tightened to its least D to the rows of the other
+    sample taken so far.  While a bound exceeds the largest exact minimum
+    so far, the rows of largest bound of the sample holding the largest
+    one are taken: they go through _prefix_minima against the other
+    sample's rows not taken yet, so no pair is formed twice.  A row's bound
+    is at least its minimum and at most its least D to the taken rows, so
+    with those kernel minima it gives the row's exact minimum.  The first
+    block holds _ROW_BLOCK rows, to set the bar cheaply; later ones hold
+    more as the rows not taken on the other side thin out, so that each
+    call forms about as many pairs as a block of the dense pass.  Once a
+    sample is taken whole, the bounds of the other are its exact minima."""
+    x = (xa, xb)
+    bound = _order_bounds(xa, xb, w, circle)
     free = (np.ones(len(xa), dtype=bool), np.ones(len(xb), dtype=bool))
     top = -INF
     while True:
@@ -610,10 +555,7 @@ def _largest_minimum(xa: np.ndarray, xb: np.ndarray, w: np.ndarray,
                 max(_ROW_BLOCK, _ROW_BLOCK * max(map(len, x)) // len(cols)))
         if len(rows) > take:
             rows = rows[np.argpartition(-bound[s][rows], take - 1)[:take]]
-        if len(rows) <= len(cols):
-            rmin, cmin = _prefix_minima(x[s][rows], x[o][cols], w, circle)
-        else:
-            cmin, rmin = _prefix_minima(x[o][cols], x[s][rows], w, circle)
+        rmin, cmin = _prefix_minima(x[s][rows], x[o][cols], w, circle)
         top = max(top, np.minimum(rmin, bound[s][rows]).max())
         free[s][rows] = False
         bound[o][cols] = np.minimum(bound[o][cols], cmin)
@@ -632,16 +574,15 @@ def hausdorff(A: StratumSample, B: StratumSample, space=None) -> float:
     minima and maxima.
 
     That largest minimum L is found by pruning.  Every row of either sample
-    gets an upper bound on its minimum, a D float it attains
+    gets an upper bound on its minimum, a D float it attains or inf
     (_order_bounds), and blocks of the rows of largest bound go through
     _prefix_minima, from the sample holding the largest bound, until no
     bound exceeds the largest exact minimum so far (_largest_minimum).  A
     row left out has a minimum at most its bound, so at most a minimum that
     a taken row attains: it cannot change the maximum, and the result is
     the float of the full matrix.  At worst every pair goes through the
-    kernel once, after the bounds.  Samples that _prefix_minima would not
-    scale are taken whole.  Raises ValueError for a coordinate that is not
-    finite."""
+    kernel once, after the bounds.  Raises ValueError for a coordinate that
+    is not finite."""
     if not A.chains or not B.chains:
         raise EmptyStratum("hausdorff requires nonempty samples")
     for s in (A, B):
@@ -658,14 +599,7 @@ def hausdorff(A: StratumSample, B: StratumSample, space=None) -> float:
     w = WEIGHT_BASE ** np.arange(horizon)
 
     k = min(la, lb)
-    xa, xb = xa[:, :k], xb[:, :k]
-    least = min(np.min(np.abs(x), where=x != 0, initial=1.0)
-                for x in (xa, xb))
-    if k == 0 or least * w[k - 1] < _SCALE_FLOOR:
-        rmin, cmin = _prefix_minima(xa, xb, w, circle)
-        top = max(rmin.max(), cmin.max())
-    else:
-        top = _largest_minimum(xa, xb, w, circle)
+    top = _largest_minimum(xa[:, :k], xb[:, :k], w, circle)
     for n in range(k, horizon):
         if n < la:  # b has run out
             d = TERMINAL_GAP if tb else 0.0
@@ -700,9 +634,9 @@ def stratum_from_json(doc: dict) -> StratumSample:
     """The sample ``stratum_to_json`` wrote.  Raises EmptyStratum for the
     ``{"empty": true}`` entry of an empty stratum and for an empty chain
     list, and ValueError unless N is a nonnegative integer or "inf", depth
-    an integer >= 1, and the chains share one length and flag that fit N:
-    terminal with N + 1 coordinates, or for "inf" non-terminal with
-    depth + 1."""
+    an integer >= 1, every terminal flag a JSON boolean, and the chains
+    share one length and flag that fit N: terminal with N + 1 coordinates,
+    or for "inf" non-terminal with depth + 1."""
     if doc.get("empty"):
         raise EmptyStratum('the entry {"empty": true} holds no stratum '
                            'sample: that stratum was empty')
@@ -714,7 +648,11 @@ def stratum_from_json(doc: dict) -> StratumSample:
         raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
     if not chains:
         raise EmptyStratum(f"the sample of M_{N} holds no chains")
-    shapes = {(len(c["coords"]), bool(c["terminal"])) for c in chains}
+    bad = [c["terminal"] for c in chains
+           if not isinstance(c["terminal"], bool)]
+    if bad:
+        raise ValueError(f"a terminal flag must be a boolean, got {bad[0]!r}")
+    shapes = {(len(c["coords"]), c["terminal"]) for c in chains}
     fit = (depth + 1, False) if N == "inf" else (N + 1, True)
     if shapes != {fit}:
         raise ValueError(f"chains of (length, terminal) {sorted(shapes)} "

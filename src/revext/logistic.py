@@ -74,7 +74,10 @@ def preimage_branches(lam: float, y: float) -> Optional[dict]:
 
 
 def make_system(lam: float) -> PartialMapSystem:
-    """The logistic map as a partial map system (Delta = [0,1])."""
+    """The logistic map as a partial map system (Delta = [0,1]); ValueError
+    unless lambda is in (0, 1]."""
+    if not (0.0 < lam <= 1.0):
+        raise ValueError("lambda must be in (0,1]")
 
     def fwd(x):
         return 4.0 * lam * x * (1.0 - x)

@@ -1046,11 +1046,10 @@ def test_search_keyword_takes_only_its_own_run():
             sample_stratum(SPEC06, N, 10, 6, [0.3], search=search)
 
 
-def test_one_extend_run_sends_half_the_preimage_points(monkeypatch,
-                                                        tmp_path):
-    # at the README size the strata sampled one at a time send 69,986
-    # points to preimages in 75 calls; one shared search sends 33,995 in
-    # 20 calls, at most half of them
+def test_one_extend_run_shares_its_preimage_calls(monkeypatch, tmp_path):
+    # at the README size the strata sampled one at a time send 91,989
+    # points to preimages in 75 calls; one shared search sends 77,687 in
+    # 20 calls
     points = []
     real = ext.preimages
 
@@ -1067,9 +1066,9 @@ def test_one_extend_run_sends_half_the_preimage_points(monkeypatch,
     spec = extension_spec(0.95)
     for N in list(range(11)) + [INF]:
         sample_stratum(spec, N, 60, depth=20)
-    assert (shared, calls) == (33_995, 20)
-    assert (sum(points), len(points)) == (69_986, 75)
-    assert 2 * shared <= sum(points)
+    assert (shared, calls) == (77_687, 20)
+    assert (sum(points), len(points)) == (91_989, 75)
+    assert shared < sum(points)
 
 
 def test_distinct_rows_rounds_as_python_round():
@@ -1238,9 +1237,9 @@ def _prefix_minima_per_term(xa, xb, w, circle):
     return rmin, cmin
 
 
-# Coordinates where scaling by the weights could round: signed zeros,
-# subnormals, and values whose scaled copies near or cross the
-# _SCALE_FLOOR fallback, beside ordinary ones next to 0 and 1.
+# Coordinates where weighing a term could round: signed zeros, subnormals,
+# and values whose weighted terms near or cross into the subnormal range,
+# beside ordinary ones next to 0 and 1.
 _KERNEL_EDGES = [0.0, -0.0, 5e-324, 1.5e-323, 2.2250738585072014e-308,
                  1e-300, 2.0 ** -900, 2.0 ** -860, 2.0 ** -841, 1e-250,
                  1e-17, 0.5, 1.0 - 2.0 ** -53]
@@ -1317,16 +1316,12 @@ def _bits(x) -> int:
 
 def _check_bounds(A, B, space=None):
     """Every bound _order_bounds gives is at least its row's kernel
-    minimum, for the samples hausdorff prunes (those it scales)."""
+    minimum."""
     circle = space is not None and getattr(space, "kind", "") == "circle"
     k = min(A.chains.coords.shape[1], B.chains.coords.shape[1])
     xa, xb = A.chains.coords[:, :k], B.chains.coords[:, :k]
     w = ext.WEIGHT_BASE ** np.arange(60)
-    least = min(np.min(np.abs(x), where=x != 0, initial=1.0)
-                for x in (xa, xb))
-    if k == 0 or least * w[k - 1] < ext._SCALE_FLOOR:
-        return
-    bounds = ext._order_bounds(xa * w[:k], xb * w[:k], w, circle)
+    bounds = ext._order_bounds(xa, xb, w, circle)
     for bound, minimum in zip(bounds, ext._prefix_minima(xa, xb, w,
                                                           circle)):
         assert (bound >= minimum).all()
@@ -1396,6 +1391,24 @@ def study_strata():
         out.append([sample_stratum(spec, N, 40, depth=20)
                     for N in (4, 8, 12, INF)])
     return out
+
+
+@pytest.mark.parametrize("space", [None, CIRCLE], ids=["interval", "circle"])
+def test_pruned_hausdorff_with_rows_far_from_the_other_sample(space):
+    # the 40 rows of A all sort below B, so the first 24 have no row of B
+    # within 2 _BOUND_RANK places: their bounds are inf, and the kernel
+    # takes them first
+    rng = np.random.default_rng(5)
+    A = StratumSample(4, ext.ChainRows(0.1 * rng.random((40, 5)), True), 4)
+    B = StratumSample(INF, ext.ChainRows(0.9 + 0.1 * rng.random((30, 7)),
+                                         False), 6)
+    w = ext.WEIGHT_BASE ** np.arange(60)
+    bound = ext._order_bounds(A.chains.coords, B.chains.coords[:, :5], w,
+                              space is CIRCLE)[0]
+    assert np.isinf(bound).sum() == 40 - 2 * ext._BOUND_RANK
+    assert _bits(hausdorff(A, B, space=space)) == \
+        _bits(_dense_hausdorff(A, B, space))
+    _check_bounds(A, B, space)
 
 
 def test_pruned_hausdorff_on_the_study_strata(study_strata):
@@ -1527,10 +1540,11 @@ def _doc(N=2, depth=6, chains=(([0.1, 0.2, 0.3], True),
     (_doc(N="inf", chains=(([0.1, 0.2, 0.3], False),)), ValueError),
     (_doc(chains=()), EmptyStratum),
     (_doc(N="inf", chains=()), EmptyStratum),
+    (_doc(chains=(([0.1, 0.2, 0.3], "false"),)), ValueError),
 ], ids=["N-negative", "N-float", "N-str", "N-bool", "N-null", "depth-0",
         "depth-negative", "depth-float", "mixed-lengths", "mixed-flags",
         "length-not-N+1", "finite-non-terminal", "inf-terminal",
-        "inf-length-not-depth+1", "empty", "inf-empty"])
+        "inf-length-not-depth+1", "empty", "inf-empty", "flag-str"])
 def test_stratum_from_json_rejects_non_strata(doc, error):
     with pytest.raises(error):
         stratum_from_json(doc)

@@ -2,7 +2,8 @@
 never uses, every function, class and method of the package is referenced
 somewhere, only a named few are referenced by tests alone, every field
 of a package dataclass is read somewhere, and every defaulted parameter is
-passed by some call.  Plain AST scans, so no linter is needed.  Also: the suite's warning filters let a
+passed by some call, and only a named few by tests alone.  Plain AST
+scans, so no linter is needed.  Also: the suite's warning filters let a
 failing property test fail alone."""
 
 import ast
@@ -20,6 +21,11 @@ SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 READERS = sorted((ROOT / "src").rglob("*.py")) + \
     sorted((ROOT / "tests").glob("*.py")) + \
     sorted((ROOT / "perfbench").glob("*.py"))
+# the program's own readers: the package, the benchmark and the acceptance
+# criteria
+PROGRAM_READERS = sorted((ROOT / "src").rglob("*.py")) + \
+    sorted((ROOT / "perfbench").glob("*.py")) + \
+    [ROOT / "tests" / "test_acceptance.py"]
 
 
 def _exported(tree: ast.AST) -> set:
@@ -268,16 +274,58 @@ TEST_ONLY = {
 
 
 def test_only_the_named_definitions_are_reached_by_tests_alone():
-    # the program's own readers: the package, the benchmark and the
-    # acceptance criteria; a new definition that only the other tests
-    # reach must be named in TEST_ONLY
+    # a new definition that only the other tests reach must be named in
+    # TEST_ONLY
     modules = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
-    readers = sorted((ROOT / "src").rglob("*.py")) + \
-        sorted((ROOT / "perfbench").glob("*.py")) + \
-        [ROOT / "tests" / "test_acceptance.py"]
     found = unreferenced_definitions(
-        modules, [p.read_text() for p in readers])
+        modules, [p.read_text() for p in PROGRAM_READERS])
     assert sorted(f.rsplit(": ", 1)[1] for f in found) == sorted(TEST_ONLY)
+
+
+# Defaulted parameters that only tests vary (file: name(param)), each with
+# the reason it stays.
+TEST_VARIED = {
+    "src/revext/circle.py": {
+        "rotation_number(seed)": "the orbit's start; a test checks that "
+                                 "the number does not depend on it",
+        "extension_shape(cluster_eps)": "the limit set's clustering "
+                                        "tolerance; tests compare several "
+                                        "with a pairwise oracle",
+        "extension_shape(limit_iters)": "the limit set's orbit length; tests "
+                                        "shorten it for the pairwise oracle",
+        "classify(max_den)": "the largest period searched; a test raises it "
+                             "to reach a period-89 orbit",
+        "perturbed_rotation(offset)": "the lift's integer shift; tests "
+                                      "check lifts of every shift",
+    },
+    "src/revext/extension.py": {
+        "chain_distance(space)": "the circle metric; only tests measure "
+                                 "chains on the circle",
+        "hausdorff(space)": "the circle metric; only tests measure chains "
+                            "on the circle",
+    },
+    "src/revext/operator_model.py": {
+        "constant_model(n_points)": "the Y grid's size; tests vary it and "
+                                    "refuse grids that hit p",
+        "build_model(a_funcs)": "the A generators; a test passes none to "
+                                "check the report without them",
+        "build_model(size_cap)": "the closure's size refusal; a test lowers "
+                                 "it to reach it cheaply",
+    },
+}
+
+
+def test_only_the_named_defaults_are_varied_by_tests_alone():
+    # a new defaulted parameter that only the other tests pass must be
+    # named in TEST_VARIED
+    modules = {str(p.relative_to(ROOT)): p.read_text() for p in PACKAGE}
+    found = {}
+    for f in uncalled_defaults(modules,
+                               [p.read_text() for p in PROGRAM_READERS]):
+        label, param = f.split(" line ")[0], f.rsplit(": ", 1)[1]
+        found.setdefault(label, set()).add(param)
+    assert found == {label: set(params)
+                     for label, params in TEST_VARIED.items()}
 
 
 def test_failing_property_test_does_not_abort_the_session(tmp_path):

@@ -36,6 +36,14 @@ def test_preimage_branches_against_forward_map():
     assert lg.preimage_branches(0.6, 0.61) is None
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.2, 1.5, math.nan])
+def test_logistic_system_refuses_lambda_outside_the_family(lam):
+    # -0.2 sampled a one-row M_3; 1.5 and NaN reported M_3 empty
+    for make in (lg.make_system, lg.extension_spec):
+        with pytest.raises(ValueError, match=r"lambda must be in \(0,1\]"):
+            make(lam)
+
+
 @settings(max_examples=300, deadline=None)
 @given(lam=st.floats(0.25, 1.0), y=st.floats(0.0, 1.0),
        t=st.floats(0.0, 1.0))
