@@ -394,46 +394,69 @@ def cmd_extend(cfg: RunConfig) -> int:
 
 
 def _sweep_chunk(lams: np.ndarray, burn_in: int, keep: int) -> np.ndarray:
+    # each step is l4 * x * (1.0 - x), in that operation order, in place
     x, l4 = np.full(lams.shape, 0.5), 4.0 * lams
-    for _ in range(burn_in):
-        x = l4 * x * (1.0 - x)
+    t = np.empty_like(x)
     out = np.empty((keep, lams.size))
-    for k in range(keep):
-        x = l4 * x * (1.0 - x)
-        out[k] = x
+    for k in range(burn_in + keep):
+        np.subtract(1.0, x, out=t)
+        np.multiply(l4, x, out=x)
+        np.multiply(x, t, out=x)
+        if k >= burn_in:
+            out[k - burn_in] = x
     return out
 
 
+def _int_digits(c: np.ndarray, least: int = 1) -> np.ndarray:
+    """Integers as their decimal text with at least ``least`` digits,
+    right-aligned in a ``(len(c), w)`` block of ASCII bytes whose rows,
+    without their NUL bytes, are the texts: a negative value's ``-`` in
+    the first column, and NUL bytes for the leading zeros above the
+    ``least`` printed ones.  The block is the transpose of a C-ordered
+    uint8 array with a row per digit place, so each place is written, and
+    read by ``_byte_rows``, as one contiguous run."""
+    c = np.asarray(c, dtype=np.int64)
+    a = np.abs(c).view(np.uint64)  # |int64 min| is 2**63 as uint64
+    top = int(a.max()) if a.size else 0
+    # the narrowest unsigned type that holds them divides fastest, and
+    # 10 * (a // 10) <= a never overflows it
+    a = a.astype(np.min_scalar_type(top))
+    neg = c < 0
+    n = max(least, len(str(top)))
+    w = n + bool(neg.any())  # a first column for the signs
+    digits = np.zeros((w, len(c)), dtype=np.uint8)
+    for j in range(w - 1, w - 1 - n, -1):  # right to left
+        rest = a // 10
+        digits[j] = a - 10 * rest + ord("0")
+        if j < w - least:  # above the least digits, a == 0 is a leading 0
+            digits[j] *= a > 0
+        a = rest
+    digits[0, neg] = ord("-")
+    return digits.T
+
+
 def _centi_digits(c: np.ndarray) -> np.ndarray:
-    """Non-negative integer hundredths as their ``:.2f`` text, right-aligned
-    in one ``(len(c), w)`` uint8 block of ASCII bytes, with NUL bytes for
-    the leading zeros of the integer part (whose units digit is always
-    printed)."""
+    """Non-negative integer hundredths as their ``:.2f`` text: the block
+    of ``_int_digits`` with at least three digits (so the units digit is
+    always printed) and a ``.`` column inserted before the last two."""
     c = np.asarray(c, dtype=np.int64)
     if c.size and c.min() < 0:
         raise ValueError("hundredths must be non-negative")
-    w = len(str(int(c.max()) // 100 if c.size else 0)) + 3
-    digits = np.empty((len(c), w), dtype=np.uint8)
-    digits[:, -3] = ord(".")
-    for j in (w - 1, w - 2, *range(w - 4, -1, -1)):  # right to left
-        rest = c // 10
-        digits[:, j] = c - 10 * rest + ord("0")
-        if j < w - 4:  # above the units digit, c == 0 is a leading zero
-            digits[:, j] *= c > 0
-        c = rest
-    return digits
+    places = _int_digits(c, 3).T
+    return np.insert(places, len(places) - 2, ord("."), axis=0).T
 
 
 def _byte_rows(consts: list, blocks: list) -> bytes:
     """Per row i: consts[0], row i of blocks[0], consts[1], ...,
     consts[-1], without the NUL bytes of the blocks; all rows as one bytes
-    string."""
+    string.  The pieces are stacked a column per row (contiguous for the
+    blocks of ``_int_digits``), and one transposing copy gives the text."""
     n = len(blocks[0])
-    cols = [None] * (2 * len(blocks) + 1)
-    cols[0::2] = [np.broadcast_to(np.frombuffer(k, dtype=np.uint8),
-                                  (n, len(k))) for k in consts]
-    cols[1::2] = blocks
-    return np.hstack(cols).tobytes().replace(b"\0", b"")
+    places = [None] * (2 * len(blocks) + 1)
+    places[0::2] = [np.broadcast_to(np.frombuffer(k, dtype=np.uint8)[:, None],
+                                    (len(k), n)) for k in consts]
+    places[1::2] = [b.T for b in blocks]
+    return np.vstack(places).T.tobytes().translate(None, b"\0")
 
 
 def _centi_labels(c: np.ndarray) -> list:
@@ -446,6 +469,10 @@ def _centi_labels(c: np.ndarray) -> list:
 # cx changes: each group's dots are sorted, formatted and written on their
 # own, so no array of the whole diagram's dots is held.
 _COLUMN_GROUP = 128
+# Dots per slice of a group's text: a slice's differences and byte matrix
+# are formatted and written on their own, so a group's text is never held
+# whole.
+_DOT_SLICE = 8192
 # Bytes of orbit state `bifurcate` holds at once: it sweeps a block of
 # consecutive column groups at a time, at 8 * (keep + 4) bytes a column
 # (the kept rows, the state and the update's temporaries).
@@ -466,6 +493,20 @@ def _column_groups(cx: np.ndarray) -> list:
     while (k := np.searchsorted(runs, cuts[-1] + _COLUMN_GROUP)) < len(runs):
         cuts.append(int(runs[k]))
     return list(zip(cuts, cuts[1:] + [len(cx)]))
+
+
+def _relative_dots(key: np.ndarray, base: int):
+    """The d text of a path of zero-length subpaths at the integer points
+    (key // base, key % base) of the ascending ``key``, in bytes chunks:
+    the first ``M{x} {y}h0``, each later one ``m{dx} {dy}h0`` relative to
+    the one before, _DOT_SLICE dots to a chunk."""
+    x, y = divmod(int(key[0]), base)
+    yield b"M%d %dh0" % (x, y)
+    for s in range(1, len(key), _DOT_SLICE):
+        # the slice's x and y are freed before its byte matrix is built
+        yield _byte_rows([b"m", b" ", b"h0"], [
+            _int_digits(np.diff(v))
+            for v in np.divmod(key[s - 1:s + _DOT_SLICE], base)])
 
 
 def cmd_bifurcate(cfg: RunConfig) -> int:
@@ -500,22 +541,22 @@ def cmd_bifurcate(cfg: RunConfig) -> int:
         # long on these keys), so the dots come column by column in
         # ascending cy; the groups' cx ranges ascend, so group by group is
         # the order of one sort of all keys.  A group is one path of
-        # zero-length subpaths, disks of diameter 0.8, its text one byte
-        # matrix with a row per dot, written as one buffer.
+        # zero-length subpaths in integer hundredths of a pixel, scaled
+        # back by .01: disks of diameter 80 * .01 = 0.8.
         for block in blocks:
             s = block[0][0]
             pts = _sweep_chunk(lams[s:block[-1][1]], burn_in, keep)
             for a, b in block:
-                cy = decimal_rint(height - margin - pts[:, a - s:b - s]
-                                  * (height - 2 * margin), 2)
-                base = int(cy.max()) + 1
-                key = np.sort((cx[a:b] * base + cy).ravel())
+                key = decimal_rint(height - margin - pts[:, a - s:b - s]
+                                   * (height - 2 * margin), 2)  # cy
+                base = int(key.max()) + 1
+                key += cx[a:b] * base  # in place: no copy of cy is held
+                key = np.sort(key, axis=None)
                 key = key[np.r_[True, key[1:] != key[:-1]]]
                 yield b'<path d="'
-                yield _byte_rows([b"M", b" ", b"h0"],
-                                 [_centi_digits(key // base),
-                                  _centi_digits(key % base)])
-                yield f'" {_ROUND_MARKS.format(0.8)}/>\n'.encode()
+                yield from _relative_dots(key, base)
+                yield (f'" transform="scale(.01)" {_ROUND_MARKS.format(80)}'
+                       '/>\n').encode()
             del pts  # before the next block is swept
         yield (_text(margin, height - 8.0, f"{cfg.lambda_min:.3f}") + "\n"
                + _text(width - margin - 40.0, height - 8.0,

@@ -19,8 +19,9 @@ from revext import logistic as lg
 from revext.cli import (_BLOCK, _ROUND_MARKS, ArgumentTooLarge, RunConfig,
                         _byte_rows, _centi_digits, _centi_labels,
                         _column_groups, _extension_spec_for, _indexed,
-                        _ladder_svg, _sweep_chunk, _write_strata_json, main,
-                        make_parser, read_config_file)
+                        _int_digits, _ladder_svg, _relative_dots,
+                        _sweep_chunk, _write_strata_json, main, make_parser,
+                        read_config_file)
 from revext.core import decimal_rint
 from revext.extension import (INF, ChainRows, EmptyStratum, StratumSample,
                               sample_stratum, stratum_from_json,
@@ -251,6 +252,15 @@ _DOTS = re.compile(rf"(M{_NUM} {_NUM}h0)+")
 _SPRINGS = re.compile(rf"(M{_NUM},{_NUM}( {_NUM},{_NUM})+)+")
 _POINTS = re.compile(rf"{_NUM},{_NUM}( {_NUM},{_NUM})+")
 _SPRING_STYLE = {"fill": "none", "stroke": "#888", "stroke-width": "0.5"}
+# the bifurcation dots: integer hundredths of a pixel, the first dot
+# absolute and each later one relative to the dot before (ascending x)
+_UINT = r"(0|[1-9]\d*)"
+_RELATIVE_DOTS = re.compile(
+    rf"M{_UINT} {_UINT}h0(m{_UINT} (0|-?[1-9]\d*)h0)*")
+_MOVE = re.compile(r"[Mm](-?\d+) (-?\d+)h0")
+_BIFURCATION_STYLE = {"transform": "scale(.01)", "fill": "none",
+                      "stroke": "black", "stroke-width": "80",
+                      "stroke-linecap": "round"}
 
 
 def _svg_elements(path, width, height) -> list:
@@ -279,6 +289,28 @@ def _subpaths(el, grammar, width=None) -> list:
     assert style == {"fill": "none", "stroke": "black",
                      "stroke-linecap": "round"}
     return [tuple(sub[:-2].split(" ")) for sub in d.split("M")[1:]]
+
+
+def _decode_dots(el) -> list:
+    """The dots of the bifurcation path element ``el``, each the running
+    sum of its subpaths' moves, as (x, y) integer hundredths of a pixel.
+    Checks the grammar, the style (round disks of diameter 80 under
+    scale(.01), the old circles' 0.8) and that every running sum lies in
+    [0, 80,000], so a float32 renderer sums it exactly."""
+    style = dict(el.attrib)
+    d = style.pop("d")
+    assert el.tag == _SVG + "path" and _RELATIVE_DOTS.fullmatch(d), d[:80]
+    assert style == _BIFURCATION_STYLE
+    moves = np.array(_MOVE.findall(d), dtype=np.int64).reshape(-1, 2)
+    dots = np.cumsum(moves, axis=0)
+    assert dots.min() >= 0 and dots.max() <= 80_000
+    return list(map(tuple, dots.tolist()))
+
+
+def _hundredths(text: str) -> int:
+    """A non-negative ``:.2f`` text as integer hundredths."""
+    units, cents = text.split(".")
+    return 100 * int(units) + int(cents)
 
 
 def _numeric(marks) -> list:
@@ -481,17 +513,15 @@ def _old_bifurcation_dots(lambda_min=0.74, lambda_max=1.0, steps=2000):
 def _check_bifurcation_svg(path, lambda_min=0.74, lambda_max=1.0,
                            steps=2000) -> None:
     """The bifurcation SVG at ``path`` draws each dot of the per-dot
-    emitter once: its paths' subpaths are the old circles' (cx, cy), none
-    twice, in ascending (cx, cy) order, each a disk of the old diameter
-    2r; then come the two axis labels."""
+    emitter once: its paths' subpaths decode to the old circles' (cx, cy),
+    none twice, in ascending (cx, cy) order, each a disk of the old
+    diameter 2r; then come the two axis labels."""
     *paths, left, right = _svg_elements(path, 800.0, 520.0)
     old = [dot.split('"') for dot in _old_bifurcation_dots(
         lambda_min, lambda_max, steps)]
-    (diameter,) = {2 * float(dot[5]) for dot in old}
-    dots = [d for el in paths for d in _subpaths(el, _DOTS, diameter)]
-    assert len(dots) == len(set(dots))
-    assert set(dots) == {(dot[1], dot[3]) for dot in old}
-    assert _numeric(dots) == sorted(_numeric(dots))
+    assert {2 * float(dot[5]) for dot in old} == {0.8}
+    assert [d for el in paths for d in _decode_dots(el)] == sorted(
+        {(_hundredths(dot[1]), _hundredths(dot[3])) for dot in old})
     for el, x, s in ((left, "40.00", lambda_min), (right, "720.00",
                                                    lambda_max)):
         assert (el.tag, el.text) == (_SVG + "text", f"{s:.3f}")
@@ -549,6 +579,34 @@ def _global_sort_svg(path, lambda_min, lambda_max, steps):
              + "\n".join(labels).encode())
 
 
+def _check_matches_global_sort(new, old) -> int:
+    """The bifurcation SVG ``new``, one path per column group, draws the
+    dots of the global-sort SVG ``old`` in its order, and ends with its
+    axis labels; returns the number of paths."""
+    *paths, left, right = _svg_elements(new, 800.0, 520.0)
+    (path, *labels) = _svg_elements(old, 800.0, 520.0)
+    assert [d for el in paths for d in _decode_dots(el)] == [
+        (_hundredths(x), _hundredths(y)) for x, y in _subpaths(path, _DOTS,
+                                                               0.8)]
+    assert [(el.tag, el.attrib, el.text) for el in (left, right)] == \
+        [(el.tag, el.attrib, el.text) for el in labels]
+    return len(paths)
+
+
+def _old_format_group(svg: bytes) -> int:
+    """The longest line of a column group's path in the bifurcation SVG
+    ``svg`` as the absolute `:.2f` format wrote it, `Mcx cyh0` per dot
+    with stroke width 0.8 and no transform: the yardstick of the peak
+    gates, which the format's text size does not move."""
+    root = ET.fromstring(svg)
+    frame = len(f'<path d="" {_ROUND_MARKS.format(0.8)}/>')
+    return max(frame + len(_byte_rows([b"M", b" ", b"h0"],
+                                      [_centi_digits(dots[:, 0]),
+                                       _centi_digits(dots[:, 1])]))
+               for dots in (np.array(_decode_dots(el)) for el in root
+                            if el.tag == _SVG + "path"))
+
+
 # A range two ulp wide: linspace repeats each of its three lambdas over a
 # run of columns, so the columns at a nominal cut print equal cx and the
 # cut moves to the next run.
@@ -571,12 +629,10 @@ def test_grouped_dots_match_global_sort(tmp_path_factory, bounds, steps):
                 "--lambda-max", repr(hi), "--steps", str(steps),
                 "--format", "svg", "-o", str(d / "new")]) == 0
     _global_sort_svg(str(d / "old.svg"), lo, hi, steps)
-    cut = f'" {_ROUND_MARKS.format(0.8)}/>\n<path d="'.encode()
-    new = (d / "new.svg").read_bytes()
-    assert new.replace(cut, b"") == (d / "old.svg").read_bytes()
     cx = decimal_rint(40.0 + (np.linspace(lo, hi, steps) - lo) / (hi - lo)
                       * 720.0, 2)
-    assert new.count(b"<path ") == len(_column_groups(cx))
+    assert _check_matches_global_sort(d / "new.svg", d / "old.svg") == \
+        len(_column_groups(cx))
 
 
 def _count_sweeps(monkeypatch) -> list:
@@ -599,8 +655,9 @@ def test_pinned_and_benchmark_sweeps_are_one_block(tmp_path, monkeypatch,
 def test_bifurcate_sweeps_blocks_within_sweep_bytes(tmp_path, monkeypatch):
     # 10,000 columns hold 9.6 MB of kept orbit points at once by default;
     # a 256 kB cap sweeps them in blocks of two groups and gives the same
-    # bytes, holding the block and a few copies of one group's text (its
-    # digit matrix, its joined rows and those without NUL bytes)
+    # bytes, holding the block and less than a few copies of one group's
+    # text (a slice's digit matrices, joined rows and those without NUL
+    # bytes), the group measured in the absolute `:.2f` format
     args = ["bifurcate", "--n-max", "1", "--steps", "10000", "--format",
             "svg", "-o"]
     peaks, calls = [], _count_sweeps(monkeypatch)
@@ -616,7 +673,7 @@ def test_bifurcate_sweeps_blocks_within_sweep_bytes(tmp_path, monkeypatch):
     assert svg == (tmp_path / "one.svg").read_bytes()
     assert calls[0] == 10000 and sum(calls[1:]) == 10000
     assert len(calls) > 10 and max(calls[1:]) * 8 * (120 + 4) <= 1 << 18
-    group = max(len(line) for line in svg.splitlines())
+    group = _old_format_group(svg)
     assert peaks[0] > 120 * 10000 * 8
     assert peaks[1] < (1 << 18) + 5 * group
 
@@ -626,7 +683,7 @@ def test_bifurcate_sweeps_each_distinct_lambda_once(tmp_path, monkeypatch):
     # groups; a group of 10,000 columns held 94 MB of orbit points.  Swept
     # once per lambda, the peak is what the columns' cx take to compute
     # (lambda, cx and decimal_rint's temporaries), the cap and one group's
-    # text
+    # text in the absolute `:.2f` format
     steps, (lo, hi) = 30000, _ULP_RANGE
     calls = _count_sweeps(monkeypatch)
     monkeypatch.setattr(cli, "SWEEP_BYTES", 1 << 18)
@@ -649,11 +706,11 @@ def test_bifurcate_sweeps_each_distinct_lambda_once(tmp_path, monkeypatch):
     assert calls == [3]
     svg = (tmp_path / "bif.svg").read_bytes()
     assert svg.count(b"<path ") == 3
-    group = max(len(line) for line in svg.splitlines())
+    group = _old_format_group(svg)
     assert peak < columns + (1 << 18) + group
     _global_sort_svg(str(tmp_path / "old.svg"), lo, hi, steps)
-    cut = f'" {_ROUND_MARKS.format(0.8)}/>\n<path d="'.encode()
-    assert svg.replace(cut, b"") == (tmp_path / "old.svg").read_bytes()
+    assert _check_matches_global_sort(tmp_path / "bif.svg",
+                                      tmp_path / "old.svg") == 3
 
 
 @pytest.mark.parametrize("argv, height", [
@@ -676,7 +733,9 @@ def test_svg_outputs_are_well_formed(tmp_path, argv, height):
     assert run(argv + ["-o", str(tmp_path / "fig")]) == 0
     width = 800.0 if argv[0] == "bifurcate" else 640.0
     for el in _svg_elements(tmp_path / "fig.svg", width, height):
-        if el.tag == _SVG + "path":
+        if el.tag == _SVG + "path" and argv[0] == "bifurcate":
+            _decode_dots(el)
+        elif el.tag == _SVG + "path":
             assert (_SPRINGS if el.get("stroke") == "#888"
                     else _DOTS).fullmatch(el.get("d"))
         elif el.tag == _SVG + "polyline":
@@ -742,6 +801,87 @@ def test_centi_digits_print_hundredths(c):
     assert digits.shape[0] == len(c)
     assert digits.tobytes().replace(b"\0", b"").decode() == \
         "".join(f"{v // 100}.{v % 100:02d}" for v in c)
+
+
+_EDGE_INTS = sorted({0, 2**63 - 1, -(2**63)}
+                    | {s * (10**k + d) for k in range(19) for d in (-1, 0, 1)
+                       for s in (1, -1) if 10**k + d < 2**63})
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=st.lists(st.integers(-(2**63), 2**63 - 1)
+                  | st.sampled_from(_EDGE_INTS), max_size=40),
+       least=st.integers(1, 4))
+@example(c=[], least=1)
+@example(c=_EDGE_INTS, least=1)
+@example(c=[0, -1, 5, -300], least=3)
+def test_int_digits_print_integers(c, least):
+    digits = _int_digits(np.array(c, dtype=np.int64), least)
+    assert digits.shape[0] == len(c)
+    assert _byte_rows([b"", b","], [digits]).decode() == "".join(
+        ("-" if v < 0 else "") + str(abs(v)).zfill(least) + "," for v in c)
+
+
+def _moves_oracle(key, base) -> bytes:
+    """`_relative_dots`'s text, one dot at a time."""
+    dots = [divmod(k, base) for k in key]
+    return b"".join(b"%c%d %dh0" % (b"m" if i else b"M", x - px, y - py)
+                    for i, ((x, y), (px, py)) in enumerate(
+                        zip(dots, [(0, 0)] + dots)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(0, 80_000),
+                                 st.integers(0, 52_000)),
+                       min_size=1, max_size=60, unique=True),
+       width=st.integers(1, 8))
+@example(points=[(0, 0)], width=1)
+@example(points=[(4000, 48000), (4036, 4000), (4036, 48000)], width=2)
+def test_relative_dots_slices_give_one_text(points, width):
+    # the points' keys, ascending, give each dot's move from the one
+    # before whatever the slice width, with every running sum the point
+    base = 52_001
+    key = np.array(sorted(x * base + y for x, y in points), dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_DOT_SLICE", width)
+        chunks = list(_relative_dots(key, base))
+    assert len(chunks) == 1 + -(-(len(key) - 1) // width)
+    text = b"".join(chunks)
+    assert text == _moves_oracle(key.tolist(), base)
+    el = ET.fromstring(f'<path xmlns="http://www.w3.org/2000/svg" d="'
+                       f'{text.decode()}" transform="scale(.01)" '
+                       f'{_ROUND_MARKS.format(80)}/>')
+    assert _decode_dots(el) == sorted(points)
+
+
+def _old_sweep_chunk(lams, burn_in, keep):
+    """The sweep as the expression ``l4 * x * (1.0 - x)`` wrote it, a new
+    array per step."""
+    x, l4 = np.full(lams.shape, 0.5), 4.0 * lams
+    for _ in range(burn_in):
+        x = l4 * x * (1.0 - x)
+    out = np.empty((keep, lams.size))
+    for k in range(keep):
+        x = l4 * x * (1.0 - x)
+        out[k] = x
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounds=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       steps=st.integers(1, 300), burn_in=st.integers(0, 700),
+       keep=st.integers(0, 130))
+@example(bounds=_ULP_RANGE, steps=300, burn_in=600, keep=120)
+@example(bounds=(1.0, 1.0), steps=3, burn_in=600, keep=120)
+@example(bounds=(0.74, 1.0), steps=2000, burn_in=600, keep=120)
+def test_sweep_in_place_matches_the_expression(bounds, steps, burn_in, keep):
+    # the in-place update keeps the expression's operation order, so the
+    # orbits agree bit for bit (lambda = 1 and ranges a few ulp wide too)
+    lams = np.linspace(*bounds, steps)
+    got = _sweep_chunk(lams, burn_in=burn_in, keep=keep)
+    want = _old_sweep_chunk(lams, burn_in, keep)
+    assert got.shape == want.shape == (keep, steps)
+    assert (got.view(np.int64) == want.view(np.int64)).all()
 
 
 @pytest.mark.parametrize("c", [[-5], [3, -1, 7], [-(2**63)]],
@@ -1201,8 +1341,8 @@ _PINNED = [
     (["bifurcate", "--n-max", "2", "--steps", "60", "--format", "svg"], {
         ".csv": "0f80fa091d2ae5e06ea2b51ac01c5502"
                 "c40ad526177e1190ab997c5ccd50a808",
-        ".svg": "7ab4e4638c06f3d716155538cac4b0d4"
-                "79227207647d8640c206652f612edacb"}),
+        ".svg": "47ed2df7bce5dcc64d64bd6d10d9bfca"
+                "3ac83ead6eed4f168ec53da42a01bbe1"}),
 ] + [
     (["operator-check", "--system", system, "--depth", "6"], {
         ".json": "0bd41421638eab5899969ac1109c9f90"
@@ -1259,8 +1399,8 @@ _PINNED_BENCH = [
     (["bifurcate", "--n-max", "12", "--steps", "2000", "--format", "svg"], {
         ".csv": "8bd4472c12f28c884c2a9a445c01640d"
                 "10d289f772f1d0b532f73504ad71e1d4",
-        ".svg": "4f8f9f7a21964ce34b52caa2d24fbb40"
-                "28e1f32c1ee6aecee231685fe9186dbf"}),
+        ".svg": "3becdc908a09e212fd204e49a2cd1004"
+                "3f06424c3b3f3314f8c84780cca9c12c"}),
 ]
 
 
